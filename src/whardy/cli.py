@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 from . import __version__, decomp, dimension, divergence, fields, geometry, hardy
 from . import inequalities as ineq
 from . import treecover, whitney
-from .errors import ParameterError
+from .errors import ConnectivityError, EmptyDecompositionError, ParameterError
 
 DOMAIN_CHOICES = ("unit-square", "l-shape", "slit-square", "koch")
 
@@ -47,25 +46,7 @@ def _write_json(path: Path, payload: dict, args) -> None:
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("WHARDY_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _collar_probe(tree, grid):
-    """Mean-zeroed indicator of the finest-level cubes (boundary probe)."""
-    assign = decomp.assign_cells(tree, grid)
-    fine = np.where(tree.level == tree.level.max())[0]
-    cov = assign >= 0
-    vals = np.where(np.isin(assign, fine), 1.0, 0.0)
-    vals[~cov] = 0.0
-    vals[cov] -= vals[cov].mean()
-    return grid.with_values(vals)
-
-
-def _dipole(grid):
+def _dipole(tree, grid):
     def bump(x, y, cx, cy, r):
         rr = ((x - cx) ** 2 + (y - cy) ** 2) / r**2
         out = np.zeros_like(x)
@@ -81,10 +62,7 @@ def _dipole(grid):
         lambda x, y: bump(x, y, cx - 0.2 * span, cy, 0.15 * span)
         - bump(x, y, cx + 0.2 * span, cy, 0.15 * span),
     )
-    vals = f.values.copy()
-    m = grid.mask
-    vals[m] -= vals[m].mean()
-    return grid.with_values(np.where(m, vals, 0.0))
+    return decomp.covered_mean_zero(grid, decomp.assign_cells(tree, grid), f.values)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +104,7 @@ def cmd_whitney(args) -> int:
 
 def cmd_tree(args) -> int:
     dom = _domain_from_args(args)
-    dec = whitney.whitney_decompose(dom, args.max_level)
-    tree = treecover.build_tree(dec, treecover.root_center(dec, geometry.centroid(dom)))
+    tree = treecover.build_tree(whitney.whitney_decompose(dom, args.max_level))
     stats = treecover.shadow_stats(tree)
     c_emp = treecover.verify_shadow_lemma(stats, args.lam)
     max_p = int(stats.P.max())
@@ -189,7 +166,7 @@ def cmd_hardy(args) -> int:
     dom = _domain_from_args(args)
     betas = hardy.parse_grid(args.beta_grid)
     levels = [int(v) for v in args.levels.split(",")]
-    report = hardy.beta_sweep(dom, args.p, betas, levels, workers=_workers())
+    report = hardy.beta_sweep(dom, args.p, betas, levels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     hardy.write_sweep_csv(report, out / "hardy_sweep.csv")
@@ -209,15 +186,13 @@ def cmd_hardy(args) -> int:
 
 def cmd_decompose(args) -> int:
     dom = _domain_from_args(args)
-    dec = whitney.whitney_decompose(dom, args.max_level)
-    tree = treecover.build_tree(dec, treecover.root_center(dec, geometry.centroid(dom)))
+    tree = treecover.build_tree(whitney.whitney_decompose(dom, args.max_level))
     grid = decomp.decomposition_grid(tree)
     rng = np.random.default_rng(args.seed)
     assign = decomp.assign_cells(tree, grid)
-    vals = np.where(assign >= 0, rng.standard_normal(grid.dims), 0.0)
+    g = decomp.covered_mean_zero(grid, assign, rng.standard_normal(grid.dims))
+    vals = g.values
     cov = assign >= 0
-    vals[cov] -= vals[cov].mean()
-    g = grid.with_values(vals)
     d = decomp.c_decompose(tree, g)
     rec_err = float(np.abs(d.reconstruct() - vals)[cov].max())
     max_int = max(abs(d.node_integral(t)) for t in range(len(tree)))
@@ -331,14 +306,13 @@ def cmd_fefferman_stein(args) -> int:
 
 def cmd_divergence(args) -> int:
     dom = _domain_from_args(args)
-    grid = divergence.solver_grid(dom, args.max_level)
+    tree = treecover.build_tree(whitney.whitney_decompose(dom, args.max_level))
+    grid = decomp.decomposition_grid(tree)
     if args.data == "collar":
-        dec = whitney.whitney_decompose(dom, args.max_level)
-        tree = treecover.build_tree(dec, treecover.root_center(dec, geometry.centroid(dom)))
-        f = _collar_probe(tree, grid)
+        f = decomp.collar_probe(tree, grid)
     else:
-        f = _dipole(grid)
-    vec, rep = divergence.solve_divergence(dom, f, args.q, args.beta, args.max_level)
+        f = _dipole(tree, grid)
+    vec, rep = divergence.solve_divergence(tree, f, args.q, args.beta)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fields.dump_grid(vec.components[0], out / "velocity_x.bin")
@@ -404,6 +378,19 @@ def _read_config(path) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         cfg[key.replace("-", "_")] = val
     return cfg
+
+
+def _apply_config(args, argv_list) -> None:
+    """Fill the flags not given on the command line from the config file."""
+    given = {tok.split("=", 1)[0] for tok in argv_list if tok.startswith("--")}
+    for key, val in _read_config(args.config).items():
+        if hasattr(args, key) and "--" + key.replace("_", "-") not in given:
+            cur = getattr(args, key)
+            try:
+                setattr(args, key, type(cur)(val) if cur is not None else val)
+            except ValueError:
+                raise ParameterError(
+                    f"config {key} = {val!r} is not a {type(cur).__name__}") from None
 
 
 def _domain_name(value: str) -> str:
@@ -550,18 +537,11 @@ def main(argv=None) -> int:
     if args.command is None:
         ap.print_usage(sys.stderr)
         return 1
-    if args.config:
-        cfg = _read_config(args.config)
-        given = {tok.split("=", 1)[0] for tok in argv_list if tok.startswith("--")}
-        for key, val in cfg.items():
-            if hasattr(args, key):
-                flag = "--" + key.replace("_", "-")
-                if flag not in given:
-                    cur = getattr(args, key)
-                    setattr(args, key, type(cur)(val) if cur is not None else val)
     try:
+        if args.config:
+            _apply_config(args, argv_list)
         return args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, EmptyDecompositionError, ConnectivityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -48,8 +48,8 @@ class Decomposition:
         return self.grid.with_values(flat.reshape(self.grid.dims))
 
 
-def decomposition_grid(tree: TreeCovering) -> GridFunction:
-    """Frame-aligned grid with h = (finest cube side) / 4 covering the domain."""
+def grid_layout(tree: TreeCovering):
+    """(h, origin, dims, frame_offset) of ``decomposition_grid(tree)``, unsampled."""
     dec = tree.decomposition
     if dec is None:
         raise ParameterError("tree has no Whitney decomposition attached")
@@ -64,9 +64,15 @@ def decomposition_grid(tree: TreeCovering) -> GridFunction:
         int(np.ceil((hi[0] - origin[0]) / h - 1e-12)),
         int(np.ceil((hi[1] - origin[1]) / h - 1e-12)),
     )
-    g = make_grid(dec.domain, h, origin=origin, dims=dims)
     # grid cell (i, j) sits at frame-lattice cell (i0+i, j0+j)
-    return replace(g, frame_offset=(i0, j0))
+    return h, origin, dims, (i0, j0)
+
+
+def decomposition_grid(tree: TreeCovering) -> GridFunction:
+    """Frame-aligned grid with h = (finest cube side) / 4 covering the domain."""
+    h, origin, dims, offset = grid_layout(tree)
+    g = make_grid(tree.decomposition.domain, h, origin=origin, dims=dims)
+    return replace(g, frame_offset=offset)
 
 
 def assign_cells(tree: TreeCovering, grid: GridFunction) -> np.ndarray:
@@ -98,6 +104,22 @@ def assign_cells(tree: TreeCovering, grid: GridFunction) -> np.ndarray:
         out = flat.reshape(nx, ny)
     out[~grid.mask] = -1
     return out
+
+
+def covered_mean_zero(grid: GridFunction, assignment: np.ndarray, values) -> GridFunction:
+    """values zeroed on the uncovered cells, minus their mean over the covered cells."""
+    cov = assignment >= 0
+    vals = np.where(cov, values, 0.0)
+    vals[cov] -= vals[cov].mean()
+    return grid.with_values(vals)
+
+
+def collar_probe(tree: TreeCovering, grid: GridFunction) -> GridFunction:
+    """Mean-zeroed indicator of the finest-level cubes: pushes transfer mass
+    through boundary cubes at the truncation scale."""
+    assign = assign_cells(tree, grid)
+    fine = np.where(tree.level == tree.level.max())[0]
+    return covered_mean_zero(grid, assign, np.where(np.isin(assign, fine), 1.0, 0.0))
 
 
 def _face_data(tree: TreeCovering, t: int):

@@ -18,12 +18,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .decomp import Decomposition, c_decompose, decomposition_grid
+from .decomp import Decomposition, c_decompose, grid_layout
 from .errors import CompatibilityError, ConvergenceError, ParameterError
 from .fields import GridFunction, VectorFieldGrid, gradient, weighted_lp_norm
 from .inequalities import InequalityReport
-from .treecover import build_tree, root_center
-from .whitney import whitney_decompose
+from .treecover import TreeCovering
 
 SOLVER_TOL = 1e-10
 
@@ -173,29 +172,21 @@ def patch_cells(dec: Decomposition, t: int) -> np.ndarray:
     return np.unique(np.concatenate(parts))
 
 
-def solve_divergence(dom, f: GridFunction, q: float, beta: float,
-                     max_level: int, center=None):
+def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float):
     """Assemble u = sum of local solutions; report the weighted a-priori ratio.
 
-    f must live on the decomposition grid of (dom, max_level) (see
-    ``solver_grid``) and have zero mean over the covered cells. The energy
-    minimized locally is the 2-energy regardless of q; the reported norms
-    use the requested q (surrogate documented in the report).
+    f must live on ``decomposition_grid(tree)`` and have zero mean over the
+    covered cells. The energy minimized locally is the 2-energy regardless
+    of q; the reported norms use the requested q (surrogate documented in
+    the report).
     """
-    from . import geometry
-
     if q <= 1:
         raise ParameterError("q must exceed 1")
-    wdec = whitney_decompose(dom, max_level)
-    tree = build_tree(wdec, root_center(wdec, center if center is not None
-                                        else geometry.centroid(dom)))
-    grid = decomposition_grid(tree)
-    if f.h != grid.h or f.dims != grid.dims or f.origin != grid.origin:
-        raise ParameterError("f is not sampled on the solver grid; use solver_grid()")
-    fg = grid.with_values(f.values)
-    dec = c_decompose(tree, fg)
+    if (f.h, f.origin, f.dims, f.frame_offset) != grid_layout(tree):
+        raise ParameterError("f is not sampled on decomposition_grid(tree)")
+    dec = c_decompose(tree, f)
 
-    nx, ny = grid.dims
+    nx, ny = f.dims
     FX = np.zeros((nx + 1, ny))
     FY = np.zeros((nx, ny + 1))
     energies = []
@@ -206,7 +197,7 @@ def solve_divergence(dom, f: GridFunction, q: float, beta: float,
         pos = {int(c): k for k, c in enumerate(cells)}
         for c, v in zip(dec.cells[t], dec.values[t]):
             fvals[pos[int(c)]] = v
-        loc = local_div_solve(cells, fvals, ny, grid.h, node=t)
+        loc = local_div_solve(cells, fvals, ny, f.h, node=t)
         solves.append(loc)
         energies.append(loc.energy)
         for (i, j), val in loc.fx.items():
@@ -214,29 +205,29 @@ def solve_divergence(dom, f: GridFunction, q: float, beta: float,
         for (i, j), val in loc.fy.items():
             FY[i, j] += val
 
-    mac = MacField(grid=grid, fx=FX, fy=FY)
+    mac = MacField(grid=f, fx=FX, fy=FY)
     covered = dec.assignment >= 0
     div = mac.divergence()
-    fnorm = float(np.linalg.norm(np.where(covered, fg.values, 0.0)))
-    resid = float(np.linalg.norm(np.where(covered, div - fg.values, 0.0)))
+    fnorm = float(np.linalg.norm(np.where(covered, f.values, 0.0)))
+    resid = float(np.linalg.norm(np.where(covered, div - f.values, 0.0)))
     rel_resid = resid / fnorm if fnorm > 0 else resid
 
     vec = mac.cell_centered()
     power = -beta * q
     du = _grad_magnitude_covered(vec, covered)
-    rhs_f = grid.with_values(np.where(covered, np.abs(fg.values), 0.0))
+    rhs_f = f.with_values(np.where(covered, np.abs(f.values), 0.0))
     lhs = weighted_lp_norm(du, q, power)
     rhs = weighted_lp_norm(rhs_f, q, power)
     degenerate = "zero data" if rhs == 0.0 else None
     report = InequalityReport(
         inequality="divergence",
-        domain=dom.name,
-        params={"q": q, "beta": beta, "max_level": max_level,
+        domain=tree.decomposition.domain.name,
+        params={"q": q, "beta": beta, "max_level": tree.decomposition.max_level,
                 "energy_norm": "q=2 surrogate"},
         lhs=lhs,
         rhs=rhs,
         ratio=lhs / rhs if rhs > 0 else math.nan,
-        h=grid.h,
+        h=f.h,
         degenerate=degenerate,
         extra={
             "div_residual_rel": rel_resid,
@@ -293,13 +284,3 @@ def reweighted_ratio(vec: VectorFieldGrid, f: GridFunction, covered: np.ndarray,
     du = _grad_magnitude_covered(vec, covered)
     rhs_f = f.with_values(np.where(covered, np.abs(f.values), 0.0))
     return weighted_lp_norm(du, q, power) / weighted_lp_norm(rhs_f, q, power)
-
-
-def solver_grid(dom, max_level: int, center=None) -> GridFunction:
-    """The grid solve_divergence expects f on."""
-    from . import geometry
-
-    wdec = whitney_decompose(dom, max_level)
-    tree = build_tree(wdec, root_center(wdec, center if center is not None
-                                        else geometry.centroid(dom)))
-    return decomposition_grid(tree)

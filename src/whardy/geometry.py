@@ -314,8 +314,12 @@ def boxes_inside_domain(dom: PolygonalDomain, los, his) -> np.ndarray:
     return out
 
 
-def _edges_enter_boxes(edges, los, his) -> np.ndarray:
-    """Per box: does any segment have a point strictly inside the open box?"""
+def clip_segments(edges, los, his):
+    """Liang-Barsky clipping of every segment against every closed box.
+
+    Returns ``(alive, t0, t1)``, each of shape (boxes, edges): segment k
+    meets box m on the parameter range [t0, t1] when alive and t0 <= t1.
+    """
     p, q = edges[:, 0], edges[:, 1]
     d = q - p
     M, E = len(los), len(edges)
@@ -336,7 +340,14 @@ def _edges_enter_boxes(edges, los, his) -> np.ndarray:
             ext = ~par & (den > 0)
             t0 = np.where(ent, np.maximum(t0, t), t0)
             t1 = np.where(ext, np.minimum(t1, t), t1)
+    return alive, t0, t1
+
+
+def _edges_enter_boxes(edges, los, his) -> np.ndarray:
+    """Per box: does any segment have a point strictly inside the open box?"""
+    alive, t0, t1 = clip_segments(edges, los, his)
     clipped = alive & (t0 < t1)
+    p, d = edges[:, 0], edges[:, 1] - edges[:, 0]
     tm = (t0 + t1) / 2.0
     mid = p[None, :, :] + tm[:, :, None] * d[None, :, :]
     strict = np.all((mid > los[:, None, :]) & (mid < his[:, None, :]), axis=2)

@@ -256,40 +256,18 @@ def classify_growth(values) -> tuple[str, list]:
     return "inconclusive", ratios
 
 
-def beta_sweep(dom, p: float, betas, levels, theta_grid=DEFAULT_THETA_GRID,
-               center=None, workers: int = 1) -> HardyReport:
-    """A_tree_min per (beta, truncation level) with growth classification.
-
-    Evaluations per beta are independent; ``workers`` > 1 runs them in a
-    thread pool with results merged back in parameter order.
-    """
+def beta_sweep(dom, p: float, betas, levels,
+               theta_grid=DEFAULT_THETA_GRID) -> HardyReport:
+    """A_tree_min per (beta, truncation level) with growth classification."""
     levels = list(levels)
     if levels != sorted(levels):
         raise ParameterError("levels must be increasing")
-    from . import geometry
-    from .treecover import root_center
-
-    preferred = geometry.centroid(dom) if center is None else center
-    trees = {}
-    for lv in levels:
-        dec = whitney_decompose(dom, lv)
-        trees[lv] = build_tree(dec, root_center(dec, preferred))
-
-    def one_beta(beta):
-        w = WeightSpec(beta=beta, p=p, theta_grid=tuple(theta_grid))
-        return [a_tree_min(trees[lv], w) for lv in levels]
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_beta, betas))
-    else:
-        results = [one_beta(beta) for beta in betas]
-
+    trees = {lv: build_tree(whitney_decompose(dom, lv)) for lv in levels}
     rows = []
     classification = {}
-    for beta, reps in zip(betas, results):
+    for beta in betas:
+        w = WeightSpec(beta=beta, p=p, theta_grid=tuple(theta_grid))
+        reps = [a_tree_min(trees[lv], w) for lv in levels]
         vals = [rep.a_tree_min for rep in reps]
         cls, ratios = classify_growth(vals)
         classification[beta] = {"class": cls, "ratios": ratios, "values": vals}

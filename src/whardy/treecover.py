@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConnectivityError, ParameterError, StructureError
+from .geometry import centroid
 from .whitney import EXPANSION, Box, WhitneyDecomposition
 
 
@@ -40,11 +41,10 @@ class TreeCovering:
     kind: str = "whitney"
     expansion_factor: float = EXPANSION
     ndim: int = 2
-    # integer geometry used by exact checks: cube spans and B_t boxes in
-    # units of (finest side)/32
+    # integer geometry used by exact checks: cube spans (N, 2, ndim) in
+    # units of the finest side, B_t boxes in units of (finest side)/32
     spans32: np.ndarray | None = field(default=None, repr=False)
     boxes32: list | None = field(default=None, repr=False)
-    cell_size: float = 0.0  # world length of one 1/32 unit
 
     def __len__(self):
         return len(self.parent)
@@ -63,17 +63,19 @@ class TreeCovering:
         return out
 
     def ratio_u_over_b(self) -> float:
-        """Reported C2 bound: max over nodes of |U_t| / |B_t|."""
-        worst = 0.0
-        for t in range(len(self)):
-            if self.boxes[t] is None:
-                continue
-            ut = (self.expansion_factor * self.ell[t]) ** self.ndim
-            bt = self.boxes[t].area() / (self.cell_size * 32.0) ** self.ndim \
-                if self.cell_size else self.boxes[t].area()
-            bt_frame = self.boxes[t].area()
-            worst = max(worst, ut / bt_frame) if bt_frame > 0 else worst
-        return worst
+        """Reported C2 bound: max over nodes of |U_t| / |B_t|.
+
+        Both volumes are taken in the integer 1/32 lattice of ``boxes32``,
+        where a cube of ``spans32`` side w has side 32 w.
+        """
+        kids = [t for t, b in enumerate(self.boxes32 or []) if b is not None]
+        if not kids:
+            return 0.0
+        b = np.asarray([self.boxes32[t] for t in kids])  # (k, 2, ndim)
+        bt = np.prod(b[:, 1] - b[:, 0], axis=1)
+        side = 32 * (self.spans32[kids, 1, 0] - self.spans32[kids, 0, 0])
+        ut = (self.expansion_factor * side) ** self.ndim
+        return float((ut / bt).max())
 
 
 @dataclass
@@ -101,12 +103,15 @@ def root_center(dec: WhitneyDecomposition, preferred=None):
     return dec.cube(t).center
 
 
-def build_tree(dec: WhitneyDecomposition, center) -> TreeCovering:
+def build_tree(dec: WhitneyDecomposition, center=None) -> TreeCovering:
     """BFS spanning tree of the face-neighbor graph rooted at the cube holding center.
 
+    Without a center the root is ``root_center(dec, centroid(dec.domain))``.
     Parents are BFS predecessors, tie-broken by larger cube first and then
     lexicographic (level, index).
     """
+    if center is None:
+        center = root_center(dec, centroid(dec.domain))
     root = dec.locate(center)
     if root is None:
         raise ParameterError("center is not inside any accepted cube")
@@ -148,7 +153,7 @@ def build_tree(dec: WhitneyDecomposition, center) -> TreeCovering:
 
     ell = np.exp2(-dec.levels.astype(float))
     K_frac, spans32 = _expansion_constant(dec, children, root)
-    boxes, boxes32, cell = _transfer_boxes(dec, parent)
+    boxes, boxes32 = _transfer_boxes(dec, parent)
     return TreeCovering(
         root=root,
         parent=parent,
@@ -164,7 +169,6 @@ def build_tree(dec: WhitneyDecomposition, center) -> TreeCovering:
         kind="whitney",
         spans32=spans32,
         boxes32=boxes32,
-        cell_size=cell,
     )
 
 
@@ -262,7 +266,7 @@ def _transfer_boxes(dec, parent):
         w_lo = origin + np.asarray(b32[0]) * unit
         w_hi = origin + np.asarray(b32[1]) * unit
         boxes[t] = Box(tuple(w_lo), tuple(w_hi))
-    return boxes, boxes32, unit
+    return boxes, boxes32
 
 
 def _face_box32(lo_t, hi_t, lo_p, hi_p):
@@ -375,7 +379,6 @@ def build_cube_chain(m: int, n: int = 2) -> TreeCovering:
         ndim=n,
         spans32=spans32,
         boxes32=boxes32,
-        cell_size=unit,
     )
 
 

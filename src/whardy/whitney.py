@@ -196,24 +196,8 @@ def _box_segment_dist_sq(lo, hi, edges):
     d = b - a
     M, E = len(lo), len(edges)
 
-    # Closed-box clipping (Liang-Barsky): does the segment meet the box?
-    t0 = np.zeros((M, E))
-    t1 = np.ones((M, E))
-    alive = np.ones((M, E), dtype=bool)
-    for axis in range(2):
-        p0 = a[None, :, axis]
-        dd = d[None, :, axis]
-        for sign, bound in ((-1.0, lo[:, axis][:, None]), (1.0, hi[:, axis][:, None])):
-            num = sign * (bound - p0)
-            den = sign * dd * np.ones((M, 1))
-            par = den == 0
-            alive &= ~(par & (num < 0))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(par, 0.0, num / den)
-            ent = ~par & (den < 0)
-            ext = ~par & (den > 0)
-            t0 = np.where(ent, np.maximum(t0, t), t0)
-            t1 = np.where(ext, np.minimum(t1, t), t1)
+    # Closed-box clipping: does the segment meet the box?
+    alive, t0, t1 = geometry.clip_segments(edges, lo, hi)
     meets = alive & (t0 <= t1)
 
     # Corner-to-segment distances.

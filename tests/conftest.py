@@ -53,22 +53,10 @@ def random_mean_zero(tree, grid, seed):
     """Random values on the covered cells, exactly mean-zero there."""
     assign = decomp.assign_cells(tree, grid)
     rng = np.random.default_rng(seed)
-    cov = assign >= 0
-    vals = np.where(cov, rng.standard_normal(grid.dims), 0.0)
-    vals[cov] -= vals[cov].mean()
-    return grid.with_values(vals)
+    return decomp.covered_mean_zero(grid, assign, rng.standard_normal(grid.dims))
 
 
-def collar_probe(tree, grid):
-    """Mean-zeroed indicator of the finest-level cubes: pushes transfer mass
-    through boundary cubes at the truncation scale."""
-    assign = decomp.assign_cells(tree, grid)
-    fine = np.where(tree.level == tree.level.max())[0]
-    cov = assign >= 0
-    vals = np.where(np.isin(assign, fine), 1.0, 0.0)
-    vals[~cov] = 0.0
-    vals[cov] -= vals[cov].mean()
-    return grid.with_values(vals)
+collar_probe = decomp.collar_probe
 
 
 def oracle_a_tree(parent, ell, beta, p, theta, ndim=2):

@@ -345,7 +345,7 @@ def test_criterion_6_inequality_suite(unit_square):
     _report(6, "inequality suite", clauses, time.time() - t0, 300.0)
 
 
-def test_criterion_7_divergence_suite(unit_square, square_trees):
+def test_criterion_7_divergence_suite(square_trees):
     t0 = time.time()
     clauses = []
     # dense KKT oracle at a tiny size
@@ -362,9 +362,9 @@ def test_criterion_7_divergence_suite(unit_square, square_trees):
     ratios = {0.0: [], -0.3: [], -0.8: []}
     resid_ok = True
     for lv in (5, 6, 7):
-        grid = dv.solver_grid(unit_square, lv)
+        grid = dc.decomposition_grid(square_trees[lv])
         f = collar_probe(square_trees[lv], grid)
-        vec, rep = dv.solve_divergence(unit_square, f, 2.0, 0.0, lv)
+        vec, rep = dv.solve_divergence(square_trees[lv], f, 2.0, 0.0)
         if rep.extra["div_residual_rel"] > 1e-8:
             resid_ok = False
         covered = rep.decomposition.assignment >= 0

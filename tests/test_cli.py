@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from whardy import cli
 
 
@@ -106,3 +108,39 @@ def test_poincare_subcommand(tmp_path):
     assert run(["poincare", "--h", "0.02", "--count", "3", "--out", str(out)]) == 0
     lines = (out / "improved_poincare.jsonl").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_empty_decomposition_exits_1(tmp_path, capsys):
+    assert run(["divergence", "--domain", "koch", "--koch-level", "2", "--max-level", "4",
+                "--data", "collar", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_value_of_wrong_type_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("koch_level = 2.5\n")
+    assert run(["--config", str(cfg), "tree", "--domain", "koch",
+                "--out", str(tmp_path / "t")]) == 1
+    assert "koch_level" in capsys.readouterr().err
+
+
+PRESETS = {
+    "unit-square": ("unit-square",),
+    "l-shape": ("l-shape",),
+    "slit-square": ("slit-square",),
+    "koch": ("koch", "--koch-level", "2"),
+}
+TREE_COMMANDS = {
+    "whitney": ("whitney",),
+    "tree": ("tree",),
+    "decompose": ("decompose",),
+    "dipole": ("divergence", "--data", "dipole"),
+    "collar": ("divergence", "--data", "collar"),
+}
+
+
+@pytest.mark.parametrize("command", TREE_COMMANDS)
+@pytest.mark.parametrize("preset", PRESETS)
+def test_every_preset_with_every_tree_subcommand(tmp_path, preset, command):
+    argv = [*TREE_COMMANDS[command], "--domain", *PRESETS[preset], "--max-level", "5"]
+    assert run([*argv, "--out", str(tmp_path)]) == 0

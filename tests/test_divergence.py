@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import collar_probe
+from whardy import decomp as dc
 from whardy import divergence as dv
 from whardy import fields as F
+from whardy import treecover as tc
+from whardy import whitney as wt
 from whardy.errors import CompatibilityError, ParameterError
 
 
@@ -107,11 +110,11 @@ def test_energy_scaling_across_sizes():
     assert factor == pytest.approx(4.0, rel=1e-12)
 
 
-def test_solver_grid_mismatch(unit_square):
+def test_solver_grid_mismatch(unit_square, square_trees):
     grid = F.make_grid(unit_square, 1 / 32)
     f = F.sample_function(grid, lambda x, y: x - 0.5)
     with pytest.raises(ParameterError):
-        dv.solve_divergence(unit_square, f, 2.0, 0.0, 5)
+        dv.solve_divergence(square_trees[5], f, 2.0, 0.0)
 
 
 def bump_dipole(grid):
@@ -131,10 +134,10 @@ def bump_dipole(grid):
 
 
 @pytest.fixture(scope="module")
-def solved5(unit_square):
-    grid = dv.solver_grid(unit_square, 5)
+def solved5(square_trees):
+    grid = dc.decomposition_grid(square_trees[5])
     f = bump_dipole(grid)
-    vec, rep = dv.solve_divergence(unit_square, f, 2.0, 0.0, 5)
+    vec, rep = dv.solve_divergence(square_trees[5], f, 2.0, 0.0)
     return grid, f, vec, rep
 
 
@@ -144,9 +147,10 @@ def test_global_divergence_residual(solved5):
 
 
 def test_zero_data_degenerate(unit_square):
-    grid = dv.solver_grid(unit_square, 4)
+    tree = tc.build_tree(wt.whitney_decompose(unit_square, 4))
+    grid = dc.decomposition_grid(tree)
     f = grid.with_values(np.zeros(grid.dims))
-    vec, rep = dv.solve_divergence(unit_square, f, 2.0, 0.0, 4)
+    vec, rep = dv.solve_divergence(tree, f, 2.0, 0.0)
     assert rep.degenerate == "zero data"
     assert np.allclose(rep.mac.fx, 0.0) and np.allclose(rep.mac.fy, 0.0)
 
@@ -196,12 +200,12 @@ def test_energy_overlap_surrogate(solved5):
     assert global_norm**q <= total * (12**2) ** (q - 1) + 1e-12
 
 
-def test_threshold_contrast_collar_probe(unit_square, square_decs, square_trees):
+def test_threshold_contrast_collar_probe(square_trees):
     ratios = {0.0: [], -0.3: [], -0.8: []}
     for lv in (5, 6, 7):
-        grid = dv.solver_grid(unit_square, lv)
+        grid = dc.decomposition_grid(square_trees[lv])
         f = collar_probe(square_trees[lv], grid)
-        vec, rep = dv.solve_divergence(unit_square, f, 2.0, 0.0, lv)
+        vec, rep = dv.solve_divergence(square_trees[lv], f, 2.0, 0.0)
         covered = rep.decomposition.assignment >= 0
         for beta in ratios:
             ratios[beta].append(dv.reweighted_ratio(vec, f, covered, 2.0, beta))

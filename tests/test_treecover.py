@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,7 +120,23 @@ def test_transfer_boxes(square_tree6):
             u = wt.expanded_cube(dec.cube(node))
             assert b.lo[0] >= u.lo[0] - 1e-12 and b.lo[1] >= u.lo[1] - 1e-12
             assert b.hi[0] <= u.hi[0] + 1e-12 and b.hi[1] <= u.hi[1] + 1e-12
-    assert math.isfinite(tree.ratio_u_over_b())
+    # |U_t| / |B_t| in the integer 1/32 lattice, recomputed exactly
+    worst = max(
+        (Fraction(17, 16) * 32 * int(tree.spans32[t, 1, 0] - tree.spans32[t, 0, 0])) ** 2
+        / ((b[1][0] - b[0][0]) * (b[1][1] - b[0][1]))
+        for t, b in enumerate(tree.boxes32) if b is not None
+    )
+    assert tree.ratio_u_over_b() == float(worst)
+
+
+def test_u_over_b_equal_neighbors():
+    # two level-1 cubes of a size-2 frame sharing the face x = 1
+    lo = np.array([[0, 0], [1, 0]])
+    hi = lo + 1
+    tree = tc.synthetic_tree([-1, 0], [1.0, 1.0])
+    tree.spans32 = np.stack([lo, hi], axis=1)
+    tree.boxes32 = [None, tc._face_box32(lo[1], hi[1], lo[0], hi[0])]
+    assert tree.ratio_u_over_b() == (17 / 16) ** 2 * 32 == 36.125
 
 
 def test_shadow_stats_hand_chain():
