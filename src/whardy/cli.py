@@ -165,7 +165,10 @@ def cmd_dimension(args) -> int:
 def cmd_hardy(args) -> int:
     dom = _domain_from_args(args)
     betas = hardy.parse_grid(args.beta_grid)
-    levels = [int(v) for v in args.levels.split(",")]
+    try:
+        levels = [int(v) for v in args.levels.split(",")]
+    except ValueError:
+        raise ParameterError(f"bad --levels {args.levels!r}: expected integers") from None
     report = hardy.beta_sweep(dom, args.p, betas, levels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -368,8 +371,12 @@ def cmd_report(args) -> int:
 
 
 def _read_config(path) -> dict:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParameterError(f"cannot read config {path}: {exc.strerror}") from None
     cfg = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

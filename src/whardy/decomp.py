@@ -122,41 +122,26 @@ def collar_probe(tree: TreeCovering, grid: GridFunction) -> GridFunction:
     return covered_mean_zero(grid, assign, np.where(np.isin(assign, fine), 1.0, 0.0))
 
 
-def _face_data(tree: TreeCovering, t: int):
-    """(axis, face cell coordinate, along-cell range, parent-side offset)."""
-    dec = tree.decomposition
-    L = int(dec.levels.max())
-    lo, hi = dec.spans(L)
-    p = int(tree.parent[t])
-    alo = np.maximum(lo[t], lo[p])
-    ahi = np.minimum(hi[t], hi[p])
-    deg = alo == ahi
-    f = int(np.argmax(deg))
-    o = 1 - f
-    span = int(ahi[o] - alo[o])
-    face_cell = int(alo[f]) * 4  # face line in grid-cell units of the frame
-    a_lo = int(alo[o]) * 4 + span  # middle half of the face, in cells
-    a_hi = int(ahi[o]) * 4 - span
-    parent_positive = lo[p][f] == alo[f]  # parent sits past the face
-    return f, face_cell, (a_lo, a_hi), parent_positive
-
-
 def _snap_b_cells(tree: TreeCovering, grid: GridFunction, t: int) -> np.ndarray:
-    """Cells of the transfer box astride the shared face, snapped to the grid.
+    """Cells of the transfer box ``tree.boxes32[t]``, snapped to the grid.
 
-    Along the face: the middle half (a quarter face-length clear of each
-    endpoint, so distinct boxes stay disjoint). Across: max(1, span // 8)
-    cells into each cube, the cell version of the analytic l_min/32 reach,
-    which keeps |U_t| / |B_t| uniformly bounded and the box inside both
-    expanded cubes up to one-cell slack (support is checked cell-square
-    against U_t).
+    One grid cell is 8 units of the (finest side)/32 lattice. The face axis
+    is the box's shorter extent. Along the face the box is the middle half
+    of the face (a quarter face-length clear of each endpoint, so distinct
+    boxes stay disjoint), which snaps exactly. Across: max(1, half-width
+    // 8) cells into each cube, the cell version of the analytic l_min/32
+    reach, which keeps |U_t| / |B_t| uniformly bounded and the block inside
+    both expanded cubes up to one-cell slack (support is checked
+    cell-square against U_t).
     """
-    f, face_cell, (a_lo, a_hi), _ = _face_data(tree, t)
-    i0, j0 = grid.frame_offset
-    span = (a_hi - a_lo) // 2  # face length is 4*span cells, middle half 2*span
-    per_side = max(1, span // 8)
+    lo, hi = (np.asarray(v, dtype=np.int64) for v in tree.boxes32[t])
+    f = int(np.argmin(hi - lo))
+    o = 1 - f
+    face_cell = int(lo[f] + hi[f]) // 16
+    per_side = max(1, int(hi[f] - lo[f]) // 16)  # half-width // 8
     across = np.arange(face_cell - per_side, face_cell + per_side)
-    along = np.arange(a_lo, a_hi)
+    along = np.arange(int(lo[o]) // 8, int(hi[o]) // 8)
+    i0, j0 = grid.frame_offset
     if f == 0:
         ii = np.repeat(across, len(along)) - i0
         jj = np.tile(along, len(across)) - j0

@@ -152,7 +152,7 @@ def build_tree(dec: WhitneyDecomposition, center=None) -> TreeCovering:
     order = np.concatenate([np.asarray(layer, dtype=np.int64) for layer in layers])
 
     ell = np.exp2(-dec.levels.astype(float))
-    K_frac, spans32 = _expansion_constant(dec, children, root)
+    K_frac, spans32 = _expansion_constant(dec, children, order)
     boxes, boxes32 = _transfer_boxes(dec, parent)
     return TreeCovering(
         root=root,
@@ -204,11 +204,9 @@ def shadow_hulls(spans_lo: np.ndarray, spans_hi: np.ndarray, children, order):
     return h_lo, h_hi
 
 
-def _expansion_constant(dec, children, root):
+def _expansion_constant(dec, children, order):
     L = int(dec.levels.max())
     lo, hi = dec.spans(L)
-    # post-order via reverse BFS is not available yet here; build a stack order
-    order = _topo_order(children, root, len(dec))
     h_lo, h_hi = shadow_hulls(lo, hi, children, order)
     num, den = 1, 1  # K as a fraction num/den, at least 1
     for t in range(len(dec)):
@@ -237,10 +235,12 @@ def _topo_order(children, root, n):
 def _transfer_boxes(dec, parent):
     """B_t astride the shared face of Q_t and its parent.
 
-    Extent: half the face length along the face, 1/16 of the face length
-    across it (1/32 on each side), which keeps B_t inside U_t and U_{t_p}
-    for the 17/16 expansion. Coordinates are exact integers in units of
-    (finest side)/32.
+    Each B_t is the analytic face box. Extent: half the face length along
+    the face, 1/16 of the face length across it (1/32 on each side), which
+    keeps B_t inside U_t and U_{t_p} for the 17/16 expansion. Coordinates are
+    exact integers in units of (finest side)/32, and pairwise disjointness
+    is certified exactly by one sweep over them (``_certify_disjoint``); a
+    violation raises StructureError.
     """
     L = int(dec.levels.max())
     lo, hi = dec.spans(L)
@@ -248,24 +248,16 @@ def _transfer_boxes(dec, parent):
     origin = np.asarray(dec.frame.origin)
     boxes: list = [None] * len(dec)
     boxes32: list = [None] * len(dec)
-    occupied = []
     for t in range(len(dec)):
         p = int(parent[t])
         if p < 0:
             continue
         b32 = _face_box32(lo[t], hi[t], lo[p], hi[p])
-        # Defensive rank shrink: halve the box toward its center while it
-        # collides with an earlier one (analysis says this never triggers;
-        # the loop preserves exactness when it does).
-        while any(_boxes_overlap(b32, other) for other in occupied):
-            b32 = _halve_box32(b32)
-            if b32 is None:
-                raise StructureError("cannot shrink transfer box to disjointness")
-        occupied.append(b32)
         boxes32[t] = b32
         w_lo = origin + np.asarray(b32[0]) * unit
         w_hi = origin + np.asarray(b32[1]) * unit
         boxes[t] = Box(tuple(w_lo), tuple(w_hi))
+    _certify_disjoint(boxes32)
     return boxes, boxes32
 
 
@@ -289,22 +281,30 @@ def _face_box32(lo_t, hi_t, lo_p, hi_p):
     return (tuple(b_lo), tuple(b_hi))
 
 
-def _boxes_overlap(a, b):
-    (alo, ahi), (blo, bhi) = a, b
-    return all(alo[i] < bhi[i] and blo[i] < ahi[i] for i in range(len(alo)))
+def _certify_disjoint(boxes32: list) -> None:
+    """Raise StructureError unless the integer boxes (None entries skipped)
+    have pairwise disjoint interiors; boxes that share only an edge pass.
 
-
-def _halve_box32(b):
-    (blo, bhi) = b
-    lo, hi = list(blo), list(bhi)
-    for i in range(len(lo)):
-        c2 = lo[i] + hi[i]
-        w = hi[i] - lo[i]
-        if w <= 1:
-            return None
-        lo[i] = (c2 - w // 2) // 2
-        hi[i] = lo[i] + w // 2
-    return (tuple(lo), tuple(hi))
+    Sort-and-sweep: after sorting by lo_x, the only boxes after box i whose
+    x-extent can meet its own are those with lo_x < hi_x[i]; only those
+    pairs get the strict-inequality overlap test.
+    """
+    ids = np.asarray([t for t, b in enumerate(boxes32) if b is not None], dtype=np.int64)
+    if len(ids) < 2:
+        return
+    b = np.asarray([boxes32[t] for t in ids], dtype=np.int64)  # (k, 2, ndim)
+    srt = np.argsort(b[:, 0, 0], kind="stable")
+    ids, lo, hi = ids[srt], b[srt, 0], b[srt, 1]
+    k = len(ids)
+    end = np.searchsorted(lo[:, 0], hi[:, 0], side="left")
+    counts = np.maximum(end - np.arange(1, k + 1), 0)
+    i = np.repeat(np.arange(k), counts)
+    starts = np.cumsum(counts) - counts
+    j = np.arange(len(i)) - np.repeat(starts, counts) + i + 1
+    hit = np.all((lo[i] < hi[j]) & (lo[j] < hi[i]), axis=1)
+    if hit.any():
+        a, c = int(ids[i[hit][0]]), int(ids[j[hit][0]])
+        raise StructureError(f"transfer boxes of nodes {a} and {c} overlap")
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,17 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, capsys):
     assert "koch_level" in capsys.readouterr().err
 
 
+def test_missing_config_exits_1(tmp_path, capsys):
+    assert run(["--config", str(tmp_path / "missing.cfg"), "tree",
+                "--out", str(tmp_path / "t")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_hardy_non_integer_levels_exits_1(tmp_path, capsys):
+    assert run(["hardy", "--levels", "4,x", "--out", str(tmp_path / "h")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 PRESETS = {
     "unit-square": ("unit-square",),
     "l-shape": ("l-shape",),

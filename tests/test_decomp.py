@@ -61,10 +61,11 @@ def test_single_cube_supported(tree5, grid5):
             assert len(d.values[t]) == 0 or np.allclose(d.values[t], 0.0)
 
 
-def test_two_cube_hand_computation(unit_square):
-    # two equal face-neighbor cubes: root r and child c, g = +1 on Q_c, -1 on Q_r
+def two_cube_tree(domain):
+    # two equal face-neighbor level-4 cubes, root [7, 8] x [7, 8] and child
+    # [8, 9] x [7, 8] in finest-side units of the frame
     dec = wt.WhitneyDecomposition(
-        domain=unit_square,
+        domain=domain,
         frame=wt.Frame((-0.5, -0.5), 2.0),
         max_level=4,
         levels=np.array([4, 4]),
@@ -72,7 +73,12 @@ def test_two_cube_hand_computation(unit_square):
         dist=np.array([0.3, 0.3]),
         dist_sq=np.array([0.09, 0.09]),
     )
-    tree = tc.build_tree(dec, dec.cube(0).center)
+    return tc.build_tree(dec, dec.cube(0).center)
+
+
+def test_two_cube_hand_computation(unit_square):
+    # root r and child c, g = +1 on Q_c, -1 on Q_r
+    tree = two_cube_tree(unit_square)
     grid = dc.decomposition_grid(tree)
     assign = dc.assign_cells(tree, grid)
     vals = np.where(assign == 1, 1.0, np.where(assign == 0, -1.0, 0.0))
@@ -96,6 +102,17 @@ def test_two_cube_hand_computation(unit_square):
     assert np.allclose(flat, expect, atol=1e-14)
     assert abs(d.node_integral(0)) < 1e-15
     assert abs(d.node_integral(1)) < 1e-15
+
+
+def test_two_cube_snapped_box(unit_square):
+    # face x = 8 is frame cell line 32; the middle half of y in [28, 32) is
+    # cells 29-30, and one cell on each side of the face is cells 31-32
+    tree = two_cube_tree(unit_square)
+    grid = dc.decomposition_grid(tree)
+    i0, j0 = grid.frame_offset
+    ny = grid.dims[1]
+    expect = sorted((i - i0) * ny + (j - j0) for i in (31, 32) for j in (29, 30))
+    assert sorted(dc._snap_b_cells(tree, grid, 1).tolist()) == expect
 
 
 def support_violations(d):

@@ -49,10 +49,15 @@ def test_k_containment_exact(square_tree6):
         assert reach * Kd <= Kn * w
 
 
-def test_shadow_containment_oracle_koch(koch2):
+@pytest.fixture(scope="module")
+def koch2_tree6(koch2):
+    return tc.build_tree(wt.whitney_decompose(koch2, 6), geo.centroid(koch2))
+
+
+def test_shadow_containment_oracle_koch(koch2_tree6):
     # direct hull-containment scan over every shadow via explicit subtrees
-    dec = wt.whitney_decompose(koch2, 6)
-    tree = tc.build_tree(dec, geo.centroid(koch2))
+    tree = koch2_tree6
+    dec = tree.decomposition
     L = int(dec.levels.max())
     lo, hi = dec.spans(L)
     Kn, Kd = tree.K_frac.numerator, tree.K_frac.denominator
@@ -103,14 +108,18 @@ def test_disconnected_error(unit_square):
     assert sorted(err.value.component_sizes) == [1, 1]
 
 
-def test_transfer_boxes(square_tree6):
-    tree = square_tree6
+@pytest.mark.parametrize("tree_fixture", ["square_tree6", "koch2_tree6"])
+def test_transfer_boxes(tree_fixture, request):
+    tree = request.getfixturevalue(tree_fixture)
     dec = tree.decomposition
     boxes = [b for b in tree.boxes32 if b is not None]
     assert len(boxes) == len(tree) - 1
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            assert not tc._boxes_overlap(boxes[i], boxes[j])
+    # O(N^2) oracle: open interiors overlap iff lo < other hi on every axis
+    b = np.asarray(boxes)
+    lo, hi = b[:, 0], b[:, 1]
+    overlap = np.all((lo[:, None] < hi[None]) & (lo[None] < hi[:, None]), axis=2)
+    np.fill_diagonal(overlap, False)
+    assert not overlap.any()
     # B_t inside both expansions
     for t in range(len(tree)):
         b = tree.boxes[t]
@@ -127,6 +136,23 @@ def test_transfer_boxes(square_tree6):
         for t, b in enumerate(tree.boxes32) if b is not None
     )
     assert tree.ratio_u_over_b() == float(worst)
+
+
+def test_certificate_shared_edges_pass():
+    tc._certify_disjoint([None, ((0, 0), (2, 2)), ((2, 0), (4, 2)), ((0, 2), (2, 4))])
+
+
+def test_certificate_overlap_raises():
+    with pytest.raises(StructureError, match="nodes 1 and 2"):
+        tc._certify_disjoint([None, ((0, 0), (2, 2)), ((1, 1), (3, 3))])
+
+
+def test_certificate_sweeps_past_neighbors():
+    # a long box meets the one four places later in lo_x order, none between
+    boxes = [((0, 0), (20, 1)), ((2, 2), (3, 3)), ((4, 2), (5, 3)),
+             ((6, 2), (7, 3)), ((8, 0), (9, 1))]
+    with pytest.raises(StructureError, match="nodes 0 and 4"):
+        tc._certify_disjoint(boxes)
 
 
 def test_u_over_b_equal_neighbors():
