@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .fields import GridFunction, make_grid
-from .treecover import TreeCovering
+from .treecover import TreeCovering, accumulate_up
 
 
 @dataclass
@@ -182,11 +182,10 @@ def c_decompose(tree: TreeCovering, g: GridFunction) -> Decomposition:
     flat_g = gv.ravel()
     sel = flat_assign >= 0
     np.add.at(own, flat_assign[sel], flat_g[sel] * h2)
-    m = own.copy()
-    for t in tree.order[::-1]:
-        p = tree.parent[t]
-        if p >= 0:
-            m[p] += m[t]
+    m = accumulate_up(tree, own)
+    # own cells grouped by cube; the stable sort keeps each group ascending
+    by_cube = np.argsort(flat_assign, kind="stable")[np.count_nonzero(~sel):]
+    own_cells = np.split(by_cube, np.cumsum(np.bincount(flat_assign[sel], minlength=n))[:-1])
 
     b_cells: list = [None] * n
     phi: list = [None] * n
@@ -199,10 +198,9 @@ def c_decompose(tree: TreeCovering, g: GridFunction) -> Decomposition:
 
     cells: list = [None] * n
     values: list = [None] * n
-    all_idx = np.arange(flat_assign.size)
     for t in range(n):
-        parts_idx = [all_idx[flat_assign == t]]
-        parts_val = [flat_g[flat_assign == t]]
+        parts_idx = [own_cells[t]]
+        parts_val = [flat_g[own_cells[t]]]
         for s in tree.children[t]:
             parts_idx.append(b_cells[s])
             parts_val.append(np.full(len(b_cells[s]), m[s] * phi[s]))

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .decomp import Decomposition, c_decompose, grid_layout
+from .decomp import c_decompose, grid_layout
 from .errors import CompatibilityError, ConvergenceError, ParameterError
 from .fields import GridFunction, VectorFieldGrid, gradient, weighted_lp_norm
 from .inequalities import InequalityReport
@@ -157,21 +157,6 @@ def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int,
     return LocalSolve(node, cells, fx, fy, energy, residual)
 
 
-def patch_cells(dec: Decomposition, t: int) -> np.ndarray:
-    """Cells of the local problem: supp(g_t) plus the cube's own cells.
-
-    That is the cube's cells, the node's transfer box and the children's
-    transfer boxes; all connect through the shared faces.
-    """
-    parts = [np.where(dec.assignment.ravel() == t)[0]]
-    if dec.b_cells[t] is not None:
-        parts.append(dec.b_cells[t])
-    for s in dec.tree.children[t]:
-        if dec.b_cells[s] is not None:
-            parts.append(dec.b_cells[s])
-    return np.unique(np.concatenate(parts))
-
-
 def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float):
     """Assemble u = sum of local solutions; report the weighted a-priori ratio.
 
@@ -192,12 +177,9 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float)
     energies = []
     solves = []
     for t in range(len(tree)):
-        cells = patch_cells(dec, t)
-        fvals = np.zeros(len(cells))
-        pos = {int(c): k for k, c in enumerate(cells)}
-        for c, v in zip(dec.cells[t], dec.values[t]):
-            fvals[pos[int(c)]] = v
-        loc = local_div_solve(cells, fvals, ny, f.h, node=t)
+        # supp(g_t) is the local patch: the cube's cells, its own transfer box
+        # and its children's, which all connect through the shared faces
+        loc = local_div_solve(dec.cells[t], dec.values[t], ny, f.h, node=t)
         solves.append(loc)
         energies.append(loc.energy)
         for (i, j), val in loc.fx.items():

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, StructureError
-from .treecover import TreeCovering, build_tree
+from .treecover import TreeCovering, accumulate_down, accumulate_up, build_tree
 from .whitney import whitney_decompose
 
 DEFAULT_THETA_GRID = (1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
@@ -65,7 +65,6 @@ class HardyReport:
     a_tree_min: float
     best_theta: float
     argmax: int
-    a_chain: float | None = None
     rows: list = field(default_factory=list)
     classification: dict = field(default_factory=dict)
 
@@ -77,36 +76,16 @@ def tree_weights(tree: TreeCovering, w: WeightSpec) -> DiscreteWeights:
     return DiscreteWeights(nu=pw, omega=pw.copy(), b=ell**tree.ndim)
 
 
-def _kahan_add(s, c, i, x):
-    y = x - c[i]
-    t = s[i] + y
-    c[i] = (t - s[i]) - y
-    s[i] = t
+def _kahan_add(acc, x):
+    """Compensated sum of column 0 of ``x`` into (sum, compensation) rows."""
+    s, c = acc[:, 0], acc[:, 1]
+    y = x[:, 0] - c
+    t = s + y
+    return np.stack([t, (t - s) - y], axis=1)
 
 
-def _path_sums(tree: TreeCovering, term: np.ndarray) -> np.ndarray:
-    """S_t = sum of term over the path root-excluded down to t (compensated)."""
-    n = len(tree)
-    s = np.zeros(n)
-    c = np.zeros(n)
-    for t in tree.order:
-        p = tree.parent[t]
-        if p < 0:
-            continue
-        s[t], c[t] = s[p], c[p]
-        _kahan_add(s, c, t, term[t])
-    return s
-
-
-def _subtree_sums(tree: TreeCovering, e: np.ndarray) -> np.ndarray:
-    """T_t = sum of e over the shadow of t (compensated accumulation)."""
-    T = e.astype(float).copy()
-    comp = np.zeros(len(tree))
-    for t in tree.order[::-1]:
-        p = tree.parent[t]
-        if p >= 0:
-            _kahan_add(T, comp, p, T[t])
-    return T
+def _with_compensation(v):
+    return np.stack([v, np.zeros_like(v)], axis=1)
 
 
 def a_tree(tree: TreeCovering, w: WeightSpec, theta: float,
@@ -127,11 +106,14 @@ def a_tree(tree: TreeCovering, w: WeightSpec, theta: float,
 
     term = dw.b ** (-q / w.p) * dw.nu ** (-q)
     with np.errstate(over="ignore", invalid="ignore"):
-        S = _path_sums(tree, term)
+        # S_t sums term along the path from just below the root to t
+        x = _with_compensation(term)
+        x[tree.root] = 0.0
+        S = accumulate_down(tree, x, _kahan_add)[:, 0]
         expo = (w.p / q) * (1.0 - 1.0 / theta)
         e = dw.b * dw.omega**w.p * np.where(S > 0, S, 1.0) ** expo
         e[tree.root] = 0.0  # the root never belongs to a shadow over Gamma*
-        T = _subtree_sums(tree, e)
+        T = accumulate_up(tree, _with_compensation(e), _kahan_add)[:, 0]  # shadow sums
         cand = np.where(S > 0, S ** (1.0 / (theta * q)) * T ** (1.0 / w.p), 0.0)
     arrays = (term, S, e, T, cand)
     finite = all(np.all(np.isfinite(a)) for a in arrays)
@@ -148,24 +130,15 @@ def a_tree(tree: TreeCovering, w: WeightSpec, theta: float,
 
 def _a_tree_log(tree, w, theta, dw):
     q = w.q
-    n = len(tree)
     logterm = (-q / w.p) * np.log(dw.b) - q * np.log(dw.nu)
-    logS = np.full(n, -np.inf)
-    for t in tree.order:
-        p = tree.parent[t]
-        if p < 0:
-            continue
-        logS[t] = np.logaddexp(logS[p], logterm[t])
+    logterm[tree.root] = -np.inf
+    logS = accumulate_down(tree, logterm, np.logaddexp)
     expo = (w.p / q) * (1.0 - 1.0 / theta)
     loge = np.log(dw.b) + w.p * np.log(dw.omega) + expo * np.where(
         np.isfinite(logS), logS, 0.0
     )
     loge[tree.root] = -np.inf
-    logT = loge.copy()
-    for t in tree.order[::-1]:
-        p = tree.parent[t]
-        if p >= 0:
-            logT[p] = np.logaddexp(logT[p], logT[t])
+    logT = accumulate_up(tree, loge, np.logaddexp)
     with np.errstate(invalid="ignore"):
         logcand = np.where(
             np.isfinite(logS), logS / (theta * q) + logT / w.p, -np.inf

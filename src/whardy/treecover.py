@@ -25,17 +25,17 @@ from .whitney import EXPANSION, Box, WhitneyDecomposition
 
 @dataclass
 class TreeCovering:
-    """Rooted tree over cube indices plus the geometric covering data."""
+    """Rooted tree over cube indices plus the geometric covering data.
 
-    root: int
+    The root, depths, children, the root-first order and the sweep schedule
+    are derived from ``parent``; K is derived from ``spans32`` when the tree
+    has integer geometry (NaN otherwise). A parent array with no single
+    root, an index out of range or a cycle raises StructureError.
+    """
+
     parent: np.ndarray  # (N,) int, -1 at the root
-    children: list
-    order: np.ndarray  # root-first topological order
-    depth: np.ndarray
     ell: np.ndarray  # cube side lengths in frame units
     level: np.ndarray  # dyadic size class (ell = 2^-level for Whitney trees)
-    K: float
-    K_frac: Fraction
     boxes: list  # transfer boxes B_t (None at the root)
     decomposition: WhitneyDecomposition | None = None
     kind: str = "whitney"
@@ -45,6 +45,31 @@ class TreeCovering:
     # units of the finest side, B_t boxes in units of (finest side)/32
     spans32: np.ndarray | None = field(default=None, repr=False)
     boxes32: list | None = field(default=None, repr=False)
+    root: int = field(init=False)
+    depth: np.ndarray = field(init=False, repr=False)
+    children: list = field(init=False, repr=False)
+    order: np.ndarray = field(init=False, repr=False)  # root-first, by depth
+    # (kids, parents) index arrays, deepest layer first; see accumulate_up
+    schedule: list = field(init=False, repr=False)
+    K_frac: Fraction = field(init=False)
+    K: float = field(init=False)
+
+    def __post_init__(self):
+        self.parent = parent = np.asarray(self.parent, dtype=np.int64)
+        roots = np.flatnonzero(parent < 0)
+        if len(roots) != 1:
+            raise StructureError(f"tree needs exactly one root, got {len(roots)}")
+        if (parent >= len(parent)).any():
+            raise StructureError("parent index out of range")
+        self.root = int(roots[0])
+        self.depth = _depths(parent, self.root)
+        self.order = np.argsort(self.depth, kind="stable")
+        self.children, self.schedule = _sweep_schedule(parent, self.depth)
+        if self.spans32 is None:
+            self.K_frac, self.K = Fraction(0), math.nan
+        else:
+            self.K_frac = _expansion_constant(self)
+            self.K = float(self.K_frac)
 
     def __len__(self):
         return len(self.parent)
@@ -90,6 +115,94 @@ class ShadowStats:
 
 
 # ---------------------------------------------------------------------------
+# tree sweeps
+
+
+def _depths(parent: np.ndarray, root: int) -> np.ndarray:
+    """Edges from every node up to the root, by pointer doubling.
+
+    Invariant: depth[t] counts the edges from t to anc[t]; the root is a
+    fixed point at 0. After k rounds anc[t] is the 2^k-th ancestor, so
+    bit_length(N) rounds reach the root from every node unless it sits on a
+    cycle.
+    """
+    anc = np.where(parent < 0, np.arange(len(parent)), parent)
+    depth = (parent >= 0).astype(np.int64)
+    for _ in range(len(parent).bit_length()):
+        depth = depth + depth[anc]
+        anc = anc[anc]
+    if (anc != root).any():
+        t = int(np.argmax(anc != root))
+        raise StructureError(f"node {t} never reaches the root: the parents form a cycle")
+    return depth
+
+
+def _sweep_schedule(parent: np.ndarray, depth: np.ndarray):
+    """children lists and the layered sweep schedule of a parent array.
+
+    children[p] lists p's children by increasing index. The schedule is a
+    list of (kids, parents) steps, deepest layer first; step r of a layer
+    holds the r-th child from the end of every parent there, so no parent
+    repeats inside a step and the children of p fold in reverse
+    children[p] order. That order fixes the last bits of every float sum.
+    """
+    n = len(parent)
+    kids = np.flatnonzero(parent >= 0)
+    kids = kids[np.argsort(parent[kids], kind="stable")]
+    ends = np.cumsum(np.bincount(parent[kids], minlength=n))
+    children = [c.tolist() for c in np.split(kids, ends[:-1])]
+    rank = ends[parent[kids]] - 1 - np.arange(len(kids))  # 0 = last child
+    step = np.lexsort((rank, -depth[kids]))
+    kids, rank = kids[step], rank[step]
+    d = depth[kids]
+    cuts = np.flatnonzero((d[1:] != d[:-1]) | (rank[1:] != rank[:-1])) + 1
+    schedule = [(k, parent[k]) for k in np.split(kids, cuts) if len(k)]
+    return children, schedule
+
+
+def accumulate_up(tree: TreeCovering, x, op=np.add) -> np.ndarray:
+    """Fold every shadow into its top node: out = x, then for each parent p,
+    ``out[p] = op(out[p], out[c])`` over its children c, leaves first.
+
+    ``x`` is indexed by node along its first axis; rows may be vectors.
+    """
+    out = np.array(x, copy=True)
+    for kids, parents in tree.schedule:
+        out[parents] = op(out[parents], out[kids])
+    return out
+
+
+def accumulate_down(tree: TreeCovering, x, op=np.add) -> np.ndarray:
+    """Fold every root path into its end node: out[root] = x[root], then
+    ``out[c] = op(out[p], x[c])`` for each child c of p, root first."""
+    x = np.asarray(x)
+    out = x.copy()
+    for kids, parents in reversed(tree.schedule):
+        out[kids] = op(out[parents], x[kids])
+    return out
+
+
+def _expansion_constant(tree: TreeCovering) -> Fraction:
+    """Smallest K >= 1 with the hull of every shadow inside K Q_t, exactly.
+
+    Per node, reach / w is the ratio of the doubled hull reach from the
+    doubled center to the side w, all integers of ``spans32``. Float
+    division rounds monotonically, so the exact maximum is among the nodes
+    whose float ratio equals the float maximum; only those are compared as
+    fractions.
+    """
+    lo, hi = tree.spans32[:, 0], tree.spans32[:, 1]
+    h_lo = accumulate_up(tree, lo, np.minimum)
+    h_hi = accumulate_up(tree, hi, np.maximum)
+    ctr2 = lo + hi  # doubled centers
+    reach = np.maximum(2 * h_hi - ctr2, ctr2 - 2 * h_lo).max(axis=1)
+    w = hi[:, 0] - lo[:, 0]
+    ratio = reach / w
+    top = np.flatnonzero(ratio == ratio.max())
+    return max([Fraction(1)] + [Fraction(int(reach[t]), int(w[t])) for t in top])
+
+
+# ---------------------------------------------------------------------------
 # Whitney tree
 
 
@@ -119,18 +232,10 @@ def build_tree(dec: WhitneyDecomposition, center=None) -> TreeCovering:
     depth = np.full(n, -1, dtype=np.int64)
     depth[root] = 0
     frontier = [root]
-    layers = [frontier]
     while frontier:
-        nxt = set()
-        for u in frontier:
-            for v in dec.face_neighbors[u]:
-                if depth[v] < 0:
-                    nxt.add(v)
-        frontier = sorted(nxt)
-        if frontier:
-            for v in frontier:
-                depth[v] = depth[layers[-1][0]] + 1
-            layers.append(frontier)
+        d = depth[frontier[0]] + 1
+        frontier = sorted({v for u in frontier for v in dec.face_neighbors[u] if depth[v] < 0})
+        depth[frontier] = d
     if (depth < 0).any():
         sizes = _component_sizes(dec)
         raise ConnectivityError(
@@ -145,29 +250,17 @@ def build_tree(dec: WhitneyDecomposition, center=None) -> TreeCovering:
             continue
         preds = [s for s in dec.face_neighbors[t] if depth[s] == depth[t] - 1]
         parent[t] = min(preds, key=key)
-    children = [[] for _ in range(n)]
-    for t in range(n):
-        if parent[t] >= 0:
-            children[parent[t]].append(t)
-    order = np.concatenate([np.asarray(layer, dtype=np.int64) for layer in layers])
 
-    ell = np.exp2(-dec.levels.astype(float))
-    K_frac, spans32 = _expansion_constant(dec, children, order)
-    boxes, boxes32 = _transfer_boxes(dec, parent)
+    lo, hi = dec.spans(int(dec.levels.max()))
+    boxes, boxes32 = _transfer_boxes(dec, parent, lo, hi)
     return TreeCovering(
-        root=root,
         parent=parent,
-        children=children,
-        order=order,
-        depth=depth,
-        ell=ell,
+        ell=np.exp2(-dec.levels.astype(float)),
         level=dec.levels.copy(),
-        K=float(K_frac),
-        K_frac=K_frac,
         boxes=boxes,
         decomposition=dec,
         kind="whitney",
-        spans32=spans32,
+        spans32=np.stack([lo, hi], axis=1),
         boxes32=boxes32,
     )
 
@@ -193,46 +286,7 @@ def _component_sizes(dec: WhitneyDecomposition):
     return sorted(sizes, reverse=True)
 
 
-def shadow_hulls(spans_lo: np.ndarray, spans_hi: np.ndarray, children, order):
-    """Bounding hulls of every shadow by one post-order accumulation."""
-    h_lo = spans_lo.copy()
-    h_hi = spans_hi.copy()
-    for t in order[::-1]:
-        for c in children[t]:
-            np.minimum(h_lo[t], h_lo[c], out=h_lo[t])
-            np.maximum(h_hi[t], h_hi[c], out=h_hi[t])
-    return h_lo, h_hi
-
-
-def _expansion_constant(dec, children, order):
-    L = int(dec.levels.max())
-    lo, hi = dec.spans(L)
-    h_lo, h_hi = shadow_hulls(lo, hi, children, order)
-    num, den = 1, 1  # K as a fraction num/den, at least 1
-    for t in range(len(dec)):
-        w = int(hi[t, 0] - lo[t, 0])
-        ctr2 = lo[t] + hi[t]  # doubled center, exact ints
-        reach = np.maximum(2 * h_hi[t] - ctr2, ctr2 - 2 * h_lo[t]).max()
-        # c_t = reach / w ; keep the running max exactly
-        if int(reach) * den > num * w:
-            num, den = int(reach), w
-    spans32 = np.stack([lo, hi], axis=1)
-    return Fraction(num, den), spans32
-
-
-def _topo_order(children, root, n):
-    order = np.empty(n, dtype=np.int64)
-    stack = [root]
-    k = 0
-    while stack:
-        u = stack.pop()
-        order[k] = u
-        k += 1
-        stack.extend(reversed(children[u]))
-    return order
-
-
-def _transfer_boxes(dec, parent):
+def _transfer_boxes(dec, parent, lo, hi):
     """B_t astride the shared face of Q_t and its parent.
 
     Each B_t is the analytic face box. Extent: half the face length along
@@ -240,11 +294,10 @@ def _transfer_boxes(dec, parent):
     keeps B_t inside U_t and U_{t_p} for the 17/16 expansion. Coordinates are
     exact integers in units of (finest side)/32, and pairwise disjointness
     is certified exactly by one sweep over them (``_certify_disjoint``); a
-    violation raises StructureError.
+    violation raises StructureError. ``lo``, ``hi`` are ``dec.spans`` at the
+    finest level.
     """
-    L = int(dec.levels.max())
-    lo, hi = dec.spans(L)
-    unit = dec.frame.cube_side(L) / 32.0
+    unit = dec.frame.cube_side(int(dec.levels.max())) / 32.0
     origin = np.asarray(dec.frame.origin)
     boxes: list = [None] * len(dec)
     boxes32: list = [None] * len(dec)
@@ -334,24 +387,9 @@ def build_cube_chain(m: int, n: int = 2) -> TreeCovering:
         raise ParameterError("m must be >= 1")
     cells = serpentine_order(m, n)
     N = len(cells)
-    parent = np.arange(-1, N - 1, dtype=np.int64)
-    children = [[t + 1] if t + 1 < N else [] for t in range(N)]
-    order = np.arange(N, dtype=np.int64)
-    depth = order.copy()
-    ell = np.full(N, 1.0 / m)
-    level = np.zeros(N, dtype=np.int64)
-
-    # exact integer geometry in units of (1/m)/32
-    lo = (np.asarray(cells, dtype=np.int64) - 1)
+    # exact integer geometry in units of 1/m
+    lo = np.asarray(cells, dtype=np.int64) - 1
     hi = lo + 1
-    spans32 = np.stack([lo, hi], axis=1)
-    h_lo, h_hi = shadow_hulls(lo.copy(), hi.copy(), children, order)
-    num, den = 1, 1
-    for t in range(N):
-        ctr2 = lo[t] + hi[t]
-        reach = int(np.maximum(2 * h_hi[t] - ctr2, ctr2 - 2 * h_lo[t]).max())
-        if reach * den > num:
-            num, den = reach, 1
     unit = (1.0 / m) / 32.0
     boxes: list = [None] * N
     boxes32: list = [None] * N
@@ -364,56 +402,28 @@ def build_cube_chain(m: int, n: int = 2) -> TreeCovering:
             tuple(v * unit for v in b_lo), tuple(v * unit for v in b_hi)
         )
     return TreeCovering(
-        root=0,
-        parent=parent,
-        children=children,
-        order=order,
-        depth=depth,
-        ell=ell,
-        level=level,
-        K=float(Fraction(num, den)),
-        K_frac=Fraction(num, den),
+        parent=np.arange(-1, N - 1, dtype=np.int64),
+        ell=np.full(N, 1.0 / m),
+        level=np.zeros(N, dtype=np.int64),
         boxes=boxes,
         decomposition=None,
         kind="chain",
         ndim=n,
-        spans32=spans32,
+        spans32=np.stack([lo, hi], axis=1),
         boxes32=boxes32,
     )
 
 
 def synthetic_tree(parent, ell, ndim: int = 2) -> TreeCovering:
     """TreeCovering over abstract indices, for chain/tree studies without geometry."""
-    parent = np.asarray(parent, dtype=np.int64)
     ell = np.asarray(ell, dtype=float)
-    n = len(parent)
-    roots = np.where(parent < 0)[0]
-    if len(roots) != 1:
-        raise StructureError("synthetic tree needs exactly one root")
-    root = int(roots[0])
-    children = [[] for _ in range(n)]
-    for t in range(n):
-        if parent[t] >= 0:
-            children[parent[t]].append(t)
-    order = _topo_order(children, root, n)
-    depth = np.zeros(n, dtype=np.int64)
-    for t in order:
-        if parent[t] >= 0:
-            depth[t] = depth[parent[t]] + 1
     with np.errstate(divide="ignore"):
         level = np.round(-np.log2(ell)).astype(np.int64)
-    level = np.maximum(level, 0)
     return TreeCovering(
-        root=root,
         parent=parent,
-        children=children,
-        order=order,
-        depth=depth,
         ell=ell,
-        level=level,
-        K=math.nan,
-        K_frac=Fraction(0),
-        boxes=[None] * n,
+        level=np.maximum(level, 0),
+        boxes=[None] * len(ell),
         decomposition=None,
         kind="synthetic",
         ndim=ndim,
@@ -425,21 +435,13 @@ def synthetic_tree(parent, ell, ndim: int = 2) -> TreeCovering:
 
 
 def shadow_stats(tree: TreeCovering) -> ShadowStats:
-    """Exact P_i(t) and W_i(t) counts; one forward and one reverse sweep."""
+    """Exact P_i(t) and W_i(t) counts; one up-sweep and one down-sweep."""
     n = len(tree)
-    nlev = int(tree.level.max()) + 1
-    W = np.zeros((n, nlev), dtype=np.int64)
-    P = np.zeros((n, nlev), dtype=np.int64)
-    W[np.arange(n), tree.level] = 1
-    for t in tree.order[::-1]:
-        p = tree.parent[t]
-        if p >= 0:
-            W[p] += W[t]
-    for t in tree.order:
-        p = tree.parent[t]
-        if p >= 0:
-            P[t] = P[p]
-            P[t, tree.level[t]] += 1
+    one = np.zeros((n, int(tree.level.max()) + 1), dtype=np.int64)
+    one[np.arange(n), tree.level] = 1
+    W = accumulate_up(tree, one)
+    one[tree.root] = 0  # chain counts exclude the root
+    P = accumulate_down(tree, one)
     return ShadowStats(
         W=W,
         P=P,

@@ -82,7 +82,8 @@ def test_criterion_2_tree_suite(koch3):
         clauses.append((f"{preset}: K finite", math.isfinite(tree.K)))
         L = int(dec.levels.max())
         lo, hi = dec.spans(L)
-        h_lo, h_hi = tc.shadow_hulls(lo.copy(), hi.copy(), tree.children, tree.order)
+        h_lo = tc.accumulate_up(tree, lo, np.minimum)
+        h_hi = tc.accumulate_up(tree, hi, np.maximum)
         Kn, Kd = tree.K_frac.numerator, tree.K_frac.denominator
         contained = True
         for t in range(len(tree)):

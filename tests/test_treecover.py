@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from whardy import geometry as geo
+from whardy import hardy as hd
 from whardy import treecover as tc
 from whardy import whitney as wt
 from whardy.errors import ConnectivityError, ParameterError, StructureError
@@ -41,7 +42,8 @@ def test_k_containment_exact(square_tree6):
     L = int(dec.levels.max())
     lo, hi = dec.spans(L)
     Kn, Kd = tree.K_frac.numerator, tree.K_frac.denominator
-    h_lo, h_hi = tc.shadow_hulls(lo.copy(), hi.copy(), tree.children, tree.order)
+    h_lo = tc.accumulate_up(tree, lo, np.minimum)
+    h_hi = tc.accumulate_up(tree, hi, np.maximum)
     for t in range(len(tree)):
         w = int(hi[t, 0] - lo[t, 0])
         ctr2 = lo[t] + hi[t]
@@ -257,6 +259,111 @@ def test_cube_chain_covering_constants():
 def test_synthetic_tree_two_roots():
     with pytest.raises(StructureError):
         tc.synthetic_tree([-1, -1], [1.0, 1.0])
+
+
+def test_synthetic_tree_cycle_and_out_of_range():
+    # nodes 1 and 2 point at each other and never reach the root
+    with pytest.raises(StructureError, match="cycle"):
+        tc.synthetic_tree([-1, 2, 1], [1.0, 1.0, 1.0])
+    with pytest.raises(StructureError, match="out of range"):
+        tc.synthetic_tree([-1, 5], [1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# sweep helpers against plain per-node loops
+
+
+def loop_up(parent, x, op):
+    """Post-order recursion; the children of p fold in decreasing index order."""
+    kids = [[c for c in range(len(parent)) if parent[c] == p] for p in range(len(parent))]
+    out = np.array(x, copy=True)
+
+    def fold(p):
+        for c in reversed(kids[p]):
+            fold(c)
+            out[p] = op(out[p], out[c])
+
+    fold(int(np.flatnonzero(np.asarray(parent) < 0)[0]))
+    return out
+
+
+def loop_down(parent, x, op):
+    kids = [[c for c in range(len(parent)) if parent[c] == p] for p in range(len(parent))]
+    out = np.array(x, copy=True)
+
+    def walk(p):
+        for c in kids[p]:
+            out[c] = op(out[p], x[c])
+            walk(c)
+
+    walk(int(np.flatnonzero(np.asarray(parent) < 0)[0]))
+    return out
+
+
+def kahan_row(acc, x):
+    # one compensated step: acc = (sum, compensation), adds x[0]
+    y = x[0] - acc[1]
+    t = acc[0] + y
+    return np.array([t, (t - acc[0]) - y])
+
+
+def bushy_parents(n, rng):
+    """Random tree where every internal node gets 4 to 7 children, with
+    shuffled labels so that index order and layer order disagree."""
+    parent = [-1]
+    queue = [0]
+    while len(parent) < n:
+        p = queue.pop(0)
+        for _ in range(int(rng.integers(4, 8))):
+            if len(parent) < n:
+                queue.append(len(parent))
+                parent.append(p)
+    perm = rng.permutation(n)
+    out = np.empty(n, dtype=np.int64)
+    out[perm] = [-1 if p < 0 else perm[p] for p in parent]
+    return out
+
+
+def sweep_cases(n, rng):
+    """(name, x, op, row op of the reference loop) per operation."""
+    f = rng.lognormal(0.0, 8.0, n) * rng.choice([-1.0, 1.0], n)
+    comp = np.stack([f, np.zeros(n)], axis=1)
+    ints = rng.integers(-50, 50, size=(n, 3))
+    return [
+        ("add", f, np.add, np.add),
+        ("kahan", comp, hd._kahan_add, kahan_row),
+        ("logaddexp", rng.normal(0.0, 30.0, n), np.logaddexp, np.logaddexp),
+        ("min", ints, np.minimum, np.minimum),
+        ("max", ints, np.maximum, np.maximum),
+        ("int-add", ints, np.add, np.add),
+    ]
+
+
+def sweep_trees(square_tree6):
+    rng = np.random.default_rng(5)
+    trees = [tc.synthetic_tree(bushy_parents(n, rng), np.ones(n))
+             for n in rng.integers(2, 300, size=12)]
+    return trees + [square_tree6]
+
+
+def test_sweeps_match_per_node_loops(square_tree6):
+    rng = np.random.default_rng(7)
+    for tree in sweep_trees(square_tree6):
+        parent = tree.parent.tolist()
+        for name, x, op, row_op in sweep_cases(len(tree), rng):
+            up = tc.accumulate_up(tree, x, op)
+            assert np.array_equal(up, loop_up(parent, x, row_op)), name
+            down = tc.accumulate_down(tree, x, op)
+            assert np.array_equal(down, loop_down(parent, x, row_op)), name
+
+
+def test_sweep_fold_order_hand():
+    # root 0 with children 1, 2, 3: the 1.0 survives rounding only when child
+    # 1 folds last, after 1e16 and -1e16 have cancelled
+    tree = tc.synthetic_tree([-1, 0, 0, 0], np.ones(4))
+    x = np.array([0.0, 1.0, 1e16, -1e16])
+    assert tc.accumulate_up(tree, x)[0] == 1.0
+    assert loop_up(tree.parent.tolist(), x, np.add)[0] == 1.0
 
 
 def test_tree_json(square_tree6):
