@@ -31,8 +31,10 @@ SOLVER_TOL = 1e-10
 class LocalSolve:
     node: int
     cells: np.ndarray  # flat cell ids of the patch
-    fx: dict  # x-face id -> velocity (face between cell (i-1,j) and (i,j))
-    fy: dict
+    fx_ij: np.ndarray  # (m, 2) x-faces (i, j): between cells (i-1, j) and (i, j)
+    fx: np.ndarray  # velocity on each x-face
+    fy_ij: np.ndarray  # (m, 2) y-faces (i, j): between cells (i, j-1) and (i, j)
+    fy: np.ndarray
     energy: float
     residual: float
 
@@ -72,89 +74,80 @@ def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int,
     l1 = float(np.abs(f_vals).sum()) * h * h
     if l1 > 0 and abs(total) > 1e-10 * l1:
         raise CompatibilityError(f"nonzero mean on node {node}: {total:.3e}")
-    cellset = {int(c): k for k, c in enumerate(cells)}
     nc = len(cells)
-    ii = cells // ny
-    jj = cells % ny
+    ii, jj = np.divmod(cells, ny)
+    ij = np.stack([ii, jj], axis=1)
 
-    # interior faces: x-face (i, j) between cells (i-1, j) and (i, j)
-    fx_ids, fy_ids = {}, {}
-    for k in range(nc):
-        i, j = int(ii[k]), int(jj[k])
-        if i > 0 and (i - 1) * ny + j in cellset:
-            fx_ids.setdefault((i, j), len(fx_ids))
-        if j > 0 and i * ny + (j - 1) in cellset:
-            fy_ids.setdefault((i, j), len(fy_ids))
-    nfx, nfy = len(fx_ids), len(fy_ids)
-    nf = nfx + nfy
+    # Face (i, j) sits on the low side of cell (i, j) and shares its key
+    # i * (ny + 1) + j. The spare column j = ny keeps the lattice steps
+    # +-(ny + 1) and +-1 from wrapping across grid rows.
+    keys = ii * (ny + 1) + jj
+    srt = np.argsort(keys)
+    # the sentinel above every key keeps each searchsorted index in range
+    lattice = np.append(keys[srt], np.iinfo(np.int64).max)
+    steps = keys[:, None] + np.array([0, ny + 1, -(ny + 1), 1, -1])
+    at = np.searchsorted(lattice, steps)
+    # patch cell at each step (itself, +x, -x, +y, -y) from each cell, or -1
+    nb = np.where(lattice[at] == steps, np.append(srt, -1)[at], -1)
+
+    # interior faces in input cell order: x-face (i, j) where cell (i-1, j)
+    # is in the patch too, y-face (i, j) where cell (i, j-1) is
+    has_fx, has_fy = nb[:, 2] >= 0, nb[:, 4] >= 0
+    nfx = int(has_fx.sum())
+    nf = nfx + int(has_fy.sum())
     if nf == 0:
         if l1 > 0:
             raise CompatibilityError(f"patch of node {node} has no interior face")
-        return LocalSolve(node, cells, {}, {}, 0.0, 0.0)
+        return LocalSolve(node, cells, ij[has_fx], np.zeros(0), ij[has_fy], np.zeros(0),
+                          0.0, 0.0)
 
-    # component Laplacians (4I - adjacency on each face lattice)
-    def laplacian(ids):
-        n = len(ids)
-        rows, cols = [], []
-        for (i, j), a in ids.items():
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                b = ids.get((i + di, j + dj))
-                if b is not None:
-                    rows.append(a)
-                    cols.append(b)
-        data = -np.ones(len(rows))
-        A = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
-        return (sp.eye(n) * 4.0 + A).tocsr()
+    # unknown number of the x- (y-) face keyed by each cell, -1 for none;
+    # the trailing -1 is what a missing cell (index -1) reads
+    fx_id = np.full(nc + 1, -1)
+    fx_id[:nc][has_fx] = np.arange(nfx)
+    fy_id = np.full(nc + 1, -1)
+    fy_id[:nc][has_fy] = np.arange(nfx, nf)
 
-    Ax = laplacian(fx_ids)
-    Ay = laplacian(fy_ids)
-    A = sp.block_diag([Ax, Ay], format="csr")
+    # A = 4I - adjacency on each face lattice: row a holds face a itself,
+    # then its +x, -x, +y, -y neighbours of the same component
+    lap = np.concatenate([fx_id[nb[has_fx]], fy_id[nb[has_fy]]])
+    a_row, k = np.nonzero(lap >= 0)
+    a_col = lap[a_row, k]
+    a_val = np.array([4.0, -1.0, -1.0, -1.0, -1.0])[k]
+    A = sp.coo_matrix((a_val, (a_row, a_col)), shape=(nf, nf)).tocsr()
 
-    # constraint: sum of signed faces per cell = h * f
-    rows, cols, data = [], [], []
-    for k in range(nc):
-        i, j = int(ii[k]), int(jj[k])
-        for key, sign, off in (
-            ((i + 1, j), 1.0, 0),
-            ((i, j), -1.0, 0),
-        ):
-            a = fx_ids.get(key)
-            if a is not None:
-                rows.append(k)
-                cols.append(a)
-                data.append(sign)
-        for key, sign in (((i, j + 1), 1.0), ((i, j), -1.0)):
-            a = fy_ids.get(key)
-            if a is not None:
-                rows.append(k)
-                cols.append(nfx + a)
-                data.append(sign)
-    B = sp.coo_matrix((data, (rows, cols)), shape=(nc, nf)).tocsr()
+    # constraint: high faces minus low faces of each cell = h * f
+    div = np.stack([fx_id[nb[:, 1]], fx_id[:nc], fy_id[nb[:, 3]], fy_id[:nc]], axis=1)
+    b_row, k = np.nonzero(div >= 0)
+    b_col = div[b_row, k]
+    b_val = np.array([1.0, -1.0, 1.0, -1.0])[k]
+    B = sp.coo_matrix((b_val, (b_row, b_col)), shape=(nc, nf)).tocsr()
     rhs_c = h * f_vals
 
-    # KKT with the first cell's multiplier pinned (B has a constant null space
-    # per connected patch; compatibility holds by the mean-zero check)
-    keep = np.arange(1, nc)
-    Bk = B[keep]
-    K = sp.bmat([[A, Bk.T], [Bk, None]], format="csc")
-    rhs = np.concatenate([np.zeros(nf), rhs_c[keep]])
-    sol = spla.spsolve(K, rhs)
-    u = sol[:nf]
+    # KKT [[A, B1^T], [B1, 0]], where B1 is B without its first row: the
+    # first cell's multiplier is pinned (B has a constant null space per
+    # connected patch; compatibility holds by the mean-zero check)
+    keep = b_row > 0
+    m_row, m_col, m_val = b_row[keep] + (nf - 1), b_col[keep], b_val[keep]
+    K = sp.coo_matrix(
+        (np.concatenate([a_val, m_val, m_val]),
+         (np.concatenate([a_row, m_row, m_col]), np.concatenate([a_col, m_col, m_row]))),
+        shape=(nf + nc - 1, nf + nc - 1),
+    ).tocsc()
+    rhs = np.concatenate([np.zeros(nf), rhs_c[1:]])
+    u = spla.spsolve(K, rhs)[:nf]
 
-    res_vec = B @ u - rhs_c
-    scale = float(np.linalg.norm(rhs_c))
-    residual = float(np.linalg.norm(res_vec)) / scale if scale > 0 else float(
-        np.linalg.norm(res_vec)
-    )
-    if residual > SOLVER_TOL:
+    scale = float(np.linalg.norm(rhs_c)) or 1.0
+    residual = float(np.linalg.norm(B @ u - rhs_c)) / scale
+    if not residual <= SOLVER_TOL:
         raise ConvergenceError(
             f"local solve on node {node} stalled at residual {residual:.2e}",
             residual=residual,
         )
-    energy = float(u[:nfx] @ (Ax @ u[:nfx]) + u[nfx:] @ (Ay @ u[nfx:]))
-    fx = {key: float(u[a]) for key, a in fx_ids.items()}
-    fy = {key: float(u[nfx + a]) for key, a in fy_ids.items()}
-    return LocalSolve(node, cells, fx, fy, energy, residual)
+    Au = A @ u
+    energy = float(u[:nfx] @ Au[:nfx] + u[nfx:] @ Au[nfx:])
+    return LocalSolve(node, cells, ij[has_fx], u[:nfx], ij[has_fy], u[nfx:], energy,
+                      residual)
 
 
 def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float):
@@ -182,10 +175,8 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float)
         loc = local_div_solve(dec.cells[t], dec.values[t], ny, f.h, node=t)
         solves.append(loc)
         energies.append(loc.energy)
-        for (i, j), val in loc.fx.items():
-            FX[i, j] += val
-        for (i, j), val in loc.fy.items():
-            FY[i, j] += val
+        FX[loc.fx_ij[:, 0], loc.fx_ij[:, 1]] += loc.fx
+        FY[loc.fy_ij[:, 0], loc.fy_ij[:, 1]] += loc.fy
 
     mac = MacField(grid=f, fx=FX, fy=FY)
     covered = dec.assignment >= 0
@@ -195,11 +186,7 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float)
     rel_resid = resid / fnorm if fnorm > 0 else resid
 
     vec = mac.cell_centered()
-    power = -beta * q
-    du = _grad_magnitude_covered(vec, covered)
-    rhs_f = f.with_values(np.where(covered, np.abs(f.values), 0.0))
-    lhs = weighted_lp_norm(du, q, power)
-    rhs = weighted_lp_norm(rhs_f, q, power)
+    lhs, rhs = _apriori_norms(vec, f, covered, q, beta)
     degenerate = "zero data" if rhs == 0.0 else None
     report = InequalityReport(
         inequality="divergence",
@@ -218,7 +205,7 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float)
             "nodes": len(tree),
         },
     )
-    if rel_resid > 1e-8:
+    if not rel_resid <= 1e-8:
         raise ConvergenceError(
             f"global divergence residual {rel_resid:.2e} exceeds 1e-8",
             residual=rel_resid,
@@ -262,7 +249,14 @@ def reweighted_ratio(vec: VectorFieldGrid, f: GridFunction, covered: np.ndarray,
     The local solves are beta-independent (2-energy minimizers), so one
     assembly serves every weight exponent.
     """
+    lhs, rhs = _apriori_norms(vec, f, covered, q, beta)
+    return lhs / rhs
+
+
+def _apriori_norms(vec: VectorFieldGrid, f: GridFunction, covered: np.ndarray,
+                   q: float, beta: float) -> tuple[float, float]:
+    """(||grad u||, ||f||) in L^q with weight d^(-beta q), over the covered cells."""
     power = -beta * q
     du = _grad_magnitude_covered(vec, covered)
     rhs_f = f.with_values(np.where(covered, np.abs(f.values), 0.0))
-    return weighted_lp_norm(du, q, power) / weighted_lp_norm(rhs_f, q, power)
+    return weighted_lp_norm(du, q, power), weighted_lp_norm(rhs_f, q, power)

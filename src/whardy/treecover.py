@@ -78,15 +78,6 @@ class TreeCovering:
     def is_chain(self) -> bool:
         return all(len(c) <= 1 for c in self.children)
 
-    def subtree(self, t: int) -> list:
-        """Node ids of the shadow (subtree rooted at t), by explicit walk."""
-        out, stack = [], [t]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(self.children[u])
-        return out
-
     def ratio_u_over_b(self) -> float:
         """Reported C2 bound: max over nodes of |U_t| / |B_t|.
 

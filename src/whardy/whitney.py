@@ -146,9 +146,6 @@ class WhitneyDecomposition:
         s = self.sides
         return np.asarray(self.frame.origin) + self.indices * s[:, None]
 
-    def cube_centers(self) -> np.ndarray:
-        return self.cube_los() + self.sides[:, None] / 2.0
-
     def spans(self, at_level: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Integer cube extents [lo, hi] per axis in units of 2^-at_level."""
         L = int(self.levels.max()) if at_level is None else at_level
@@ -374,12 +371,6 @@ def _adjacency(dec: WhitneyDecomposition):
     for lst in face_neighbors:
         lst.sort()
     return neighbors, face_neighbors
-
-
-def neighbors(dec: WhitneyDecomposition, t: int, face_only: bool = False):
-    if not 0 <= t < len(dec):
-        raise IndexError(f"cube id {t} out of range")
-    return list(dec.face_neighbors[t] if face_only else dec.neighbors[t])
 
 
 # ---------------------------------------------------------------------------

@@ -353,11 +353,12 @@ def test_criterion_7_divergence_suite(square_trees):
     cells = np.array([0, 1, 2, 3])
     fvals = np.array([1.0, 0.0, -1.0, 0.0])
     loc = dv.local_div_solve(cells, fvals, ny=2, h=0.5)
-    from test_divergence import dense_kkt_oracle
+    from test_divergence import dense_kkt_oracle, face_dicts
 
     fx_ids, fy_ids, u, nfx = dense_kkt_oracle(cells, fvals, 2, 0.5)
-    worst = max(abs(loc.fx[k] - u[a]) for k, a in fx_ids.items())
-    worst = max(worst, max(abs(loc.fy[k] - u[nfx + a]) for k, a in fy_ids.items()))
+    fx, fy = face_dicts(loc)
+    worst = max(abs(fx[k] - u[a]) for k, a in fx_ids.items())
+    worst = max(worst, max(abs(fy[k] - u[nfx + a]) for k, a in fy_ids.items()))
     clauses.append((f"local solver vs dense oracle ({worst:.1e})", worst <= 1e-12))
 
     ratios = {0.0: [], -0.3: [], -0.8: []}

@@ -168,10 +168,10 @@ def test_linearity(tree5, grid5):
 def test_telescoping(tree5, grid5):
     g = random_mean_zero(tree5, grid5, 3)
     d = dc.c_decompose(tree5, g)
+    shadow_sums = tc.accumulate_up(tree5, [d.node_integral(t) for t in range(len(tree5))])
     rng = np.random.default_rng(4)
     for s in rng.choice(len(tree5), size=10, replace=False):
-        total = sum(d.node_integral(t) for t in tree5.subtree(int(s)))
-        assert abs(total) < 1e-12
+        assert abs(shadow_sums[s]) < 1e-12
 
 
 def test_nonzero_mean_rejected(tree5, grid5):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from conftest import collar_probe
 from whardy import decomp as dc
@@ -7,7 +8,7 @@ from whardy import divergence as dv
 from whardy import fields as F
 from whardy import treecover as tc
 from whardy import whitney as wt
-from whardy.errors import CompatibilityError, ParameterError
+from whardy.errors import CompatibilityError, ConvergenceError, ParameterError
 
 
 def dense_kkt_oracle(cells, f_vals, ny, h):
@@ -59,36 +60,81 @@ def dense_kkt_oracle(cells, f_vals, ny, h):
     return fx_ids, fy_ids, sol[:nf], nfx
 
 
+def face_dicts(loc):
+    """A local solve's x- and y-face velocities as {(i, j): value} dicts."""
+    return tuple(
+        {(int(i), int(j)): float(v) for (i, j), v in zip(ij, vals)}
+        for ij, vals in ((loc.fx_ij, loc.fx), (loc.fy_ij, loc.fy))
+    )
+
+
+def assert_matches_oracle(cells, f, ny, h, tol):
+    loc = dv.local_div_solve(cells, f, ny=ny, h=h)
+    fx_ids, fy_ids, u, nfx = dense_kkt_oracle(cells, f, ny, h)
+    fx, fy = face_dicts(loc)
+    assert fx.keys() == fx_ids.keys() and fy.keys() == fy_ids.keys()
+    for key, a in fx_ids.items():
+        assert fx[key] == pytest.approx(u[a], abs=tol)
+    for key, a in fy_ids.items():
+        assert fy[key] == pytest.approx(u[nfx + a], abs=tol)
+    return loc
+
+
 def test_local_solver_matches_dense_oracle():
-    h = 0.5
     cells = np.array([0, 1, 2, 3])  # 2x2 block with ny = 2
     f = np.array([1.0, 0.0, -1.0, 0.0])
-    loc = dv.local_div_solve(cells, f, ny=2, h=h)
-    fx_ids, fy_ids, u, nfx = dense_kkt_oracle(cells, f, 2, h)
-    for key, a in fx_ids.items():
-        assert loc.fx[key] == pytest.approx(u[a], abs=1e-12)
-    for key, a in fy_ids.items():
-        assert loc.fy[key] == pytest.approx(u[nfx + a], abs=1e-12)
+    loc = assert_matches_oracle(cells, f, 2, 0.5, 1e-12)
     assert loc.residual <= 1e-10
 
 
-def test_local_solver_bigger_patch_oracle():
+L_SHAPE = [i * 6 + j for i in range(4) for j in range(6) if i < 2 or j < 3]
+PATCHES = {
+    "rectangle": (5, [i * 5 + j for i in range(4) for j in range(5)]),
+    "l-shape": (6, L_SHAPE),
+    # (0, 4) and (1, 0) have consecutive flat ids 4, 5 but share no face;
+    # so do the x-faces (1, 4) and (2, 0), flat ids 9, 10
+    "row-wrap": (5, [*range(10), 10]),
+    "unsorted": (6, list(np.random.default_rng(2).permutation(L_SHAPE))),
+}
+
+
+@pytest.mark.parametrize("name", PATCHES)
+def test_local_solver_bigger_patch_oracle(name):
+    ny, cells = PATCHES[name]
+    cells = np.array(cells)
     rng = np.random.default_rng(0)
-    ny = 5
-    cells = np.array([i * ny + j for i in range(4) for j in range(5)])
     f = rng.standard_normal(len(cells))
     f -= f.mean()
-    loc = dv.local_div_solve(cells, f, ny=ny, h=0.25)
-    fx_ids, fy_ids, u, nfx = dense_kkt_oracle(cells, f, ny, 0.25)
-    for key, a in fx_ids.items():
-        assert loc.fx[key] == pytest.approx(u[a], abs=1e-11)
+    assert_matches_oracle(cells, f, ny, 0.25, 1e-11)
+
+
+def test_local_disconnected_patch_rejected():
+    # two dominoes, (0, 0)-(0, 1) and (2, 0)-(2, 1): the KKT matrix is
+    # singular and SuperLU returns NaN, which must not pass the residual check
+    with pytest.warns(spla.MatrixRankWarning), pytest.raises(ConvergenceError):
+        dv.local_div_solve(np.array([0, 1, 6, 7]), np.array([1.0, -1.0, 2.0, -2.0]),
+                           ny=3, h=1.0)
+
+
+def test_nan_velocity_fails_global_check(square_trees, monkeypatch):
+    real = dv.local_div_solve
+
+    def nan_solve(*args, **kwargs):
+        loc = real(*args, **kwargs)
+        loc.fx = np.full_like(loc.fx, np.nan)
+        return loc
+
+    monkeypatch.setattr(dv, "local_div_solve", nan_solve)
+    f = bump_dipole(dc.decomposition_grid(square_trees[5]))
+    with pytest.raises(ConvergenceError, match="global divergence residual"):
+        dv.solve_divergence(square_trees[5], f, 2.0, 0.0)
 
 
 def test_local_zero_rhs():
     cells = np.array([0, 1, 2, 3])
     loc = dv.local_div_solve(cells, np.zeros(4), ny=2, h=1.0)
     assert loc.energy == 0.0
-    assert all(v == 0.0 for v in loc.fx.values())
+    assert np.all(loc.fx == 0.0)
 
 
 def test_local_nonzero_mean_rejected():
@@ -165,7 +211,7 @@ def test_support_and_mass_balance(solved5):
     ny = grid.dims[1]
     for loc in rep.solves[:10]:
         patch = set(int(c) for c in loc.cells)
-        for (i, j) in loc.fx:
+        for i, j in loc.fx_ij.tolist():
             assert (i - 1) * ny + j in patch and i * ny + j in patch
 
 
@@ -190,10 +236,8 @@ def test_energy_overlap_surrogate(solved5):
     for loc in rep.solves:
         FX = np.zeros((grid.dims[0] + 1, grid.dims[1]))
         FY = np.zeros((grid.dims[0], grid.dims[1] + 1))
-        for (i, j), v in loc.fx.items():
-            FX[i, j] = v
-        for (i, j), v in loc.fy.items():
-            FY[i, j] = v
+        FX[loc.fx_ij[:, 0], loc.fx_ij[:, 1]] = loc.fx
+        FY[loc.fy_ij[:, 0], loc.fy_ij[:, 1]] = loc.fy
         mac = dv.MacField(grid=grid, fx=FX, fy=FY)
         du = dv._grad_magnitude_covered(mac.cell_centered(), covered)
         total += F.weighted_lp_norm(du, q, 0.0) ** q

@@ -65,10 +65,10 @@ def test_neighbors_and_ratios(square_dec6):
     sides = dec.sides
     seen = set()
     for t in range(len(dec)):
-        for s in wt.neighbors(dec, t):
-            assert t in wt.neighbors(dec, s)  # symmetry
+        for s in dec.neighbors[t]:
+            assert t in dec.neighbors[s]  # symmetry
             seen.add(round(float(sides[s] / sides[t]), 12))
-        assert set(wt.neighbors(dec, t, face_only=True)) <= set(wt.neighbors(dec, t))
+        assert set(dec.face_neighbors[t]) <= set(dec.neighbors[t])
     assert seen <= {0.25, 0.5, 1.0, 2.0, 4.0}
 
 
@@ -89,11 +89,6 @@ def test_face_vs_corner_contact(square_dec6):
                 assert overlap_deg == 2  # corner contact only
                 corner_pairs += 1
     assert corner_pairs > 0
-
-
-def test_neighbors_bad_id(square_dec6):
-    with pytest.raises(IndexError):
-        wt.neighbors(square_dec6, len(square_dec6))
 
 
 def test_expanded_cube_geometry(square_dec6):
