@@ -65,6 +65,13 @@ def _dipole(tree, grid):
     return decomp.covered_mean_zero(grid, decomp.assign_cells(tree, grid), f.values)
 
 
+def _note_single_level(tree, consequence: str) -> None:
+    """One stderr note when every cube sits at one level."""
+    if tree.level.min() == tree.level.max():
+        print(f"note: all {len(tree)} cubes at level {int(tree.level[0])}, so {consequence}",
+              file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -190,6 +197,7 @@ def cmd_hardy(args) -> int:
 def cmd_decompose(args) -> int:
     dom = _domain_from_args(args)
     tree = treecover.build_tree(whitney.whitney_decompose(dom, args.max_level))
+    _note_single_level(tree, "the decomposition has a single size class")
     grid = decomp.decomposition_grid(tree)
     rng = np.random.default_rng(args.seed)
     assign = decomp.assign_cells(tree, grid)
@@ -312,6 +320,8 @@ def cmd_divergence(args) -> int:
     tree = treecover.build_tree(whitney.whitney_decompose(dom, args.max_level))
     grid = decomp.decomposition_grid(tree)
     if args.data == "collar":
+        _note_single_level(tree, "the collar probe (the finest-level cubes, mean-zeroed) "
+                                 "is identically zero")
         f = decomp.collar_probe(tree, grid)
     else:
         f = _dipole(tree, grid)

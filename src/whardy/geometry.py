@@ -86,69 +86,53 @@ def _orient(a, b, c):
     ) * (c[..., 0] - a[..., 0])
 
 
+def index_ranges(starts, counts) -> np.ndarray:
+    """The index ranges [starts[k], starts[k] + counts[k]), concatenated."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
 def _is_simple(edges) -> bool:
-    # Pairwise proper-intersection test; adjacent edges share exactly one
-    # endpoint and are allowed to touch there only.
+    """Whether no two edges meet except adjacent ones at their shared vertex.
+
+    Only edges whose closed bounding boxes overlap can meet; those pairs
+    come from one sort-and-sweep over the x extents. A proper crossing, or
+    an endpoint of one edge lying on the other (collinear overlap or
+    touching), rejects the polygon unless the pair is adjacent and that
+    endpoint is the shared vertex.
+    """
     n = len(edges)
-    p, q = edges[:, 0], edges[:, 1]
-    for i in range(n - 1):
-        j = np.arange(i + 1, n)
-        a, b = p[i], q[i]
-        c, d = p[j], q[j]
-        d1 = _orient(a, b, c)
-        d2 = _orient(a, b, d)
-        d3 = _orient(c, d, a)
-        d4 = _orient(c, d, b)
-        proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-        if proper.any():
-            return False
-        # Collinear overlap or touching away from the shared vertex.
-        touch = (d1 == 0) & _on_segment(a, b, c)
-        touch |= (d2 == 0) & _on_segment(a, b, d)
-        touch |= (d3 == 0) & _on_segment_many(c, d, a)
-        touch |= (d4 == 0) & _on_segment_many(c, d, b)
-        if touch.any():
-            ok = np.zeros(len(j), dtype=bool)
-            ok[0] = True  # successor shares vertex q[i]
-            if i == 0:
-                ok[-1] = True  # wrap-around predecessor shares p[0]
-            bad = touch & ~ok
-            if bad.any():
-                return False
-            # For adjacent edges the only allowed contact is the shared vertex.
-            adj = np.where(touch & ok)[0]
-            for k in adj:
-                jj = j[k]
-                shared = q[i] if jj == i + 1 else p[i]
-                other = (
-                    _on_strict(a, b, p[jj], shared)
-                    or _on_strict(a, b, q[jj], shared)
-                    or _on_strict(p[jj], q[jj], a, shared)
-                    or _on_strict(p[jj], q[jj], b, shared)
-                )
-                if other:
-                    return False
-    return True
+    blo, bhi = edges.min(axis=1), edges.max(axis=1)
+    order = np.argsort(blo[:, 0], kind="stable")
+    end = np.searchsorted(blo[order, 0], bhi[order, 0], side="right")
+    later = end - np.arange(1, n + 1)  # x-overlapping edges after each in x order
+    u = order[np.repeat(np.arange(n), later)]
+    v = order[index_ranges(np.arange(1, n + 1), later)]
+    y_meet = (blo[u, 1] <= bhi[v, 1]) & (blo[v, 1] <= bhi[u, 1])
+    i, j = np.minimum(u, v)[y_meet], np.maximum(u, v)[y_meet]
+    a, b, c, d = edges[i, 0], edges[i, 1], edges[j, 0], edges[j, 1]
+    d1, d2 = _orient(a, b, c), _orient(a, b, d)
+    d3, d4 = _orient(c, d, a), _orient(c, d, b)
+    if ((d1 * d2 < 0) & (d3 * d4 < 0)).any():
+        return False
+    on = [
+        (d1 == 0) & _on_segment(a, b, c),
+        (d2 == 0) & _on_segment(a, b, d),
+        (d3 == 0) & _on_segment(c, d, a),
+        (d4 == 0) & _on_segment(c, d, b),
+    ]
+    succ = j == i + 1
+    adj = succ | ((i == 0) & (j == n - 1))  # successor, or the wrap-around
+    if ((on[0] | on[1] | on[2] | on[3]) & ~adj).any():
+        return False
+    shared = np.where(succ[:, None], b, a)
+    return not any((touch & adj & (pt != shared).any(axis=1)).any()
+                   for touch, pt in zip(on, (c, d, a, b)))
 
 
 def _on_segment(a, b, pts):
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     return np.all((pts >= lo) & (pts <= hi), axis=-1)
-
-
-def _on_segment_many(a, b, pt):
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    return np.all((pt >= lo) & (pt <= hi), axis=-1)
-
-
-def _on_strict(a, b, pt, shared):
-    if np.array_equal(pt, shared):
-        return False
-    if _orient(a, b, pt) != 0:
-        return False
-    return bool(_on_segment_many(a, b, pt))
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +298,21 @@ def boxes_inside_domain(dom: PolygonalDomain, los, his) -> np.ndarray:
     return out
 
 
-def clip_segments(edges, los, his):
-    """Liang-Barsky clipping of every segment against every closed box.
+def clip_segments(p, q, lo, hi):
+    """Liang-Barsky clipping of segments [p, q] against closed boxes [lo, hi].
 
-    Returns ``(alive, t0, t1)``, each of shape (boxes, edges): segment k
-    meets box m on the parameter range [t0, t1] when alive and t0 <= t1.
+    The (..., 2) arguments broadcast against each other. Returns
+    ``(alive, t0, t1)`` of the broadcast shape: the segment meets the box on
+    the parameter range [t0, t1] when alive and t0 <= t1.
     """
-    p, q = edges[:, 0], edges[:, 1]
     d = q - p
-    M, E = len(los), len(edges)
-    t0 = np.zeros((M, E))
-    t1 = np.ones((M, E))
-    alive = np.ones((M, E), dtype=bool)
+    shape = np.broadcast_shapes(p.shape, q.shape, lo.shape, hi.shape)[:-1]
+    t0 = np.zeros(shape)
+    t1 = np.ones(shape)
+    alive = np.ones(shape, dtype=bool)
     for axis in range(2):
-        p0 = p[None, :, axis]
-        dd = np.broadcast_to(d[None, :, axis], (M, E))
-        for sign, bound in ((-1.0, los[:, axis][:, None]), (1.0, his[:, axis][:, None])):
+        p0, dd = p[..., axis], d[..., axis]
+        for sign, bound in ((-1.0, lo[..., axis]), (1.0, hi[..., axis])):
             num = sign * (bound - p0)
             den = sign * dd
             par = den == 0
@@ -345,11 +328,11 @@ def clip_segments(edges, los, his):
 
 def _edges_enter_boxes(edges, los, his) -> np.ndarray:
     """Per box: does any segment have a point strictly inside the open box?"""
-    alive, t0, t1 = clip_segments(edges, los, his)
+    p, q = edges[None, :, 0], edges[None, :, 1]
+    alive, t0, t1 = clip_segments(p, q, los[:, None], his[:, None])
     clipped = alive & (t0 < t1)
-    p, d = edges[:, 0], edges[:, 1] - edges[:, 0]
     tm = (t0 + t1) / 2.0
-    mid = p[None, :, :] + tm[:, :, None] * d[None, :, :]
+    mid = p + tm[:, :, None] * (q - p)
     strict = np.all((mid > los[:, None, :]) & (mid < his[:, None, :]), axis=2)
     return (clipped & strict).any(axis=1)
 

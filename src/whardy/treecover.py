@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConnectivityError, ParameterError, StructureError
-from .geometry import centroid
+from .geometry import centroid, index_ranges
 from .whitney import EXPANSION, Box, WhitneyDecomposition
 
 
@@ -220,12 +220,16 @@ def build_tree(dec: WhitneyDecomposition, center=None) -> TreeCovering:
     if root is None:
         raise ParameterError("center is not inside any accepted cube")
     n = len(dec)
+    counts = np.fromiter(map(len, dec.face_neighbors), np.int64, n)
+    nbr = np.fromiter((s for f in dec.face_neighbors for s in f), np.int64, int(counts.sum()))
+    ptr = np.cumsum(counts) - counts
     depth = np.full(n, -1, dtype=np.int64)
     depth[root] = 0
-    frontier = [root]
-    while frontier:
-        d = depth[frontier[0]] + 1
-        frontier = sorted({v for u in frontier for v in dec.face_neighbors[u] if depth[v] < 0})
+    frontier, d = np.array([root]), 0
+    while len(frontier):
+        d += 1
+        reached = nbr[index_ranges(ptr[frontier], counts[frontier])]
+        frontier = np.unique(reached[depth[reached] < 0])
         depth[frontier] = d
     if (depth < 0).any():
         sizes = _component_sizes(dec)
@@ -234,13 +238,14 @@ def build_tree(dec: WhitneyDecomposition, center=None) -> TreeCovering:
             component_sizes=sizes,
         )
 
-    key = lambda s: (int(dec.levels[s]), int(dec.indices[s, 0]), int(dec.indices[s, 1]))
-    parent = np.full(n, -1, dtype=np.int64)
-    for t in range(n):
-        if t == root:
-            continue
-        preds = [s for s in dec.face_neighbors[t] if depth[s] == depth[t] - 1]
-        parent[t] = min(preds, key=key)
+    # Ids are in (level, index) order (checked by WhitneyDecomposition), so
+    # the smallest-id predecessor is the larger cube first, then the
+    # lexicographically smallest index.
+    owner = np.repeat(np.arange(n), counts)
+    pred = depth[nbr] == depth[owner] - 1
+    parent = np.full(n, n, dtype=np.int64)
+    np.minimum.at(parent, owner[pred], nbr[pred])
+    parent[root] = -1
 
     lo, hi = dec.spans(int(dec.levels.max()))
     boxes, boxes32 = _transfer_boxes(dec, parent, lo, hi)
@@ -284,71 +289,84 @@ def _transfer_boxes(dec, parent, lo, hi):
     the face, 1/16 of the face length across it (1/32 on each side), which
     keeps B_t inside U_t and U_{t_p} for the 17/16 expansion. Coordinates are
     exact integers in units of (finest side)/32, and pairwise disjointness
-    is certified exactly by one sweep over them (``_certify_disjoint``); a
-    violation raises StructureError. ``lo``, ``hi`` are ``dec.spans`` at the
-    finest level.
+    is certified exactly over them (``_certify_disjoint``); a violation
+    raises StructureError. ``lo``, ``hi`` are ``dec.spans`` at the finest
+    level.
     """
     unit = dec.frame.cube_side(int(dec.levels.max())) / 32.0
     origin = np.asarray(dec.frame.origin)
+    kids = np.flatnonzero(parent >= 0)
+    b_lo, b_hi = _face_box32(lo[kids], hi[kids], lo[parent[kids]], hi[parent[kids]])
+    _certify_disjoint(b_lo, b_hi, kids)
     boxes: list = [None] * len(dec)
     boxes32: list = [None] * len(dec)
-    for t in range(len(dec)):
-        p = int(parent[t])
-        if p < 0:
-            continue
-        b32 = _face_box32(lo[t], hi[t], lo[p], hi[p])
-        boxes32[t] = b32
-        w_lo = origin + np.asarray(b32[0]) * unit
-        w_hi = origin + np.asarray(b32[1]) * unit
-        boxes[t] = Box(tuple(w_lo), tuple(w_hi))
-    _certify_disjoint(boxes32)
+    rows = zip(kids.tolist(), b_lo.tolist(), b_hi.tolist(),
+               (origin + b_lo * unit).tolist(), (origin + b_hi * unit).tolist())
+    for t, bl, bh, wl, wh in rows:
+        boxes32[t] = (tuple(bl), tuple(bh))
+        boxes[t] = Box(tuple(wl), tuple(wh))
     return boxes, boxes32
 
 
 def _face_box32(lo_t, hi_t, lo_p, hi_p):
+    """Face boxes (lo, hi) of child spans [lo_t, hi_t] and parent spans
+    [lo_p, hi_p], rows in finest-side units, in units of finest/32."""
     alo = np.maximum(lo_t, lo_p)
     ahi = np.minimum(hi_t, hi_p)
-    deg = alo == ahi
-    if deg.sum() != 1:
+    deg = alo == ahi  # the face's normal axis
+    if (deg.sum(axis=-1) != 1).any():
         raise StructureError("parent and child are not face-neighbors")
-    f = int(np.argmax(deg))
-    o = 1 - f
-    span = int(ahi[o] - alo[o])  # face length in finest-side units
-    # all coordinates below are in units of finest/32
-    face = int(alo[f]) * 32
-    olo = int(alo[o]) * 32 + 8 * span
-    ohi = int(ahi[o]) * 32 - 8 * span
-    b_lo = [0, 0]
-    b_hi = [0, 0]
-    b_lo[f], b_hi[f] = face - span, face + span
-    b_lo[o], b_hi[o] = olo, ohi
-    return (tuple(b_lo), tuple(b_hi))
+    span = (ahi - alo).max(axis=-1, keepdims=True)  # face length
+    b_lo = np.where(deg, 32 * alo - span, 32 * alo + 8 * span)
+    b_hi = np.where(deg, 32 * alo + span, 32 * ahi - 8 * span)
+    return b_lo, b_hi
 
 
-def _certify_disjoint(boxes32: list) -> None:
-    """Raise StructureError unless the integer boxes (None entries skipped)
-    have pairwise disjoint interiors; boxes that share only an edge pass.
+def _certify_disjoint(lo, hi, ids) -> None:
+    """Raise StructureError unless the integer boxes [lo[k], hi[k]] have
+    pairwise disjoint interiors; boxes that share only an edge pass. ``ids``
+    names the boxes in the message.
 
-    Sort-and-sweep: after sorting by lo_x, the only boxes after box i whose
-    x-extent can meet its own are those with lo_x < hi_x[i]; only those
-    pairs get the strict-inequality overlap test.
+    A box of size class c has extent <= 2^c, so its interior meets at most
+    2 x 2 cells of the grid of side 2^c, and of every coarser grid. Boxes
+    whose interiors meet share a cell of the grid of the larger class, so
+    each box is tested only against the boxes of its own or a larger class
+    that meet the same cells of that class's grid.
     """
-    ids = np.asarray([t for t, b in enumerate(boxes32) if b is not None], dtype=np.int64)
-    if len(ids) < 2:
+    if len(lo) < 2:
         return
-    b = np.asarray([boxes32[t] for t in ids], dtype=np.int64)  # (k, 2, ndim)
-    srt = np.argsort(b[:, 0, 0], kind="stable")
-    ids, lo, hi = ids[srt], b[srt, 0], b[srt, 1]
-    k = len(ids)
-    end = np.searchsorted(lo[:, 0], hi[:, 0], side="left")
-    counts = np.maximum(end - np.arange(1, k + 1), 0)
-    i = np.repeat(np.arange(k), counts)
-    starts = np.cumsum(counts) - counts
-    j = np.arange(len(i)) - np.repeat(starts, counts) + i + 1
-    hit = np.all((lo[i] < hi[j]) & (lo[j] < hi[i]), axis=1)
+    lo, hi = lo - lo.min(axis=0), hi - lo.min(axis=0)
+    cls = np.frexp(np.maximum((hi - lo).max(axis=1) - 1, 0))[1]  # least c, extent <= 2^c
+    stride = int(hi.max()) + 1
+
+    def cells(rows, c):
+        """(row, cell key) for each cell of side 2^c that a row's interior meets."""
+        clo, chi = lo[rows] >> c, (hi[rows] - 1) >> c
+        out_rows, out_keys = [], []
+        for dx in (0, 1):
+            for dy in (0, 1):
+                x, y = clo[:, 0] + dx, clo[:, 1] + dy
+                ok = (x <= chi[:, 0]) & (y <= chi[:, 1])
+                out_rows.append(rows[ok])
+                out_keys.append(x[ok] * stride + y[ok])
+        return np.concatenate(out_rows), np.concatenate(out_keys)
+
+    found = []
+    for c in np.unique(cls):
+        rows, keys = cells(np.flatnonzero(cls == c), c)
+        srt = np.argsort(keys, kind="stable")
+        rows, keys = rows[srt], keys[srt]
+        q_rows, q_keys = cells(np.flatnonzero(cls <= c), c)
+        first = np.searchsorted(keys, q_keys, side="left")
+        count = np.searchsorted(keys, q_keys, side="right") - first
+        found.append((np.repeat(q_rows, count), rows[index_ranges(first, count)]))
+    i = np.concatenate([f[0] for f in found])
+    j = np.concatenate([f[1] for f in found])
+    hit = (i != j) & np.all((lo[i] < hi[j]) & (lo[j] < hi[i]), axis=1)
     if hit.any():
-        a, c = int(ids[i[hit][0]]), int(ids[j[hit][0]])
-        raise StructureError(f"transfer boxes of nodes {a} and {c} overlap")
+        a, b = ids[i[hit]], ids[j[hit]]
+        a, b = min(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+        raise StructureError(f"transfer boxes of nodes {a} and {b} overlap")
 
 
 # ---------------------------------------------------------------------------

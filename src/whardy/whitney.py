@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .errors import EmptyDecompositionError, ParameterError
+from .errors import EmptyDecompositionError, ParameterError, StructureError
 from .geometry import PolygonalDomain
 
 EXPANSION = 17.0 / 16.0
@@ -120,8 +120,19 @@ class WhitneyDecomposition:
     neighbors: list = field(default=None)
     face_neighbors: list = field(default=None)
     collar_width: float = 0.0
+    keys: np.ndarray = field(init=False, repr=False)  # (N,) sorted (level, i, j) keys
 
     def __post_init__(self):
+        # Cube ids follow the lexicographic (level, i, j) order: adjacency,
+        # locate and the tree's parent choice rely on it.
+        lev = np.asarray(self.levels, dtype=np.int64)
+        idx = np.asarray(self.indices, dtype=np.int64).reshape(len(lev), 2)
+        self._bits = int(lev.max()) if len(lev) else 0
+        if (lev < 0).any() or (idx >> lev[:, None]).any():
+            raise StructureError("cube index outside its level's lattice")
+        self.keys = self._key(lev, idx[:, 0], idx[:, 1])
+        if (self.keys[1:] <= self.keys[:-1]).any():
+            raise StructureError("cubes must be distinct and sorted by (level, i, j)")
         if self.neighbors is None:
             self.neighbors, self.face_neighbors = _adjacency(self)
         if not self.collar_width:
@@ -154,92 +165,108 @@ class WhitneyDecomposition:
         hi = (self.indices.astype(np.int64) + 1) << shift[:, None]
         return lo, hi
 
+    def _key(self, level, i, j):
+        b = self._bits
+        return (level << (2 * b)) | (i << b) | j
+
+    def find(self, level, i, j):
+        """Ids of the cubes (level, i, j), -1 where there is none; the cell
+        indices may fall outside the level's lattice."""
+        level, i, j = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (level, i, j)))
+        ok = (level >= 0) & (level <= self._bits)
+        ok &= ((i | j) >> np.where(ok, level, 0)) == 0
+        key = self._key(np.where(ok, level, 0), np.where(ok, i, 0), np.where(ok, j, 0))
+        pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        return np.where(ok & (self.keys[pos] == key), pos, -1)
+
     def locate(self, point) -> int | None:
         """Id of the cube whose half-open box contains the point, or None."""
         px = point[0] - self.frame.origin[0]
         py = point[1] - self.frame.origin[1]
-        lookup = _cube_lookup(self)
-        for lev in sorted(set(int(l) for l in self.levels)):
-            s = self.frame.cube_side(lev)
-            key = (lev, int(math.floor(px / s)), int(math.floor(py / s)))
-            if key in lookup:
-                return lookup[key]
+        for lev in np.unique(self.levels):
+            s = self.frame.cube_side(int(lev))
+            t = int(self.find(lev, math.floor(px / s), math.floor(py / s)))
+            if t >= 0:
+                return t
         return None
-
-
-def _cube_lookup(dec: WhitneyDecomposition) -> dict:
-    cache = getattr(dec, "_lookup", None)
-    if cache is None:
-        cache = {
-            (int(l), int(i), int(j)): t
-            for t, (l, (i, j)) in enumerate(zip(dec.levels, dec.indices))
-        }
-        dec._lookup = cache
-    return cache
 
 
 # ---------------------------------------------------------------------------
 # construction
 
+# Children keep the parent's candidate edges within (d(P) + diam(P)) times
+# this factor. The exact rule needs factor 1; the widening absorbs float
+# rounding in the per-pair distances, so a list can only grow. It stays
+# sound while 2^-max_level is far above 1e-10 of the frame size.
+CANDIDATE_WIDENING = 1.0 + 1e-6
+PAIR_CHUNK = 1 << 18
 
-def _box_segment_dist_sq(lo, hi, edges):
-    """Exact squared distance from solid boxes to segments, shape (M, E).
 
-    Zero when the segment meets the closed box; otherwise the minimum is
-    attained at a box corner or a segment endpoint, so checking those
-    features is exact.
+def _point_segment_dist_sq(px, py, ax, ay, dx, dy, ab2):
+    """Squared distance of points to segments a + t d, t in [0, 1], elementwise.
+
+    ``ab2`` is d . d with zero-length segments mapped to 1.
     """
-    a, b = edges[:, 0], edges[:, 1]
-    d = b - a
-    M, E = len(lo), len(edges)
-
-    # Closed-box clipping: does the segment meet the box?
-    alive, t0, t1 = geometry.clip_segments(edges, lo, hi)
-    meets = alive & (t0 <= t1)
-
-    # Corner-to-segment distances.
-    corners = np.stack(
-        [
-            np.stack([lo[:, 0], lo[:, 1]], axis=1),
-            np.stack([hi[:, 0], lo[:, 1]], axis=1),
-            np.stack([hi[:, 0], hi[:, 1]], axis=1),
-            np.stack([lo[:, 0], hi[:, 1]], axis=1),
-        ],
-        axis=1,
-    )  # (M, 4, 2)
-    ab2 = (d * d).sum(axis=1)
-    ab2 = np.where(ab2 == 0, 1.0, ab2)
-    ap = corners[:, :, None, :] - a[None, None, :, :]  # (M, 4, E, 2)
-    t = np.clip((ap * d[None, None, :, :]).sum(axis=3) / ab2, 0.0, 1.0)
-    diff = ap - t[..., None] * d[None, None, :, :]
-    corner_d2 = (diff * diff).sum(axis=3).min(axis=1)  # (M, E)
-
-    # Segment-endpoint-to-box distances.
-    end_d2 = np.zeros((M, E))
-    for pt in (a, b):
-        dx = np.maximum(
-            np.maximum(lo[:, None, 0] - pt[None, :, 0], 0.0),
-            pt[None, :, 0] - hi[:, None, 0],
-        )
-        dy = np.maximum(
-            np.maximum(lo[:, None, 1] - pt[None, :, 1], 0.0),
-            pt[None, :, 1] - hi[:, None, 1],
-        )
-        e2 = dx * dx + dy * dy
-        end_d2 = e2 if pt is a else np.minimum(end_d2, e2)
-
-    d2 = np.minimum(corner_d2, end_d2)
-    return np.where(meets, 0.0, d2)
+    apx, apy = px - ax, py - ay
+    t = np.clip((apx * dx + apy * dy) / ab2, 0.0, 1.0)
+    ex, ey = apx - t * dx, apy - t * dy
+    return ex * ex + ey * ey
 
 
-def boxes_boundary_dist_sq(dom: PolygonalDomain, lo, hi) -> np.ndarray:
-    """Squared distance of solid boxes to the polygon boundary."""
-    out = np.empty(len(lo))
-    chunk = max(1, 2_000_000 // max(1, dom.n_edges))
-    for i in range(0, len(lo), chunk):
-        d2 = _box_segment_dist_sq(lo[i : i + chunk], hi[i : i + chunk], dom.edges)
-        out[i : i + chunk] = d2.min(axis=1)
-    return out
+def _segment_parts(a, b):
+    ax, ay = a[..., 0], a[..., 1]
+    dx, dy = b[..., 0] - ax, b[..., 1] - ay
+    ab2 = dx * dx + dy * dy
+    return ax, ay, dx, dy, np.where(ab2 == 0, 1.0, ab2)
+
+
+def _box_segment_dist_sq(lo, hi, a, b):
+    """Exact squared distance from solid boxes [lo, hi] to segments [a, b].
+
+    The (..., 2) arguments broadcast against each other. Zero when the
+    segment meets the closed box; otherwise the minimum is attained at a box
+    corner or a segment endpoint, so checking those features is exact.
+    """
+    alive, t0, t1 = geometry.clip_segments(a, b, lo, hi)
+    seg = _segment_parts(a, b)
+    lx, ly, hx, hy = lo[..., 0], lo[..., 1], hi[..., 0], hi[..., 1]
+    d2 = _point_segment_dist_sq(lx, ly, *seg)
+    for cx, cy in ((hx, ly), (hx, hy), (lx, hy)):
+        d2 = np.minimum(d2, _point_segment_dist_sq(cx, cy, *seg))
+    for p in (a, b):
+        ex = np.maximum(np.maximum(lx - p[..., 0], 0.0), p[..., 0] - hx)
+        ey = np.maximum(np.maximum(ly - p[..., 1], 0.0), p[..., 1] - hy)
+        d2 = np.minimum(d2, ex * ex + ey * ey)
+    return np.where(alive & (t0 <= t1), 0.0, d2)
+
+
+def _pair_min(kernel, edges, ptr, cand, *per_box):
+    """``kernel(*per_box[owner], a, b)`` over the CSR pairs (box m, edge
+    cand[k]) for ptr[m] <= k < ptr[m + 1], in chunks. Every list must be
+    non-empty. Returns the per-box minimum and the per-pair values."""
+    owner = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    pair = np.empty(len(cand))
+    for s in range(0, len(cand), PAIR_CHUNK):
+        o, e = owner[s : s + PAIR_CHUNK], cand[s : s + PAIR_CHUNK]
+        pair[s : s + PAIR_CHUNK] = kernel(*(x[o] for x in per_box), edges[e, 0], edges[e, 1])
+    return np.minimum.reduceat(pair, ptr[:-1]), pair
+
+
+def boxes_boundary_dist_sq(dom: PolygonalDomain, lo, hi, ptr=None, cand=None):
+    """Squared distance of solid boxes to the polygon boundary.
+
+    Box m is measured against the edges ``cand[ptr[m]:ptr[m + 1]]``, every
+    edge when no candidates are given. Returns the per-box minimum and the
+    per-pair distances in candidate order.
+    """
+    if ptr is None:
+        ptr = np.arange(len(lo) + 1) * dom.n_edges
+        cand = np.tile(np.arange(dom.n_edges), len(lo))
+    return _pair_min(_box_segment_dist_sq, dom.edges, ptr, cand, lo, hi)
+
+
+def _center_dist_sq(px, py, a, b):
+    return _point_segment_dist_sq(px, py, *_segment_parts(a, b))
 
 
 def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposition:
@@ -248,14 +275,27 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
     A cube is accepted when its center lies in the open domain, the Whitney
     predicate holds, and its parent was not acceptable. Cubes meeting the
     boundary are subdivided; cubes fully outside are pruned.
+
+    Each active cube carries a CSR list of candidate edges, all edges for
+    the frame. A child keeps the edges e of its parent P with d(P, e) <=
+    d(P) + diam(P): every ancestor A of a cube C passes C's nearest edge
+    e*, since d(A, e*) <= d(C) <= d(A) + diam(A), and likewise the edge
+    nearest to C's center. So both minima run over the same per-pair
+    floats as a test against every edge. A parent that misses the boundary
+    and is split lies inside, so its children skip the ray-parity test.
     """
     if max_level < 2:
         raise ParameterError("max_level must be >= 2")
     frame = frame_for_domain(dom)
     origin = np.asarray(frame.origin)
+    edges = dom.edges
+    ray_chunk = max(1, 1_000_000 // dom.n_edges)
 
-    acc_levels, acc_indices, acc_d, acc_d2 = [], [], [], []
+    acc_levels, acc_indices, acc_d2 = [], [], []
     active = np.zeros((1, 2), dtype=np.int64)  # the frame itself, level 0
+    ptr, cand = np.array([0, dom.n_edges]), np.arange(dom.n_edges)
+    parent_meets = np.ones(1, dtype=bool)
+    offs = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.int64)
     for level in range(0, max_level + 1):
         if len(active) == 0:
             break
@@ -263,9 +303,14 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
         lo = origin + active * side
         hi = lo + side
         centers = lo + side / 2.0
-        d2 = boxes_boundary_dist_sq(dom, lo, hi)
-        cdist = geometry.boundary_distances(dom, centers)
-        inside = geometry.contains_many(dom, centers, dist=cdist)
+        d2, pair_d2 = boxes_boundary_dist_sq(dom, lo, hi, ptr, cand)
+        c2, _ = _pair_min(_center_dist_sq, edges, ptr, cand, centers[:, 0], centers[:, 1])
+        cdist = np.sqrt(c2)
+        inside = cdist > geometry.BOUNDARY_EPS
+        ray = np.flatnonzero(parent_meets)
+        for k in range(0, len(ray), ray_chunk):
+            sel = ray[k : k + ray_chunk]
+            inside[sel] = geometry.contains_many(dom, centers[sel], dist=cdist[sel])
         accept = inside & (d2 >= 2.0 * side * side)
         if accept.any():
             acc_levels.append(np.full(accept.sum(), level))
@@ -276,12 +321,16 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
         # Subdivide undecided cubes; prune those fully outside the domain.
         outside = (~inside) & (d2 > 0.0)
         split = ~accept & ~outside
-        parents = active[split]
-        if len(parents) == 0:
-            active = parents
-            continue
-        offs = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.int64)
-        active = (parents[:, None, :] * 2 + offs[None, :, :]).reshape(-1, 2)
+        reach = (np.sqrt(d2) + side * math.sqrt(2.0)) * CANDIDATE_WIDENING
+        owner = np.repeat(np.arange(len(active)), np.diff(ptr))
+        keep = split[owner] & (pair_d2 <= (reach * reach)[owner])
+        counts = np.bincount(owner[keep], minlength=len(active))[split]
+        # each child of the q-th split parent copies that parent's kept edges
+        starts, child_counts = np.repeat(np.cumsum(counts) - counts, 4), np.repeat(counts, 4)
+        cand = cand[keep][geometry.index_ranges(starts, child_counts)]
+        ptr = np.concatenate([[0], np.cumsum(child_counts)])
+        parent_meets = np.repeat(d2[split] == 0.0, 4)
+        active = (active[split][:, None, :] * 2 + offs[None, :, :]).reshape(-1, 2)
 
     if not acc_levels:
         raise EmptyDecompositionError(
@@ -307,70 +356,43 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
 # adjacency
 
 
-def _touch_kind(lo1, hi1, lo2, hi2):
-    """0 = disjoint, 1 = corner contact, 2 = face contact (positive overlap on one axis)."""
-    alo0, ahi0 = max(lo1[0], lo2[0]), min(hi1[0], hi2[0])
-    alo1, ahi1 = max(lo1[1], lo2[1]), min(hi1[1], hi2[1])
-    if alo0 > ahi0 or alo1 > ahi1:
-        return 0
-    deg0 = alo0 == ahi0
-    deg1 = alo1 == ahi1
-    if deg0 and deg1:
-        return 1
-    if deg0 != deg1:
-        return 2
-    return 0  # positive-area overlap cannot happen for disjoint-interior cubes
-
-
 def _adjacency(dec: WhitneyDecomposition):
-    """Neighbor and face-neighbor lists via exact integer span tests.
+    """Neighbor and face-neighbor lists from the sorted lattice keys.
 
     Touching Whitney cubes differ by at most two levels (the sandwich forces
-    a size ratio <= 4), so the candidate search is restricted accordingly.
+    a size ratio <= 4). A cube finds each touching cube of its own size or
+    larger as a lattice cell in the 3 x 3 block around its ancestor cell
+    zero, one or two levels up; pairs found one or two levels up are
+    mirrored to give the smaller neighbors. The touch test is integer
+    arithmetic on the finest-level spans.
     """
     n = len(dec)
-    lookup = _cube_lookup(dec)
-    L = int(dec.levels.max())
-    lo, hi = dec.spans(L)
-    present = sorted(set(int(l) for l in dec.levels))
-    neighbors = [[] for _ in range(n)]
-    face_neighbors = [[] for _ in range(n)]
-    for t in range(n):
-        l = int(dec.levels[t])
-        i, j = (int(v) for v in dec.indices[t])
-        cands = set()
-        for l2 in present:
-            if abs(l2 - l) > 2:
-                continue
-            if l2 <= l:
-                ci, cj = i >> (l - l2), j >> (l - l2)
-                for di in (-1, 0, 1):
-                    for dj in (-1, 0, 1):
-                        key = (l2, ci + di, cj + dj)
-                        s = lookup.get(key)
-                        if s is not None and s != t:
-                            cands.add(s)
-            else:
-                s = 1 << (l2 - l)
-                xs = list(range(i * s - 1, (i + 1) * s + 1))
-                ys = list(range(j * s - 1, (j + 1) * s + 1))
-                ring = [(x, ys[0]) for x in xs] + [(x, ys[-1]) for x in xs]
-                ring += [(xs[0], y) for y in ys[1:-1]] + [(xs[-1], y) for y in ys[1:-1]]
-                for key2 in ring:
-                    sidx = lookup.get((l2, key2[0], key2[1]))
-                    if sidx is not None and sidx != t:
-                        cands.add(sidx)
-        for s in cands:
-            kind = _touch_kind(lo[t], hi[t], lo[s], hi[s])
-            if kind:
-                neighbors[t].append(s)
-            if kind == 2:
-                face_neighbors[t].append(s)
-    for lst in neighbors:
-        lst.sort()
-    for lst in face_neighbors:
-        lst.sort()
-    return neighbors, face_neighbors
+    lev = dec.levels.astype(np.int64)
+    idx = dec.indices.astype(np.int64)
+    found = []
+    for up in (0, 1, 2):
+        l2, base = lev - up, idx >> up
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                if up == 0 and di == dj == 0:
+                    continue
+                s = dec.find(l2, base[:, 0] + di, base[:, 1] + dj)
+                t = np.flatnonzero(s >= 0)
+                found += [(t, s[t]), (s[t], t)] if up else [(t, s[t])]
+    t = np.concatenate([f[0] for f in found])
+    s = np.concatenate([f[1] for f in found])
+    lo, hi = dec.spans()
+    alo, ahi = np.maximum(lo[t], lo[s]), np.minimum(hi[t], hi[s])
+    deg = alo == ahi
+    meet = (alo <= ahi).all(axis=1)
+    kinds = (meet & deg.any(axis=1), meet & (deg[:, 0] != deg[:, 1]))
+    out = []
+    for touch in kinds:  # corner or face contact; face contact only
+        tt, ss = t[touch], s[touch]
+        order = np.lexsort((ss, tt))
+        cuts = np.cumsum(np.bincount(tt, minlength=n))[:-1]
+        out.append([a.tolist() for a in np.split(ss[order], cuts)])
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,23 @@ def test_config_file(tmp_path):
     assert obj2["config"]["max_level"] == 5
 
 
+def test_single_level_tree_notes_it(tmp_path, capsys):
+    # every Whitney cube of Koch 2 truncated at level 5 is a level-5 cube
+    args = ["--domain", "koch", "--koch-level", "2", "--max-level", "5"]
+    assert run(["divergence", *args, "--data", "collar", "--out", str(tmp_path / "v")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["note: all 48 cubes at level 5, so the collar probe (the finest-level "
+                   "cubes, mean-zeroed) is identically zero"]
+    summary = json.loads((tmp_path / "v" / "divergence_summary.json").read_text())
+    assert summary["degenerate"] == 1 and summary["max_ratio"] is None
+    assert run(["decompose", *args, "--out", str(tmp_path / "d")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["note: all 48 cubes at level 5, so the decomposition has a single size class"]
+    assert run(["divergence", "--domain", "koch", "--koch-level", "2", "--max-level", "6",
+                "--data", "collar", "--out", str(tmp_path / "v6")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_poincare_subcommand(tmp_path):
     out = tmp_path / "p"
     assert run(["poincare", "--h", "0.02", "--count", "3", "--out", str(out)]) == 0

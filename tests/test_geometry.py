@@ -52,6 +52,23 @@ def test_self_intersecting_rejected():
         geo.PolygonalDomain(bowtie)
 
 
+def ring_edges(verts):
+    v = np.asarray(verts, dtype=float)
+    return np.stack([v, np.roll(v, -1, axis=0)], axis=1)
+
+
+@pytest.mark.parametrize("verts,simple", [
+    ([[0, 0], [1, 1], [1, 0], [0, 1]], False),  # proper crossing
+    ([[0, 0], [4, 0], [4, 4], [2, 0], [0, 4]], False),  # vertex on a non-adjacent edge
+    ([[0, 0], [4, 0], [2, 0], [2, 2]], False),  # edges fold back
+    ([[0, 0], [4, 0], [2, 0]], False),  # adjacent edges fold back, nothing else meets
+    ([[0, 0], [4, 0], [4, 4], [2, 1], [0, 4]], True),
+    ([[0, 0], [2, 0], [4, 0], [4, 4], [0, 4]], True),  # collinear neighbors
+])
+def test_is_simple_contacts(verts, simple):
+    assert geo._is_simple(ring_edges(verts)) is simple
+
+
 def test_distance_square(unit_square):
     assert geo.distance_to_boundary(unit_square, (0.5, 0.5)) == pytest.approx(0.5)
     assert geo.distance_to_boundary(unit_square, (0.25, 0.5)) == pytest.approx(0.25)

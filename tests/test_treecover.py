@@ -140,13 +140,41 @@ def test_transfer_boxes(tree_fixture, request):
     assert tree.ratio_u_over_b() == float(worst)
 
 
+def certify(boxes32):
+    ids = np.array([t for t, b in enumerate(boxes32) if b is not None])
+    b = np.array([boxes32[t] for t in ids])
+    tc._certify_disjoint(b[:, 0], b[:, 1], ids)
+
+
 def test_certificate_shared_edges_pass():
-    tc._certify_disjoint([None, ((0, 0), (2, 2)), ((2, 0), (4, 2)), ((0, 2), (2, 4))])
+    certify([None, ((0, 0), (2, 2)), ((2, 0), (4, 2)), ((0, 2), (2, 4))])
 
 
 def test_certificate_overlap_raises():
     with pytest.raises(StructureError, match="nodes 1 and 2"):
-        tc._certify_disjoint([None, ((0, 0), (2, 2)), ((1, 1), (3, 3))])
+        certify([None, ((0, 0), (2, 2)), ((1, 1), (3, 3))])
+
+
+def test_certificate_overlap_in_a_shared_second_cell_raises():
+    # both boxes are of class 1; they share only the grid cell [2, 4)^2
+    with pytest.raises(StructureError, match="nodes 0 and 1"):
+        certify([((1, 1), (3, 3)), ((2, 2), (4, 4))])
+
+
+def test_certificate_matches_brute_force():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        lo = rng.integers(-10, 40, size=(n, 2))
+        hi = lo + 2 ** rng.integers(0, 5, size=(n, 2)) * rng.integers(1, 3, size=(n, 2))
+        overlap = np.all((lo[:, None] < hi[None]) & (lo[None] < hi[:, None]), axis=2)
+        np.fill_diagonal(overlap, False)
+        i, j = np.nonzero(np.triu(overlap))
+        if len(i):
+            with pytest.raises(StructureError, match=f"nodes {i[0]} and {j[0]} "):
+                tc._certify_disjoint(lo, hi, np.arange(n))
+        else:
+            tc._certify_disjoint(lo, hi, np.arange(n))
 
 
 def test_certificate_sweeps_past_neighbors():
@@ -154,7 +182,7 @@ def test_certificate_sweeps_past_neighbors():
     boxes = [((0, 0), (20, 1)), ((2, 2), (3, 3)), ((4, 2), (5, 3)),
              ((6, 2), (7, 3)), ((8, 0), (9, 1))]
     with pytest.raises(StructureError, match="nodes 0 and 4"):
-        tc._certify_disjoint(boxes)
+        certify(boxes)
 
 
 def test_u_over_b_equal_neighbors():

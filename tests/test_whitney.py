@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from whardy import geometry as geo
 from whardy import whitney as wt
-from whardy.errors import EmptyDecompositionError, ParameterError
+from whardy.errors import EmptyDecompositionError, ParameterError, StructureError
 
 
 def sandwich_ok(dec):
@@ -38,7 +40,7 @@ def test_cube_count_matches_enumeration_oracle(unit_square, square_dec6):
         lo = origin + np.array([ix, iy]) * side
         hi = lo + side
         center = lo + side / 2.0
-        d2 = wt.boxes_boundary_dist_sq(unit_square, lo[None, :], hi[None, :])[0]
+        d2 = wt.boxes_boundary_dist_sq(unit_square, lo[None, :], hi[None, :])[0][0]
         inside = geo.contains(unit_square, center)
         return inside and d2 >= 2.0 * side * side
 
@@ -153,6 +155,17 @@ def test_covering_away_from_collar(square_dec6, unit_square):
         assert dec.locate(p) is not None
 
 
+def test_find_exact_and_out_of_lattice(square_dec6):
+    dec = square_dec6
+    lev, i, j = dec.levels, dec.indices[:, 0], dec.indices[:, 1]
+    assert np.array_equal(dec.find(lev, i, j), np.arange(len(dec)))
+    side = 1 << lev
+    for di, dj in ((side, 0), (0, side), (-i - 1, 0), (0, -j - 1)):
+        assert (dec.find(lev, i + di, j + dj) == -1).all()
+    assert (dec.find(lev + 1, 2 * i, 2 * j) == -1).all() and (dec.find(-1, 0, 0) == -1).all()
+    assert dec.locate((1.6, 0.5)) is None and dec.locate((-0.6, 0.5)) is None
+
+
 def test_empty_decomposition_error():
     sliver = geo.PolygonalDomain(
         np.array([[0, 0], [1.0, 0], [1.0, 0.001], [0, 0.001]]), name="sliver"
@@ -173,3 +186,186 @@ def test_json_roundtrip(square_dec6, unit_square):
     assert np.array_equal(back.indices, square_dec6.indices)
     assert back.neighbors == square_dec6.neighbors
     assert back.face_neighbors == square_dec6.face_neighbors
+
+
+# ---------------------------------------------------------------------------
+# dense oracle: every candidate box and center against every polygon edge,
+# with the construction's per-pair arithmetic and no edge culling
+
+
+def dense_clip(edges, los, his):
+    p, q = edges[:, 0], edges[:, 1]
+    d = q - p
+    M, E = len(los), len(edges)
+    t0, t1 = np.zeros((M, E)), np.ones((M, E))
+    alive = np.ones((M, E), dtype=bool)
+    for axis in range(2):
+        p0 = p[None, :, axis]
+        dd = np.broadcast_to(d[None, :, axis], (M, E))
+        for sign, bound in ((-1.0, los[:, axis][:, None]), (1.0, his[:, axis][:, None])):
+            num = sign * (bound - p0)
+            den = sign * dd
+            par = den == 0
+            alive &= ~(par & (num < 0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.where(par, 0.0, num / den)
+            t0 = np.where(~par & (den < 0), np.maximum(t0, t), t0)
+            t1 = np.where(~par & (den > 0), np.minimum(t1, t), t1)
+    return alive, t0, t1
+
+
+def dense_box_dist_sq(lo, hi, edges):
+    a, b = edges[:, 0], edges[:, 1]
+    d = b - a
+    alive, t0, t1 = dense_clip(edges, lo, hi)
+    corners = np.stack([np.stack([lo[:, 0], lo[:, 1]], axis=1),
+                        np.stack([hi[:, 0], lo[:, 1]], axis=1),
+                        np.stack([hi[:, 0], hi[:, 1]], axis=1),
+                        np.stack([lo[:, 0], hi[:, 1]], axis=1)], axis=1)
+    ab2 = (d * d).sum(axis=1)
+    ab2 = np.where(ab2 == 0, 1.0, ab2)
+    ap = corners[:, :, None, :] - a[None, None, :, :]
+    t = np.clip((ap * d[None, None]).sum(axis=3) / ab2, 0.0, 1.0)
+    diff = ap - t[..., None] * d[None, None]
+    d2 = (diff * diff).sum(axis=3).min(axis=1)
+    for pt in (a, b):
+        dx = np.maximum(np.maximum(lo[:, None, 0] - pt[None, :, 0], 0.0), pt[None, :, 0] - hi[:, None, 0])
+        dy = np.maximum(np.maximum(lo[:, None, 1] - pt[None, :, 1], 0.0), pt[None, :, 1] - hi[:, None, 1])
+        d2 = np.minimum(d2, dx * dx + dy * dy)
+    return np.where(alive & (t0 <= t1), 0.0, d2).min(axis=1)
+
+
+def dense_center_dist(points, edges):
+    a, ab = edges[:, 0], edges[:, 1] - edges[:, 0]
+    ap = points[:, None, :] - a[None]
+    denom = (ab * ab).sum(axis=1)
+    denom = np.where(denom == 0, 1.0, denom)
+    t = np.clip((ap * ab[None]).sum(axis=2) / denom, 0.0, 1.0)
+    diff = ap - t[:, :, None] * ab[None]
+    return np.sqrt((diff * diff).sum(axis=2).min(axis=1))
+
+
+def dense_whitney(dom, max_level):
+    """(levels, indices, dist_sq) of the maximal Whitney cubes, testing every
+    active cube against every edge."""
+    frame = wt.frame_for_domain(dom)
+    origin = np.asarray(frame.origin)
+    chunk = max(1, 200_000 // dom.n_edges)
+    acc = []
+    active = np.zeros((1, 2), dtype=np.int64)
+    for level in range(max_level + 1):
+        side = frame.cube_side(level)
+        lo = origin + active * side
+        hi, centers = lo + side, lo + side / 2.0
+        d2, cdist = np.empty(len(lo)), np.empty(len(lo))
+        for i in range(0, len(lo), chunk):
+            d2[i:i + chunk] = dense_box_dist_sq(lo[i:i + chunk], hi[i:i + chunk], dom.edges)
+            cdist[i:i + chunk] = dense_center_dist(centers[i:i + chunk], dom.edges)
+        inside = geo.contains_many(dom, centers, dist=cdist)
+        accept = inside & (d2 >= 2.0 * side * side)
+        acc += [(level, ij, v) for ij, v in zip(active[accept].tolist(), d2[accept])]
+        split = ~accept & ~(~inside & (d2 > 0.0))
+        offs = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+        active = (active[split][:, None] * 2 + offs[None]).reshape(-1, 2)
+        if not len(active):
+            break
+    acc.sort(key=lambda c: (c[0], c[1][0], c[1][1]))
+    return (np.array([c[0] for c in acc], dtype=np.int64),
+            np.array([c[1] for c in acc], dtype=np.int64),
+            np.array([c[2] for c in acc]))
+
+
+def assert_matches_dense(dom, max_level):
+    dec = wt.whitney_decompose(dom, max_level)
+    levels, indices, dist_sq = dense_whitney(dom, max_level)
+    assert dec.levels.tobytes() == levels.tobytes()
+    assert dec.indices.tobytes() == indices.tobytes()
+    assert dec.dist_sq.tobytes() == dist_sq.tobytes()
+
+
+@pytest.mark.parametrize("preset,kw,level", [
+    ("unit_square", {}, 9),
+    ("l_shape", {}, 8),
+    ("slit_square", {}, 9),
+    ("koch_prefractal", {"level": 2}, 7),
+    ("koch_prefractal", {"level": 3}, 8),
+    ("koch_prefractal", {"level": 4}, 7),
+])
+def test_culled_construction_matches_dense_oracle(preset, kw, level):
+    assert_matches_dense(geo.make_domain(preset, **kw), level)
+
+
+@st.composite
+def star_polygons(draw):
+    n = draw(st.integers(3, 16))
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.floats(0.25, 1.0), min_size=n, max_size=n)))
+    angles = np.cumsum(gaps) * (2 * math.pi / gaps.sum())
+    assume(np.diff(np.concatenate([[0.0], angles])).max() < 0.9 * math.pi)
+    verts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+    try:
+        return geo.PolygonalDomain(verts, name="star")
+    except ParameterError:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=1000, derandomize=True, database=None)
+@given(star_polygons())
+def test_culled_construction_matches_dense_oracle_on_star_polygons(dom):
+    try:
+        assert_matches_dense(dom, 6)
+    except EmptyDecompositionError:
+        assume(False)
+
+
+def assert_adjacency_matches_brute_force(dec):
+    lo, hi = dec.spans()
+    alo = np.maximum(lo[:, None], lo[None])
+    ahi = np.minimum(hi[:, None], hi[None])
+    deg = alo == ahi
+    meet = (alo <= ahi).all(axis=2)
+    touch = meet & deg.any(axis=2)
+    face = meet & (deg[..., 0] != deg[..., 1])
+    assert dec.neighbors == [np.flatnonzero(r).tolist() for r in touch]
+    assert dec.face_neighbors == [np.flatnonzero(r).tolist() for r in face]
+    assert sum(map(len, dec.neighbors)) > sum(map(len, dec.face_neighbors)) > 0
+
+
+def test_neighbors_match_brute_force(koch3):
+    assert_adjacency_matches_brute_force(wt.whitney_decompose(koch3, 7))
+
+
+def test_neighbors_two_levels_apart_match_brute_force(unit_square):
+    # a level-2 cube ringed by level-4 cubes, two level-3 cubes beside the ring
+    cubes = [(2, 1, 1), (3, 5, 1), (3, 1, 5)]
+    cubes += [(4, x, y) for x in range(3, 9) for y in range(3, 9) if x in (3, 8) or y in (3, 8)]
+    cubes.sort()
+    dec = wt.WhitneyDecomposition(
+        domain=unit_square,
+        frame=wt.Frame((-0.5, -0.5), 2.0),
+        max_level=4,
+        levels=np.array([c[0] for c in cubes]),
+        indices=np.array([c[1:] for c in cubes]),
+        dist=np.full(len(cubes), 0.1),
+        dist_sq=np.full(len(cubes), 0.01),
+    )
+    assert len(dec.neighbors[0]) == 20  # the ring touches the level-2 cube
+    assert_adjacency_matches_brute_force(dec)
+
+
+@pytest.mark.parametrize("levels,indices,match", [
+    ([4, 4], [[8, 7], [7, 7]], "sorted"),
+    ([4, 4], [[7, 7], [7, 7]], "distinct"),
+    ([2, 4], [[4, 0], [1, 1]], "lattice"),
+])
+def test_cube_order_invariant_checked(unit_square, levels, indices, match):
+    with pytest.raises(StructureError, match=match):
+        wt.WhitneyDecomposition(
+            domain=unit_square,
+            frame=wt.Frame((-0.5, -0.5), 2.0),
+            max_level=4,
+            levels=np.array(levels),
+            indices=np.array(indices),
+            dist=np.array([0.2, 0.2]),
+            dist_sq=np.array([0.04, 0.04]),
+        )
