@@ -300,6 +300,10 @@ def cmd_korn(args) -> int:
 
 
 def cmd_fefferman_stein(args) -> int:
+    try:
+        sigmas = [float(v) for v in args.sigmas.split(",")]
+    except ValueError:
+        raise ParameterError(f"bad --sigmas {args.sigmas!r}: expected numbers") from None
     dom = _domain_from_args(args)
     grid = fields.make_grid(dom, args.h)
     freq = args.checker_frequency
@@ -307,7 +311,7 @@ def cmd_fefferman_stein(args) -> int:
         grid, lambda x, y: np.sign(np.sin(freq * math.pi * x) * np.sin(freq * math.pi * y))
     )
     reports = []
-    for sigma in (float(v) for v in args.sigmas.split(",")):
+    for sigma in sigmas:
         reports.append(
             ineq.fefferman_stein_ratio(f, args.p, args.beta, sigma, scales=args.scales,
                                        label="checkerboard")

@@ -114,27 +114,37 @@ def _scan_cover_count(pts_lex: np.ndarray, r: float, reach: bool = True) -> int:
     With ``reach`` the ball covering the first uncovered point u is centered
     at the admissible point farthest from u; without it the center is u
     itself, which makes the centers pairwise more than r apart (packing).
+
+    Each ball looks only at the points with x in [x - r', x + r'], a
+    contiguous run of the lex order, for r' = r widened by a relative 1e-9:
+    a point farther out in x has a squared distance above r^2 even after
+    rounding. So the candidates, their order, the argmax and the count are
+    those of a scan over all points.
     """
     n = len(pts_lex)
     covered = np.zeros(n, dtype=bool)
     r2 = r * r
+    xs, rw = pts_lex[:, 0], r * (1.0 + 1e-9)
+    first = np.searchsorted(xs, xs - rw).tolist()  # window of each point
+    stop = np.searchsorted(xs, xs + rw, side="right").tolist()
     count = 0
     ptr = 0
     while ptr < n:
         if covered[ptr]:
             ptr += 1
             continue
-        u = pts_lex[ptr]
-        diff = pts_lex - u
+        a, b = first[ptr], stop[ptr]
+        diff = pts_lex[a:b] - pts_lex[ptr]
         du2 = (diff * diff).sum(axis=1)
         if reach:
-            du2[covered] = np.inf
+            du2[covered[a:b]] = np.inf
             cand = np.where(du2 <= r2)[0]
-            c = pts_lex[cand[int(du2[cand].argmax())]]
-            diff = pts_lex - c
-            covered |= (diff * diff).sum(axis=1) <= r2
+            k = a + int(cand[du2[cand].argmax()])
+            a, b = first[k], stop[k]
+            diff = pts_lex[a:b] - pts_lex[k]
+            covered[a:b] |= (diff * diff).sum(axis=1) <= r2
         else:
-            covered |= du2 <= r2
+            covered[a:b] |= du2 <= r2
         count += 1
     return count
 

@@ -76,8 +76,8 @@ class VectorFieldGrid:
 
 def make_grid(dom: PolygonalDomain, h: float, origin=None, dims=None) -> GridFunction:
     """Empty grid function covering the domain bounding box at cell size h."""
-    if h <= 0:
-        raise ParameterError("h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ParameterError(f"h must be positive and finite, got {h!r}")
     lo, hi = dom.bounding_box()
     if origin is None:
         origin = (float(lo[0]), float(lo[1]))

@@ -30,6 +30,11 @@ class PolygonalDomain:
     vertices: np.ndarray
     name: str = "polygon"
     _edges: np.ndarray = field(init=False, repr=False, compare=False)
+    # Edges per y-slab: ``_parity_slabs`` over each edge's half-open range
+    # [ylo, yhi), exactly the edges a rightward ray from a point of that y
+    # can cross; ``_near_slabs`` over [ylo - delta, yhi + delta).
+    _parity_slabs: SlabIndex = field(init=False, repr=False, compare=False)
+    _near_slabs: SlabIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=float)
@@ -44,6 +49,17 @@ class PolygonalDomain:
             raise ParameterError("polygon must be counter-clockwise (signed area > 0)")
         if not _is_simple(edges):
             raise ParameterError("polygon edges may intersect only at shared endpoints")
+        ylo, yhi = edges[:, :, 1].min(axis=1), edges[:, :, 1].max(axis=1)
+        object.__setattr__(self, "_parity_slabs", SlabIndex.build(ylo, yhi))
+        # A point whose y is outside [ylo - delta, yhi + delta) lies more than
+        # delta = 2 BOUNDARY_EPS + 1e-9 extent from the edge. The kernel's
+        # rounding error is a few ulps of |p - a| + |b - a|: far below 1e-9
+        # of the extent while p is within a few extents of the edge, and
+        # small against the distance itself otherwise. So the computed
+        # distance of an edge left out stays above BOUNDARY_EPS, and those
+        # edges never decide the near-boundary test.
+        delta = 2.0 * BOUNDARY_EPS + 1e-9 * float(np.ptp(verts, axis=0).max())
+        object.__setattr__(self, "_near_slabs", SlabIndex.build(ylo - delta, yhi + delta))
 
     @property
     def edges(self) -> np.ndarray:
@@ -202,27 +218,40 @@ def _koch_vertices(level: int, side: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # predicates
 
+# Pairs of (point, edge) evaluated per numpy pass; bounds the temporaries.
+PAIR_CHUNK = 1 << 18
 
-def _point_edge_dist_sq(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Squared distance of each point to each edge, shape (M, E)."""
-    a = edges[:, 0]
-    ab = edges[:, 1] - edges[:, 0]
-    ap = points[:, None, :] - a[None, :, :]
-    denom = (ab * ab).sum(axis=1)
-    denom = np.where(denom == 0, 1.0, denom)
-    t = (ap * ab[None, :, :]).sum(axis=2) / denom
-    t = np.clip(t, 0.0, 1.0)
-    diff = ap - t[:, :, None] * ab[None, :, :]
-    return (diff * diff).sum(axis=2)
+
+def point_segment_dist_sq(px, py, ax, ay, dx, dy, ab2):
+    """Squared distance of points to segments a + t d, t in [0, 1], elementwise.
+
+    ``ab2`` is d . d with zero-length segments mapped to 1; see
+    ``segment_parts``. Every point-to-edge distance in the package runs
+    through this kernel, so the same pair always gives the same float.
+    """
+    apx, apy = px - ax, py - ay
+    t = np.clip((apx * dx + apy * dy) / ab2, 0.0, 1.0)
+    ex, ey = apx - t * dx, apy - t * dy
+    return ex * ex + ey * ey
+
+
+def segment_parts(a, b):
+    """(ax, ay, dx, dy, ab2) of segments [a, b] given as (..., 2) endpoints."""
+    ax, ay = a[..., 0], a[..., 1]
+    dx, dy = b[..., 0] - ax, b[..., 1] - ay
+    ab2 = dx * dx + dy * dy
+    return ax, ay, dx, dy, np.where(ab2 == 0, 1.0, ab2)
 
 
 def boundary_distances(dom: PolygonalDomain, points) -> np.ndarray:
     """Distance to the polygon boundary for an (M, 2) array of points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(len(pts))
-    chunk = max(1, 4_000_000 // max(1, dom.n_edges))
+    parts = segment_parts(dom.edges[:, 0], dom.edges[:, 1])
+    chunk = max(1, PAIR_CHUNK // dom.n_edges)
     for i in range(0, len(pts), chunk):
-        d2 = _point_edge_dist_sq(pts[i : i + chunk], dom.edges)
+        p = pts[i : i + chunk]
+        d2 = point_segment_dist_sq(p[:, 0:1], p[:, 1:2], *parts)
         out[i : i + chunk] = np.sqrt(d2.min(axis=1))
     return out
 
@@ -232,20 +261,81 @@ def distance_to_boundary(dom: PolygonalDomain, x) -> float:
     return float(boundary_distances(dom, np.asarray(x, dtype=float)[None, :])[0])
 
 
+@dataclass(frozen=True)
+class SlabIndex:
+    """Edges by horizontal slab, for queries that only need nearby edges.
+
+    ``breaks`` holds the sorted distinct ends of the edges' y-ranges; slab
+    k >= 1 is [breaks[k - 1], breaks[k]), slab 0 lies below and slab
+    len(breaks) above every range, and both are empty. ``edges[ptr[k]:ptr[k
+    + 1]]`` are, in increasing order, the edges whose half-open range
+    [ylo, yhi) covers slab k, so a y lies in an edge's range iff the edge is
+    listed for the slab of y.
+    """
+
+    breaks: np.ndarray
+    ptr: np.ndarray
+    edges: np.ndarray
+
+    @classmethod
+    def build(cls, ylo, yhi) -> SlabIndex:
+        breaks = np.unique(np.concatenate([ylo, yhi]))
+        first = np.searchsorted(breaks, ylo) + 1  # slab starting at ylo
+        counts = np.searchsorted(breaks, yhi) + 1 - first
+        slab = index_ranges(first, counts)
+        edge = np.repeat(np.arange(len(ylo)), counts)
+        order = np.argsort(slab, kind="stable")
+        ptr = np.searchsorted(slab[order], np.arange(len(breaks) + 2))
+        return cls(breaks, ptr, edge[order])
+
+    def chunks(self, ys):
+        """Yield ``(start, stop, owner, edge)`` over consecutive runs of
+        ``ys``: the (point, edge) pairs of the run's slabs, at most
+        PAIR_CHUNK of them unless one point alone has more, with ``owner``
+        counted from ``start``."""
+        slab = np.searchsorted(self.breaks, ys, side="right")
+        first, counts = self.ptr[slab], np.diff(self.ptr)[slab]
+        ends = np.cumsum(counts)
+        start = 0
+        while start < len(ys):
+            base = ends[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, base + PAIR_CHUNK, side="right")))
+            c = counts[start:stop]
+            yield (start, stop, np.repeat(np.arange(stop - start), c),
+                   self.edges[index_ranges(first[start:stop], c)])
+            start = stop
+
+
 def contains_many(dom: PolygonalDomain, points, dist=None) -> np.ndarray:
-    """Open containment by ray-casting parity; near-boundary points excluded."""
+    """Open containment by ray-casting parity; near-boundary points excluded.
+
+    A point is inside when a rightward ray crosses the boundary an odd
+    number of times and its distance ``dist`` (computed when not given)
+    exceeds BOUNDARY_EPS. Both tests visit only the edges of the point's
+    slab in the domain's slab indexes; see ``PolygonalDomain``.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    px, py = pts[:, 0], pts[:, 1]
     v = dom.vertices
     w = np.roll(v, -1, axis=0)
-    inside = np.zeros(len(pts), dtype=bool)
-    px, py = pts[:, 0:1], pts[:, 1:2]
-    cond = (v[:, 1] > py) != (w[:, 1] > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xin = (w[:, 0] - v[:, 0]) * (py - v[:, 1]) / (w[:, 1] - v[:, 1]) + v[:, 0]
-    crossing = cond & (px < xin)
-    inside = crossing.sum(axis=1) % 2 == 1
-    d = boundary_distances(dom, pts) if dist is None else np.asarray(dist)
-    return inside & (d > BOUNDARY_EPS)
+    crossings = np.zeros(len(pts), dtype=np.int64)
+    for start, stop, owner, e in dom._parity_slabs.chunks(py):
+        o = owner + start
+        xin = (w[e, 0] - v[e, 0]) * (py[o] - v[e, 1]) / (w[e, 1] - v[e, 1]) + v[e, 0]
+        crossings[start:stop] = np.bincount(owner[px[o] < xin], minlength=stop - start)
+    inside = crossings % 2 == 1
+    if dist is not None:
+        return inside & (np.asarray(dist) > BOUNDARY_EPS)
+    d2 = np.full(len(pts), np.inf)
+    parts = segment_parts(dom.edges[:, 0], dom.edges[:, 1])
+    for start, stop, owner, e in dom._near_slabs.chunks(py):
+        if len(e) == 0:
+            continue
+        o = owner + start
+        pair = point_segment_dist_sq(px[o], py[o], *(x[e] for x in parts))
+        heads = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        d2[o[heads]] = np.minimum.reduceat(pair, heads)
+    return inside & (np.sqrt(d2) > BOUNDARY_EPS)
 
 
 def contains(dom: PolygonalDomain, x) -> bool:

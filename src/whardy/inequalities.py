@@ -275,8 +275,8 @@ def sharp_maximal(f: GridFunction, sigma: float = 1.0,
     sigma Q inside the open domain; zero if no cube qualifies. The result is
     extended by zero outside the domain mask.
     """
-    if sigma < 1.0:
-        raise ParameterError("sigma must be >= 1")
+    if not 1.0 <= sigma < math.inf:
+        raise ParameterError(f"sigma must be finite and >= 1, got {sigma!r}")
     nx, ny = f.dims
     vals = np.where(f.mask, f.values, 0.0)
     out = np.zeros((nx, ny))

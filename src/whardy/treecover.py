@@ -482,15 +482,13 @@ def verify_shadow_lemma(stats: ShadowStats, lam: float) -> float:
 
 
 def tree_to_json(tree: TreeCovering) -> str:
-    obj = {
-        "root": int(tree.root),
-        "parent": [int(p) for p in tree.parent],
-        "K": tree.K,
-        "B": [
-            None
-            if b is None
-            else {"center": list(b.center), "half_widths": list(b.half_widths)}
-            for b in tree.boxes
-        ],
-    }
+    kids = [t for t, b in enumerate(tree.boxes) if b is not None]
+    B: list = [None] * len(tree.boxes)
+    if kids:
+        lo = np.array([tree.boxes[t].lo for t in kids])
+        hi = np.array([tree.boxes[t].hi for t in kids])
+        rows = zip(kids, ((lo + hi) / 2.0).tolist(), ((hi - lo) / 2.0).tolist())
+        for t, center, half in rows:
+            B[t] = {"center": center, "half_widths": half}
+    obj = {"root": int(tree.root), "parent": tree.parent.tolist(), "K": tree.K, "B": B}
     return json.dumps(obj, sort_keys=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry
 from .errors import EmptyDecompositionError, ParameterError, StructureError
-from .geometry import PolygonalDomain
+from .geometry import PAIR_CHUNK, PolygonalDomain, point_segment_dist_sq, segment_parts
 
 EXPANSION = 17.0 / 16.0
 
@@ -199,25 +199,6 @@ class WhitneyDecomposition:
 # rounding in the per-pair distances, so a list can only grow. It stays
 # sound while 2^-max_level is far above 1e-10 of the frame size.
 CANDIDATE_WIDENING = 1.0 + 1e-6
-PAIR_CHUNK = 1 << 18
-
-
-def _point_segment_dist_sq(px, py, ax, ay, dx, dy, ab2):
-    """Squared distance of points to segments a + t d, t in [0, 1], elementwise.
-
-    ``ab2`` is d . d with zero-length segments mapped to 1.
-    """
-    apx, apy = px - ax, py - ay
-    t = np.clip((apx * dx + apy * dy) / ab2, 0.0, 1.0)
-    ex, ey = apx - t * dx, apy - t * dy
-    return ex * ex + ey * ey
-
-
-def _segment_parts(a, b):
-    ax, ay = a[..., 0], a[..., 1]
-    dx, dy = b[..., 0] - ax, b[..., 1] - ay
-    ab2 = dx * dx + dy * dy
-    return ax, ay, dx, dy, np.where(ab2 == 0, 1.0, ab2)
 
 
 def _box_segment_dist_sq(lo, hi, a, b):
@@ -228,11 +209,11 @@ def _box_segment_dist_sq(lo, hi, a, b):
     corner or a segment endpoint, so checking those features is exact.
     """
     alive, t0, t1 = geometry.clip_segments(a, b, lo, hi)
-    seg = _segment_parts(a, b)
+    seg = segment_parts(a, b)
     lx, ly, hx, hy = lo[..., 0], lo[..., 1], hi[..., 0], hi[..., 1]
-    d2 = _point_segment_dist_sq(lx, ly, *seg)
+    d2 = point_segment_dist_sq(lx, ly, *seg)
     for cx, cy in ((hx, ly), (hx, hy), (lx, hy)):
-        d2 = np.minimum(d2, _point_segment_dist_sq(cx, cy, *seg))
+        d2 = np.minimum(d2, point_segment_dist_sq(cx, cy, *seg))
     for p in (a, b):
         ex = np.maximum(np.maximum(lx - p[..., 0], 0.0), p[..., 0] - hx)
         ey = np.maximum(np.maximum(ly - p[..., 1], 0.0), p[..., 1] - hy)
@@ -266,7 +247,7 @@ def boxes_boundary_dist_sq(dom: PolygonalDomain, lo, hi, ptr=None, cand=None):
 
 
 def _center_dist_sq(px, py, a, b):
-    return _point_segment_dist_sq(px, py, *_segment_parts(a, b))
+    return point_segment_dist_sq(px, py, *segment_parts(a, b))
 
 
 def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposition:
@@ -289,7 +270,6 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
     frame = frame_for_domain(dom)
     origin = np.asarray(frame.origin)
     edges = dom.edges
-    ray_chunk = max(1, 1_000_000 // dom.n_edges)
 
     acc_levels, acc_indices, acc_d2 = [], [], []
     active = np.zeros((1, 2), dtype=np.int64)  # the frame itself, level 0
@@ -308,9 +288,7 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
         cdist = np.sqrt(c2)
         inside = cdist > geometry.BOUNDARY_EPS
         ray = np.flatnonzero(parent_meets)
-        for k in range(0, len(ray), ray_chunk):
-            sel = ray[k : k + ray_chunk]
-            inside[sel] = geometry.contains_many(dom, centers[sel], dist=cdist[sel])
+        inside[ray] = geometry.contains_many(dom, centers[ray], dist=cdist[ray])
         accept = inside & (d2 >= 2.0 * side * side)
         if accept.any():
             acc_levels.append(np.full(accept.sum(), level))

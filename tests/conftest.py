@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from whardy import decomp, geometry, treecover, whitney
+from whardy.errors import ParameterError
 
 
 @pytest.fixture(scope="session")
@@ -89,3 +94,22 @@ def oracle_a_tree(parent, ell, beta, p, theta, ndim=2):
         if v > best:
             best, arg = v, t
     return best, arg
+
+
+@st.composite
+def star_polygons(draw, snap=False):
+    """Random star-shaped simple polygons around the origin. With ``snap``
+    the vertices sit on the 1/8 lattice, so y values repeat and horizontal
+    edges occur."""
+    n = draw(st.integers(3, 16))
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.floats(0.25, 1.0), min_size=n, max_size=n)))
+    angles = np.cumsum(gaps) * (2 * math.pi / gaps.sum())
+    assume(np.diff(np.concatenate([[0.0], angles])).max() < 0.9 * math.pi)
+    verts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+    if snap:
+        verts = np.round(verts * 8.0) / 8.0
+    try:
+        return geometry.PolygonalDomain(verts, name="star")
+    except ParameterError:
+        assume(False)

@@ -172,3 +172,13 @@ TREE_COMMANDS = {
 def test_every_preset_with_every_tree_subcommand(tmp_path, preset, command):
     argv = [*TREE_COMMANDS[command], "--domain", *PRESETS[preset], "--max-level", "5"]
     assert run([*argv, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["fefferman-stein", "--sigmas", "abc", "--h", "0.1"],
+    ["poincare", "--h", "nan", "--count", "1"],
+])
+def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

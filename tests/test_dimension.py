@@ -166,3 +166,40 @@ def test_csv_and_json(tmp_path, square_target):
     assert len(lines) > 1
     obj = est.to_json()
     assert '"kind": "assouad"' in obj
+
+
+def full_scan_cover_count(pts_lex, r, reach):
+    """The scan greedy examining every point for every ball."""
+    covered = np.zeros(len(pts_lex), dtype=bool)
+    count = 0
+    for ptr in range(len(pts_lex)):
+        if covered[ptr]:
+            continue
+        du2 = ((pts_lex - pts_lex[ptr]) ** 2).sum(axis=1)
+        if reach:
+            du2[covered] = np.inf
+            cand = np.where(du2 <= r * r)[0]
+            c = pts_lex[cand[int(du2[cand].argmax())]]
+            covered |= ((pts_lex - c) ** 2).sum(axis=1) <= r * r
+        else:
+            covered |= du2 <= r * r
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_windowed_scan_matches_full_scan(seed):
+    """Repeated x values and radii equal to inter-point distances, both exact
+    (points on the 1/4 lattice, a 3-4-5 distance) and as rounded floats."""
+    rng = np.random.default_rng(seed)
+    n = 120
+    lattice = rng.integers(0, 12, size=(n, 2)) / 4.0
+    xs = rng.choice(rng.random(15), size=n)  # 15 distinct x values
+    floats = np.stack([xs, rng.random(n)], axis=1)
+    for pts in (lattice, floats):
+        pts = dim._lex_sorted(pts)
+        pairs = rng.integers(0, n, size=(6, 2))
+        radii = [float(np.sqrt(((pts[i] - pts[j]) ** 2).sum())) for i, j in pairs]
+        for r in [1.25, 0.5, 0.25, *(r for r in radii if r > 0)]:
+            for reach in (True, False):
+                assert dim._scan_cover_count(pts, r, reach) == full_scan_cover_count(pts, r, reach)

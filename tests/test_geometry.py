@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import star_polygons
 from whardy import geometry as geo
 from whardy.errors import ParameterError
 
@@ -153,3 +156,107 @@ def test_box_inside_domain(unit_square, slit_square):
     # the slit notch pierces boxes spanning the vertical midline near the top
     assert not geo.box_inside_domain(slit_square, (0.4, 0.8), (0.6, 0.95))
     assert geo.box_inside_domain(slit_square, (0.1, 0.1), (0.45, 0.45))
+
+
+# ---------------------------------------------------------------------------
+# dense oracles: every point against every edge
+
+
+def dense_point_edge_dist_sq(points, edges):
+    a = edges[:, 0]
+    ab = edges[:, 1] - edges[:, 0]
+    ap = points[:, None, :] - a[None, :, :]
+    denom = (ab * ab).sum(axis=1)
+    denom = np.where(denom == 0, 1.0, denom)
+    t = np.clip((ap * ab[None, :, :]).sum(axis=2) / denom, 0.0, 1.0)
+    diff = ap - t[:, :, None] * ab[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
+def dense_boundary_distances(dom, points):
+    return np.sqrt(dense_point_edge_dist_sq(points, dom.edges).min(axis=1))
+
+
+def dense_contains_many(dom, points, dist=None):
+    v = dom.vertices
+    w = np.roll(v, -1, axis=0)
+    px, py = points[:, 0:1], points[:, 1:2]
+    cond = (v[:, 1] > py) != (w[:, 1] > py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xin = (w[:, 0] - v[:, 0]) * (py - v[:, 1]) / (w[:, 1] - v[:, 1]) + v[:, 0]
+    inside = (cond & (px < xin)).sum(axis=1) % 2 == 1
+    d = dense_boundary_distances(dom, points) if dist is None else dist
+    return inside & (d > geo.BOUNDARY_EPS)
+
+
+def probe_points(dom, seed):
+    """Points where containment is delicate, plus a uniform spread."""
+    rng = np.random.default_rng(seed)
+    v, e = dom.vertices, dom.edges
+    lo, hi = dom.bounding_box()
+    pad = 0.1 * (hi - lo)
+    dirs = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1], [1, -1], [-1, 1]])
+    pts = [v, (e[:, 0] + e[:, 1]) / 2.0, rng.uniform(lo - pad, hi + pad, size=(2000, 2))]
+    pts += [v + off * dirs[k] for off in (1e-13, 1.5e-12) for k in range(len(dirs))]
+    # rays through vertices: points at every vertex y, left of, at and right of it
+    for dx in (-0.5, -1e-13, 0.0, 1e-13, 0.3):
+        pts.append(np.stack([v[:, 0] + dx * (hi[0] - lo[0]), v[:, 1]], axis=1))
+    pts.append(np.stack([rng.uniform(lo[0] - pad[0], hi[0] + pad[0], len(v)), v[:, 1]], axis=1))
+    flat = e[e[:, 0, 1] == e[:, 1, 1]]  # horizontal edges
+    for t in (0.25, 0.5):
+        on = flat[:, 0] + t * (flat[:, 1] - flat[:, 0])
+        pts += [on + off * np.array([0.0, 1.0]) for off in (0.0, 1e-13, -1e-13, 1.5e-12)]
+    return np.concatenate(pts)
+
+
+def assert_predicates_match_dense(dom, seed=0):
+    pts = probe_points(dom, seed)
+    dist = geo.boundary_distances(dom, pts)
+    assert dist.tobytes() == dense_boundary_distances(dom, pts).tobytes()
+    want = dense_contains_many(dom, pts)
+    assert np.array_equal(geo.contains_many(dom, pts), want)
+    assert np.array_equal(geo.contains_many(dom, pts, dist=dist), want)
+
+
+@pytest.mark.parametrize("preset,kw", [
+    ("unit_square", {}),
+    ("l_shape", {}),
+    ("slit_square", {}),
+    ("slit_square", {"aperture": 1e-12}),
+    ("koch_prefractal", {"level": 0}),
+    ("koch_prefractal", {"level": 2}),
+    ("koch_prefractal", {"level": 3}),
+])
+def test_predicates_match_dense_oracle_on_presets(preset, kw):
+    assert_predicates_match_dense(geo.make_domain(preset, **kw))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.booleans().flatmap(lambda snap: star_polygons(snap=snap)), st.integers(0, 2**16))
+def test_predicates_match_dense_oracle_on_star_polygons(dom, seed):
+    assert_predicates_match_dense(dom, seed)
+
+
+def test_slab_lists_are_the_parity_condition(koch2):
+    """A slab lists exactly the edges with ylo <= y < yhi, in edge order."""
+    ys = np.concatenate([koch2.vertices[:, 1], np.linspace(-0.1, 1.0, 101)])
+    ylo, yhi = koch2.edges[:, :, 1].min(axis=1), koch2.edges[:, :, 1].max(axis=1)
+    index = koch2._parity_slabs
+    slab = np.searchsorted(index.breaks, ys, side="right")
+    for y, k in zip(ys, slab):
+        listed = index.edges[index.ptr[k]:index.ptr[k + 1]]
+        assert listed.tolist() == np.flatnonzero((ylo <= y) & (y < yhi)).tolist()
+
+
+def test_slab_chunks_cover_every_pair(koch3, monkeypatch):
+    monkeypatch.setattr(geo, "PAIR_CHUNK", 50)
+    ys = np.random.default_rng(2).uniform(-0.1, 1.0, 300)
+    index = koch3._near_slabs
+    counts = np.diff(index.ptr)[np.searchsorted(index.breaks, ys, side="right")]
+    stops, total = [0], 0
+    for start, stop, owner, e in index.chunks(ys):
+        assert start == stops[-1] and len(owner) == len(e) == counts[start:stop].sum()
+        assert len(e) <= 50 or stop == start + 1
+        stops.append(stop)
+        total += len(e)
+    assert stops[-1] == len(ys) and total == counts.sum()

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
+from conftest import star_polygons
 from whardy import geometry as geo
 from whardy import whitney as wt
 from whardy.errors import EmptyDecompositionError, ParameterError, StructureError
@@ -293,20 +293,6 @@ def assert_matches_dense(dom, max_level):
 ])
 def test_culled_construction_matches_dense_oracle(preset, kw, level):
     assert_matches_dense(geo.make_domain(preset, **kw), level)
-
-
-@st.composite
-def star_polygons(draw):
-    n = draw(st.integers(3, 16))
-    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
-    radii = np.array(draw(st.lists(st.floats(0.25, 1.0), min_size=n, max_size=n)))
-    angles = np.cumsum(gaps) * (2 * math.pi / gaps.sum())
-    assume(np.diff(np.concatenate([[0.0], angles])).max() < 0.9 * math.pi)
-    verts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-    try:
-        return geo.PolygonalDomain(verts, name="star")
-    except ParameterError:
-        assume(False)
 
 
 @settings(max_examples=40, deadline=1000, derandomize=True, database=None)
