@@ -28,6 +28,7 @@ from .whitney import whitney_decompose
 
 DEFAULT_THETA_GRID = (1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
 LOG_SPACE_LIMIT = 1e250
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,11 @@ class WeightSpec:
     theta_grid: tuple = DEFAULT_THETA_GRID
 
     def __post_init__(self):
-        if self.p <= 1:
-            raise ParameterError("p must exceed 1")
-        if any(t <= 1 for t in self.theta_grid):
-            raise ParameterError("theta grid entries must exceed 1")
+        if not math.isfinite(self.beta):
+            raise ParameterError("beta must be finite")
+        if not (math.isfinite(self.p) and self.p > 1):
+            raise ParameterError("p must be finite and exceed 1")
+        _check_thetas(self.theta_grid)
 
     @property
     def q(self) -> float:
@@ -76,56 +78,82 @@ def tree_weights(tree: TreeCovering, w: WeightSpec) -> DiscreteWeights:
     return DiscreteWeights(nu=pw, omega=pw.copy(), b=ell**tree.ndim)
 
 
+def _check_thetas(thetas):
+    if not all(math.isfinite(t) and t > 1 for t in thetas):
+        raise ParameterError("theta must be finite and exceed 1")
+
+
 def _kahan_add(acc, x):
-    """Compensated sum of column 0 of ``x`` into (sum, compensation) rows."""
-    s, c = acc[:, 0], acc[:, 1]
-    y = x[:, 0] - c
-    t = s + y
-    return np.stack([t, (t - s) - y], axis=1)
+    """Compensated sum of ``x[..., 0]`` into (sum, compensation) rows."""
+    s, c = acc[..., 0], acc[..., 1]
+    y = x[..., 0] - c
+    out = np.empty(acc.shape)
+    t = np.add(s, y, out=out[..., 0])
+    np.subtract(t - s, y, out=out[..., 1])
+    return out
 
 
-def _with_compensation(v):
-    return np.stack([v, np.zeros_like(v)], axis=1)
+def _in_range(arrays, positive, star):
+    """Every entry finite and below 1e250 in magnitude, and every Gamma*
+    entry of ``positive`` above 1e-250 (they are analytically positive, so
+    a smaller one means underflow)."""
+    return (all(np.all(np.isfinite(a)) for a in arrays)
+            and max(float(np.abs(a).max()) for a in arrays) < LOG_SPACE_LIMIT
+            and all(float(a[star].min()) > 1.0 / LOG_SPACE_LIMIT for a in positive))
 
 
 def a_tree(tree: TreeCovering, w: WeightSpec, theta: float,
            weights: DiscreteWeights | None = None):
     """Exact evaluation of the tree Hardy constant for one theta.
 
-    Returns (value, argmax node). On overflow the value is +inf and the
-    argmax points at the offending node; sums switch to log space when
-    magnitudes pass 1e+-250.
+    Returns (value, argmax node); see ``a_tree_thetas``.
     """
-    if theta <= 1:
-        raise ParameterError("theta must exceed 1")
+    return a_tree_thetas(tree, w, (theta,), weights)[0]
+
+
+def a_tree_thetas(tree: TreeCovering, w: WeightSpec, thetas,
+                  weights: DiscreteWeights | None = None) -> list:
+    """Exact evaluation of the tree Hardy constant for each theta of ``thetas``.
+
+    Returns one (value, argmax node) per theta. S is summed once; the
+    shadow sums of all thetas share one up-sweep over (n, thetas, 2) Kahan
+    rows. Each theta's exponents are Python float scalars, so numpy maps
+    them to the same sqrt/pow kernels as a single theta would. On overflow
+    the value is +inf and the argmax points at the offending node; a theta
+    whose magnitudes pass 1e+-250 is evaluated in log space.
+    """
+    _check_thetas(thetas)
     dw = tree_weights(tree, w) if weights is None else weights
     q = w.q
     n = len(tree)
     if n <= 1:
-        return 0.0, tree.root
+        return [(0.0, tree.root)] * len(thetas)
 
     term = dw.b ** (-q / w.p) * dw.nu ** (-q)
+    star = np.arange(n) != tree.root
     with np.errstate(over="ignore", invalid="ignore"):
         # S_t sums term along the path from just below the root to t
-        x = _with_compensation(term)
+        x = np.stack([term, np.zeros(n)], axis=-1)
         x[tree.root] = 0.0
         S = accumulate_down(tree, x, _kahan_add)[:, 0]
-        expo = (w.p / q) * (1.0 - 1.0 / theta)
-        e = dw.b * dw.omega**w.p * np.where(S > 0, S, 1.0) ** expo
+        Sg = np.where(S > 0, S, 1.0)
+        base = dw.b * dw.omega**w.p
+        e = np.zeros((n, len(thetas), 2))
+        for j, theta in enumerate(thetas):
+            e[:, j, 0] = base * Sg ** ((w.p / q) * (1.0 - 1.0 / theta))
         e[tree.root] = 0.0  # the root never belongs to a shadow over Gamma*
-        T = accumulate_up(tree, _with_compensation(e), _kahan_add)[:, 0]  # shadow sums
-        cand = np.where(S > 0, S ** (1.0 / (theta * q)) * T ** (1.0 / w.p), 0.0)
-    arrays = (term, S, e, T, cand)
-    finite = all(np.all(np.isfinite(a)) for a in arrays)
-    small = max(float(np.abs(a).max()) for a in arrays) < LOG_SPACE_LIMIT
-    star = np.arange(n) != tree.root
-    # every Gamma* entry is analytically positive; a zero means underflow
-    no_underflow = all(float(a[star].min()) > 1.0 / LOG_SPACE_LIMIT
-                       for a in (term, S, e, T))
-    if finite and small and no_underflow:
-        t_star = int(cand.argmax())
-        return float(cand[t_star]), t_star
-    return _a_tree_log(tree, w, theta, dw)
+        T = accumulate_up(tree, e, _kahan_add)[..., 0]  # shadow sums
+    shared_ok = _in_range((term, S), (term, S), star)
+    out = []
+    for j, theta in enumerate(thetas):
+        with np.errstate(over="ignore", invalid="ignore"):
+            cand = np.where(S > 0, S ** (1.0 / (theta * q)) * T[:, j] ** (1.0 / w.p), 0.0)
+        if shared_ok and _in_range((e[:, j, 0], T[:, j], cand), (e[:, j, 0], T[:, j]), star):
+            t_star = int(cand.argmax())
+            out.append((float(cand[t_star]), t_star))
+        else:
+            out.append(_a_tree_log(tree, w, theta, dw))
+    return out
 
 
 def _a_tree_log(tree, w, theta, dw):
@@ -152,10 +180,7 @@ def _a_tree_log(tree, w, theta, dw):
 def a_tree_min(tree: TreeCovering, w: WeightSpec,
                weights: DiscreteWeights | None = None) -> HardyReport:
     """Minimum of the tree constant over the theta grid."""
-    dw = tree_weights(tree, w) if weights is None else weights
-    per = {}
-    for theta in w.theta_grid:
-        per[theta] = a_tree(tree, w, theta, weights=dw)
+    per = dict(zip(w.theta_grid, a_tree_thetas(tree, w, w.theta_grid, weights)))
     best_theta = min(per, key=lambda th: per[th][0])
     val, arg = per[best_theta]
     return HardyReport(per_theta=per, a_tree_min=val, best_theta=best_theta, argmax=arg)
@@ -233,13 +258,14 @@ def beta_sweep(dom, p: float, betas, levels,
                theta_grid=DEFAULT_THETA_GRID) -> HardyReport:
     """A_tree_min per (beta, truncation level) with growth classification."""
     levels = list(levels)
-    if levels != sorted(levels):
-        raise ParameterError("levels must be increasing")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ParameterError("levels must be strictly increasing")
+    specs = [WeightSpec(beta=beta, p=p, theta_grid=tuple(theta_grid)) for beta in betas]
     trees = {lv: build_tree(whitney_decompose(dom, lv)) for lv in levels}
     rows = []
     classification = {}
-    for beta in betas:
-        w = WeightSpec(beta=beta, p=p, theta_grid=tuple(theta_grid))
+    for w in specs:
+        beta = w.beta
         reps = [a_tree_min(trees[lv], w) for lv in levels]
         vals = [rep.a_tree_min for rep in reps]
         cls, ratios = classify_growth(vals)
@@ -276,7 +302,12 @@ def parse_grid(text: str):
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise ParameterError(f"bad grid spec {text!r}; expected start:stop:step") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ParameterError(f"bad grid spec {text!r}; start, stop and step must be finite")
     if step <= 0:
         raise ParameterError("grid step must be positive")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    count = (stop - start) / step + 1e-9
+    if not count < MAX_GRID_POINTS:
+        raise ParameterError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    n = int(math.floor(count)) + 1
     return [start + k * step for k in range(max(n, 1))]

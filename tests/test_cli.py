@@ -177,6 +177,9 @@ def test_every_preset_with_every_tree_subcommand(tmp_path, preset, command):
 @pytest.mark.parametrize("argv", [
     ["fefferman-stein", "--sigmas", "abc", "--h", "0.1"],
     ["poincare", "--h", "nan", "--count", "1"],
+    ["hardy", "--p", "nan"],
+    ["hardy", "--p", "inf"],
+    ["hardy", "--beta-grid", "0:1:1e-300"],
 ])
 def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
     assert run([*argv, "--out", str(tmp_path)]) == 1

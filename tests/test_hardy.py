@@ -45,6 +45,15 @@ def test_a_tree_theta_validation(square_tree6):
         hd.WeightSpec(0.0, 1.0)
     with pytest.raises(ParameterError):
         hd.WeightSpec(0.0, 2.0, theta_grid=(0.9,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            hd.WeightSpec(0.0, bad)
+        with pytest.raises(ParameterError):
+            hd.WeightSpec(bad, 2.0)
+        with pytest.raises(ParameterError):
+            hd.WeightSpec(0.0, 2.0, theta_grid=(1.5, bad))
+        with pytest.raises(ParameterError):
+            hd.a_tree(square_tree6, hd.WeightSpec(0.0, 2.0), bad)
 
 
 def test_weight_spec_conjugate():
@@ -160,6 +169,79 @@ def test_a_tree_min_report(square_tree6):
     assert rep.per_theta[rep.best_theta][0] == rep.a_tree_min
 
 
+def reference_a_tree(tree, w, theta):
+    """One theta on its own: two sweeps over (n, 2) Kahan rows and scalar
+    exponents, no log-space fallback."""
+    dw = hd.tree_weights(tree, w)
+    q = w.q
+    term = dw.b ** (-q / w.p) * dw.nu ** (-q)
+    x = np.stack([term, np.zeros_like(term)], axis=1)
+    x[tree.root] = 0.0
+    S = tc.accumulate_down(tree, x, hd._kahan_add)[:, 0]
+    e = dw.b * dw.omega**w.p * np.where(S > 0, S, 1.0) ** ((w.p / q) * (1.0 - 1.0 / theta))
+    e[tree.root] = 0.0
+    T = tc.accumulate_up(tree, np.stack([e, np.zeros_like(e)], axis=1), hd._kahan_add)[:, 0]
+    cand = np.where(S > 0, S ** (1.0 / (theta * q)) * T ** (1.0 / w.p), 0.0)
+    t = int(cand.argmax())
+    return float(cand[t]), t
+
+
+def test_theta_batch_matches_single_theta_bitwise(square_trees):
+    # p = 2 with theta = 2 in the grid: both exponents are 0.5, which numpy
+    # maps to sqrt as a scalar but to pow as an array. The two differ in the
+    # last bit of about one node value in twenty; over this beta grid that
+    # reaches a reported constant at both levels.
+    assert 2.0 in hd.DEFAULT_THETA_GRID
+    for lv in (6, 7):
+        for beta in hd.parse_grid("-0.9:0.3:0.05"):
+            w = hd.WeightSpec(beta, 2.0)
+            rep = hd.a_tree_min(square_trees[lv], w)
+            for theta, got in rep.per_theta.items():
+                assert got == hd.a_tree(square_trees[lv], w, theta)
+                assert got == reference_a_tree(square_trees[lv], w, theta)
+
+
+def test_theta_batch_mixes_direct_and_log_space(monkeypatch):
+    # term and S stay inside 1e+-250, but the shadow sums of the larger
+    # thetas pass 1e250, so only those thetas go to log space
+    n = 7
+    parent = [-1] + list(range(n - 1))
+    ell = [2.0 ** (150 - 50 * k) for k in range(n)]
+    tree = tc.synthetic_tree(parent, ell)
+    w = hd.WeightSpec(-3.0, 2.0)
+    logged = []
+    log_path = hd._a_tree_log
+
+    def spy(tree, w, theta, dw):
+        logged.append(theta)
+        return log_path(tree, w, theta, dw)
+
+    monkeypatch.setattr(hd, "_a_tree_log", spy)
+    rep = hd.a_tree_min(tree, w)
+    assert 0 < len(logged) < len(w.theta_grid)
+    for theta, (val, arg) in rep.per_theta.items():
+        assert (val, arg) == hd.a_tree(tree, w, theta)
+        if theta in logged:
+            want = oracle_a_tree_log(parent, ell, -3.0, 2.0, theta)
+            assert math.log(val) == pytest.approx(want, rel=1e-10)
+        else:
+            want, want_arg = oracle_a_tree(parent, ell, -3.0, 2.0, theta)
+            assert val == pytest.approx(want, rel=1e-10)
+            assert arg == want_arg
+
+
+def test_kahan_add_rows_fold_per_column():
+    rng = np.random.default_rng(3)
+    n, k = 50, 7
+    # summands of mixed magnitude, so the compensation is not zero
+    acc = rng.standard_normal((n, k, 2)) * np.array([1e8, 1e-8])
+    x = rng.standard_normal((n, k, 2)) * 10.0 ** rng.integers(-8, 9, size=(n, k, 1))
+    got = hd._kahan_add(acc, x)
+    assert np.any(got[..., 1] != 0)
+    for j in range(k):
+        assert np.array_equal(got[:, j], hd._kahan_add(acc[:, j], x[:, j]))
+
+
 def test_beta_sweep_classification(unit_square):
     rep = hd.beta_sweep(unit_square, 2.0, [-0.3, -0.7], [5, 6, 7])
     assert rep.classification[-0.3]["class"] == "convergent"
@@ -194,6 +276,14 @@ def test_parse_grid():
         hd.parse_grid("1:2")
     with pytest.raises(ParameterError):
         hd.parse_grid("0:1:-0.5")
+    for bad in ("nan:0:0.1", "0:inf:0.1", "0:1:nan", "-inf:0:0.1", "0:1:1e-300",
+                "-1e308:1e308:1"):
+        with pytest.raises(ParameterError):
+            hd.parse_grid(bad)
+    cap = hd.MAX_GRID_POINTS
+    assert len(hd.parse_grid(f"1:{cap}:1")) == cap
+    with pytest.raises(ParameterError):
+        hd.parse_grid(f"1:{cap + 1}:1")
 
 
 def test_sweep_csv(tmp_path, unit_square):
@@ -206,5 +296,6 @@ def test_sweep_csv(tmp_path, unit_square):
 
 
 def test_levels_must_increase(unit_square):
-    with pytest.raises(ParameterError):
-        hd.beta_sweep(unit_square, 2.0, [0.0], [5, 4])
+    for levels in ([5, 4], [5, 5]):
+        with pytest.raises(ParameterError):
+            hd.beta_sweep(unit_square, 2.0, [0.0], levels)
