@@ -46,7 +46,7 @@ def _write_json(path: Path, payload: dict, args) -> None:
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _dipole(tree, grid):
+def _dipole(grid, assign):
     def bump(x, y, cx, cy, r):
         rr = ((x - cx) ** 2 + (y - cy) ** 2) / r**2
         out = np.zeros_like(x)
@@ -62,7 +62,7 @@ def _dipole(tree, grid):
         lambda x, y: bump(x, y, cx - 0.2 * span, cy, 0.15 * span)
         - bump(x, y, cx + 0.2 * span, cy, 0.15 * span),
     )
-    return decomp.covered_mean_zero(grid, decomp.assign_cells(tree, grid), f.values)
+    return decomp.covered_mean_zero(grid, assign, f.values)
 
 
 def _note_single_level(tree, consequence: str) -> None:
@@ -204,7 +204,7 @@ def cmd_decompose(args) -> int:
     g = decomp.covered_mean_zero(grid, assign, rng.standard_normal(grid.dims))
     vals = g.values
     cov = assign >= 0
-    d = decomp.c_decompose(tree, g)
+    d = decomp.c_decompose(tree, g, assign)
     rec_err = float(np.abs(d.reconstruct() - vals)[cov].max())
     max_int = max(abs(d.node_integral(t)) for t in range(len(tree)))
     ratio = decomp.decomposition_ratio(d, args.q, args.beta)
@@ -323,13 +323,14 @@ def cmd_divergence(args) -> int:
     dom = _domain_from_args(args)
     tree = treecover.build_tree(whitney.whitney_decompose(dom, args.max_level))
     grid = decomp.decomposition_grid(tree)
+    assign = decomp.assign_cells(tree, grid)
     if args.data == "collar":
         _note_single_level(tree, "the collar probe (the finest-level cubes, mean-zeroed) "
                                  "is identically zero")
-        f = decomp.collar_probe(tree, grid)
+        f = decomp.collar_probe(tree, grid, assign)
     else:
-        f = _dipole(tree, grid)
-    vec, rep = divergence.solve_divergence(tree, f, args.q, args.beta)
+        f = _dipole(grid, assign)
+    vec, rep = divergence.solve_divergence(tree, f, args.q, args.beta, assign)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fields.dump_grid(vec.components[0], out / "velocity_x.bin")

@@ -114,12 +114,16 @@ def covered_mean_zero(grid: GridFunction, assignment: np.ndarray, values) -> Gri
     return grid.with_values(vals)
 
 
-def collar_probe(tree: TreeCovering, grid: GridFunction) -> GridFunction:
+def collar_probe(tree: TreeCovering, grid: GridFunction,
+                 assignment: np.ndarray | None = None) -> GridFunction:
     """Mean-zeroed indicator of the finest-level cubes: pushes transfer mass
-    through boundary cubes at the truncation scale."""
-    assign = assign_cells(tree, grid)
+    through boundary cubes at the truncation scale. ``assignment`` is
+    ``assign_cells(tree, grid)`` when the caller already has it."""
+    if assignment is None:
+        assignment = assign_cells(tree, grid)
     fine = np.where(tree.level == tree.level.max())[0]
-    return covered_mean_zero(grid, assign, np.where(np.isin(assign, fine), 1.0, 0.0))
+    return covered_mean_zero(grid, assignment,
+                             np.where(np.isin(assignment, fine), 1.0, 0.0))
 
 
 def _snap_b_cells(tree: TreeCovering, grid: GridFunction, t: int) -> np.ndarray:
@@ -154,17 +158,20 @@ def _snap_b_cells(tree: TreeCovering, grid: GridFunction, t: int) -> np.ndarray:
     return (ii * ny + jj).astype(np.int64)
 
 
-def c_decompose(tree: TreeCovering, g: GridFunction) -> Decomposition:
+def c_decompose(tree: TreeCovering, g: GridFunction,
+                assignment: np.ndarray | None = None) -> Decomposition:
     """Split g into pieces g_t with supp in U_t and zero integral each.
 
     g_t = g. restricted to Q_t, plus the children's transferred masses on
     their boxes, minus the own shadow mass m_t spread over B_t. Requires a
     mean-zero g over the covered cells; collar cells are excluded and
-    counted.
+    counted. ``assignment`` is ``assign_cells(tree, g)`` when the caller
+    already has it.
     """
     if g.h <= 0:
         raise ParameterError("bad grid")
-    assignment = assign_cells(tree, g)
+    if assignment is None:
+        assignment = assign_cells(tree, g)
     covered = assignment >= 0
     uncovered = int((g.mask & ~covered).sum())
     h2 = g.h * g.h

@@ -5,14 +5,15 @@ each piece gets a minimal-Dirichlet-energy MAC solution of div u_t = f_t on
 its own cell patch with zero boundary faces, and the global field is the
 face-wise sum. Local problems are equality-constrained quadratic programs
 solved through the sparse KKT saddle system with one pressure multiplier
-pinned per patch; the divergence constraint is verified cellwise after
-every solve.
+pinned per patch, factored once per patch shape; the divergence
+constraint is verified cellwise after every solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,24 +61,32 @@ class MacField:
         return VectorFieldGrid((g.with_values(u), g.with_values(v)))
 
 
-def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int,
-                    h: float, node: int = -1) -> LocalSolve:
-    """Minimal gradient-energy staggered velocity with div u = f on the patch.
+def patch_key(cells: np.ndarray, ny: int) -> bytes:
+    """Shape key of a patch: its (i - i_min, j - j_min) pairs in input cell order.
 
-    ``cells`` are flat ids (i * ny + j) of the patch; ``f_vals`` the target
-    divergence per cell. Velocities on faces not interior to the patch are
-    zero. Requires the discrete integral of f to vanish.
+    Faces and unknowns are numbered in input cell order, so patches with
+    equal keys share one local system, whatever their position, ``ny`` or
+    ``h`` (which only scales the right-hand side).
     """
-    cells = np.asarray(cells, dtype=np.int64)
-    f_vals = np.asarray(f_vals, dtype=float)
-    total = float(f_vals.sum()) * h * h
-    l1 = float(np.abs(f_vals).sum()) * h * h
-    if l1 > 0 and abs(total) > 1e-10 * l1:
-        raise CompatibilityError(f"nonzero mean on node {node}: {total:.3e}")
-    nc = len(cells)
-    ii, jj = np.divmod(cells, ny)
-    ij = np.stack([ii, jj], axis=1)
+    ii, jj = np.divmod(np.asarray(cells, dtype=np.int64), ny)
+    if len(ii) == 0:
+        return b""
+    return np.stack([ii - ii.min(), jj - jj.min()], axis=1).tobytes()
 
+
+class _PatchSystem(NamedTuple):
+    """The shape-dependent part of a local solve."""
+
+    has_fx: np.ndarray  # cells whose low x-face is interior to the patch
+    has_fy: np.ndarray
+    nfx: int
+    A: sp.csr_matrix | None  # face Laplacian of the energy; None without faces
+    B: sp.csr_matrix | None  # cellwise divergence, rows in input cell order
+    lu: spla.SuperLU | None  # factor of the pinned KKT matrix
+
+
+def _patch_system(ii: np.ndarray, jj: np.ndarray, ny: int, node: int) -> _PatchSystem:
+    nc = len(ii)
     # Face (i, j) sits on the low side of cell (i, j) and shares its key
     # i * (ny + 1) + j. The spare column j = ny keeps the lattice steps
     # +-(ny + 1) and +-1 from wrapping across grid rows.
@@ -96,10 +105,7 @@ def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int,
     nfx = int(has_fx.sum())
     nf = nfx + int(has_fy.sum())
     if nf == 0:
-        if l1 > 0:
-            raise CompatibilityError(f"patch of node {node} has no interior face")
-        return LocalSolve(node, cells, ij[has_fx], np.zeros(0), ij[has_fy], np.zeros(0),
-                          0.0, 0.0)
+        return _PatchSystem(has_fx, has_fy, 0, None, None, None)
 
     # unknown number of the x- (y-) face keyed by each cell, -1 for none;
     # the trailing -1 is what a missing cell (index -1) reads
@@ -122,7 +128,6 @@ def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int,
     b_col = div[b_row, k]
     b_val = np.array([1.0, -1.0, 1.0, -1.0])[k]
     B = sp.coo_matrix((b_val, (b_row, b_col)), shape=(nc, nf)).tocsr()
-    rhs_c = h * f_vals
 
     # KKT [[A, B1^T], [B1, 0]], where B1 is B without its first row: the
     # first cell's multiplier is pinned (B has a constant null space per
@@ -134,8 +139,52 @@ def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int,
          (np.concatenate([a_row, m_row, m_col]), np.concatenate([a_col, m_col, m_row]))),
         shape=(nf + nc - 1, nf + nc - 1),
     ).tocsc()
-    rhs = np.concatenate([np.zeros(nf), rhs_c[1:]])
-    u = spla.spsolve(K, rhs)[:nf]
+    try:
+        lu = spla.splu(K)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise ConvergenceError(f"local KKT system of node {node} is singular: {exc}") from exc
+    return _PatchSystem(has_fx, has_fy, nfx, A, B, lu)
+
+
+def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int,
+                    h: float, node: int = -1, factors: dict | None = None) -> LocalSolve:
+    """Minimal gradient-energy staggered velocity with div u = f on the patch.
+
+    ``cells`` are flat ids (i * ny + j) of the patch; ``f_vals`` the target
+    divergence per cell. Velocities on faces not interior to the patch are
+    zero. Requires the discrete integral of f to vanish.
+
+    ``factors`` holds the factored system of the last patch shape solved
+    (see ``patch_key``): a patch of that shape reuses it, any other shape
+    replaces it. Without it every call factors afresh; the floats are the
+    same either way.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    f_vals = np.asarray(f_vals, dtype=float)
+    total = float(f_vals.sum()) * h * h
+    l1 = float(np.abs(f_vals).sum()) * h * h
+    if l1 > 0 and abs(total) > 1e-10 * l1:
+        raise CompatibilityError(f"nonzero mean on node {node}: {total:.3e}")
+    ii, jj = np.divmod(cells, ny)
+    ij = np.stack([ii, jj], axis=1)
+    if factors is None:
+        system = _patch_system(ii, jj, ny, node)
+    else:
+        key = patch_key(cells, ny)
+        if key not in factors:
+            factors.clear()  # before factoring, so two factors are never alive at once
+            factors[key] = _patch_system(ii, jj, ny, node)
+        system = factors[key]
+    has_fx, has_fy, nfx, A, B, lu = system
+    if lu is None:
+        if l1 > 0:
+            raise CompatibilityError(f"patch of node {node} has no interior face")
+        return LocalSolve(node, cells, ij[has_fx], np.zeros(0), ij[has_fy], np.zeros(0),
+                          0.0, 0.0)
+
+    nf = A.shape[0]
+    rhs_c = h * f_vals
+    u = lu.solve(np.concatenate([np.zeros(nf), rhs_c[1:]]))[:nf]
 
     scale = float(np.linalg.norm(rhs_c)) or 1.0
     residual = float(np.linalg.norm(B @ u - rhs_c)) / scale
@@ -150,33 +199,44 @@ def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int,
                       residual)
 
 
-def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float):
+def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float,
+                     assignment: np.ndarray | None = None):
     """Assemble u = sum of local solutions; report the weighted a-priori ratio.
 
     f must live on ``decomposition_grid(tree)`` and have zero mean over the
-    covered cells. The energy minimized locally is the 2-energy regardless
-    of q; the reported norms use the requested q (surrogate documented in
-    the report).
+    covered cells; ``assignment`` is ``assign_cells(tree, f)`` when the
+    caller already has it. The energy minimized locally is the 2-energy
+    regardless of q; the reported norms use the requested q (surrogate
+    documented in the report).
     """
     if q <= 1:
         raise ParameterError("q must exceed 1")
     if (f.h, f.origin, f.dims, f.frame_offset) != grid_layout(tree):
         raise ParameterError("f is not sampled on decomposition_grid(tree)")
-    dec = c_decompose(tree, f)
+    dec = c_decompose(tree, f, assignment)
 
     nx, ny = f.dims
+    # supp(g_t) is the local patch: the cube's cells, its own transfer box
+    # and its children's, which all connect through the shared faces. The
+    # nodes are visited grouped by patch shape (a stable sort, so node order
+    # within a group), so each shape is factored once and only one factor
+    # is alive at a time.
+    keys = [patch_key(cells, ny) for cells in dec.cells]
+    order = sorted(range(len(tree)), key=keys.__getitem__)
+    del keys  # 16 bytes per patch cell, unused while solving
+    factors: dict = {}
+    solves: list = [None] * len(tree)
+    for t in order:
+        solves[t] = local_div_solve(dec.cells[t], dec.values[t], ny, f.h, node=t,
+                                    factors=factors)
+    del factors  # frees the last factor before the norms below
+    # summed in node order, so every float is independent of the visit order
     FX = np.zeros((nx + 1, ny))
     FY = np.zeros((nx, ny + 1))
-    energies = []
-    solves = []
-    for t in range(len(tree)):
-        # supp(g_t) is the local patch: the cube's cells, its own transfer box
-        # and its children's, which all connect through the shared faces
-        loc = local_div_solve(dec.cells[t], dec.values[t], ny, f.h, node=t)
-        solves.append(loc)
-        energies.append(loc.energy)
+    for loc in solves:
         FX[loc.fx_ij[:, 0], loc.fx_ij[:, 1]] += loc.fx
         FY[loc.fy_ij[:, 0], loc.fy_ij[:, 1]] += loc.fy
+    energies = [loc.energy for loc in solves]
 
     mac = MacField(grid=f, fx=FX, fy=FY)
     covered = dec.assignment >= 0

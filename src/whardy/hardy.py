@@ -129,9 +129,9 @@ def a_tree_thetas(tree: TreeCovering, w: WeightSpec, thetas,
     if n <= 1:
         return [(0.0, tree.root)] * len(thetas)
 
-    term = dw.b ** (-q / w.p) * dw.nu ** (-q)
     star = np.arange(n) != tree.root
     with np.errstate(over="ignore", invalid="ignore"):
+        term = dw.b ** (-q / w.p) * dw.nu ** (-q)
         # S_t sums term along the path from just below the root to t
         x = np.stack([term, np.zeros(n)], axis=-1)
         x[tree.root] = 0.0

@@ -110,10 +110,66 @@ def test_local_solver_bigger_patch_oracle(name):
 
 def test_local_disconnected_patch_rejected():
     # two dominoes, (0, 0)-(0, 1) and (2, 0)-(2, 1): the KKT matrix is
-    # singular and SuperLU returns NaN, which must not pass the residual check
-    with pytest.warns(spla.MatrixRankWarning), pytest.raises(ConvergenceError):
+    # singular, and its factorization fails naming the node
+    with pytest.raises(ConvergenceError, match="node 3 is singular"):
         dv.local_div_solve(np.array([0, 1, 6, 7]), np.array([1.0, -1.0, 2.0, -2.0]),
-                           ny=3, h=1.0)
+                           ny=3, h=1.0, node=3)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Counts the SuperLU factorizations made while the test runs."""
+    calls = []
+    real = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dv.spla, "splu", counting)
+    return calls
+
+
+def assert_same_solve(a, b):
+    assert np.array_equal(a.fx, b.fx) and np.array_equal(a.fy, b.fy)
+    assert a.energy == b.energy and a.residual == b.residual
+
+
+L_CELLS = [(i, j) for i in range(4) for j in range(6) if i < 2 or j < 3]
+L_PERM = np.random.default_rng(5).permutation(len(L_CELLS))
+# (ny, offset, h, cell order) of the second patch after the first one at
+# ny = 8, offset (0, 0), h = 0.25 in list order; then how many factors
+# the shared slot makes in all
+REUSED = {
+    "translated": ((8, (3, 2), 0.125, None), 1),
+    "other-ny": ((11, (0, 0), 0.25, None), 1),
+    "permuted": ((8, (0, 0), 0.25, L_PERM), 2),
+}
+
+
+def l_patch(ny, offset, order):
+    ij = np.array(L_CELLS) + offset
+    if order is not None:
+        ij = ij[order]
+    return ij[:, 0] * ny + ij[:, 1]
+
+
+@pytest.mark.parametrize("name", REUSED)
+def test_shared_factor_equals_fresh_solve(name, splu_calls):
+    (ny, offset, h, order), factorizations = REUSED[name]
+    rng = np.random.default_rng(4)
+    f = rng.standard_normal(len(L_CELLS))
+    f -= f.mean()
+    factors = {}
+    dv.local_div_solve(l_patch(8, (0, 0), None), f, 8, 0.25, factors=factors)
+    cells = l_patch(ny, offset, order)
+    shared = dv.local_div_solve(cells, f, ny, h, factors=factors)
+    assert len(splu_calls) == factorizations and len(factors) == 1
+    fresh = dv.local_div_solve(cells, f, ny, h)
+    assert len(splu_calls) == factorizations + 1
+    assert_same_solve(shared, fresh)
+    assert np.array_equal(shared.fx_ij, fresh.fx_ij)
+    assert np.array_equal(shared.fy_ij, fresh.fy_ij)
 
 
 def test_nan_velocity_fails_global_check(square_trees, monkeypatch):
@@ -242,6 +298,27 @@ def test_energy_overlap_surrogate(solved5):
         du = dv._grad_magnitude_covered(mac.cell_centered(), covered)
         total += F.weighted_lp_norm(du, q, 0.0) ** q
     assert global_norm**q <= total * (12**2) ** (q - 1) + 1e-12
+
+
+@pytest.mark.parametrize("domain, shapes", [("koch2", 37), ("slit_square", 43)])
+def test_one_factor_per_patch_shape(request, domain, shapes, splu_calls):
+    tree = tc.build_tree(wt.whitney_decompose(request.getfixturevalue(domain), 6))
+    grid = dc.decomposition_grid(tree)
+    assign = dc.assign_cells(tree, grid)
+    f = collar_probe(tree, grid, assign)
+    vec, rep = dv.solve_divergence(tree, f, 2.0, 0.0, assign)
+    assert len(splu_calls) == shapes
+    assert len({dv.patch_key(c, grid.dims[1]) for c in rep.decomposition.cells}) == shapes
+    # node-by-node with a fresh factor each, summed in node order
+    dec = dc.c_decompose(tree, f)
+    FX, FY = np.zeros_like(rep.mac.fx), np.zeros_like(rep.mac.fy)
+    for t in range(len(tree)):
+        loc = dv.local_div_solve(dec.cells[t], dec.values[t], grid.dims[1], grid.h, node=t)
+        assert_same_solve(loc, rep.solves[t])
+        FX[loc.fx_ij[:, 0], loc.fx_ij[:, 1]] += loc.fx
+        FY[loc.fy_ij[:, 0], loc.fy_ij[:, 1]] += loc.fy
+    assert len(splu_calls) == shapes + len(tree)
+    assert np.array_equal(rep.mac.fx, FX) and np.array_equal(rep.mac.fy, FY)
 
 
 def test_threshold_contrast_collar_probe(square_trees):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,22 @@ def test_log_space_fallback():
     want = oracle_a_tree_log(parent, ell, -40.0, 2.0, 1.5)
     assert math.log(val) == pytest.approx(want, rel=1e-10)
     assert 0 <= arg < n
+
+
+def test_overflowing_term_goes_to_log_space_silently():
+    # nu^(-q) = ell^(-24) overflows below the root, so the direct sums are
+    # out of range for every theta; the switch to log space must not warn
+    n = 8
+    parent = [-1] + list(range(n - 1))
+    ell = [2.0 ** (-6 * k) for k in range(n)]
+    tree = tc.synthetic_tree(parent, ell)
+    w = hd.WeightSpec(12.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = hd.a_tree_min(tree, w)
+    for theta, (val, _) in rep.per_theta.items():
+        want = oracle_a_tree_log(parent, ell, 12.0, 2.0, theta)
+        assert val == pytest.approx(math.exp(want), rel=1e-10)
 
 
 def test_a_tree_min_report(square_tree6):
