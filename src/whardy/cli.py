@@ -82,11 +82,9 @@ def cmd_whitney(args) -> int:
     sides = dec.sides
     ok_lower = bool(np.all(dec.dist_sq >= 2.0 * sides * sides))
     ok_upper = bool(np.all(dec.dist <= 4.0 * sides * math.sqrt(2.0) + 1e-12))
-    ratios_ok = True
-    for t in range(len(dec)):
-        for s in dec.neighbors[t]:
-            if not 0.25 - 1e-15 <= sides[s] / sides[t] <= 4.0 + 1e-15:
-                ratios_ok = False
+    ptr, idx = dec.neighbors
+    ratio = sides[idx] / np.repeat(sides, np.diff(ptr))
+    ratios_ok = bool(np.all((0.25 - 1e-15 <= ratio) & (ratio <= 4.0 + 1e-15)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "whitney.json").write_text(whitney.decomposition_to_json(dec))

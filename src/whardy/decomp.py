@@ -138,7 +138,7 @@ def _snap_b_cells(tree: TreeCovering, grid: GridFunction, t: int) -> np.ndarray:
     both expanded cubes up to one-cell slack (support is checked
     cell-square against U_t).
     """
-    lo, hi = (np.asarray(v, dtype=np.int64) for v in tree.boxes32[t])
+    lo, hi = tree.boxes32[t]
     f = int(np.argmin(hi - lo))
     o = 1 - f
     face_cell = int(lo[f] + hi[f]) // 16

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import ConnectivityError, ParameterError, StructureError
 from .geometry import centroid, index_ranges
-from .whitney import EXPANSION, Box, WhitneyDecomposition
+from .whitney import EXPANSION, WhitneyDecomposition
 
 
 @dataclass
@@ -36,15 +35,15 @@ class TreeCovering:
     parent: np.ndarray  # (N,) int, -1 at the root
     ell: np.ndarray  # cube side lengths in frame units
     level: np.ndarray  # dyadic size class (ell = 2^-level for Whitney trees)
-    boxes: list  # transfer boxes B_t (None at the root)
     decomposition: WhitneyDecomposition | None = None
     kind: str = "whitney"
     expansion_factor: float = EXPANSION
     ndim: int = 2
     # integer geometry used by exact checks: cube spans (N, 2, ndim) in
-    # units of the finest side, B_t boxes in units of (finest side)/32
+    # units of the finest side, transfer boxes B_t (N, 2, ndim) in units of
+    # (finest side)/32; B_t exists where parent >= 0, the root row is zeros
     spans32: np.ndarray | None = field(default=None, repr=False)
-    boxes32: list | None = field(default=None, repr=False)
+    boxes32: np.ndarray | None = field(default=None, repr=False)
     root: int = field(init=False)
     depth: np.ndarray = field(init=False, repr=False)
     children: list = field(init=False, repr=False)
@@ -84,10 +83,10 @@ class TreeCovering:
         Both volumes are taken in the integer 1/32 lattice of ``boxes32``,
         where a cube of ``spans32`` side w has side 32 w.
         """
-        kids = [t for t, b in enumerate(self.boxes32 or []) if b is not None]
-        if not kids:
+        kids = np.flatnonzero(self.parent >= 0)
+        if self.boxes32 is None or not len(kids):
             return 0.0
-        b = np.asarray([self.boxes32[t] for t in kids])  # (k, 2, ndim)
+        b = self.boxes32[kids]
         bt = np.prod(b[:, 1] - b[:, 0], axis=1)
         side = 32 * (self.spans32[kids, 1, 0] - self.spans32[kids, 0, 0])
         ut = (self.expansion_factor * side) ** self.ndim
@@ -204,7 +203,8 @@ def root_center(dec: WhitneyDecomposition, preferred=None):
     if preferred is not None and dec.locate(preferred) is not None:
         return tuple(preferred)
     t = int(np.argmax(dec.dist))
-    return dec.cube(t).center
+    side = dec.frame.cube_side(int(dec.levels[t]))
+    return tuple(o + int(i) * side + side / 2.0 for o, i in zip(dec.frame.origin, dec.indices[t]))
 
 
 def build_tree(dec: WhitneyDecomposition, center=None) -> TreeCovering:
@@ -220,9 +220,8 @@ def build_tree(dec: WhitneyDecomposition, center=None) -> TreeCovering:
     if root is None:
         raise ParameterError("center is not inside any accepted cube")
     n = len(dec)
-    counts = np.fromiter(map(len, dec.face_neighbors), np.int64, n)
-    nbr = np.fromiter((s for f in dec.face_neighbors for s in f), np.int64, int(counts.sum()))
-    ptr = np.cumsum(counts) - counts
+    ptr, nbr = dec.face_neighbors
+    counts = np.diff(ptr)
     depth = np.full(n, -1, dtype=np.int64)
     depth[root] = 0
     frontier, d = np.array([root]), 0
@@ -247,65 +246,48 @@ def build_tree(dec: WhitneyDecomposition, center=None) -> TreeCovering:
     np.minimum.at(parent, owner[pred], nbr[pred])
     parent[root] = -1
 
-    lo, hi = dec.spans(int(dec.levels.max()))
-    boxes, boxes32 = _transfer_boxes(dec, parent, lo, hi)
+    spans32 = np.stack(dec.spans(int(dec.levels.max())), axis=1)
     return TreeCovering(
         parent=parent,
         ell=np.exp2(-dec.levels.astype(float)),
         level=dec.levels.copy(),
-        boxes=boxes,
         decomposition=dec,
         kind="whitney",
-        spans32=np.stack([lo, hi], axis=1),
-        boxes32=boxes32,
+        spans32=spans32,
+        boxes32=_transfer_boxes(parent, spans32),
     )
 
 
 def _component_sizes(dec: WhitneyDecomposition):
+    """Sizes of the face-neighbor graph's components, largest first."""
+    from scipy.sparse import csr_matrix  # only the disconnected case needs scipy here
+    from scipy.sparse.csgraph import connected_components
+
     n = len(dec)
-    seen = np.zeros(n, dtype=bool)
-    sizes = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        q = deque([s])
-        seen[s] = True
-        c = 0
-        while q:
-            u = q.popleft()
-            c += 1
-            for v in dec.face_neighbors[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    q.append(v)
-        sizes.append(c)
-    return sorted(sizes, reverse=True)
+    ptr, idx = dec.face_neighbors
+    graph = csr_matrix((np.ones(len(idx)), idx, ptr), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    return sorted(np.bincount(labels).tolist(), reverse=True)
 
 
-def _transfer_boxes(dec, parent, lo, hi):
-    """B_t astride the shared face of Q_t and its parent.
+def _transfer_boxes(parent, spans32):
+    """B_t astride the shared face of Q_t and its parent, shape (N, 2, 2).
 
     Each B_t is the analytic face box. Extent: half the face length along
     the face, 1/16 of the face length across it (1/32 on each side), which
     keeps B_t inside U_t and U_{t_p} for the 17/16 expansion. Coordinates are
     exact integers in units of (finest side)/32, and pairwise disjointness
     is certified exactly over them (``_certify_disjoint``); a violation
-    raises StructureError. ``lo``, ``hi`` are ``dec.spans`` at the finest
-    level.
+    raises StructureError. ``spans32`` are the cube spans at the finest
+    level; the root row stays zero.
     """
-    unit = dec.frame.cube_side(int(dec.levels.max())) / 32.0
-    origin = np.asarray(dec.frame.origin)
     kids = np.flatnonzero(parent >= 0)
+    lo, hi = spans32[:, 0], spans32[:, 1]
     b_lo, b_hi = _face_box32(lo[kids], hi[kids], lo[parent[kids]], hi[parent[kids]])
     _certify_disjoint(b_lo, b_hi, kids)
-    boxes: list = [None] * len(dec)
-    boxes32: list = [None] * len(dec)
-    rows = zip(kids.tolist(), b_lo.tolist(), b_hi.tolist(),
-               (origin + b_lo * unit).tolist(), (origin + b_hi * unit).tolist())
-    for t, bl, bh, wl, wh in rows:
-        boxes32[t] = (tuple(bl), tuple(bh))
-        boxes[t] = Box(tuple(wl), tuple(wh))
-    return boxes, boxes32
+    boxes32 = np.zeros_like(spans32)
+    boxes32[kids] = np.stack([b_lo, b_hi], axis=1)
+    return boxes32
 
 
 def _face_box32(lo_t, hi_t, lo_p, hi_p):
@@ -398,27 +380,18 @@ def build_cube_chain(m: int, n: int = 2) -> TreeCovering:
     N = len(cells)
     # exact integer geometry in units of 1/m
     lo = np.asarray(cells, dtype=np.int64) - 1
-    hi = lo + 1
-    unit = (1.0 / m) / 32.0
-    boxes: list = [None] * N
-    boxes32: list = [None] * N
-    for t in range(1, N):
-        p = t - 1
-        b_lo = tuple(int(v) * 32 for v in lo[p])
-        b_hi = tuple(int(v) * 32 for v in hi[p])
-        boxes32[t] = (b_lo, b_hi)
-        boxes[t] = Box(
-            tuple(v * unit for v in b_lo), tuple(v * unit for v in b_hi)
-        )
+    spans32 = np.stack([lo, lo + 1], axis=1)
+    parent = np.arange(-1, N - 1, dtype=np.int64)
+    boxes32 = np.zeros_like(spans32)
+    boxes32[1:] = 32 * spans32[parent[1:]]
     return TreeCovering(
-        parent=np.arange(-1, N - 1, dtype=np.int64),
+        parent=parent,
         ell=np.full(N, 1.0 / m),
         level=np.zeros(N, dtype=np.int64),
-        boxes=boxes,
         decomposition=None,
         kind="chain",
         ndim=n,
-        spans32=np.stack([lo, hi], axis=1),
+        spans32=spans32,
         boxes32=boxes32,
     )
 
@@ -432,7 +405,6 @@ def synthetic_tree(parent, ell, ndim: int = 2) -> TreeCovering:
         parent=parent,
         ell=ell,
         level=np.maximum(level, 0),
-        boxes=[None] * len(ell),
         decomposition=None,
         kind="synthetic",
         ndim=ndim,
@@ -482,12 +454,19 @@ def verify_shadow_lemma(stats: ShadowStats, lam: float) -> float:
 
 
 def tree_to_json(tree: TreeCovering) -> str:
-    kids = [t for t, b in enumerate(tree.boxes) if b is not None]
-    B: list = [None] * len(tree.boxes)
-    if kids:
-        lo = np.array([tree.boxes[t].lo for t in kids])
-        hi = np.array([tree.boxes[t].hi for t in kids])
-        rows = zip(kids, ((lo + hi) / 2.0).tolist(), ((hi - lo) / 2.0).tolist())
+    """Root, parents, K and the world transfer boxes B_t as center and half
+    widths (None at the root and for trees without boxes)."""
+    B: list = [None] * len(tree)
+    if tree.boxes32 is not None:
+        kids = np.flatnonzero(tree.parent >= 0)
+        dec = tree.decomposition
+        if dec is None:  # cube chain: origin 0, cells of side ell
+            origin, unit = 0.0, float(tree.ell[0]) / 32.0
+        else:
+            origin = np.asarray(dec.frame.origin)
+            unit = dec.frame.cube_side(int(dec.levels.max())) / 32.0
+        lo, hi = origin + tree.boxes32[kids, 0] * unit, origin + tree.boxes32[kids, 1] * unit
+        rows = zip(kids.tolist(), ((lo + hi) / 2.0).tolist(), ((hi - lo) / 2.0).tolist())
         for t, center, half in rows:
             B[t] = {"center": center, "half_widths": half}
     obj = {"root": int(tree.root), "parent": tree.parent.tolist(), "K": tree.K, "B": B}

@@ -10,6 +10,7 @@ rounding.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -34,70 +35,6 @@ class Frame:
         return self.size * 2.0 ** (-level)
 
 
-@dataclass(frozen=True)
-class Box:
-    lo: tuple[float, float]
-    hi: tuple[float, float]
-
-    @property
-    def center(self):
-        return tuple((l + h) / 2.0 for l, h in zip(self.lo, self.hi))
-
-    @property
-    def half_widths(self):
-        return tuple((h - l) / 2.0 for l, h in zip(self.lo, self.hi))
-
-    def area(self) -> float:
-        return (self.hi[0] - self.lo[0]) * (self.hi[1] - self.lo[1])
-
-
-@dataclass(frozen=True)
-class DyadicCube:
-    level: int
-    index: tuple[int, int]
-    frame: Frame
-
-    @property
-    def side(self) -> float:
-        return self.frame.cube_side(self.level)
-
-    @property
-    def lo(self):
-        s = self.side
-        return (
-            self.frame.origin[0] + self.index[0] * s,
-            self.frame.origin[1] + self.index[1] * s,
-        )
-
-    @property
-    def hi(self):
-        lo = self.lo
-        s = self.side
-        return (lo[0] + s, lo[1] + s)
-
-    @property
-    def center(self):
-        lo = self.lo
-        s = self.side
-        return (lo[0] + s / 2.0, lo[1] + s / 2.0)
-
-    @property
-    def diam(self) -> float:
-        return self.side * math.sqrt(2.0)
-
-    def box(self) -> Box:
-        return Box(self.lo, self.hi)
-
-
-def expanded_cube(c: DyadicCube, factor: float = EXPANSION) -> Box:
-    """Concentric box with side factor * side(c)."""
-    if not 1.0 < factor < 1.25:
-        raise ParameterError("expansion factor must lie in (1, 5/4)")
-    cx, cy = c.center
-    half = factor * c.side / 2.0
-    return Box((cx - half, cy - half), (cx + half, cy + half))
-
-
 def frame_for_domain(dom: PolygonalDomain) -> Frame:
     """Bounding box inflated by 10% and snapped to a power-of-two side."""
     lo, hi = dom.bounding_box()
@@ -117,8 +54,10 @@ class WhitneyDecomposition:
     indices: np.ndarray  # (N, 2) int
     dist: np.ndarray  # (N,) exact d(Q_t, boundary)
     dist_sq: np.ndarray  # (N,) same, squared (no sqrt rounding)
-    neighbors: list = field(default=None)
-    face_neighbors: list = field(default=None)
+    # CSR pairs (ptr, idx): the touching cubes of t, ascending, are
+    # idx[ptr[t]:ptr[t + 1]]; face_neighbors keeps the face contacts only
+    neighbors: tuple | None = None
+    face_neighbors: tuple | None = None
     collar_width: float = 0.0
     keys: np.ndarray = field(init=False, repr=False)  # (N,) sorted (level, i, j) keys
 
@@ -147,15 +86,6 @@ class WhitneyDecomposition:
     @property
     def sides(self) -> np.ndarray:
         return self.frame.size * np.exp2(-self.levels.astype(float))
-
-    def cube(self, t: int) -> DyadicCube:
-        if not 0 <= t < len(self):
-            raise IndexError(f"cube id {t} out of range")
-        return DyadicCube(int(self.levels[t]), tuple(int(v) for v in self.indices[t]), self.frame)
-
-    def cube_los(self) -> np.ndarray:
-        s = self.sides
-        return np.asarray(self.frame.origin) + self.indices * s[:, None]
 
     def spans(self, at_level: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Integer cube extents [lo, hi] per axis in units of 2^-at_level."""
@@ -335,7 +265,7 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
 
 
 def _adjacency(dec: WhitneyDecomposition):
-    """Neighbor and face-neighbor lists from the sorted lattice keys.
+    """Neighbor and face-neighbor CSR pairs from the sorted lattice keys.
 
     Touching Whitney cubes differ by at most two levels (the sandwich forces
     a size ratio <= 4). A cube finds each touching cube of its own size or
@@ -367,14 +297,24 @@ def _adjacency(dec: WhitneyDecomposition):
     out = []
     for touch in kinds:  # corner or face contact; face contact only
         tt, ss = t[touch], s[touch]
-        order = np.lexsort((ss, tt))
-        cuts = np.cumsum(np.bincount(tt, minlength=n))[:-1]
-        out.append([a.tolist() for a in np.split(ss[order], cuts)])
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(tt, minlength=n))])
+        out.append((ptr, ss[np.lexsort((ss, tt))]))
     return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def _csr_lists(csr) -> list:
+    ptr, idx = csr
+    return [a.tolist() for a in np.split(idx, ptr[1:-1])]
+
+
+def _lists_csr(lists) -> tuple:
+    counts = np.fromiter(map(len, lists), np.int64, len(lists))
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    return ptr, np.fromiter(itertools.chain.from_iterable(lists), np.int64, int(ptr[-1]))
 
 
 def decomposition_to_json(dec: WhitneyDecomposition) -> str:
@@ -383,16 +323,13 @@ def decomposition_to_json(dec: WhitneyDecomposition) -> str:
         "max_level": dec.max_level,
         "collar_width": dec.collar_width,
         "cubes": [
-            {
-                "id": t,
-                "level": int(dec.levels[t]),
-                "index": [int(v) for v in dec.indices[t]],
-                "dist": float(dec.dist[t]),
-            }
-            for t in range(len(dec))
+            {"id": t, "level": lev, "index": ij, "dist": d}
+            for t, (lev, ij, d) in enumerate(
+                zip(dec.levels.tolist(), dec.indices.tolist(), dec.dist.tolist())
+            )
         ],
-        "neighbors": dec.neighbors,
-        "face_neighbors": dec.face_neighbors,
+        "neighbors": _csr_lists(dec.neighbors),
+        "face_neighbors": _csr_lists(dec.face_neighbors),
     }
     return json.dumps(obj, sort_keys=True)
 
@@ -412,7 +349,7 @@ def decomposition_from_json(text: str, dom: PolygonalDomain) -> WhitneyDecomposi
         indices=indices,
         dist=dist,
         dist_sq=dist * dist,
-        neighbors=[list(x) for x in obj["neighbors"]],
-        face_neighbors=[list(x) for x in obj["face_neighbors"]],
+        neighbors=_lists_csr(obj["neighbors"]),
+        face_neighbors=_lists_csr(obj["face_neighbors"]),
         collar_width=obj["collar_width"],
     )

@@ -54,6 +54,15 @@ def square_tree6(square_trees):
     return square_trees[6]
 
 
+def expanded_boxes(dec, factor=17 / 16):
+    """(N, 2, 2) world boxes [lo, hi] of the cubes scaled by ``factor``
+    about their centers."""
+    side = dec.sides[:, None]
+    center = np.asarray(dec.frame.origin) + dec.indices * side + side / 2.0
+    half = factor * side / 2.0
+    return np.stack([center - half, center + half], axis=1)
+
+
 def random_mean_zero(tree, grid, seed):
     """Random values on the covered cells, exactly mean-zero there."""
     assign = decomp.assign_cells(tree, grid)

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import collar_probe, oracle_a_tree, random_mean_zero
+from conftest import collar_probe, expanded_boxes, oracle_a_tree, random_mean_zero
 from whardy import decomp as dc
 from whardy import dimension as dim
 from whardy import divergence as dv
@@ -52,8 +52,8 @@ def test_criterion_1_whitney_suite():
         upper = bool(np.all(dec.dist <= 4.0 * sides * math.sqrt(2.0) + 1e-12))
         clauses.append((f"{preset}: sandwich", lower and upper))
         ratios_ok = True
-        for t in range(len(dec)):
-            for s in dec.neighbors[t]:
+        for t, nb in enumerate(wt._csr_lists(dec.neighbors)):
+            for s in nb:
                 if round(float(sides[s] / sides[t]), 12) not in {0.25, 0.5, 1.0, 2.0, 4.0}:
                     ratios_ok = False
         clauses.append((f"{preset}: neighbor ratios", ratios_ok))
@@ -61,11 +61,10 @@ def test_criterion_1_whitney_suite():
         rng = np.random.default_rng(0)
         pts = rng.uniform(lo, hi, size=(600, 2))
         counts = np.zeros(len(pts), dtype=int)
-        for t in range(len(dec)):
-            b = wt.expanded_cube(dec.cube(t))
+        for b_lo, b_hi in expanded_boxes(dec):
             sel = (
-                (pts[:, 0] >= b.lo[0]) & (pts[:, 0] <= b.hi[0])
-                & (pts[:, 1] >= b.lo[1]) & (pts[:, 1] <= b.hi[1])
+                (pts[:, 0] >= b_lo[0]) & (pts[:, 0] <= b_hi[0])
+                & (pts[:, 1] >= b_lo[1]) & (pts[:, 1] <= b_hi[1])
             )
             counts[sel] += 1
         clauses.append((f"{preset}: overlap <= 144", counts.max() <= 144))

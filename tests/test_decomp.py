@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import collar_probe, random_mean_zero
+from conftest import collar_probe, expanded_boxes, random_mean_zero
 from whardy import decomp as dc
 from whardy import treecover as tc
 from whardy import whitney as wt
@@ -34,13 +34,14 @@ def test_assignment_unique_and_inside(tree5, grid5):
     dec = tree5.decomposition
     assign = dc.assign_cells(tree5, grid5)
     cc = grid5.cell_centers()
+    cubes = expanded_boxes(dec, factor=1.0)
     rng = np.random.default_rng(0)
     for t in rng.choice(len(tree5), size=12, replace=False):
         sel = assign == t
-        cube = dec.cube(int(t))
+        lo, hi = cubes[t]
         pts = cc[sel]
-        assert np.all(pts >= np.asarray(cube.lo) - 1e-12)
-        assert np.all(pts <= np.asarray(cube.hi) + 1e-12)
+        assert np.all(pts >= lo - 1e-12)
+        assert np.all(pts <= hi + 1e-12)
 
 
 def test_single_cube_supported(tree5, grid5):
@@ -73,7 +74,7 @@ def two_cube_tree(domain):
         dist=np.array([0.3, 0.3]),
         dist_sq=np.array([0.09, 0.09]),
     )
-    return tc.build_tree(dec, dec.cube(0).center)
+    return tc.build_tree(dec, expanded_boxes(dec)[0].mean(axis=0))
 
 
 def test_two_cube_hand_computation(unit_square):
@@ -120,17 +121,16 @@ def support_violations(d):
     dec = tree.decomposition
     ny = grid.dims[1]
     bad = 0
-    for t in range(len(tree)):
-        u = wt.expanded_cube(dec.cube(t))
+    for t, (lo, hi) in enumerate(expanded_boxes(dec)):
         ii, jj = np.divmod(d.cells[t], ny)
         nz = np.abs(d.values[t]) > 0
         x0 = grid.origin[0] + ii * grid.h
         y0 = grid.origin[1] + jj * grid.h
         outside = (
-            (x0 + grid.h < u.lo[0] - 1e-12)
-            | (x0 > u.hi[0] + 1e-12)
-            | (y0 + grid.h < u.lo[1] - 1e-12)
-            | (y0 > u.hi[1] + 1e-12)
+            (x0 + grid.h < lo[0] - 1e-12)
+            | (x0 > hi[0] + 1e-12)
+            | (y0 + grid.h < lo[1] - 1e-12)
+            | (y0 > hi[1] + 1e-12)
         )
         bad += int((outside & nz).sum())
     return bad

@@ -1,9 +1,11 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import expanded_boxes
 from whardy import geometry as geo
 from whardy import hardy as hd
 from whardy import treecover as tc
@@ -27,11 +29,11 @@ def explicit_subtree(tree, t):
 def test_tree_validity(square_tree6):
     tree = square_tree6
     assert int((tree.parent < 0).sum()) == 1
-    dec = tree.decomposition
+    face = wt._csr_lists(tree.decomposition.face_neighbors)
     for t in range(len(tree)):
         p = int(tree.parent[t])
         if p >= 0:
-            assert p in dec.face_neighbors[t]
+            assert p in face[t]
     # all reachable
     assert sorted(tree.order.tolist()) == list(range(len(tree)))
 
@@ -87,7 +89,7 @@ def test_single_cube_tree(unit_square):
     tree = tc.build_tree(dec, (0.45, 0.45))
     assert len(tree) == 1
     assert tree.K == 1.0
-    assert tree.boxes == [None]
+    assert tree.boxes32.shape == (1, 2, 2) and not tree.boxes32.any()
 
 
 def test_center_outside_error(square_dec6):
@@ -96,46 +98,52 @@ def test_center_outside_error(square_dec6):
 
 
 def test_disconnected_error(unit_square):
-    dec = wt.WhitneyDecomposition(
-        domain=unit_square,
-        frame=wt.Frame((-0.5, -0.5), 2.0),
-        max_level=5,
-        levels=np.array([4, 4]),
-        indices=np.array([[4, 4], [10, 10]]),
-        dist=np.array([0.2, 0.2]),
-        dist_sq=np.array([0.04, 0.04]),
-    )
-    with pytest.raises(ConnectivityError) as err:
-        tc.build_tree(dec, (0.05, 0.05))
-    assert sorted(err.value.component_sizes) == [1, 1]
+    # two far cubes; then a face-joined pair, a cube touching it only at a
+    # corner, and a far cube
+    for indices, sizes in (([[4, 4], [10, 10]], [1, 1]),
+                           ([[4, 4], [4, 5], [5, 6], [10, 10]], [2, 1, 1])):
+        n = len(indices)
+        dec = wt.WhitneyDecomposition(
+            domain=unit_square,
+            frame=wt.Frame((-0.5, -0.5), 2.0),
+            max_level=5,
+            levels=np.full(n, 4),
+            indices=np.array(indices),
+            dist=np.full(n, 0.2),
+            dist_sq=np.full(n, 0.04),
+        )
+        with pytest.raises(ConnectivityError) as err:
+            tc.build_tree(dec, (0.05, 0.05))
+        assert err.value.component_sizes == sizes
+        assert f"component sizes {sizes}" in str(err.value)
 
 
 @pytest.mark.parametrize("tree_fixture", ["square_tree6", "koch2_tree6"])
 def test_transfer_boxes(tree_fixture, request):
     tree = request.getfixturevalue(tree_fixture)
     dec = tree.decomposition
-    boxes = [b for b in tree.boxes32 if b is not None]
-    assert len(boxes) == len(tree) - 1
+    kids = np.flatnonzero(tree.parent >= 0)
+    assert len(kids) == len(tree) - 1
+    assert not tree.boxes32[tree.root].any()
     # O(N^2) oracle: open interiors overlap iff lo < other hi on every axis
-    b = np.asarray(boxes)
-    lo, hi = b[:, 0], b[:, 1]
+    lo, hi = tree.boxes32[kids, 0], tree.boxes32[kids, 1]
     overlap = np.all((lo[:, None] < hi[None]) & (lo[None] < hi[:, None]), axis=2)
     np.fill_diagonal(overlap, False)
     assert not overlap.any()
     # B_t inside both expansions
-    for t in range(len(tree)):
-        b = tree.boxes[t]
-        if b is None:
-            continue
+    unit = dec.frame.cube_side(int(dec.levels.max())) / 32.0
+    world = np.asarray(dec.frame.origin) + tree.boxes32 * unit
+    u = expanded_boxes(dec)
+    for t in kids:
+        b = world[t]
         for node in (t, int(tree.parent[t])):
-            u = wt.expanded_cube(dec.cube(node))
-            assert b.lo[0] >= u.lo[0] - 1e-12 and b.lo[1] >= u.lo[1] - 1e-12
-            assert b.hi[0] <= u.hi[0] + 1e-12 and b.hi[1] <= u.hi[1] + 1e-12
+            assert b[0, 0] >= u[node, 0, 0] - 1e-12 and b[0, 1] >= u[node, 0, 1] - 1e-12
+            assert b[1, 0] <= u[node, 1, 0] + 1e-12 and b[1, 1] <= u[node, 1, 1] + 1e-12
     # |U_t| / |B_t| in the integer 1/32 lattice, recomputed exactly
     worst = max(
         (Fraction(17, 16) * 32 * int(tree.spans32[t, 1, 0] - tree.spans32[t, 0, 0])) ** 2
-        / ((b[1][0] - b[0][0]) * (b[1][1] - b[0][1]))
-        for t, b in enumerate(tree.boxes32) if b is not None
+        / int((b[1][0] - b[0][0]) * (b[1][1] - b[0][1]))
+        for t, b in zip(kids, tree.boxes32[kids])
     )
     assert tree.ratio_u_over_b() == float(worst)
 
@@ -191,7 +199,8 @@ def test_u_over_b_equal_neighbors():
     hi = lo + 1
     tree = tc.synthetic_tree([-1, 0], [1.0, 1.0])
     tree.spans32 = np.stack([lo, hi], axis=1)
-    tree.boxes32 = [None, tc._face_box32(lo[1], hi[1], lo[0], hi[0])]
+    tree.boxes32 = np.zeros((2, 2, 2), dtype=np.int64)
+    tree.boxes32[1] = tc._face_box32(lo[1], hi[1], lo[0], hi[0])
     assert tree.ratio_u_over_b() == (17 / 16) ** 2 * 32 == 36.125
 
 
@@ -279,9 +288,14 @@ def test_cube_chain_serpentine_hand():
 
 def test_cube_chain_covering_constants():
     ch = tc.build_cube_chain(4, 2)
+    unit = (1 / 4) / 32
     for t in range(1, len(ch)):
         # U_t is two cells, B_t the parent cell: area ratio exactly 2
-        assert ch.boxes[t].area() == pytest.approx((1 / 4) ** 2)
+        lo, hi = ch.boxes32[t] * unit
+        assert (hi[0] - lo[0]) * (hi[1] - lo[1]) == (1 / 4) ** 2
+    # B_1 is the root cell [0, 1/4]^2
+    B = json.loads(tc.tree_to_json(ch))["B"]
+    assert B[1] == {"center": [0.125, 0.125], "half_widths": [0.125, 0.125]}
 
 
 def test_synthetic_tree_two_roots():
@@ -395,8 +409,6 @@ def test_sweep_fold_order_hand():
 
 
 def test_tree_json(square_tree6):
-    import json
-
     obj = json.loads(tc.tree_to_json(square_tree6))
     assert obj["root"] == square_tree6.root
     assert obj["K"] == square_tree6.K
@@ -404,3 +416,17 @@ def test_tree_json(square_tree6):
     assert obj["B"][square_tree6.root] is None
     some = next(b for b in obj["B"] if b is not None)
     assert set(some) == {"center", "half_widths"}
+
+
+def test_tree_json_boxes_from_boxes32(square_tree6):
+    # every B_t is the world box of boxes32[t], in the same float operations
+    tree = square_tree6
+    dec = tree.decomposition
+    B = json.loads(tc.tree_to_json(tree))["B"]
+    origin = np.asarray(dec.frame.origin)
+    unit = dec.frame.cube_side(int(dec.levels.max())) / 32.0
+    assert [t for t, b in enumerate(B) if b is None] == [tree.root]
+    for t in np.flatnonzero(tree.parent >= 0):
+        lo, hi = origin + tree.boxes32[t, 0] * unit, origin + tree.boxes32[t, 1] * unit
+        assert B[t] == {"center": ((lo + hi) / 2.0).tolist(),
+                        "half_widths": ((hi - lo) / 2.0).tolist()}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import star_polygons
+from conftest import expanded_boxes, star_polygons
 from whardy import geometry as geo
 from whardy import whitney as wt
 from whardy.errors import EmptyDecompositionError, ParameterError, StructureError
@@ -65,12 +65,13 @@ def test_area_bound(square_dec6, unit_square):
 def test_neighbors_and_ratios(square_dec6):
     dec = square_dec6
     sides = dec.sides
+    nb, face = wt._csr_lists(dec.neighbors), wt._csr_lists(dec.face_neighbors)
     seen = set()
     for t in range(len(dec)):
-        for s in dec.neighbors[t]:
-            assert t in dec.neighbors[s]  # symmetry
+        for s in nb[t]:
+            assert t in nb[s]  # symmetry
             seen.add(round(float(sides[s] / sides[t]), 12))
-        assert set(dec.face_neighbors[t]) <= set(dec.neighbors[t])
+        assert set(face[t]) <= set(nb[t])
     assert seen <= {0.25, 0.5, 1.0, 2.0, 4.0}
 
 
@@ -78,14 +79,15 @@ def test_face_vs_corner_contact(square_dec6):
     dec = square_dec6
     L = int(dec.levels.max())
     lo, hi = dec.spans(L)
+    nb, face = wt._csr_lists(dec.neighbors), wt._csr_lists(dec.face_neighbors)
     corner_pairs = 0
     for t in range(len(dec)):
-        for s in dec.neighbors[t]:
+        for s in nb[t]:
             overlap_deg = sum(
                 int(max(lo[t][a], lo[s][a]) == min(hi[t][a], hi[s][a]))
                 for a in range(2)
             )
-            if s in dec.face_neighbors[t]:
+            if s in face[t]:
                 assert overlap_deg == 1  # shares a 1-dimensional face
             else:
                 assert overlap_deg == 2  # corner contact only
@@ -93,30 +95,20 @@ def test_face_vs_corner_contact(square_dec6):
     assert corner_pairs > 0
 
 
-def test_expanded_cube_geometry(square_dec6):
-    c = square_dec6.cube(0)
-    box = wt.expanded_cube(c)
-    assert box.hi[0] - box.lo[0] == pytest.approx(17.0 / 16.0 * c.side)
-    assert box.center == pytest.approx(c.center)
-    near_one = wt.expanded_cube(c, factor=1.0 + 1e-9)
-    assert np.allclose(near_one.lo, c.lo, atol=1e-8)
-    with pytest.raises(ParameterError):
-        wt.expanded_cube(c, factor=1.3)
-
-
 def test_expanded_overlap_iff_neighbors(unit_square):
     dec = wt.whitney_decompose(unit_square, 5)
-    boxes = [wt.expanded_cube(dec.cube(t)) for t in range(len(dec))]
+    boxes = expanded_boxes(dec)
+    nb = wt._csr_lists(dec.neighbors)
     for t in range(len(dec)):
         for s in range(t + 1, len(dec)):
-            bt, bs = boxes[t], boxes[s]
+            (tlo, thi), (slo, shi) = boxes[t], boxes[s]
             overlap = (
-                bt.lo[0] < bs.hi[0]
-                and bs.lo[0] < bt.hi[0]
-                and bt.lo[1] < bs.hi[1]
-                and bs.lo[1] < bt.hi[1]
+                tlo[0] < shi[0]
+                and slo[0] < thi[0]
+                and tlo[1] < shi[1]
+                and slo[1] < thi[1]
             )
-            assert overlap == (s in dec.neighbors[t])
+            assert overlap == (s in nb[t])
 
 
 def test_overlap_bound(square_dec6):
@@ -124,13 +116,12 @@ def test_overlap_bound(square_dec6):
     xs = np.linspace(0.01, 0.99, 40)
     pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
     counts = np.zeros(len(pts), dtype=int)
-    for t in range(len(dec)):
-        b = wt.expanded_cube(dec.cube(t))
+    for lo, hi in expanded_boxes(dec):
         sel = (
-            (pts[:, 0] >= b.lo[0])
-            & (pts[:, 0] <= b.hi[0])
-            & (pts[:, 1] >= b.lo[1])
-            & (pts[:, 1] <= b.hi[1])
+            (pts[:, 0] >= lo[0])
+            & (pts[:, 0] <= hi[0])
+            & (pts[:, 1] >= lo[1])
+            & (pts[:, 1] <= hi[1])
         )
         counts[sel] += 1
     assert counts.max() <= 12**2
@@ -141,7 +132,7 @@ def test_determinism(unit_square):
     b = wt.whitney_decompose(unit_square, 5)
     assert np.array_equal(a.levels, b.levels)
     assert np.array_equal(a.indices, b.indices)
-    assert a.neighbors == b.neighbors
+    assert all(np.array_equal(x, y) for x, y in zip(a.neighbors, b.neighbors))
 
 
 def test_covering_away_from_collar(square_dec6, unit_square):
@@ -184,8 +175,9 @@ def test_json_roundtrip(square_dec6, unit_square):
     back = wt.decomposition_from_json(text, unit_square)
     assert np.array_equal(back.levels, square_dec6.levels)
     assert np.array_equal(back.indices, square_dec6.indices)
-    assert back.neighbors == square_dec6.neighbors
-    assert back.face_neighbors == square_dec6.face_neighbors
+    for csr in ("neighbors", "face_neighbors"):
+        for got, want in zip(getattr(back, csr), getattr(square_dec6, csr)):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +273,7 @@ def assert_matches_dense(dom, max_level):
     assert dec.levels.tobytes() == levels.tobytes()
     assert dec.indices.tobytes() == indices.tobytes()
     assert dec.dist_sq.tobytes() == dist_sq.tobytes()
+    return dec
 
 
 @pytest.mark.parametrize("preset,kw,level", [
@@ -299,9 +292,11 @@ def test_culled_construction_matches_dense_oracle(preset, kw, level):
 @given(star_polygons())
 def test_culled_construction_matches_dense_oracle_on_star_polygons(dom):
     try:
-        assert_matches_dense(dom, 6)
+        dec = assert_matches_dense(dom, 6)
     except EmptyDecompositionError:
         assume(False)
+    assert_adjacency_matches_brute_force(dec)
+    assert sandwich_ok(dec)
 
 
 def assert_adjacency_matches_brute_force(dec):
@@ -312,9 +307,10 @@ def assert_adjacency_matches_brute_force(dec):
     meet = (alo <= ahi).all(axis=2)
     touch = meet & deg.any(axis=2)
     face = meet & (deg[..., 0] != deg[..., 1])
-    assert dec.neighbors == [np.flatnonzero(r).tolist() for r in touch]
-    assert dec.face_neighbors == [np.flatnonzero(r).tolist() for r in face]
-    assert sum(map(len, dec.neighbors)) > sum(map(len, dec.face_neighbors)) > 0
+    for (ptr, idx), want in ((dec.neighbors, touch), (dec.face_neighbors, face)):
+        assert np.array_equal(ptr, np.concatenate([[0], np.cumsum(want.sum(axis=1))]))
+        assert np.array_equal(idx, np.nonzero(want)[1])
+    assert len(dec.neighbors[1]) > len(dec.face_neighbors[1]) > 0
 
 
 def test_neighbors_match_brute_force(koch3):
@@ -335,7 +331,8 @@ def test_neighbors_two_levels_apart_match_brute_force(unit_square):
         dist=np.full(len(cubes), 0.1),
         dist_sq=np.full(len(cubes), 0.01),
     )
-    assert len(dec.neighbors[0]) == 20  # the ring touches the level-2 cube
+    ptr = dec.neighbors[0]
+    assert ptr[1] - ptr[0] == 20  # the ring touches the level-2 cube
     assert_adjacency_matches_brute_force(dec)
 
 
