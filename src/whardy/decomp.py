@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ParameterError
 from .fields import GridFunction, make_grid
 from .treecover import TreeCovering, accumulate_up
+from .whitney import _csr_lists
 
 
 @dataclass
@@ -205,10 +206,11 @@ def c_decompose(tree: TreeCovering, g: GridFunction,
 
     cells: list = [None] * n
     values: list = [None] * n
+    children = _csr_lists(tree.children)
     for t in range(n):
         parts_idx = [own_cells[t]]
         parts_val = [flat_g[own_cells[t]]]
-        for s in tree.children[t]:
+        for s in children[t]:
             parts_idx.append(b_cells[s])
             parts_val.append(np.full(len(b_cells[s]), m[s] * phi[s]))
         if tree.parent[t] >= 0:

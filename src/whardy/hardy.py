@@ -29,6 +29,8 @@ from .whitney import whitney_decompose
 DEFAULT_THETA_GRID = (1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
 LOG_SPACE_LIMIT = 1e250
 MAX_GRID_POINTS = 10_000
+# entries n * betas * thetas of one beta block of a sweep; bounds its temporaries
+BETA_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,16 @@ def tree_weights(tree: TreeCovering, w: WeightSpec) -> DiscreteWeights:
     return DiscreteWeights(nu=pw, omega=pw.copy(), b=ell**tree.ndim)
 
 
+def _spec_weights(tree: TreeCovering, w: WeightSpec) -> DiscreteWeights | None:
+    """``tree_weights``, or None when ell^beta or ell^n over- or underflows;
+    such a beta is evaluated in log space from beta log ell."""
+    with np.errstate(over="ignore", under="ignore"):
+        try:
+            return tree_weights(tree, w)
+        except ParameterError:
+            return None
+
+
 def _check_thetas(thetas):
     if not all(math.isfinite(t) and t > 1 for t in thetas):
         raise ParameterError("theta must be finite and exceed 1")
@@ -94,12 +106,17 @@ def _kahan_add(acc, x):
 
 
 def _in_range(arrays, positive, star):
-    """Every entry finite and below 1e250 in magnitude, and every Gamma*
-    entry of ``positive`` above 1e-250 (they are analytically positive, so
-    a smaller one means underflow)."""
-    return (all(np.all(np.isfinite(a)) for a in arrays)
-            and max(float(np.abs(a).max()) for a in arrays) < LOG_SPACE_LIMIT
-            and all(float(a[star].min()) > 1.0 / LOG_SPACE_LIMIT for a in positive))
+    """Per column (every index after the node axis 0): every entry finite
+    and below 1e250 in magnitude, and every Gamma* entry of ``positive``
+    above 1e-250 (they are analytically positive, so a smaller one means
+    underflow). A NaN or inf propagates into the max and fails it."""
+    ok = True
+    for a in arrays:
+        ok = ok & (np.maximum(a.max(axis=0), -a.min(axis=0)) < LOG_SPACE_LIMIT)
+    where = star.reshape((-1,) + (1,) * (positive[0].ndim - 1))
+    for a in positive:
+        ok = ok & (a.min(axis=0, where=where, initial=np.inf) > 1.0 / LOG_SPACE_LIMIT)
+    return ok
 
 
 def a_tree(tree: TreeCovering, w: WeightSpec, theta: float,
@@ -115,54 +132,92 @@ def a_tree_thetas(tree: TreeCovering, w: WeightSpec, thetas,
                   weights: DiscreteWeights | None = None) -> list:
     """Exact evaluation of the tree Hardy constant for each theta of ``thetas``.
 
-    Returns one (value, argmax node) per theta. S is summed once; the
-    shadow sums of all thetas share one up-sweep over (n, thetas, 2) Kahan
-    rows. Each theta's exponents are Python float scalars, so numpy maps
-    them to the same sqrt/pow kernels as a single theta would. On overflow
-    the value is +inf and the argmax points at the offending node; a theta
-    whose magnitudes pass 1e+-250 is evaluated in log space.
+    Returns one (value, argmax node) per theta. This is the one-beta block
+    of the evaluation ``beta_sweep`` runs on blocks of betas: S is summed
+    once for the block, in one down-sweep over (n, betas, 2) Kahan rows,
+    and the shadow sums of every (beta, theta) column share one up-sweep
+    over (n, betas, thetas, 2) rows. Every power has a Python float scalar
+    exponent and a contiguous 1-D operand, one (beta, theta) column at a
+    time, so numpy maps it to the same sqrt/pow kernel as a lone theta
+    would; an array exponent would turn a 0.5 from sqrt into pow and move
+    last bits. The range checks and the argmax reduce over the node axis of
+    each column. A column whose magnitudes pass 1e+-250 is evaluated in log
+    space on its own, and so is every theta of a beta whose ell^beta leaves
+    the float range; there an overflowing value is +inf and the argmax
+    points at the offending node.
+    """
+    if weights is None:
+        weights = _spec_weights(tree, w)
+    return _a_tree_block(tree, [w], thetas, [weights])[0]
+
+
+def _a_tree_block(tree: TreeCovering, specs, thetas, weights) -> list:
+    """(value, argmax node) per theta of ``thetas``, per spec of ``specs``.
+
+    The specs share p. ``weights[k]`` are the discrete weights of
+    ``specs[k]``, or None when they leave the float range.
     """
     _check_thetas(thetas)
-    dw = tree_weights(tree, w) if weights is None else weights
-    q = w.q
-    n = len(tree)
+    n, nb, nt = len(tree), len(specs), len(thetas)
     if n <= 1:
-        return [(0.0, tree.root)] * len(thetas)
-
+        return [[(0.0, tree.root)] * nt for _ in specs]
+    p = specs[0].p
+    q = specs[0].q
     star = np.arange(n) != tree.root
+    term = np.full((n, nb), np.nan)  # NaN columns fail the range check
+    base = np.full((nb, n), np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        term = dw.b ** (-q / w.p) * dw.nu ** (-q)
+        for k, dw in enumerate(weights):
+            if dw is not None:
+                term[:, k] = dw.b ** (-q / p) * dw.nu ** (-q)
+                base[k] = dw.b * dw.omega**p
         # S_t sums term along the path from just below the root to t
-        x = np.stack([term, np.zeros(n)], axis=-1)
+        x = np.zeros((n, nb, 2))
+        x[..., 0] = term
         x[tree.root] = 0.0
-        S = accumulate_down(tree, x, _kahan_add)[:, 0]
-        Sg = np.where(S > 0, S, 1.0)
-        base = dw.b * dw.omega**w.p
-        e = np.zeros((n, len(thetas), 2))
-        for j, theta in enumerate(thetas):
-            e[:, j, 0] = base * Sg ** ((w.p / q) * (1.0 - 1.0 / theta))
+        S = accumulate_down(tree, x, _kahan_add)[..., 0]
+        St = np.ascontiguousarray(S.T)
+        Sg = np.where(St > 0, St, 1.0)
+        e = np.zeros((n, nb, nt, 2))
+        for k in range(nb):
+            for j, theta in enumerate(thetas):
+                e[:, k, j, 0] = base[k] * Sg[k] ** ((p / q) * (1.0 - 1.0 / theta))
         e[tree.root] = 0.0  # the root never belongs to a shadow over Gamma*
+        ok = (_in_range((term, S), (term, S), star)[:, None]
+              & _in_range((e[..., 0],), (e[..., 0],), star))
         T = accumulate_up(tree, e, _kahan_add)[..., 0]  # shadow sums
-    shared_ok = _in_range((term, S), (term, S), star)
-    out = []
-    for j, theta in enumerate(thetas):
-        with np.errstate(over="ignore", invalid="ignore"):
-            cand = np.where(S > 0, S ** (1.0 / (theta * q)) * T[:, j] ** (1.0 / w.p), 0.0)
-        if shared_ok and _in_range((e[:, j, 0], T[:, j], cand), (e[:, j, 0], T[:, j]), star):
-            t_star = int(cand.argmax())
-            out.append((float(cand[t_star]), t_star))
-        else:
-            out.append(_a_tree_log(tree, w, theta, dw))
-    return out
+        del e  # bounds the block's peak memory
+        cand = np.empty((n, nb, nt))
+        for k in range(nb):
+            for j, theta in enumerate(thetas):
+                Tkj = np.ascontiguousarray(T[:, k, j])
+                cand[:, k, j] = np.where(
+                    St[k] > 0, St[k] ** (1.0 / (theta * q)) * Tkj ** (1.0 / p), 0.0)
+        ok &= _in_range((T, cand), (T,), star)
+    arg = cand.argmax(axis=0)
+    val = np.take_along_axis(cand, arg[None], axis=0)[0]
+    return [
+        [(float(val[k, j]), int(arg[k, j])) if ok[k, j]
+         else _a_tree_log(tree, w, theta, dw) for j, theta in enumerate(thetas)]
+        for k, (w, dw) in enumerate(zip(specs, weights))
+    ]
 
 
 def _a_tree_log(tree, w, theta, dw):
+    """Log-space evaluation for one theta; ``dw`` None takes the log
+    weights from beta log ell."""
     q = w.q
-    logterm = (-q / w.p) * np.log(dw.b) - q * np.log(dw.nu)
+    if dw is None:
+        logell = np.log(tree.ell)
+        lognu = logomega = w.beta * logell
+        logb = tree.ndim * logell
+    else:
+        lognu, logomega, logb = np.log(dw.nu), np.log(dw.omega), np.log(dw.b)
+    logterm = (-q / w.p) * logb - q * lognu
     logterm[tree.root] = -np.inf
     logS = accumulate_down(tree, logterm, np.logaddexp)
     expo = (w.p / q) * (1.0 - 1.0 / theta)
-    loge = np.log(dw.b) + w.p * np.log(dw.omega) + expo * np.where(
+    loge = logb + w.p * logomega + expo * np.where(
         np.isfinite(logS), logS, 0.0
     )
     loge[tree.root] = -np.inf
@@ -177,13 +232,18 @@ def _a_tree_log(tree, w, theta, dw):
     return float(math.exp(logcand[t_star])), t_star
 
 
-def a_tree_min(tree: TreeCovering, w: WeightSpec,
-               weights: DiscreteWeights | None = None) -> HardyReport:
-    """Minimum of the tree constant over the theta grid."""
-    per = dict(zip(w.theta_grid, a_tree_thetas(tree, w, w.theta_grid, weights)))
+def _min_report(thetas, results) -> HardyReport:
+    """The minimum over ``thetas`` of their (value, argmax node) results."""
+    per = dict(zip(thetas, results))
     best_theta = min(per, key=lambda th: per[th][0])
     val, arg = per[best_theta]
     return HardyReport(per_theta=per, a_tree_min=val, best_theta=best_theta, argmax=arg)
+
+
+def a_tree_min(tree: TreeCovering, w: WeightSpec,
+               weights: DiscreteWeights | None = None) -> HardyReport:
+    """Minimum of the tree constant over the theta grid."""
+    return _min_report(w.theta_grid, a_tree_thetas(tree, w, w.theta_grid, weights))
 
 
 def a_chain(chain: TreeCovering, w: WeightSpec,
@@ -256,21 +316,39 @@ def classify_growth(values) -> tuple[str, list]:
 
 def beta_sweep(dom, p: float, betas, levels,
                theta_grid=DEFAULT_THETA_GRID) -> HardyReport:
-    """A_tree_min per (beta, truncation level) with growth classification."""
+    """A_tree_min per (beta, truncation level) with growth classification.
+
+    Each tree is evaluated on blocks of consecutive betas, one block per
+    down/up sweep pair (see ``a_tree_thetas``). A block holds as many betas
+    as keep n * len(block) * len(theta_grid) within BETA_BLOCK_ENTRIES,
+    and at least one. The best theta per beta is chosen as in
+    ``a_tree_min``, and every power keeps a scalar exponent, so the rows
+    are bitwise those of one ``a_tree_min`` call per (tree, beta).
+    """
     levels = list(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ParameterError("levels must be strictly increasing")
-    specs = [WeightSpec(beta=beta, p=p, theta_grid=tuple(theta_grid)) for beta in betas]
-    trees = {lv: build_tree(whitney_decompose(dom, lv)) for lv in levels}
+    thetas = tuple(theta_grid)
+    specs = [WeightSpec(beta=beta, p=p, theta_grid=thetas) for beta in betas]
+    reps = {}  # level -> one HardyReport per spec
+    for lv in levels:
+        tree = build_tree(whitney_decompose(dom, lv))
+        size = max(1, BETA_BLOCK_ENTRIES // (len(tree) * len(thetas)))
+        reps[lv] = []
+        for i in range(0, len(specs), size):
+            block = specs[i:i + size]
+            results = _a_tree_block(tree, block, thetas,
+                                    [_spec_weights(tree, w) for w in block])
+            reps[lv] += [_min_report(thetas, r) for r in results]
     rows = []
     classification = {}
-    for w in specs:
+    for k, w in enumerate(specs):
         beta = w.beta
-        reps = [a_tree_min(trees[lv], w) for lv in levels]
-        vals = [rep.a_tree_min for rep in reps]
+        vals = [reps[lv][k].a_tree_min for lv in levels]
         cls, ratios = classify_growth(vals)
         classification[beta] = {"class": cls, "ratios": ratios, "values": vals}
-        for lv, rep in zip(levels, reps):
+        for lv in levels:
+            rep = reps[lv][k]
             rows.append(
                 SweepRow(
                     beta=beta,

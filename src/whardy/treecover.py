@@ -46,7 +46,8 @@ class TreeCovering:
     boxes32: np.ndarray | None = field(default=None, repr=False)
     root: int = field(init=False)
     depth: np.ndarray = field(init=False, repr=False)
-    children: list = field(init=False, repr=False)
+    # CSR pair (ptr, idx): the children of p are idx[ptr[p]:ptr[p + 1]], ascending
+    children: tuple = field(init=False, repr=False)
     order: np.ndarray = field(init=False, repr=False)  # root-first, by depth
     # (kids, parents) index arrays, deepest layer first; see accumulate_up
     schedule: list = field(init=False, repr=False)
@@ -75,7 +76,7 @@ class TreeCovering:
 
     @property
     def is_chain(self) -> bool:
-        return all(len(c) <= 1 for c in self.children)
+        return bool((np.diff(self.children[0]) <= 1).all())
 
     def ratio_u_over_b(self) -> float:
         """Reported C2 bound: max over nodes of |U_t| / |B_t|.
@@ -128,19 +129,19 @@ def _depths(parent: np.ndarray, root: int) -> np.ndarray:
 
 
 def _sweep_schedule(parent: np.ndarray, depth: np.ndarray):
-    """children lists and the layered sweep schedule of a parent array.
+    """Children CSR pair and the layered sweep schedule of a parent array.
 
-    children[p] lists p's children by increasing index. The schedule is a
-    list of (kids, parents) steps, deepest layer first; step r of a layer
-    holds the r-th child from the end of every parent there, so no parent
-    repeats inside a step and the children of p fold in reverse
-    children[p] order. That order fixes the last bits of every float sum.
+    The children of p are idx[ptr[p]:ptr[p + 1]], by increasing index. The
+    schedule is a list of (kids, parents) steps, deepest layer first; step
+    r of a layer holds the r-th child from the end of every parent there,
+    so no parent repeats inside a step and the children of p fold in
+    reverse order. That order fixes the last bits of every float sum.
     """
     n = len(parent)
     kids = np.flatnonzero(parent >= 0)
     kids = kids[np.argsort(parent[kids], kind="stable")]
     ends = np.cumsum(np.bincount(parent[kids], minlength=n))
-    children = [c.tolist() for c in np.split(kids, ends[:-1])]
+    children = (np.concatenate([[0], ends]), kids)
     rank = ends[parent[kids]] - 1 - np.arange(len(kids))  # 0 = last child
     step = np.lexsort((rank, -depth[kids]))
     kids, rank = kids[step], rank[step]

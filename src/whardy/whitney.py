@@ -307,8 +307,10 @@ def _adjacency(dec: WhitneyDecomposition):
 
 
 def _csr_lists(csr) -> list:
+    """Row lists of a CSR pair (ptr, idx)."""
     ptr, idx = csr
-    return [a.tolist() for a in np.split(idx, ptr[1:-1])]
+    flat = idx.tolist()
+    return [flat[a:b] for a, b in itertools.pairwise(ptr.tolist())]
 
 
 def _lists_csr(lists) -> tuple:

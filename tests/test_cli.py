@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -52,6 +53,18 @@ def test_hardy_negative_grid(tmp_path):
     assert lines[0].startswith("beta,")
     assert len(lines) == 1 + 3 * 2  # betas -0.5, -0.2, 0.1 at two levels
     assert lines[1].startswith("-0.5,")
+
+
+def test_hardy_overflowing_weights(tmp_path):
+    # ell^-500 overflows the float range: the sweep runs in log space, silently
+    out = tmp_path / "h"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["hardy", "--domain", "unit-square", "--levels", "4,5",
+                    "--beta-grid", "-500:-499:1", "--out", str(out)]) == 0
+    lines = (out / "hardy_sweep.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * 2
+    assert all(line.endswith(",divergent") for line in lines[1:])
 
 
 def test_decompose_subcommand(tmp_path):

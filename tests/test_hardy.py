@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from conftest import oracle_a_tree
 from whardy import hardy as hd
 from whardy import treecover as tc
+from whardy import whitney as wt
 from whardy.errors import ParameterError, StructureError
 
 
@@ -245,6 +247,116 @@ def test_theta_batch_mixes_direct_and_log_space(monkeypatch):
             want, want_arg = oracle_a_tree(parent, ell, -3.0, 2.0, theta)
             assert val == pytest.approx(want, rel=1e-10)
             assert arg == want_arg
+
+
+def assert_log_oracle(val, parent, ell, beta, p, theta):
+    want = oracle_a_tree_log(parent, ell, beta, p, theta)
+    if math.isinf(val):
+        assert want > math.log(sys.float_info.max)
+    else:
+        assert math.log(val) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_overflowing_weights_go_to_log_space():
+    # ell^beta over- or underflows for the larger |beta|: the evaluation takes
+    # log nu = beta log ell and log b = n log ell instead of raising, silently
+    n = 8
+    parent = [-1] + list(range(n - 1))
+    out_of_range = 0
+    for k in (6, 20):
+        ell = [2.0 ** (-k * j) for j in range(n)]
+        tree = tc.synthetic_tree(parent, ell)
+        for beta in (-60.0, -25.0, -1.0, 0.0, 1.0, 25.0, 60.0):
+            w = hd.WeightSpec(beta, 2.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out_of_range += hd._spec_weights(tree, w) is None
+                rep = hd.a_tree_min(tree, w)
+            for theta, (val, _) in rep.per_theta.items():
+                assert_log_oracle(val, parent, ell, beta, 2.0, theta)
+    assert out_of_range >= 6
+    # explicit weights keep their positivity check
+    tree = tc.synthetic_tree(parent, np.ones(n))
+    with pytest.raises(ParameterError):
+        hd.a_tree(tree, hd.WeightSpec(0.0, 2.0), 1.5,
+                  hd.DiscreteWeights(nu=np.zeros(n), omega=np.ones(n), b=np.ones(n)))
+
+
+@pytest.fixture(scope="module")
+def block_trees(square_trees, koch2):
+    return [square_trees[6], square_trees[7], tc.build_tree(wt.whitney_decompose(koch2, 6))]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_beta_blocks_match_per_beta_bitwise(block_trees, p):
+    # blocks of one beta, of seven (the last one partial) and of the whole
+    # grid give the bits of one a_tree_min per beta and of the lone-theta
+    # reference
+    thetas = hd.DEFAULT_THETA_GRID
+    specs = [hd.WeightSpec(beta, p) for beta in hd.parse_grid("-0.9:0.3:0.05")]
+    assert len(specs) % 7
+    for tree in block_trees:
+        weights = [hd.tree_weights(tree, w) for w in specs]
+        want = []
+        for w in specs:
+            per = hd.a_tree_min(tree, w).per_theta
+            want.append([per[theta] for theta in thetas])
+            assert want[-1] == [reference_a_tree(tree, w, theta) for theta in thetas]
+        for size in (1, 7, len(specs)):
+            got = []
+            for i in range(0, len(specs), size):
+                got += hd._a_tree_block(tree, specs[i:i + size], thetas, weights[i:i + size])
+            assert got == want
+
+
+def test_beta_block_mixes_direct_and_log_space(monkeypatch):
+    # on this chain beta = -1 stays direct, beta = -3 sends some thetas to
+    # log space and ell^-8 overflows; in one block only the columns that fail
+    # on their own go to log space
+    n = 7
+    parent = [-1] + list(range(n - 1))
+    ell = [2.0 ** (150 - 50 * k) for k in range(n)]
+    tree = tc.synthetic_tree(parent, ell)
+    thetas = hd.DEFAULT_THETA_GRID
+    specs = [hd.WeightSpec(beta, 2.0) for beta in (-1.0, -3.0, -8.0)]
+    logged = []
+    log_path = hd._a_tree_log
+
+    def spy(tree, w, theta, dw):
+        logged.append((w.beta, theta))
+        return log_path(tree, w, theta, dw)
+
+    monkeypatch.setattr(hd, "_a_tree_log", spy)
+    alone = {(w.beta, theta): hd.a_tree(tree, w, theta) for w in specs for theta in thetas}
+    alone_logged = set(logged)
+    logged.clear()
+    got = hd._a_tree_block(tree, specs, thetas, [hd._spec_weights(tree, w) for w in specs])
+    assert len(logged) == len(alone_logged) and set(logged) == alone_logged
+    assert {beta for beta, _ in logged} == {-3.0, -8.0}
+    assert len([1 for beta, _ in logged if beta == -3.0]) < len(thetas)
+    for w, row in zip(specs, got):
+        for theta, (val, arg) in zip(thetas, row):
+            assert (val, arg) == alone[w.beta, theta]
+            if (w.beta, theta) in alone_logged:
+                assert_log_oracle(val, parent, ell, w.beta, 2.0, theta)
+            else:
+                assert (val, arg) == pytest.approx(oracle_a_tree(parent, ell, w.beta, 2.0, theta),
+                                                   rel=1e-10)
+
+
+def test_beta_sweep_rows_match_per_beta_a_tree_min(unit_square):
+    betas = hd.parse_grid("-0.9:0.3:0.05")
+    levels = [5, 6, 7]
+    trees = {lv: tc.build_tree(wt.whitney_decompose(unit_square, lv)) for lv in levels}
+    # L7 splits the grid into several blocks, the last one partial
+    assert len(trees[7]) * len(hd.DEFAULT_THETA_GRID) * len(betas) > 2 * hd.BETA_BLOCK_ENTRIES
+    want = []
+    for beta in betas:
+        for lv in levels:
+            rep = hd.a_tree_min(trees[lv], hd.WeightSpec(beta, 2.0))
+            want.append((beta, rep.best_theta, lv, rep.a_tree_min, rep.argmax))
+    rows = hd.beta_sweep(unit_square, 2.0, betas, levels).rows
+    assert [(r.beta, r.theta, r.level, r.a_tree, r.argmax_node) for r in rows] == want
 
 
 def test_kahan_add_rows_fold_per_column():

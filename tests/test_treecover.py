@@ -392,6 +392,9 @@ def test_sweeps_match_per_node_loops(square_tree6):
     rng = np.random.default_rng(7)
     for tree in sweep_trees(square_tree6):
         parent = tree.parent.tolist()
+        kids = [[c for c in range(len(parent)) if parent[c] == p] for p in range(len(parent))]
+        assert wt._csr_lists(tree.children) == kids
+        assert tree.is_chain == all(len(k) <= 1 for k in kids)
         for name, x, op, row_op in sweep_cases(len(tree), rng):
             up = tc.accumulate_up(tree, x, op)
             assert np.array_equal(up, loop_up(parent, x, row_op)), name
