@@ -527,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_grid_flags(argv_list):
     """Join '--beta-grid -0.9:0.3:0.1' so the negative start survives argparse."""
     out = []
-    it = iter(range(len(argv_list)))
     skip = False
     for k, tok in enumerate(argv_list):
         if skip:

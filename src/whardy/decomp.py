@@ -12,6 +12,7 @@ box arithmetic), and all integrals below are exact cell sums.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 
@@ -20,33 +21,33 @@ import numpy as np
 from .errors import ParameterError
 from .fields import GridFunction, make_grid
 from .treecover import TreeCovering, accumulate_up
-from .whitney import _csr_lists
 
 
 @dataclass
 class Decomposition:
+    """The pieces g_t as one CSR: the cells of node t, ascending, are
+    ``cells[ptr[t]:ptr[t + 1]]`` and g_t takes ``values`` there."""
+
     tree: TreeCovering
     grid: GridFunction
     assignment: np.ndarray  # (nx, ny) cube id per cell, -1 in the uncovered collar
-    cells: list  # per node: flat cell indices of supp(g_t)
-    values: list  # per node: values of g_t on those cells
+    ptr: np.ndarray  # (n + 1,)
+    cells: np.ndarray  # flat cell indices of every supp(g_t), node by node
+    values: np.ndarray  # g_t on those cells
     m: np.ndarray  # shadow integrals m_t
-    b_cells: list  # per node: flat cell indices of the snapped transfer box
     uncovered_count: int = 0
 
+    def piece(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """(cells, values) of g_t."""
+        a, b = self.ptr[t], self.ptr[t + 1]
+        return self.cells[a:b], self.values[a:b]
+
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros(self.grid.dims[0] * self.grid.dims[1])
-        for idx, val in zip(self.cells, self.values):
-            np.add.at(out, idx, val)
-        return out.reshape(self.grid.dims)
+        nx, ny = self.grid.dims
+        return np.bincount(self.cells, weights=self.values, minlength=nx * ny).reshape(nx, ny)
 
     def node_integral(self, t: int) -> float:
-        return float(self.values[t].sum() * self.grid.h**2)
-
-    def node_function(self, t: int) -> GridFunction:
-        flat = np.zeros(self.grid.dims[0] * self.grid.dims[1])
-        flat[self.cells[t]] = self.values[t]
-        return self.grid.with_values(flat.reshape(self.grid.dims))
+        return float(self.piece(t)[1].sum() * self.grid.h**2)
 
 
 def grid_layout(tree: TreeCovering):
@@ -81,29 +82,17 @@ def assign_cells(tree: TreeCovering, grid: GridFunction) -> np.ndarray:
     dec = tree.decomposition
     L = int(dec.levels.max())
     i0, j0 = grid.frame_offset
-    nx, ny = grid.dims
-    gi = np.arange(nx)[:, None] + i0
-    gj = np.arange(ny)[None, :] + j0
-    out = np.full((nx, ny), -1, dtype=np.int64)
-    BIG = np.int64(1) << 32
-    for lv in sorted(set(int(l) for l in dec.levels)):
-        side_cells = 4 << (L - lv)  # cube side in grid cells
-        sel = np.where(dec.levels == lv)[0]
-        packed = dec.indices[sel, 0].astype(np.int64) * BIG + dec.indices[sel, 1]
-        srt = np.argsort(packed)
-        packed_sorted = packed[srt]
-        ids_sorted = sel[srt]
-        cx = gi // side_cells
-        cy = gj // side_cells
-        key = (cx * BIG + cy).ravel()
-        pos = np.searchsorted(packed_sorted, key)
-        pos = np.clip(pos, 0, len(packed_sorted) - 1)
-        hit = packed_sorted[pos] == key
-        flat = out.ravel()
-        write = hit & (flat == -1)
-        flat[write] = ids_sorted[pos[write]]
-        out = flat.reshape(nx, ny)
-    out[~grid.mask] = -1
+    out = np.full(grid.dims, -1, dtype=np.int64)
+    todo = np.flatnonzero(grid.mask)  # masked cells not yet assigned
+    gi, gj = np.divmod(todo, grid.dims[1])
+    gi += i0
+    gj += j0
+    for lv in np.unique(dec.levels):
+        side_cells = 4 << (L - int(lv))  # cube side in grid cells
+        t = dec.find(lv, gi // side_cells, gj // side_cells)
+        hit = t >= 0
+        out.flat[todo[hit]] = t[hit]
+        todo, gi, gj = todo[~hit], gi[~hit], gj[~hit]
     return out
 
 
@@ -127,8 +116,11 @@ def collar_probe(tree: TreeCovering, grid: GridFunction,
                              np.where(np.isin(assignment, fine), 1.0, 0.0))
 
 
-def _snap_b_cells(tree: TreeCovering, grid: GridFunction, t: int) -> np.ndarray:
-    """Cells of the transfer box ``tree.boxes32[t]``, snapped to the grid.
+def _snap_b_cells(tree: TreeCovering, grid: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of every transfer box ``tree.boxes32[t]``, snapped to the grid.
+
+    Returns a CSR pair (ptr, cells): the cells of B_t, ascending, are
+    ``cells[ptr[t]:ptr[t + 1]]``; the root's row is empty.
 
     One grid cell is 8 units of the (finest side)/32 lattice. The face axis
     is the box's shorter extent. Along the face the box is the middle half
@@ -139,24 +131,31 @@ def _snap_b_cells(tree: TreeCovering, grid: GridFunction, t: int) -> np.ndarray:
     both expanded cubes up to one-cell slack (support is checked
     cell-square against U_t).
     """
-    lo, hi = tree.boxes32[t]
-    f = int(np.argmin(hi - lo))
-    o = 1 - f
-    face_cell = int(lo[f] + hi[f]) // 16
-    per_side = max(1, int(hi[f] - lo[f]) // 16)  # half-width // 8
-    across = np.arange(face_cell - per_side, face_cell + per_side)
-    along = np.arange(int(lo[o]) // 8, int(hi[o]) // 8)
-    i0, j0 = grid.frame_offset
-    if f == 0:
-        ii = np.repeat(across, len(along)) - i0
-        jj = np.tile(along, len(across)) - j0
-    else:
-        ii = np.tile(along, len(across)) - i0
-        jj = np.repeat(across, len(along)) - j0
+    n = len(tree)
+    kids = np.flatnonzero(tree.parent >= 0)
+    lo, hi = tree.boxes32[kids, 0], tree.boxes32[kids, 1]
+    f = np.argmin(hi - lo, axis=1)  # face axis, the first on a tie
+    r = np.arange(len(kids))
+    lo_f, hi_f, lo_o, hi_o = lo[r, f], hi[r, f], lo[r, 1 - f], hi[r, 1 - f]
+    face_cell = (lo_f + hi_f) // 16
+    per_side = np.maximum(1, (hi_f - lo_f) // 16)  # half-width // 8
+    # the block is [face_cell -+ per_side) across and [lo // 8, hi // 8) along
+    across = np.stack([face_cell - per_side, face_cell + per_side], axis=1)
+    along = np.stack([lo_o // 8, hi_o // 8], axis=1)
+    x = np.where(f[:, None] == 0, across, along) - grid.frame_offset[0]
+    y = np.where(f[:, None] == 0, along, across) - grid.frame_offset[1]
     nx, ny = grid.dims
-    if np.any((ii < 0) | (ii >= nx) | (jj < 0) | (jj >= ny)):
+    if (x[:, 0] < 0).any() or (x[:, 1] > nx).any() or (y[:, 0] < 0).any() or (y[:, 1] > ny).any():
         raise ParameterError("snapped transfer box escapes the grid")
-    return (ii * ny + jj).astype(np.int64)
+    # each rectangle row-major, so its flat ids i * ny + j ascend
+    wy = y[:, 1] - y[:, 0]
+    count = np.zeros(n, dtype=np.int64)
+    count[kids] = (x[:, 1] - x[:, 0]) * wy
+    ptr = np.concatenate([[0], np.cumsum(count)])
+    box = np.repeat(np.arange(len(kids)), count[kids])
+    k = np.arange(ptr[-1]) - ptr[kids][box]
+    di, dj = np.divmod(k, wy[box])
+    return ptr, (x[box, 0] + di) * ny + y[box, 0] + dj
 
 
 def c_decompose(tree: TreeCovering, g: GridFunction,
@@ -185,53 +184,31 @@ def c_decompose(tree: TreeCovering, g: GridFunction,
         )
 
     n = len(tree)
-    own = np.zeros(n)
-    flat_assign = assignment.ravel()
-    flat_g = gv.ravel()
-    sel = flat_assign >= 0
-    np.add.at(own, flat_assign[sel], flat_g[sel] * h2)
-    m = accumulate_up(tree, own)
-    # own cells grouped by cube; the stable sort keeps each group ascending
-    by_cube = np.argsort(flat_assign, kind="stable")[np.count_nonzero(~sel):]
-    own_cells = np.split(by_cube, np.cumsum(np.bincount(flat_assign[sel], minlength=n))[:-1])
-
-    b_cells: list = [None] * n
-    phi: list = [None] * n
-    for t in range(n):
-        if tree.parent[t] < 0:
-            continue
-        idx = _snap_b_cells(tree, g, t)
-        b_cells[t] = idx
-        phi[t] = 1.0 / (len(idx) * h2)
-
-    cells: list = [None] * n
-    values: list = [None] * n
-    children = _csr_lists(tree.children)
-    for t in range(n):
-        parts_idx = [own_cells[t]]
-        parts_val = [flat_g[own_cells[t]]]
-        for s in children[t]:
-            parts_idx.append(b_cells[s])
-            parts_val.append(np.full(len(b_cells[s]), m[s] * phi[s]))
-        if tree.parent[t] >= 0:
-            parts_idx.append(b_cells[t])
-            parts_val.append(np.full(len(b_cells[t]), -m[t] * phi[t]))
-        idx = np.concatenate(parts_idx)
-        val = np.concatenate(parts_val)
-        # merge duplicate cells (a cell can carry own value plus transfers)
-        uniq, inv = np.unique(idx, return_inverse=True)
-        acc = np.zeros(len(uniq))
-        np.add.at(acc, inv, val)
-        cells[t] = uniq
-        values[t] = acc
+    own_cells = np.flatnonzero(covered)
+    own_node = assignment.flat[own_cells]
+    own_vals = gv.flat[own_cells]
+    m = accumulate_up(tree, np.bincount(own_node, weights=own_vals * h2, minlength=n))
+    bptr, b_cells = _snap_b_cells(tree, g)
+    b_count = np.diff(bptr)
+    b_node = np.repeat(np.arange(n), b_count)
+    mass = m[b_node] * (1.0 / (b_count[b_node] * h2))  # m_s phi_s on each cell of B_s
+    # (node, cell, value) triplets: each node's own cells, then the masses its
+    # children move onto their boxes, then its own mass taken off its box
+    node = np.concatenate([own_node, tree.parent[b_node], b_node])
+    cell = np.concatenate([own_cells, b_cells, b_cells])
+    val = np.concatenate([own_vals, mass, -mass])
+    # a cell can carry an own value plus a transfer; bincount adds each
+    # (node, cell) pair's values in the order above, starting from 0.0
+    uniq, inv = np.unique(node * g.values.size + cell, return_inverse=True)
+    t, cells = np.divmod(uniq, g.values.size)
     return Decomposition(
         tree=tree,
         grid=g,
         assignment=assignment,
+        ptr=np.searchsorted(t, np.arange(n + 1)),
         cells=cells,
-        values=values,
+        values=np.bincount(inv, weights=val, minlength=len(uniq)),
         m=m,
-        b_cells=b_cells,
         uncovered_count=uncovered,
     )
 
@@ -242,11 +219,11 @@ def decomposition_ratio(dec: Decomposition, q: float, beta: float) -> float:
     grid = dec.grid
     h2 = grid.h * grid.h
     dist = grid.dist.ravel()
+    terms = np.abs(dec.values) ** q * dist[dec.cells] ** power
     num = 0.0
-    for idx, val in zip(dec.cells, dec.values):
-        if len(idx) == 0:
-            continue
-        num += float((np.abs(val) ** q * dist[idx] ** power).sum()) * h2
+    for a, b in itertools.pairwise(dec.ptr.tolist()):
+        # a pairwise .sum() per node; np.add.reduceat would move the last bits
+        num += float(terms[a:b].sum()) * h2
     covered = dec.assignment >= 0
     gv = np.where(covered, grid.values, 0.0)
     den = float((np.abs(gv.ravel()) ** q * dist**power)[covered.ravel()].sum()) * h2
@@ -261,17 +238,13 @@ def decomposition_ratio(dec: Decomposition, q: float, beta: float) -> float:
 
 def dump_decomposition(dec: Decomposition, path) -> None:
     """Single binary container: JSON index line then per-node id/value blocks."""
-    index = []
-    offset = 0
-    blobs = []
-    for t, (idx, val) in enumerate(zip(dec.cells, dec.values)):
-        blob = idx.astype("<i8").tobytes() + val.astype("<f8").tobytes()
-        index.append({"node": t, "offset": offset, "count": int(len(idx))})
-        offset += len(blob)
-        blobs.append(blob)
+    bounds = list(itertools.pairwise(dec.ptr.tolist()))
+    # node t's block holds 8-byte ids then 8-byte values, so it starts at 16 ptr[t]
+    index = [{"node": t, "offset": 16 * a, "count": b - a} for t, (a, b) in enumerate(bounds)]
     header = json.dumps({"h": dec.grid.h, "dims": list(dec.grid.dims), "index": index},
                         sort_keys=True)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for blob in blobs:
-            fh.write(blob)
+        for a, b in bounds:
+            fh.write(dec.cells[a:b].astype("<i8").tobytes())
+            fh.write(dec.values[a:b].astype("<f8").tobytes())

@@ -12,7 +12,7 @@ constraint is verified cellwise after every solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -221,14 +221,13 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float,
     # nodes are visited grouped by patch shape (a stable sort, so node order
     # within a group), so each shape is factored once and only one factor
     # is alive at a time.
-    keys = [patch_key(cells, ny) for cells in dec.cells]
+    keys = [patch_key(dec.piece(t)[0], ny) for t in range(len(tree))]
     order = sorted(range(len(tree)), key=keys.__getitem__)
     del keys  # 16 bytes per patch cell, unused while solving
     factors: dict = {}
     solves: list = [None] * len(tree)
     for t in order:
-        solves[t] = local_div_solve(dec.cells[t], dec.values[t], ny, f.h, node=t,
-                                    factors=factors)
+        solves[t] = local_div_solve(*dec.piece(t), ny, f.h, node=t, factors=factors)
     del factors  # frees the last factor before the norms below
     # summed in node order, so every float is independent of the visit order
     FX = np.zeros((nx + 1, ny))
@@ -278,11 +277,7 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float,
 
 def _grad_magnitude_covered(vec: VectorFieldGrid, covered: np.ndarray) -> GridFunction:
     g = vec.grid
-    masked = GridFunction(
-        h=g.h, origin=g.origin, dims=g.dims,
-        values=np.zeros(g.dims), mask=covered & g.mask,
-        domain=g.domain, dist=g.dist, frame_offset=g.frame_offset,
-    )
+    masked = replace(g, values=np.zeros(g.dims), mask=covered & g.mask)
     comps = []
     for c in vec.components:
         comps.append(masked.with_values(np.where(masked.mask, c.values, 0.0)))
@@ -295,11 +290,7 @@ def _grad_magnitude_covered(vec: VectorFieldGrid, covered: np.ndarray) -> GridFu
         + gy.components[1].values ** 2
     )
     out_mask = gx.components[0].mask
-    return GridFunction(
-        h=g.h, origin=g.origin, dims=g.dims,
-        values=np.where(out_mask, mag, 0.0), mask=out_mask,
-        domain=g.domain, dist=g.dist, frame_offset=g.frame_offset,
-    )
+    return replace(g, values=np.where(out_mask, mag, 0.0), mask=out_mask)
 
 
 def reweighted_ratio(vec: VectorFieldGrid, f: GridFunction, covered: np.ndarray,

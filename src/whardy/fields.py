@@ -194,15 +194,7 @@ def gradient(f: GridFunction) -> VectorFieldGrid:
         out_mask &= prev_m | next_m
         comps.append(d)
     comps = [np.where(out_mask, d, 0.0) for d in comps]
-    base = GridFunction(
-        h=f.h,
-        origin=f.origin,
-        dims=f.dims,
-        values=comps[0],
-        mask=out_mask,
-        domain=f.domain,
-        dist=f.dist,
-    )
+    base = replace(f, values=comps[0], mask=out_mask)
     return VectorFieldGrid((base, base.with_values(comps[1])))
 
 

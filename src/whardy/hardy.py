@@ -142,9 +142,10 @@ def a_tree_thetas(tree: TreeCovering, w: WeightSpec, thetas,
     would; an array exponent would turn a 0.5 from sqrt into pow and move
     last bits. The range checks and the argmax reduce over the node axis of
     each column. A column whose magnitudes pass 1e+-250 is evaluated in log
-    space on its own, and so is every theta of a beta whose ell^beta leaves
-    the float range; there an overflowing value is +inf and the argmax
-    points at the offending node.
+    space, and so is every theta of a beta whose ell^beta leaves the float
+    range; the log-space thetas of one beta share one log S down-sweep.
+    There an overflowing value is +inf and the argmax points at the
+    offending node.
     """
     if weights is None:
         weights = _spec_weights(tree, w)
@@ -196,40 +197,53 @@ def _a_tree_block(tree: TreeCovering, specs, thetas, weights) -> list:
         ok &= _in_range((T, cand), (T,), star)
     arg = cand.argmax(axis=0)
     val = np.take_along_axis(cand, arg[None], axis=0)[0]
-    return [
-        [(float(val[k, j]), int(arg[k, j])) if ok[k, j]
-         else _a_tree_log(tree, w, theta, dw) for j, theta in enumerate(thetas)]
-        for k, (w, dw) in enumerate(zip(specs, weights))
-    ]
+    out = []
+    for k, (w, dw) in enumerate(zip(specs, weights)):
+        row = [(float(v), int(a)) for v, a in zip(val[k], arg[k])]
+        failed = np.flatnonzero(~ok[k])
+        if len(failed):
+            for j, res in zip(failed, _a_tree_log(tree, w, [thetas[j] for j in failed], dw)):
+                row[j] = res
+        out.append(row)
+    return out
 
 
-def _a_tree_log(tree, w, theta, dw):
-    """Log-space evaluation for one theta; ``dw`` None takes the log
-    weights from beta log ell."""
-    q = w.q
+def _log_weights(tree, w, dw):
+    """(log nu, log omega, log b); ``dw`` None takes them from beta log ell."""
     if dw is None:
         logell = np.log(tree.ell)
-        lognu = logomega = w.beta * logell
-        logb = tree.ndim * logell
-    else:
-        lognu, logomega, logb = np.log(dw.nu), np.log(dw.omega), np.log(dw.b)
+        return w.beta * logell, w.beta * logell, tree.ndim * logell
+    return np.log(dw.nu), np.log(dw.omega), np.log(dw.b)
+
+
+def _exp(x: float) -> float:
+    """exp(x), +inf where it passes the float range."""
+    return math.inf if x > math.log(float(np.finfo(float).max)) else math.exp(x)
+
+
+def _a_tree_log(tree, w, thetas, dw) -> list:
+    """Log-space evaluation: (value, argmax node) per theta of ``thetas``,
+    with one log S down-sweep for all of them."""
+    q = w.q
+    lognu, logomega, logb = _log_weights(tree, w, dw)
     logterm = (-q / w.p) * logb - q * lognu
     logterm[tree.root] = -np.inf
     logS = accumulate_down(tree, logterm, np.logaddexp)
-    expo = (w.p / q) * (1.0 - 1.0 / theta)
-    loge = logb + w.p * logomega + expo * np.where(
-        np.isfinite(logS), logS, 0.0
-    )
-    loge[tree.root] = -np.inf
-    logT = accumulate_up(tree, loge, np.logaddexp)
-    with np.errstate(invalid="ignore"):
-        logcand = np.where(
-            np.isfinite(logS), logS / (theta * q) + logT / w.p, -np.inf
+    out = []
+    for theta in thetas:
+        expo = (w.p / q) * (1.0 - 1.0 / theta)
+        loge = logb + w.p * logomega + expo * np.where(
+            np.isfinite(logS), logS, 0.0
         )
-    t_star = int(logcand.argmax())
-    if logcand[t_star] > math.log(float(np.finfo(float).max)):
-        return math.inf, t_star
-    return float(math.exp(logcand[t_star])), t_star
+        loge[tree.root] = -np.inf
+        logT = accumulate_up(tree, loge, np.logaddexp)
+        with np.errstate(invalid="ignore"):
+            logcand = np.where(
+                np.isfinite(logS), logS / (theta * q) + logT / w.p, -np.inf
+            )
+        t_star = int(logcand.argmax())
+        out.append((_exp(float(logcand[t_star])), t_star))
+    return out
 
 
 def _min_report(thetas, results) -> HardyReport:
@@ -255,13 +269,18 @@ def a_chain(chain: TreeCovering, w: WeightSpec,
     """
     if not chain.is_chain:
         raise StructureError("a_chain requires a chain (every node has at most one child)")
-    dw = tree_weights(chain, w) if weights is None else weights
+    dw = _spec_weights(chain, w) if weights is None else weights
     n = len(chain)
     if n <= 1:
         return 0.0
     q = w.q
     # chain order: root first along tree.order
     order = chain.order
+    if dw is None:  # ell^beta or ell^n leaves the float range
+        lognu, logomega, logb = _log_weights(chain, w, dw)
+        logpre = np.logaddexp.accumulate(((-q / w.p) * logb - q * lognu)[order])
+        logsuf = np.logaddexp.accumulate((logb + w.p * logomega)[order][::-1])[::-1]
+        return _exp(float((logpre[1:] / q + logsuf[1:] / w.p).max()))
     term_pre = dw.b ** (-q / w.p) * dw.nu ** (-q)
     term_suf = dw.b * dw.omega**w.p
     pre = np.cumsum(term_pre[order])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -215,11 +215,7 @@ def korn_ratio(u: VectorFieldGrid, p: float, beta: float,
     )  # G[i][j] = d u_i / d x_j
     eta = 0.5 * (G[0][1] - G[1][0])
 
-    ref = GridFunction(
-        h=base.h, origin=base.origin, dims=base.dims,
-        values=np.where(mask, eta, 0.0), mask=mask,
-        domain=base.domain, dist=base.dist,
-    )
+    ref = replace(base, values=np.where(mask, eta, 0.0), mask=mask)
     sel = ref.quad_mask
     w = ref.dist[sel] ** (beta * p)
     denom = float(w.sum())

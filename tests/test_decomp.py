@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,24 @@ def tree5(square_decs):
 @pytest.fixture(scope="module")
 def grid5(tree5):
     return dc.decomposition_grid(tree5)
+
+
+@pytest.fixture(scope="module")
+def koch2_tree6(koch2):
+    return tc.build_tree(wt.whitney_decompose(koch2, 6))
+
+
+def dense(d, t):
+    """g_t of ``d`` on the whole (flattened) grid."""
+    flat = np.zeros(d.grid.values.size)
+    cells, values = d.piece(t)
+    flat[cells] = values
+    return flat
+
+
+def box_cells(tree, grid, t):
+    ptr, cells = dc._snap_b_cells(tree, grid)
+    return cells[ptr[t]:ptr[t + 1]]
 
 
 def test_grid_alignment(tree5, grid5):
@@ -55,11 +75,10 @@ def test_single_cube_supported(tree5, grid5):
     vals[cells[half:, 0], cells[half:, 1]] = -1.0
     g = grid5.with_values(vals)
     d = dc.c_decompose(tree5, g)
-    piece = d.node_function(t0)
-    assert np.allclose(piece.values, vals, atol=1e-15)
+    assert np.allclose(dense(d, t0), vals.ravel(), atol=1e-15)
     for t in range(len(tree5)):
         if t != t0:
-            assert len(d.values[t]) == 0 or np.allclose(d.values[t], 0.0)
+            assert np.allclose(d.piece(t)[1], 0.0)
 
 
 def two_cube_tree(domain):
@@ -87,20 +106,16 @@ def test_two_cube_hand_computation(unit_square):
     d = dc.c_decompose(tree, g)
     h2 = grid.h**2
     area = float((assign == 1).sum()) * h2
-    phi = 1.0 / (len(d.b_cells[1]) * h2)
+    box = box_cells(tree, grid, 1)
+    phi = 1.0 / (len(box) * h2)
     # child piece: own +1 plus the mass pulled out through B
-    flat = np.zeros(grid.dims[0] * grid.dims[1])
-    flat[d.cells[1]] = d.values[1]
-    child = flat.reshape(grid.dims)
     expect = np.where(assign == 1, 1.0, 0.0).ravel()
-    expect[d.b_cells[1]] -= area * phi
-    assert np.allclose(child.ravel(), expect, atol=1e-14)
+    expect[box] -= area * phi
+    assert np.allclose(dense(d, 1), expect, atol=1e-14)
     # root piece: own -1 plus the transferred mass
-    flat = np.zeros(grid.dims[0] * grid.dims[1])
-    flat[d.cells[0]] = d.values[0]
     expect = np.where(assign == 0, -1.0, 0.0).ravel()
-    expect[d.b_cells[1]] += area * phi
-    assert np.allclose(flat, expect, atol=1e-14)
+    expect[box] += area * phi
+    assert np.allclose(dense(d, 0), expect, atol=1e-14)
     assert abs(d.node_integral(0)) < 1e-15
     assert abs(d.node_integral(1)) < 1e-15
 
@@ -113,7 +128,9 @@ def test_two_cube_snapped_box(unit_square):
     i0, j0 = grid.frame_offset
     ny = grid.dims[1]
     expect = sorted((i - i0) * ny + (j - j0) for i in (31, 32) for j in (29, 30))
-    assert sorted(dc._snap_b_cells(tree, grid, 1).tolist()) == expect
+    ptr, cells = dc._snap_b_cells(tree, grid)
+    assert ptr.tolist() == [0, 0, 4]  # the root has no box
+    assert cells.tolist() == expect
 
 
 def support_violations(d):
@@ -122,8 +139,9 @@ def support_violations(d):
     ny = grid.dims[1]
     bad = 0
     for t, (lo, hi) in enumerate(expanded_boxes(dec)):
-        ii, jj = np.divmod(d.cells[t], ny)
-        nz = np.abs(d.values[t]) > 0
+        cells, values = d.piece(t)
+        ii, jj = np.divmod(cells, ny)
+        nz = np.abs(values) > 0
         x0 = grid.origin[0] + ii * grid.h
         y0 = grid.origin[1] + jj * grid.h
         outside = (
@@ -157,12 +175,7 @@ def test_linearity(tree5, grid5):
     db = dc.c_decompose(tree5, gb)
     dcb = dc.c_decompose(tree5, combo)
     for t in range(len(tree5)):
-        flat = np.zeros(grid5.dims[0] * grid5.dims[1])
-        flat[da.cells[t]] += 2.0 * da.values[t]
-        flat[db.cells[t]] -= 3.0 * db.values[t]
-        got = np.zeros_like(flat)
-        got[dcb.cells[t]] = dcb.values[t]
-        assert np.allclose(got, flat, atol=1e-10)
+        assert np.allclose(dense(dcb, t), 2.0 * dense(da, t) - 3.0 * dense(db, t), atol=1e-10)
 
 
 def test_telescoping(tree5, grid5):
@@ -182,10 +195,10 @@ def test_nonzero_mean_rejected(tree5, grid5):
 
 
 def test_b_cells_disjoint(tree5, grid5):
-    g = random_mean_zero(tree5, grid5, 5)
-    d = dc.c_decompose(tree5, g)
-    allb = np.concatenate([b for b in d.b_cells if b is not None])
-    assert len(allb) == len(np.unique(allb))
+    ptr, cells = dc._snap_b_cells(tree5, grid5)
+    assert ptr[tree5.root] == ptr[tree5.root + 1]
+    assert (np.diff(ptr)[np.arange(len(tree5)) != tree5.root] > 0).all()
+    assert len(cells) == len(np.unique(cells))
 
 
 def test_ratio_identity_for_single_cube(tree5, grid5):
@@ -245,5 +258,109 @@ def test_dump_format(tmp_path, tree5, grid5):
 
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
+        body = fh.read()
     assert header["dims"] == list(grid5.dims)
     assert len(header["index"]) == len(tree5)
+    # each node's block is its cell ids then its values, at its offset
+    for entry in header["index"]:
+        cells, values = d.piece(entry["node"])
+        block = body[entry["offset"]:entry["offset"] + 16 * entry["count"]]
+        assert block == cells.astype("<i8").tobytes() + values.astype("<f8").tobytes()
+    assert len(body) == 16 * len(d.cells)
+
+
+def reference_snap_b_cells(tree, grid, t):
+    """B_t snapped to the grid on its own, one node at a time."""
+    lo, hi = tree.boxes32[t]
+    f = int(np.argmin(hi - lo))
+    o = 1 - f
+    face_cell = int(lo[f] + hi[f]) // 16
+    per_side = max(1, int(hi[f] - lo[f]) // 16)
+    across = np.arange(face_cell - per_side, face_cell + per_side)
+    along = np.arange(int(lo[o]) // 8, int(hi[o]) // 8)
+    i0, j0 = grid.frame_offset
+    if f == 0:
+        ii = np.repeat(across, len(along)) - i0
+        jj = np.tile(along, len(across)) - j0
+    else:
+        ii = np.tile(along, len(across)) - i0
+        jj = np.repeat(across, len(along)) - j0
+    return (ii * grid.dims[1] + jj).astype(np.int64)
+
+
+def reference_c_decompose(tree, g, assignment):
+    """Per-node (cells, values) of the decomposition, each node merged on
+    its own with np.unique and np.add.at into zeros."""
+    n = len(tree)
+    h2 = g.h * g.h
+    flat_assign = assignment.ravel()
+    flat_g = np.where(assignment >= 0, g.values, 0.0).ravel()
+    sel = flat_assign >= 0
+    own = np.zeros(n)
+    np.add.at(own, flat_assign[sel], flat_g[sel] * h2)
+    m = tc.accumulate_up(tree, own)
+    b_cells = [None if tree.parent[t] < 0 else reference_snap_b_cells(tree, g, t)
+               for t in range(n)]
+    kids = [[] for _ in range(n)]
+    for t in range(n):  # ascending, the order of tree.children
+        if tree.parent[t] >= 0:
+            kids[tree.parent[t]].append(t)
+    cells, values = [], []
+    for t in range(n):
+        own_cells = np.flatnonzero(flat_assign == t)
+        parts_idx, parts_val = [own_cells], [flat_g[own_cells]]
+        for s in kids[t]:
+            parts_idx.append(b_cells[s])
+            parts_val.append(np.full(len(b_cells[s]), m[s] * (1.0 / (len(b_cells[s]) * h2))))
+        if tree.parent[t] >= 0:
+            parts_idx.append(b_cells[t])
+            parts_val.append(np.full(len(b_cells[t]), -m[t] * (1.0 / (len(b_cells[t]) * h2))))
+        uniq, inv = np.unique(np.concatenate(parts_idx), return_inverse=True)
+        acc = np.zeros(len(uniq))
+        np.add.at(acc, inv, np.concatenate(parts_val))
+        cells.append(uniq)
+        values.append(acc)
+    return cells, values
+
+
+@pytest.mark.parametrize("which", ["tree5", "koch2_tree6"])
+@pytest.mark.parametrize("data", ["random", "collar"])
+def test_csr_matches_per_node_reference_bitwise(request, which, data):
+    tree = request.getfixturevalue(which)
+    grid = dc.decomposition_grid(tree)
+    g = random_mean_zero(tree, grid, 7) if data == "random" else collar_probe(tree, grid)
+    assign = dc.assign_cells(tree, grid)
+    d = dc.c_decompose(tree, g, assign)
+    cells, values = reference_c_decompose(tree, g, assign)
+    assert d.ptr.tolist() == np.cumsum([0] + [len(c) for c in cells]).tolist()
+    assert np.array_equal(d.cells, np.concatenate(cells))
+    # the bytes, so the sign of every zero counts too
+    assert d.values.tobytes() == np.concatenate(values).tobytes()
+    flat = np.zeros(grid.values.size)
+    for c, v in zip(cells, values):
+        np.add.at(flat, c, v)
+    assert d.reconstruct().tobytes() == flat.reshape(grid.dims).tobytes()
+    ptr, boxes = dc._snap_b_cells(tree, grid)
+    for t in range(len(tree)):
+        want = reference_snap_b_cells(tree, grid, t) if tree.parent[t] >= 0 else []
+        assert np.array_equal(boxes[ptr[t]:ptr[t + 1]], np.sort(want))
+
+
+@pytest.mark.parametrize("which", ["tree5", "koch2_tree6"])
+def test_assignment_matches_painted_cubes(request, which):
+    # every cube painted onto its 4 << (L - level) cells a side, then the mask
+    tree = request.getfixturevalue(which)
+    grid = dc.decomposition_grid(tree)
+    lo, hi = tree.decomposition.spans()
+    i0, j0 = grid.frame_offset
+    want = np.full(grid.dims, -1)
+    for t in range(len(tree)):
+        want[4 * lo[t, 0] - i0:4 * hi[t, 0] - i0, 4 * lo[t, 1] - j0:4 * hi[t, 1] - j0] = t
+    want[~grid.mask] = -1
+    assert np.array_equal(dc.assign_cells(tree, grid), want)
+
+
+def test_box_escaping_the_grid_raises(tree5, grid5):
+    shifted = replace(grid5, frame_offset=(grid5.frame_offset[0] + 10**6, grid5.frame_offset[1]))
+    with pytest.raises(ParameterError, match="escapes the grid"):
+        dc._snap_b_cells(tree5, shifted)

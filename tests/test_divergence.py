@@ -308,12 +308,13 @@ def test_one_factor_per_patch_shape(request, domain, shapes, splu_calls):
     f = collar_probe(tree, grid, assign)
     vec, rep = dv.solve_divergence(tree, f, 2.0, 0.0, assign)
     assert len(splu_calls) == shapes
-    assert len({dv.patch_key(c, grid.dims[1]) for c in rep.decomposition.cells}) == shapes
+    d = rep.decomposition
+    assert len({dv.patch_key(d.piece(t)[0], grid.dims[1]) for t in range(len(tree))}) == shapes
     # node-by-node with a fresh factor each, summed in node order
     dec = dc.c_decompose(tree, f)
     FX, FY = np.zeros_like(rep.mac.fx), np.zeros_like(rep.mac.fy)
     for t in range(len(tree)):
-        loc = dv.local_div_solve(dec.cells[t], dec.values[t], grid.dims[1], grid.h, node=t)
+        loc = dv.local_div_solve(*dec.piece(t), grid.dims[1], grid.h, node=t)
         assert_same_solve(loc, rep.solves[t])
         FX[loc.fx_ij[:, 0], loc.fx_ij[:, 1]] += loc.fx
         FY[loc.fy_ij[:, 0], loc.fy_ij[:, 1]] += loc.fy

@@ -1,11 +1,13 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import oracle_a_tree
+from whardy import cli
 from whardy import hardy as hd
 from whardy import treecover as tc
 from whardy import whitney as wt
@@ -75,6 +77,21 @@ def test_a_chain_degenerate_and_errors(square_tree6):
     assert hd.a_chain(single, hd.WeightSpec(0.0, 2.0)) == 0.0
     with pytest.raises(StructureError):
         hd.a_chain(square_tree6, hd.WeightSpec(0.0, 2.0))
+
+
+def test_a_chain_overflowing_weights_in_log_space():
+    # ell_k = 2^(-300k): ell^-2 overflows and ell^2 underflows at k = 3, so the
+    # chain constant comes from beta log ell, without a warning. At p = 2 the
+    # prefix terms are ell^2 and the suffix terms ell^-2, so A^2 is the
+    # largest prefix * suffix product over the non-root nodes.
+    tree = tc.synthetic_tree([-1, 0, 1, 2], [2.0 ** (-300 * k) for k in range(4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = hd.a_chain(tree, hd.WeightSpec(-2.0, 2.0))
+    ell = [Fraction(1, 2 ** (300 * k)) for k in range(4)]
+    sq = max(sum(e**2 for e in ell[:j + 1]) * sum(e**-2 for e in ell[j:]) for j in (1, 2, 3))
+    assert sq == 2**1800 + 2**1201 + 2**601 + 1
+    assert math.log(val) == pytest.approx(0.5 * math.log(sq.numerator), rel=1e-13)
 
 
 def test_snake_chain_bound():
@@ -231,9 +248,9 @@ def test_theta_batch_mixes_direct_and_log_space(monkeypatch):
     logged = []
     log_path = hd._a_tree_log
 
-    def spy(tree, w, theta, dw):
-        logged.append(theta)
-        return log_path(tree, w, theta, dw)
+    def spy(tree, w, thetas, dw):
+        logged.extend(thetas)
+        return log_path(tree, w, thetas, dw)
 
     monkeypatch.setattr(hd, "_a_tree_log", spy)
     rep = hd.a_tree_min(tree, w)
@@ -255,6 +272,26 @@ def assert_log_oracle(val, parent, ell, beta, p, theta):
         assert want > math.log(sys.float_info.max)
     else:
         assert math.log(val) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_log_space_thetas_share_one_down_sweep(monkeypatch, tmp_path):
+    # every theta of beta = -500 and -499 goes to log space at levels 4 and 5:
+    # one log S down-sweep per (tree, beta), 4 in all, not one per theta
+    log_sweeps = []
+    down = hd.accumulate_down
+
+    def counting(tree, x, op=np.add):
+        if op is np.logaddexp:
+            log_sweeps.append(len(tree))
+        return down(tree, x, op)
+
+    monkeypatch.setattr(hd, "accumulate_down", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["hardy", "--domain", "unit-square", "--levels", "4,5",
+                       "--beta-grid", "-500:-499:1", "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(log_sweeps) == 4
 
 
 def test_overflowing_weights_go_to_log_space():
@@ -322,9 +359,9 @@ def test_beta_block_mixes_direct_and_log_space(monkeypatch):
     logged = []
     log_path = hd._a_tree_log
 
-    def spy(tree, w, theta, dw):
-        logged.append((w.beta, theta))
-        return log_path(tree, w, theta, dw)
+    def spy(tree, w, thetas, dw):
+        logged.extend((w.beta, theta) for theta in thetas)
+        return log_path(tree, w, thetas, dw)
 
     monkeypatch.setattr(hd, "_a_tree_log", spy)
     alone = {(w.beta, theta): hd.a_tree(tree, w, theta) for w in specs for theta in thetas}
