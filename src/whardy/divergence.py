@@ -13,17 +13,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .decomp import c_decompose, grid_layout
 from .errors import CompatibilityError, ConvergenceError, ParameterError
 from .fields import GridFunction, VectorFieldGrid, gradient, weighted_lp_norm
 from .inequalities import InequalityReport
 from .treecover import TreeCovering
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 SOLVER_TOL = 1e-10
 
@@ -86,6 +88,10 @@ class _PatchSystem(NamedTuple):
 
 
 def _patch_system(ii: np.ndarray, jj: np.ndarray, ny: int, node: int) -> _PatchSystem:
+    # scipy loads on the first factorization, off every other command's startup
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     nc = len(ii)
     # Face (i, j) sits on the low side of cell (i, j) and shares its key
     # i * (ny + 1) + j. The spare column j = ny keeps the lattice steps
@@ -209,8 +215,10 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float,
     regardless of q; the reported norms use the requested q (surrogate
     documented in the report).
     """
-    if q <= 1:
-        raise ParameterError("q must exceed 1")
+    if not (math.isfinite(q) and q > 1):
+        raise ParameterError(f"q must be finite and exceed 1, got {q!r}")
+    if not math.isfinite(beta):
+        raise ParameterError(f"beta must be finite, got {beta!r}")
     if (f.h, f.origin, f.dims, f.frame_offset) != grid_layout(tree):
         raise ParameterError("f is not sampled on decomposition_grid(tree)")
     dec = c_decompose(tree, f, assignment)

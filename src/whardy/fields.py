@@ -116,13 +116,20 @@ def sample_function(grid: GridFunction, fn) -> GridFunction:
 # quadrature
 
 
+def check_exponents(p: float, power: float) -> None:
+    """Every weighted L^p quantity needs a finite p >= 1 and a finite weight power."""
+    if not (math.isfinite(p) and p >= 1):
+        raise ParameterError(f"p must be finite and >= 1, got {p!r}")
+    if not math.isfinite(power):
+        raise ParameterError(f"weight exponent must be finite (check beta), got {power!r}")
+
+
 def weighted_lp_norm(f: GridFunction, p: float, power: float = 0.0) -> float:
     """(sum |f|^p d^power h^n)^(1/p) over quadrature cells.
 
     ``power`` is the full exponent applied to the boundary distance.
     """
-    if p < 1:
-        raise ParameterError("p must be >= 1")
+    check_exponents(p, power)
     sel = f.quad_mask
     if not sel.any():
         raise ParameterError("empty quadrature mask")
@@ -145,6 +152,7 @@ def weighted_integral(f: GridFunction, power: float = 0.0) -> float:
 def weighted_mean_zero(f: GridFunction, p: float, beta: float) -> GridFunction:
     """Subtract the d^(beta p)-weighted mean so the weighted integral vanishes."""
     power = beta * p
+    check_exponents(p, power)
     sel = f.quad_mask
     if not sel.any():
         raise ParameterError("empty quadrature mask")

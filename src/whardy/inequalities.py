@@ -20,6 +20,7 @@ from .errors import ParameterError
 from .fields import (
     GridFunction,
     VectorFieldGrid,
+    check_exponents,
     gradient,
     weighted_lp_norm,
     weighted_mean_zero,
@@ -203,6 +204,7 @@ def korn_ratio(u: VectorFieldGrid, p: float, beta: float,
     """|| D u ||_{L^p(d^{beta p})} / || eps(u) ||, after removing the weighted
     mean of the antisymmetric part (a rigid rotation, which leaves eps
     unchanged; the discrete differences are exact on affine fields)."""
+    check_exponents(p, beta * p)  # before the weighted mean below
     gx = gradient(u.components[0])
     gy = gradient(u.components[1])
     mask = gx.components[0].mask & gy.components[0].mask

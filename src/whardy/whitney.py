@@ -67,6 +67,11 @@ class WhitneyDecomposition:
         lev = np.asarray(self.levels, dtype=np.int64)
         idx = np.asarray(self.indices, dtype=np.int64).reshape(len(lev), 2)
         self._bits = int(lev.max()) if len(lev) else 0
+        if self._bits > KEY_LEVEL_LIMIT:
+            raise StructureError(
+                f"cube level {self._bits} exceeds {KEY_LEVEL_LIMIT}: (level, i, j) keys "
+                "would overflow int64"
+            )
         if (lev < 0).any() or (idx >> lev[:, None]).any():
             raise StructureError("cube index outside its level's lattice")
         self.keys = self._key(lev, idx[:, 0], idx[:, 1])
@@ -96,6 +101,7 @@ class WhitneyDecomposition:
         return lo, hi
 
     def _key(self, level, i, j):
+        # level << 2b | i << b | j with b the deepest level: 2b + bit_length(b) bits
         b = self._bits
         return (level << (2 * b)) | (i << b) | j
 
@@ -126,9 +132,18 @@ class WhitneyDecomposition:
 
 # Children keep the parent's candidate edges within (d(P) + diam(P)) times
 # this factor. The exact rule needs factor 1; the widening absorbs float
-# rounding in the per-pair distances, so a list can only grow. It stays
-# sound while 2^-max_level is far above 1e-10 of the frame size.
+# rounding in the per-pair distances, so a list can only grow.
 CANDIDATE_WIDENING = 1.0 + 1e-6
+
+# Deepest level whose (level, i, j) keys fit a nonnegative int64:
+# 2 * 29 + bit_length(29) = 63 bits.
+KEY_LEVEL_LIMIT = 29
+# Deepest level at which the widening still covers the rounding: the slack
+# of a finest cube, sqrt(2) * 2^-level * (CANDIDATE_WIDENING - 1) of the
+# frame size, must exceed 8 ulps of the frame size (12 ulps at level 29,
+# 6 at level 30).
+WIDENING_LEVEL_LIMIT = int(math.log2(math.sqrt(2.0) * (CANDIDATE_WIDENING - 1.0) / (8 * 2.0**-52)))
+MAX_LEVEL = min(KEY_LEVEL_LIMIT, WIDENING_LEVEL_LIMIT)
 
 
 def _box_segment_dist_sq(lo, hi, a, b):
@@ -197,6 +212,12 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
     """
     if max_level < 2:
         raise ParameterError("max_level must be >= 2")
+    if max_level > MAX_LEVEL:
+        raise ParameterError(
+            f"max_level must be <= {MAX_LEVEL}: cube keys overflow int64 beyond level "
+            f"{KEY_LEVEL_LIMIT}, and the candidate-edge widening no longer covers float "
+            f"rounding beyond level {WIDENING_LEVEL_LIMIT}"
+        )
     frame = frame_for_domain(dom)
     origin = np.asarray(frame.origin)
     edges = dom.edges

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +202,60 @@ def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
     assert run([*argv, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["korn", "--beta", "nan", "--h", "0.1", "--count", "1"], "weight exponent must be finite"),
+    (["korn", "--p", "inf", "--h", "0.1", "--count", "1"], "p must be finite and >= 1"),
+    (["fefferman-stein", "--p", "inf", "--h", "0.1"], "p must be finite and >= 1"),
+    (["poincare", "--beta=-inf", "--h", "0.1", "--count", "1"],
+     "weight exponent must be finite"),
+    (["frac-poincare", "--p", "nan", "--h", "0.1"], "p must be finite and >= 1"),
+    (["divergence", "--beta", "nan", "--max-level", "4"], "beta must be finite"),
+    (["divergence", "--q", "inf", "--max-level", "4"], "q must be finite and exceed 1"),
+    (["whitney", "--max-level", "30"], "max_level must be <= 29"),
+])
+def test_out_of_range_value_exits_1_naming_it(tmp_path, capsys, argv, message):
+    assert run([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not list(tmp_path.iterdir())  # nothing written
+
+
+def test_non_finite_beta_from_config_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta = nan\n")
+    assert run(["--config", str(cfg), "korn", "--h", "0.1", "--count", "1",
+                "--out", str(tmp_path / "k")]) == 1
+    assert "weight exponent must be finite" in capsys.readouterr().err
+
+
+STARTUP_GUARD = """
+import sys
+from whardy import cli
+
+out = sys.argv[1]
+runs = [
+    ["whitney", "--max-level", "4"],
+    ["tree", "--max-level", "4"],
+    ["hardy", "--levels", "4,5", "--beta-grid", "-0.5:0:0.5"],
+    ["decompose", "--max-level", "5"],
+    ["dimension", "--num-scales", "4", "--num-ratios", "2", "--centers", "2"],
+]
+for k, argv in enumerate(runs):
+    assert cli.main([*argv, "--out", f"{out}/{k}"]) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"scipy loaded before any divergence solve: {loaded[:5]}"
+assert cli.main(["divergence", "--max-level", "4", "--out", f"{out}/div"]) == 0
+assert "scipy.sparse.linalg" in sys.modules, "the divergence solve loaded no scipy"
+"""
+
+
+def test_scipy_loads_only_for_divergence(tmp_path):
+    # a fresh interpreter: this test process has scipy loaded already
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", STARTUP_GUARD, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -126,7 +126,7 @@ def splu_calls(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(dv.spla, "splu", counting)
+    monkeypatch.setattr(spla, "splu", counting)
     return calls
 
 

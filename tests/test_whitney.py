@@ -170,6 +170,13 @@ def test_max_level_precondition(unit_square):
         wt.whitney_decompose(unit_square, 1)
 
 
+def test_max_level_bound(unit_square):
+    # 2 * 29 + bit_length(29) = 63 key bits; the check fires before any level is built
+    assert wt.MAX_LEVEL == wt.KEY_LEVEL_LIMIT == wt.WIDENING_LEVEL_LIMIT == 29
+    with pytest.raises(ParameterError, match="max_level must be <= 29: cube keys overflow"):
+        wt.whitney_decompose(unit_square, wt.MAX_LEVEL + 1)
+
+
 def test_json_roundtrip(square_dec6, unit_square):
     text = wt.decomposition_to_json(square_dec6)
     back = wt.decomposition_from_json(text, unit_square)
@@ -351,4 +358,17 @@ def test_cube_order_invariant_checked(unit_square, levels, indices, match):
             indices=np.array(indices),
             dist=np.array([0.2, 0.2]),
             dist_sq=np.array([0.04, 0.04]),
+        )
+
+
+def test_overflowing_cube_keys_rejected(unit_square):
+    with pytest.raises(StructureError, match="level 30 exceeds 29"):
+        wt.WhitneyDecomposition(
+            domain=unit_square,
+            frame=wt.Frame((-0.5, -0.5), 2.0),
+            max_level=30,
+            levels=np.array([30]),
+            indices=np.array([[0, 0]]),
+            dist=np.array([0.2]),
+            dist_sq=np.array([0.04]),
         )
