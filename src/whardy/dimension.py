@@ -42,8 +42,8 @@ class CoverTarget:
 
 def boundary_target(dom: PolygonalDomain, r_min: float) -> CoverTarget:
     """Dense arc-length sample of the boundary, spacing <= r_min / 4."""
-    if r_min <= 0:
-        raise ParameterError("r_min must be positive")
+    if not 0 < r_min < math.inf:
+        raise ParameterError(f"r_min must be finite and positive, got {r_min!r}")
     per = geometry.perimeter(dom)
     n = max(8, int(math.ceil(per / (r_min / 4.0))))
     note = ""
@@ -206,8 +206,8 @@ def _fit(xs, ys):
 def box_dimension(target: CoverTarget, r_min: float, r_max: float,
                   num_scales: int) -> DimensionEstimate:
     """Least-squares slope of log N_r against -log r on a geometric scale grid."""
-    if not 0 < r_min < r_max:
-        raise ParameterError("need 0 < r_min < r_max")
+    if not 0 < r_min < r_max < math.inf:
+        raise ParameterError(f"need finite 0 < r_min < r_max, got {r_min!r}, {r_max!r}")
     if num_scales < 4:
         raise ParameterError("need at least 4 scales")
     rs = np.geomspace(r_max, r_min, num_scales)

@@ -30,11 +30,9 @@ class PolygonalDomain:
     vertices: np.ndarray
     name: str = "polygon"
     _edges: np.ndarray = field(init=False, repr=False, compare=False)
-    # Edges per y-slab: ``_parity_slabs`` over each edge's half-open range
-    # [ylo, yhi), exactly the edges a rightward ray from a point of that y
-    # can cross; ``_near_slabs`` over [ylo - delta, yhi + delta).
+    # Edges per y-slab over each edge's half-open range [ylo, yhi): exactly
+    # the edges a rightward ray from a point of that y can cross.
     _parity_slabs: SlabIndex = field(init=False, repr=False, compare=False)
-    _near_slabs: SlabIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=float)
@@ -51,15 +49,6 @@ class PolygonalDomain:
             raise ParameterError("polygon edges may intersect only at shared endpoints")
         ylo, yhi = edges[:, :, 1].min(axis=1), edges[:, :, 1].max(axis=1)
         object.__setattr__(self, "_parity_slabs", SlabIndex.build(ylo, yhi))
-        # A point whose y is outside [ylo - delta, yhi + delta) lies more than
-        # delta = 2 BOUNDARY_EPS + 1e-9 extent from the edge. The kernel's
-        # rounding error is a few ulps of |p - a| + |b - a|: far below 1e-9
-        # of the extent while p is within a few extents of the edge, and
-        # small against the distance itself otherwise. So the computed
-        # distance of an edge left out stays above BOUNDARY_EPS, and those
-        # edges never decide the near-boundary test.
-        delta = 2.0 * BOUNDARY_EPS + 1e-9 * float(np.ptp(verts, axis=0).max())
-        object.__setattr__(self, "_near_slabs", SlabIndex.build(ylo - delta, yhi + delta))
 
     @property
     def edges(self) -> np.ndarray:
@@ -306,36 +295,30 @@ class SlabIndex:
             start = stop
 
 
-def contains_many(dom: PolygonalDomain, points, dist=None) -> np.ndarray:
-    """Open containment by ray-casting parity; near-boundary points excluded.
-
-    A point is inside when a rightward ray crosses the boundary an odd
-    number of times and its distance ``dist`` (computed when not given)
-    exceeds BOUNDARY_EPS. Both tests visit only the edges of the point's
-    slab in the domain's slab indexes; see ``PolygonalDomain``.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    px, py = pts[:, 0], pts[:, 1]
+def _ray_parity(dom: PolygonalDomain, px, py) -> np.ndarray:
+    """Whether a rightward ray from each point crosses the boundary an odd
+    number of times; visits only the edges of the point's slab."""
     v = dom.vertices
     w = np.roll(v, -1, axis=0)
-    crossings = np.zeros(len(pts), dtype=np.int64)
+    crossings = np.zeros(len(px), dtype=np.int64)
     for start, stop, owner, e in dom._parity_slabs.chunks(py):
         o = owner + start
         xin = (w[e, 0] - v[e, 0]) * (py[o] - v[e, 1]) / (w[e, 1] - v[e, 1]) + v[e, 0]
         crossings[start:stop] = np.bincount(owner[px[o] < xin], minlength=stop - start)
-    inside = crossings % 2 == 1
-    if dist is not None:
-        return inside & (np.asarray(dist) > BOUNDARY_EPS)
-    d2 = np.full(len(pts), np.inf)
-    parts = segment_parts(dom.edges[:, 0], dom.edges[:, 1])
-    for start, stop, owner, e in dom._near_slabs.chunks(py):
-        if len(e) == 0:
-            continue
-        o = owner + start
-        pair = point_segment_dist_sq(px[o], py[o], *(x[e] for x in parts))
-        heads = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-        d2[o[heads]] = np.minimum.reduceat(pair, heads)
-    return inside & (np.sqrt(d2) > BOUNDARY_EPS)
+    return crossings % 2 == 1
+
+
+def contains_many(dom: PolygonalDomain, points, dist=None) -> np.ndarray:
+    """Open containment by ray-casting parity; near-boundary points excluded.
+
+    A point is inside when a rightward ray crosses the boundary an odd
+    number of times and its distance ``dist`` (``boundary_distances`` when
+    not given) exceeds BOUNDARY_EPS.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if dist is None:
+        dist = boundary_distances(dom, pts)
+    return _ray_parity(dom, pts[:, 0], pts[:, 1]) & (np.asarray(dist) > BOUNDARY_EPS)
 
 
 def contains(dom: PolygonalDomain, x) -> bool:
@@ -360,8 +343,10 @@ def sample_boundary(dom: PolygonalDomain, count: int) -> np.ndarray:
 def box_inside_domain(dom: PolygonalDomain, lo, hi) -> bool:
     """Whether the closed axis-aligned box [lo, hi] lies inside the open domain.
 
-    True iff all four corners are strictly inside and no polygon edge enters
-    the box; boxes touching the boundary are excluded.
+    True iff no edge meets the box widened by BOUNDARY_EPS on every side and
+    the box centre has odd ray parity. An edge-free box lies wholly on one
+    side of the boundary, so its centre decides; boxes touching the boundary
+    are excluded.
     """
     lo = np.asarray(lo, dtype=float)[None, :]
     hi = np.asarray(hi, dtype=float)[None, :]
@@ -372,29 +357,21 @@ def boxes_inside_domain(dom: PolygonalDomain, los, his) -> np.ndarray:
     """Vectorized box_inside_domain over (M, 2) arrays of box corners."""
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
-    M = len(los)
-    corners = np.empty((M, 4, 2))
-    corners[:, 0] = los
-    corners[:, 1] = np.stack([his[:, 0], los[:, 1]], axis=1)
-    corners[:, 2] = his
-    corners[:, 3] = np.stack([los[:, 0], his[:, 1]], axis=1)
-    inside = contains_many(dom, corners.reshape(-1, 2)).reshape(M, 4).all(axis=1)
-    out = inside.copy()
-    idx = np.where(inside)[0]
-    chunk = max(1, 1_000_000 // max(1, dom.n_edges))
+    mid = (los + his) / 2.0
+    out = _ray_parity(dom, mid[:, 0], mid[:, 1])
+    idx = np.flatnonzero(out)
+    p, q = dom.edges[None, :, 0], dom.edges[None, :, 1]
+    chunk = max(1, PAIR_CHUNK // dom.n_edges)
     for k in range(0, len(idx), chunk):
         sel = idx[k : k + chunk]
-        out[sel] = ~_edges_enter_boxes(dom.edges, los[sel], his[sel])
+        lo, hi = los[sel, None] - BOUNDARY_EPS, his[sel, None] + BOUNDARY_EPS
+        out[sel] = ~segments_meet_boxes(p, q, lo, hi).any(axis=1)
     return out
 
 
-def clip_segments(p, q, lo, hi):
-    """Liang-Barsky clipping of segments [p, q] against closed boxes [lo, hi].
-
-    The (..., 2) arguments broadcast against each other. Returns
-    ``(alive, t0, t1)`` of the broadcast shape: the segment meets the box on
-    the parameter range [t0, t1] when alive and t0 <= t1.
-    """
+def segments_meet_boxes(p, q, lo, hi) -> np.ndarray:
+    """Whether segments [p, q] meet closed boxes [lo, hi], by Liang-Barsky
+    clipping; the (..., 2) arguments broadcast against each other."""
     d = q - p
     shape = np.broadcast_shapes(p.shape, q.shape, lo.shape, hi.shape)[:-1]
     t0 = np.zeros(shape)
@@ -413,18 +390,7 @@ def clip_segments(p, q, lo, hi):
             ext = ~par & (den > 0)
             t0 = np.where(ent, np.maximum(t0, t), t0)
             t1 = np.where(ext, np.minimum(t1, t), t1)
-    return alive, t0, t1
-
-
-def _edges_enter_boxes(edges, los, his) -> np.ndarray:
-    """Per box: does any segment have a point strictly inside the open box?"""
-    p, q = edges[None, :, 0], edges[None, :, 1]
-    alive, t0, t1 = clip_segments(p, q, los[:, None], his[:, None])
-    clipped = alive & (t0 < t1)
-    tm = (t0 + t1) / 2.0
-    mid = p + tm[:, :, None] * (q - p)
-    strict = np.all((mid > los[:, None, :]) & (mid < his[:, None, :]), axis=2)
-    return (clipped & strict).any(axis=1)
+    return alive & (t0 <= t1)
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,7 @@ def _cube_family(dims, scales: int):
 
 
 def sharp_maximal(f: GridFunction, sigma: float = 1.0,
-                  scales: int = 8, sides=None) -> GridFunction:
+                  scales: int = 8) -> GridFunction:
     """Discrete restricted sharp maximal function over shifted dyadic cubes.
 
     For each cell the value is the largest mean oscillation (1/|Q|) int_Q
@@ -278,9 +278,7 @@ def sharp_maximal(f: GridFunction, sigma: float = 1.0,
     nx, ny = f.dims
     vals = np.where(f.mask, f.values, 0.0)
     out = np.zeros((nx, ny))
-    if sides is None:
-        sides = _cube_family(f.dims, scales)
-    for w in sides:
+    for w in _cube_family(f.dims, scales):
         shift_vals = sorted({0, w // 2})
         for sx in shift_vals:
             for sy in shift_vals:

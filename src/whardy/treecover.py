@@ -439,8 +439,8 @@ def verify_shadow_lemma(stats: ShadowStats, lam: float) -> float:
     Finite by construction; the quantity of interest is its stability under
     refinement when lambda exceeds the Assouad dimension of the boundary.
     """
-    if lam <= 0:
-        raise ParameterError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ParameterError(f"lambda must be finite and positive, got {lam!r}")
     n, nlev = stats.W.shape
     i = np.arange(nlev)[None, :]
     k = stats.levels[:, None]

@@ -153,7 +153,6 @@ def _box_segment_dist_sq(lo, hi, a, b):
     segment meets the closed box; otherwise the minimum is attained at a box
     corner or a segment endpoint, so checking those features is exact.
     """
-    alive, t0, t1 = geometry.clip_segments(a, b, lo, hi)
     seg = segment_parts(a, b)
     lx, ly, hx, hy = lo[..., 0], lo[..., 1], hi[..., 0], hi[..., 1]
     d2 = point_segment_dist_sq(lx, ly, *seg)
@@ -163,7 +162,7 @@ def _box_segment_dist_sq(lo, hi, a, b):
         ex = np.maximum(np.maximum(lx - p[..., 0], 0.0), p[..., 0] - hx)
         ey = np.maximum(np.maximum(ly - p[..., 1], 0.0), p[..., 1] - hy)
         d2 = np.minimum(d2, ex * ex + ey * ey)
-    return np.where(alive & (t0 <= t1), 0.0, d2)
+    return np.where(geometry.segments_meet_boxes(a, b, lo, hi), 0.0, d2)
 
 
 def _pair_min(kernel, edges, ptr, cand, *per_box):
@@ -178,16 +177,12 @@ def _pair_min(kernel, edges, ptr, cand, *per_box):
     return np.minimum.reduceat(pair, ptr[:-1]), pair
 
 
-def boxes_boundary_dist_sq(dom: PolygonalDomain, lo, hi, ptr=None, cand=None):
+def boxes_boundary_dist_sq(dom: PolygonalDomain, lo, hi, ptr, cand):
     """Squared distance of solid boxes to the polygon boundary.
 
-    Box m is measured against the edges ``cand[ptr[m]:ptr[m + 1]]``, every
-    edge when no candidates are given. Returns the per-box minimum and the
-    per-pair distances in candidate order.
+    Box m is measured against the edges ``cand[ptr[m]:ptr[m + 1]]``. Returns
+    the per-box minimum and the per-pair distances in candidate order.
     """
-    if ptr is None:
-        ptr = np.arange(len(lo) + 1) * dom.n_edges
-        cand = np.tile(np.arange(dom.n_edges), len(lo))
     return _pair_min(_box_segment_dist_sq, dom.edges, ptr, cand, lo, hi)
 
 

@@ -214,6 +214,10 @@ def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
     (["divergence", "--beta", "nan", "--max-level", "4"], "beta must be finite"),
     (["divergence", "--q", "inf", "--max-level", "4"], "q must be finite and exceed 1"),
     (["whitney", "--max-level", "30"], "max_level must be <= 29"),
+    (["tree", "--lam", "nan", "--max-level", "4"], "lambda must be finite and positive"),
+    (["tree", "--lam", "inf", "--max-level", "4"], "lambda must be finite and positive"),
+    (["dimension", "--r-min", "nan"], "r_min must be finite and positive"),
+    (["dimension", "--r-max", "inf"], "need finite 0 < r_min < r_max"),
 ])
 def test_out_of_range_value_exits_1_naming_it(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 1

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import star_polygons
+from whardy import fields
 from whardy import geometry as geo
+from whardy import inequalities as iq
 from whardy.errors import ParameterError
 
 
@@ -153,9 +157,13 @@ def test_box_inside_domain(unit_square, slit_square):
     assert not geo.box_inside_domain(unit_square, (-0.1, 0.2), (0.5, 0.5))
     # touching the boundary does not count (open domain)
     assert not geo.box_inside_domain(unit_square, (0.0, 0.2), (0.5, 0.5))
+    assert not geo.box_inside_domain(unit_square, (0.2, 0.2), (1.0 - 1e-13, 0.8))
     # the slit notch pierces boxes spanning the vertical midline near the top
     assert not geo.box_inside_domain(slit_square, (0.4, 0.8), (0.6, 0.95))
     assert geo.box_inside_domain(slit_square, (0.1, 0.1), (0.45, 0.45))
+    # a closed box whose top side passes through the slit tip (0.5, 0.5)
+    assert not geo.box_inside_domain(slit_square, (0.4, 0.3), (0.6, 0.5))
+    assert geo.box_inside_domain(slit_square, (0.4, 0.3), (0.6, 0.5 - 1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +185,19 @@ def dense_boundary_distances(dom, points):
     return np.sqrt(dense_point_edge_dist_sq(points, dom.edges).min(axis=1))
 
 
-def dense_contains_many(dom, points, dist=None):
+def dense_parity(dom, points):
     v = dom.vertices
     w = np.roll(v, -1, axis=0)
     px, py = points[:, 0:1], points[:, 1:2]
     cond = (v[:, 1] > py) != (w[:, 1] > py)
     with np.errstate(divide="ignore", invalid="ignore"):
         xin = (w[:, 0] - v[:, 0]) * (py - v[:, 1]) / (w[:, 1] - v[:, 1]) + v[:, 0]
-    inside = (cond & (px < xin)).sum(axis=1) % 2 == 1
+    return (cond & (px < xin)).sum(axis=1) % 2 == 1
+
+
+def dense_contains_many(dom, points, dist=None):
     d = dense_boundary_distances(dom, points) if dist is None else dist
-    return inside & (d > geo.BOUNDARY_EPS)
+    return dense_parity(dom, points) & (d > geo.BOUNDARY_EPS)
 
 
 def probe_points(dom, seed):
@@ -251,7 +262,7 @@ def test_slab_lists_are_the_parity_condition(koch2):
 def test_slab_chunks_cover_every_pair(koch3, monkeypatch):
     monkeypatch.setattr(geo, "PAIR_CHUNK", 50)
     ys = np.random.default_rng(2).uniform(-0.1, 1.0, 300)
-    index = koch3._near_slabs
+    index = koch3._parity_slabs
     counts = np.diff(index.ptr)[np.searchsorted(index.breaks, ys, side="right")]
     stops, total = [0], 0
     for start, stop, owner, e in index.chunks(ys):
@@ -260,3 +271,79 @@ def test_slab_chunks_cover_every_pair(koch3, monkeypatch):
         stops.append(stop)
         total += len(e)
     assert stops[-1] == len(ys) and total == counts.sum()
+
+
+# ---------------------------------------------------------------------------
+# box admissibility against a dense separating-axis oracle
+
+
+def dense_boxes_inside(dom, los, his):
+    """Odd ray parity of the centre, and no edge meeting the box widened by
+    BOUNDARY_EPS: a closed segment and a closed box are disjoint iff their
+    projections on the x axis, the y axis or the segment's normal are."""
+    centre = (los + his) / 2.0
+    half = (his - los) / 2.0 + geo.BOUNDARY_EPS
+    a, b = dom.edges[:, 0], dom.edges[:, 1]
+    normal = np.stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]], axis=1)
+    meet = np.zeros(len(los), dtype=bool)
+    for k in range(0, len(los), 256):
+        c, r = centre[k:k + 256, None, :], half[k:k + 256, None, :]
+        apart = ((np.minimum(a, b) > c + r) | (np.maximum(a, b) < c - r)).any(axis=2)
+        apart |= np.abs(((a - c) * normal).sum(axis=2)) > (r * np.abs(normal)).sum(axis=2)
+        meet[k:k + 256] = ~apart.all(axis=1)
+    return dense_parity(dom, centre) & ~meet
+
+
+def sharp_maximal_boxes(dom, h, sigma):
+    """The (los, his) of every box family ``sharp_maximal`` tests."""
+    seen, real = [], geo.boxes_inside_domain
+
+    def record(d, los, his):
+        seen.append((los, his))
+        return real(d, los, his)
+
+    with mock.patch.object(iq.geometry, "boxes_inside_domain", record):
+        iq.sharp_maximal(fields.make_grid(dom, h), sigma)
+    return seen
+
+
+def probe_boxes(dom, seed):
+    """Boxes with a corner near a vertex, at an edge midpoint or at random,
+    one box per quadrant. The vertex offsets sit on either side of
+    BOUNDARY_EPS; they are not small-integer ratios of it, so no widened box
+    touches a lattice-slope edge exactly, where rounding alone would decide."""
+    rng = np.random.default_rng(seed)
+    v, e = dom.vertices, dom.edges
+    lo, hi = dom.bounding_box()
+    dirs = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1], [1, -1], [-1, 1]])
+    pts = [v, (e[:, 0] + e[:, 1]) / 2.0, rng.uniform(lo, hi, size=(500, 2))]
+    pts += [v + off * dirs[k] for off in (3.7e-13, 1.61e-12) for k in range(len(dirs))]
+    pts = np.concatenate(pts)
+    side = 0.05 * np.ptp(v, axis=0).max()
+    quadrant = np.array([[0, 0], [-1, 0], [0, -1], [-1, -1]])
+    los = (pts[:, None, :] + side * quadrant).reshape(-1, 2)
+    return los, los + side
+
+
+def assert_boxes_match_dense(dom, h, seed=0):
+    families = [boxes for sigma in (1.0, 2.0, 4.0) for boxes in sharp_maximal_boxes(dom, h, sigma)]
+    for los, his in [*families, probe_boxes(dom, seed)]:
+        got = geo.boxes_inside_domain(dom, los, his)
+        assert np.array_equal(got, dense_boxes_inside(dom, los, his))
+
+
+@pytest.mark.parametrize("preset,kw", [
+    ("slit_square", {}),
+    ("slit_square", {"aperture": 1e-12}),
+    ("l_shape", {}),
+    ("koch_prefractal", {"level": 2}),
+    ("koch_prefractal", {"level": 3}),
+])
+def test_boxes_inside_domain_matches_dense_oracle_on_presets(preset, kw):
+    assert_boxes_match_dense(geo.make_domain(preset, **kw), 1 / 64)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.booleans().flatmap(lambda snap: star_polygons(snap=snap)), st.integers(0, 2**16))
+def test_boxes_inside_domain_matches_dense_oracle_on_star_polygons(dom, seed):
+    assert_boxes_match_dense(dom, 1 / 16, seed)

@@ -34,13 +34,16 @@ def test_cube_count_matches_enumeration_oracle(unit_square, square_dec6):
     dec = square_dec6
     frame = dec.frame
     origin = np.asarray(frame.origin)
+    every_edge = np.arange(unit_square.n_edges)
+    every_edge_ptr = np.array([0, unit_square.n_edges])
 
     def acceptable(level, ix, iy):
         side = frame.cube_side(level)
         lo = origin + np.array([ix, iy]) * side
         hi = lo + side
         center = lo + side / 2.0
-        d2 = wt.boxes_boundary_dist_sq(unit_square, lo[None, :], hi[None, :])[0][0]
+        d2 = wt.boxes_boundary_dist_sq(unit_square, lo[None, :], hi[None, :],
+                                       every_edge_ptr, every_edge)[0][0]
         inside = geo.contains(unit_square, center)
         return inside and d2 >= 2.0 * side * side
 
