@@ -46,7 +46,7 @@ def _write_json(path: Path, payload: dict, args) -> None:
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _dipole(grid, assign):
+def _dipole(grid):
     def bump(x, y, cx, cy, r):
         rr = ((x - cx) ** 2 + (y - cy) ** 2) / r**2
         out = np.zeros_like(x)
@@ -62,7 +62,7 @@ def _dipole(grid, assign):
         lambda x, y: bump(x, y, cx - 0.2 * span, cy, 0.15 * span)
         - bump(x, y, cx + 0.2 * span, cy, 0.15 * span),
     )
-    return decomp.covered_mean_zero(grid, assign, f.values)
+    return decomp.covered_mean_zero(grid, f.values)
 
 
 def _note_single_level(tree, consequence: str) -> None:
@@ -198,11 +198,10 @@ def cmd_decompose(args) -> int:
     _note_single_level(tree, "the decomposition has a single size class")
     grid = decomp.decomposition_grid(tree)
     rng = np.random.default_rng(args.seed)
-    assign = decomp.assign_cells(tree, grid)
-    g = decomp.covered_mean_zero(grid, assign, rng.standard_normal(grid.dims))
+    g = decomp.covered_mean_zero(grid, rng.standard_normal(grid.dims))
     vals = g.values
-    cov = assign >= 0
-    d = decomp.c_decompose(tree, g, assign)
+    cov = grid.covered
+    d = decomp.c_decompose(tree, g)
     rec_err = float(np.abs(d.reconstruct() - vals)[cov].max())
     max_int = max(abs(d.node_integral(t)) for t in range(len(tree)))
     ratio = decomp.decomposition_ratio(d, args.q, args.beta)
@@ -321,14 +320,13 @@ def cmd_divergence(args) -> int:
     dom = _domain_from_args(args)
     tree = treecover.build_tree(whitney.whitney_decompose(dom, args.max_level))
     grid = decomp.decomposition_grid(tree)
-    assign = decomp.assign_cells(tree, grid)
     if args.data == "collar":
         _note_single_level(tree, "the collar probe (the finest-level cubes, mean-zeroed) "
                                  "is identically zero")
-        f = decomp.collar_probe(tree, grid, assign)
+        f = decomp.collar_probe(tree, grid)
     else:
-        f = _dipole(grid, assign)
-    vec, rep = divergence.solve_divergence(tree, f, args.q, args.beta, assign)
+        f = _dipole(grid)
+    vec, rep = divergence.solve_divergence(tree, f, args.q, args.beta)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fields.dump_grid(vec.components[0], out / "velocity_x.bin")
@@ -400,17 +398,25 @@ def _read_config(path) -> dict:
     return cfg
 
 
-def _apply_config(args, argv_list) -> None:
-    """Fill the flags not given on the command line from the config file."""
-    given = {tok.split("=", 1)[0] for tok in argv_list if tok.startswith("--")}
+def _with_config(ap, args, argv_list):
+    """Re-parse argv with the config file's entries as ``--key=value`` flags
+    right after the subcommand: argparse checks them like flags, and the
+    command line, later in argv, wins. Keys that are not flags of the
+    subcommand are ignored."""
+    flags = []
     for key, val in _read_config(args.config).items():
-        if hasattr(args, key) and "--" + key.replace("_", "-") not in given:
-            cur = getattr(args, key)
-            try:
-                setattr(args, key, type(cur)(val) if cur is not None else val)
-            except ValueError:
-                raise ParameterError(
-                    f"config {key} = {val!r} is not a {type(cur).__name__}") from None
+        if key in ("command", "config", "func") or not hasattr(args, key):
+            continue
+        flag = f"--{key.replace('_', '-')}={val}"
+        try:
+            ap.parse_known_args([args.command, flag])
+        except _UsageError as exc:
+            raise ParameterError(f"config {key} = {val!r}: {exc}") from None
+        flags.append(flag)
+    # the subcommand is the first token that is not --config's value
+    k = next(i for i, tok in enumerate(argv_list) if tok == args.command
+             and not (i and argv_list[i - 1].startswith("--") and "=" not in argv_list[i - 1]))
+    return ap.parse_known_args([*argv_list[:k + 1], *flags, *argv_list[k + 1:]])[0]
 
 
 def _domain_name(value: str) -> str:
@@ -558,7 +564,7 @@ def main(argv=None) -> int:
         return 1
     try:
         if args.config:
-            _apply_config(args, argv_list)
+            args = _with_config(ap, args, argv_list)
         return args.func(args)
     except (ParameterError, EmptyDecompositionError, ConnectivityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ class Decomposition:
 
     tree: TreeCovering
     grid: GridFunction
-    assignment: np.ndarray  # (nx, ny) cube id per cell, -1 in the uncovered collar
     ptr: np.ndarray  # (n + 1,)
     cells: np.ndarray  # flat cell indices of every supp(g_t), node by node
     values: np.ndarray  # g_t on those cells
@@ -70,18 +69,31 @@ def grid_layout(tree: TreeCovering):
     return h, origin, dims, (i0, j0)
 
 
-def decomposition_grid(tree: TreeCovering) -> GridFunction:
-    """Frame-aligned grid with h = (finest cube side) / 4 covering the domain."""
+def _frame_offset(tree: TreeCovering, grid: GridFunction) -> tuple[int, int]:
+    """Frame-lattice cell of grid cell (0, 0); the grid must be laid out as
+    ``decomposition_grid(tree)``, on the tree's own domain (a domain with the
+    same bounding box and finest level has the same layout)."""
     h, origin, dims, offset = grid_layout(tree)
+    if ((grid.h, grid.origin, grid.dims) != (h, origin, dims)
+            or grid.domain is not tree.decomposition.domain):
+        raise ParameterError(
+            "grid is not decomposition_grid(tree): its layout or domain differs")
+    return offset
+
+
+def decomposition_grid(tree: TreeCovering) -> GridFunction:
+    """Frame-aligned grid with h = (finest cube side) / 4 covering the domain,
+    carrying the cube id of every cell (``assign_cells``)."""
+    h, origin, dims, _ = grid_layout(tree)
     g = make_grid(tree.decomposition.domain, h, origin=origin, dims=dims)
-    return replace(g, frame_offset=offset)
+    return replace(g, assignment=assign_cells(tree, g))
 
 
 def assign_cells(tree: TreeCovering, grid: GridFunction) -> np.ndarray:
     """Cube id owning each masked cell center, -1 for the uncovered collar."""
     dec = tree.decomposition
     L = int(dec.levels.max())
-    i0, j0 = grid.frame_offset
+    i0, j0 = _frame_offset(tree, grid)
     out = np.full(grid.dims, -1, dtype=np.int64)
     todo = np.flatnonzero(grid.mask)  # masked cells not yet assigned
     gi, gj = np.divmod(todo, grid.dims[1])
@@ -96,24 +108,22 @@ def assign_cells(tree: TreeCovering, grid: GridFunction) -> np.ndarray:
     return out
 
 
-def covered_mean_zero(grid: GridFunction, assignment: np.ndarray, values) -> GridFunction:
+def covered_mean_zero(grid: GridFunction, values) -> GridFunction:
     """values zeroed on the uncovered cells, minus their mean over the covered cells."""
-    cov = assignment >= 0
-    vals = np.where(cov, values, 0.0)
+    g = grid.with_values(values)  # checks the shape
+    cov = g.covered
+    vals = np.where(cov, g.values, 0.0)
     vals[cov] -= vals[cov].mean()
-    return grid.with_values(vals)
+    return g.with_values(vals)
 
 
-def collar_probe(tree: TreeCovering, grid: GridFunction,
-                 assignment: np.ndarray | None = None) -> GridFunction:
+def collar_probe(tree: TreeCovering, grid: GridFunction) -> GridFunction:
     """Mean-zeroed indicator of the finest-level cubes: pushes transfer mass
-    through boundary cubes at the truncation scale. ``assignment`` is
-    ``assign_cells(tree, grid)`` when the caller already has it."""
-    if assignment is None:
-        assignment = assign_cells(tree, grid)
+    through boundary cubes at the truncation scale."""
+    _frame_offset(tree, grid)  # raises unless grid is laid out for tree
     fine = np.where(tree.level == tree.level.max())[0]
-    return covered_mean_zero(grid, assignment,
-                             np.where(np.isin(assignment, fine), 1.0, 0.0))
+    return covered_mean_zero(grid, np.where(grid.covered & np.isin(grid.assignment, fine),
+                                            1.0, 0.0))
 
 
 def _snap_b_cells(tree: TreeCovering, grid: GridFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +152,9 @@ def _snap_b_cells(tree: TreeCovering, grid: GridFunction) -> tuple[np.ndarray, n
     # the block is [face_cell -+ per_side) across and [lo // 8, hi // 8) along
     across = np.stack([face_cell - per_side, face_cell + per_side], axis=1)
     along = np.stack([lo_o // 8, hi_o // 8], axis=1)
-    x = np.where(f[:, None] == 0, across, along) - grid.frame_offset[0]
-    y = np.where(f[:, None] == 0, along, across) - grid.frame_offset[1]
+    i0, j0 = _frame_offset(tree, grid)
+    x = np.where(f[:, None] == 0, across, along) - i0
+    y = np.where(f[:, None] == 0, along, across) - j0
     nx, ny = grid.dims
     if (x[:, 0] < 0).any() or (x[:, 1] > nx).any() or (y[:, 0] < 0).any() or (y[:, 1] > ny).any():
         raise ParameterError("snapped transfer box escapes the grid")
@@ -158,21 +169,16 @@ def _snap_b_cells(tree: TreeCovering, grid: GridFunction) -> tuple[np.ndarray, n
     return ptr, (x[box, 0] + di) * ny + y[box, 0] + dj
 
 
-def c_decompose(tree: TreeCovering, g: GridFunction,
-                assignment: np.ndarray | None = None) -> Decomposition:
+def c_decompose(tree: TreeCovering, g: GridFunction) -> Decomposition:
     """Split g into pieces g_t with supp in U_t and zero integral each.
 
     g_t = g. restricted to Q_t, plus the children's transferred masses on
-    their boxes, minus the own shadow mass m_t spread over B_t. Requires a
-    mean-zero g over the covered cells; collar cells are excluded and
-    counted. ``assignment`` is ``assign_cells(tree, g)`` when the caller
-    already has it.
+    their boxes, minus the own shadow mass m_t spread over B_t. Requires g
+    on ``decomposition_grid(tree)``, mean-zero over the covered cells;
+    collar cells are excluded and counted.
     """
-    if g.h <= 0:
-        raise ParameterError("bad grid")
-    if assignment is None:
-        assignment = assign_cells(tree, g)
-    covered = assignment >= 0
+    bptr, b_cells = _snap_b_cells(tree, g)
+    covered = g.covered
     uncovered = int((g.mask & ~covered).sum())
     h2 = g.h * g.h
     gv = np.where(covered, g.values, 0.0)
@@ -185,10 +191,9 @@ def c_decompose(tree: TreeCovering, g: GridFunction,
 
     n = len(tree)
     own_cells = np.flatnonzero(covered)
-    own_node = assignment.flat[own_cells]
+    own_node = g.assignment.flat[own_cells]
     own_vals = gv.flat[own_cells]
     m = accumulate_up(tree, np.bincount(own_node, weights=own_vals * h2, minlength=n))
-    bptr, b_cells = _snap_b_cells(tree, g)
     b_count = np.diff(bptr)
     b_node = np.repeat(np.arange(n), b_count)
     mass = m[b_node] * (1.0 / (b_count[b_node] * h2))  # m_s phi_s on each cell of B_s
@@ -204,7 +209,6 @@ def c_decompose(tree: TreeCovering, g: GridFunction,
     return Decomposition(
         tree=tree,
         grid=g,
-        assignment=assignment,
         ptr=np.searchsorted(t, np.arange(n + 1)),
         cells=cells,
         values=np.bincount(inv, weights=val, minlength=len(uniq)),
@@ -224,7 +228,7 @@ def decomposition_ratio(dec: Decomposition, q: float, beta: float) -> float:
     for a, b in itertools.pairwise(dec.ptr.tolist()):
         # a pairwise .sum() per node; np.add.reduceat would move the last bits
         num += float(terms[a:b].sum()) * h2
-    covered = dec.assignment >= 0
+    covered = grid.covered
     gv = np.where(covered, grid.values, 0.0)
     den = float((np.abs(gv.ravel()) ** q * dist**power)[covered.ravel()].sum()) * h2
     if den == 0.0:

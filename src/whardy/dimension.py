@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -84,20 +84,7 @@ class DimensionEstimate:
     note: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "value": self.value,
-                "slope": self.slope,
-                "intercept": self.intercept,
-                "r_squared": self.r_squared,
-                "residual_max": self.residual_max,
-                "scales": [list(s) for s in self.scales],
-                "slopes": list(self.slopes),
-                "note": self.note,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

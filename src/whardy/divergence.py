@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .decomp import c_decompose, grid_layout
+from .decomp import c_decompose
 from .errors import CompatibilityError, ConvergenceError, ParameterError
 from .fields import GridFunction, VectorFieldGrid, gradient, weighted_lp_norm
 from .inequalities import InequalityReport
@@ -205,23 +205,19 @@ def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int,
                       residual)
 
 
-def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float,
-                     assignment: np.ndarray | None = None):
+def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float):
     """Assemble u = sum of local solutions; report the weighted a-priori ratio.
 
     f must live on ``decomposition_grid(tree)`` and have zero mean over the
-    covered cells; ``assignment`` is ``assign_cells(tree, f)`` when the
-    caller already has it. The energy minimized locally is the 2-energy
-    regardless of q; the reported norms use the requested q (surrogate
-    documented in the report).
+    covered cells. The energy minimized locally is the 2-energy regardless
+    of q; the reported norms use the requested q (surrogate documented in
+    the report).
     """
     if not (math.isfinite(q) and q > 1):
         raise ParameterError(f"q must be finite and exceed 1, got {q!r}")
     if not math.isfinite(beta):
         raise ParameterError(f"beta must be finite, got {beta!r}")
-    if (f.h, f.origin, f.dims, f.frame_offset) != grid_layout(tree):
-        raise ParameterError("f is not sampled on decomposition_grid(tree)")
-    dec = c_decompose(tree, f, assignment)
+    dec = c_decompose(tree, f)
 
     nx, ny = f.dims
     # supp(g_t) is the local patch: the cube's cells, its own transfer box
@@ -246,14 +242,14 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float,
     energies = [loc.energy for loc in solves]
 
     mac = MacField(grid=f, fx=FX, fy=FY)
-    covered = dec.assignment >= 0
+    covered = f.covered
     div = mac.divergence()
     fnorm = float(np.linalg.norm(np.where(covered, f.values, 0.0)))
     resid = float(np.linalg.norm(np.where(covered, div - f.values, 0.0)))
     rel_resid = resid / fnorm if fnorm > 0 else resid
 
     vec = mac.cell_centered()
-    lhs, rhs = _apriori_norms(vec, f, covered, q, beta)
+    lhs, rhs = _apriori_norms(vec, f, q, beta)
     degenerate = "zero data" if rhs == 0.0 else None
     report = InequalityReport(
         inequality="divergence",
@@ -283,9 +279,9 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float,
     return vec, report
 
 
-def _grad_magnitude_covered(vec: VectorFieldGrid, covered: np.ndarray) -> GridFunction:
+def _grad_magnitude_covered(vec: VectorFieldGrid) -> GridFunction:
     g = vec.grid
-    masked = replace(g, values=np.zeros(g.dims), mask=covered & g.mask)
+    masked = replace(g, values=np.zeros(g.dims), mask=g.covered & g.mask)
     comps = []
     for c in vec.components:
         comps.append(masked.with_values(np.where(masked.mask, c.values, 0.0)))
@@ -301,21 +297,20 @@ def _grad_magnitude_covered(vec: VectorFieldGrid, covered: np.ndarray) -> GridFu
     return replace(g, values=np.where(out_mask, mag, 0.0), mask=out_mask)
 
 
-def reweighted_ratio(vec: VectorFieldGrid, f: GridFunction, covered: np.ndarray,
-                     q: float, beta: float) -> float:
+def reweighted_ratio(vec: VectorFieldGrid, f: GridFunction, q: float, beta: float) -> float:
     """Ratio of the stated weighted norms for an already-assembled velocity.
 
     The local solves are beta-independent (2-energy minimizers), so one
     assembly serves every weight exponent.
     """
-    lhs, rhs = _apriori_norms(vec, f, covered, q, beta)
+    lhs, rhs = _apriori_norms(vec, f, q, beta)
     return lhs / rhs
 
 
-def _apriori_norms(vec: VectorFieldGrid, f: GridFunction, covered: np.ndarray,
+def _apriori_norms(vec: VectorFieldGrid, f: GridFunction,
                    q: float, beta: float) -> tuple[float, float]:
     """(||grad u||, ||f||) in L^q with weight d^(-beta q), over the covered cells."""
     power = -beta * q
-    du = _grad_magnitude_covered(vec, covered)
-    rhs_f = f.with_values(np.where(covered, np.abs(f.values), 0.0))
+    du = _grad_magnitude_covered(vec)
+    rhs_f = f.with_values(np.where(f.covered, np.abs(f.values), 0.0))
     return weighted_lp_norm(du, q, power), weighted_lp_norm(rhs_f, q, power)

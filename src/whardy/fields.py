@@ -29,7 +29,9 @@ class GridFunction:
     mask: np.ndarray  # (nx, ny) bool, True where the center is inside
     domain: PolygonalDomain
     dist: np.ndarray  # boundary distance at cell centers
-    frame_offset: tuple | None = None  # grid cell (0,0) in frame-lattice cells
+    # (nx, ny) Whitney cube id per cell, -1 in the uncovered collar; set by
+    # decomp.decomposition_grid
+    assignment: np.ndarray | None = None
 
     @property
     def collar_count(self) -> int:
@@ -39,6 +41,13 @@ class GridFunction:
     @property
     def quad_mask(self) -> np.ndarray:
         return self.mask & (self.dist >= self.h / 2.0)
+
+    @property
+    def covered(self) -> np.ndarray:
+        """Cells owned by a Whitney cube."""
+        if self.assignment is None:
+            raise ParameterError("grid has no cube ids: build it with decomposition_grid(tree)")
+        return self.assignment >= 0
 
     def cell_centers(self) -> np.ndarray:
         nx, ny = self.dims
@@ -210,29 +219,16 @@ def gradient(f: GridFunction) -> VectorFieldGrid:
 # binary dump
 
 
-def _rle(mask_flat: np.ndarray):
-    runs = []
-    cur = bool(mask_flat[0])
-    n = 0
-    for b in mask_flat:
-        if bool(b) == cur:
-            n += 1
-        else:
-            runs.append(n)
-            cur = not cur
-            n = 1
-    runs.append(n)
-    return bool(mask_flat[0]), runs
-
-
 def dump_grid(f: GridFunction, path) -> None:
-    first, runs = _rle(f.mask.ravel())
+    flat = f.mask.ravel()
+    ends = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    runs = np.diff(ends, prepend=0, append=flat.size).tolist()
     header = json.dumps(
         {
             "h": f.h,
             "origin": list(f.origin),
             "dims": list(f.dims),
-            "mask_first": first,
+            "mask_first": bool(flat[0]),
             "mask_rle": runs,
         },
         sort_keys=True,
@@ -248,12 +244,9 @@ def load_grid(path, dom: PolygonalDomain) -> GridFunction:
         raw = fh.read()
     dims = tuple(header["dims"])
     values = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
-    flat = np.empty(dims[0] * dims[1], dtype=bool)
-    pos, cur = 0, header["mask_first"]
-    for run in header["mask_rle"]:
-        flat[pos : pos + run] = cur
-        pos += run
-        cur = not cur
+    runs = header["mask_rle"]
+    # runs alternate, starting with mask_first
+    flat = np.repeat((np.arange(len(runs)) % 2 == 0) == header["mask_first"], runs)
     g = make_grid(dom, header["h"], origin=tuple(header["origin"]), dims=dims)
     if not np.array_equal(g.mask, flat.reshape(dims)):
         raise ParameterError("stored mask inconsistent with domain")

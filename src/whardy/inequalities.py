@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -41,21 +41,7 @@ class InequalityReport:
     extra: dict = dc_field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "inequality": self.inequality,
-                "domain": self.domain,
-                "params": self.params,
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "ratio": self.ratio,
-                "h": self.h,
-                "test_function": self.test_function,
-                "degenerate": self.degenerate,
-                "extra": self.extra,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def write_reports_jsonl(reports, path) -> None:
@@ -275,6 +261,8 @@ def sharp_maximal(f: GridFunction, sigma: float = 1.0,
     """
     if not 1.0 <= sigma < math.inf:
         raise ParameterError(f"sigma must be finite and >= 1, got {sigma!r}")
+    if not scales >= 1:
+        raise ParameterError(f"scales must be >= 1, got {scales!r}")
     nx, ny = f.dims
     vals = np.where(f.mask, f.values, 0.0)
     out = np.zeros((nx, ny))

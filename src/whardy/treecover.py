@@ -36,8 +36,6 @@ class TreeCovering:
     ell: np.ndarray  # cube side lengths in frame units
     level: np.ndarray  # dyadic size class (ell = 2^-level for Whitney trees)
     decomposition: WhitneyDecomposition | None = None
-    kind: str = "whitney"
-    expansion_factor: float = EXPANSION
     ndim: int = 2
     # integer geometry used by exact checks: cube spans (N, 2, ndim) in
     # units of the finest side, transfer boxes B_t (N, 2, ndim) in units of
@@ -90,7 +88,7 @@ class TreeCovering:
         b = self.boxes32[kids]
         bt = np.prod(b[:, 1] - b[:, 0], axis=1)
         side = 32 * (self.spans32[kids, 1, 0] - self.spans32[kids, 0, 0])
-        ut = (self.expansion_factor * side) ** self.ndim
+        ut = (EXPANSION * side) ** self.ndim
         return float((ut / bt).max())
 
 
@@ -253,7 +251,6 @@ def build_tree(dec: WhitneyDecomposition, center=None) -> TreeCovering:
         ell=np.exp2(-dec.levels.astype(float)),
         level=dec.levels.copy(),
         decomposition=dec,
-        kind="whitney",
         spans32=spans32,
         boxes32=_transfer_boxes(parent, spans32),
     )
@@ -390,7 +387,6 @@ def build_cube_chain(m: int, n: int = 2) -> TreeCovering:
         ell=np.full(N, 1.0 / m),
         level=np.zeros(N, dtype=np.int64),
         decomposition=None,
-        kind="chain",
         ndim=n,
         spans32=spans32,
         boxes32=boxes32,
@@ -407,7 +403,6 @@ def synthetic_tree(parent, ell, ndim: int = 2) -> TreeCovering:
         ell=ell,
         level=np.maximum(level, 0),
         decomposition=None,
-        kind="synthetic",
         ndim=ndim,
     )
 

@@ -65,9 +65,8 @@ def expanded_boxes(dec, factor=17 / 16):
 
 def random_mean_zero(tree, grid, seed):
     """Random values on the covered cells, exactly mean-zero there."""
-    assign = decomp.assign_cells(tree, grid)
     rng = np.random.default_rng(seed)
-    return decomp.covered_mean_zero(grid, assign, rng.standard_normal(grid.dims))
+    return decomp.covered_mean_zero(grid, rng.standard_normal(grid.dims))
 
 
 collar_probe = decomp.collar_probe

@@ -221,7 +221,7 @@ def test_criterion_5_decomposition_suite(square_decs):
         dec = wt.whitney_decompose(dom, 5)
         tree = tc.build_tree(dec, tc.root_center(dec, geo.centroid(dom)))
         grid = dc.decomposition_grid(tree)
-        cov = dc.assign_cells(tree, grid) >= 0
+        cov = grid.covered
         ok = True
         for seed in range(20):
             g = random_mean_zero(tree, grid, seed)
@@ -368,9 +368,8 @@ def test_criterion_7_divergence_suite(square_trees):
         vec, rep = dv.solve_divergence(square_trees[lv], f, 2.0, 0.0)
         if rep.extra["div_residual_rel"] > 1e-8:
             resid_ok = False
-        covered = rep.decomposition.assignment >= 0
         for beta in ratios:
-            ratios[beta].append(dv.reweighted_ratio(vec, f, covered, 2.0, beta))
+            ratios[beta].append(dv.reweighted_ratio(vec, f, 2.0, beta))
     clauses.append(("global div residual <= 1e-8 ||f||", resid_ok))
     for beta in (0.0, -0.3):
         inc = np.diff(ratios[beta])

@@ -158,6 +158,35 @@ def test_config_value_of_wrong_type_exits_1(tmp_path, capsys):
     assert "koch_level" in capsys.readouterr().err
 
 
+def test_config_value_outside_choices_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("data = bogus\n")
+    assert run(["--config", str(cfg), "divergence", "--max-level", "4",
+                "--out", str(tmp_path / "d")]) == 1
+    assert "config data = 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_config_keys_that_are_not_flags_are_ignored(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("func = x\ncommand = hardy\nbogus = 1\n")
+    out = tmp_path / "t"
+    assert run(["--config", str(cfg), "tree", "--max-level", "4", "--out", str(out)]) == 0
+    obj = json.loads((out / "tree_summary.json").read_text())
+    assert obj["config"]["command"] == "tree"
+    assert "bogus" not in obj["config"]
+
+
+def test_abbreviated_flag_overrides_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_level = 4\n")
+    out = tmp_path / "w"
+    assert run(["--config", str(cfg), "whitney", "--max", "6", "--out", str(out)]) == 0
+    obj = json.loads((out / "whitney_summary.json").read_text())
+    assert obj["config"]["max_level"] == 6
+    assert obj["cubes"] == 304
+
+
 def test_missing_config_exits_1(tmp_path, capsys):
     assert run(["--config", str(tmp_path / "missing.cfg"), "tree",
                 "--out", str(tmp_path / "t")]) == 1
@@ -218,6 +247,8 @@ def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
     (["tree", "--lam", "inf", "--max-level", "4"], "lambda must be finite and positive"),
     (["dimension", "--r-min", "nan"], "r_min must be finite and positive"),
     (["dimension", "--r-max", "inf"], "need finite 0 < r_min < r_max"),
+    (["fefferman-stein", "--scales", "0", "--h", "0.1"], "scales must be >= 1"),
+    (["fefferman-stein", "--scales", "-3", "--h", "0.1"], "scales must be >= 1"),
 ])
 def test_out_of_range_value_exits_1_naming_it(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 1

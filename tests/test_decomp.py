@@ -1,10 +1,10 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from conftest import collar_probe, expanded_boxes, random_mean_zero
 from whardy import decomp as dc
+from whardy import divergence as dv
+from whardy import fields as F
 from whardy import treecover as tc
 from whardy import whitney as wt
 from whardy.errors import ParameterError
@@ -125,7 +125,7 @@ def test_two_cube_snapped_box(unit_square):
     # cells 29-30, and one cell on each side of the face is cells 31-32
     tree = two_cube_tree(unit_square)
     grid = dc.decomposition_grid(tree)
-    i0, j0 = grid.frame_offset
+    i0, j0 = dc.grid_layout(tree)[3]
     ny = grid.dims[1]
     expect = sorted((i - i0) * ny + (j - j0) for i in (31, 32) for j in (29, 30))
     ptr, cells = dc._snap_b_cells(tree, grid)
@@ -278,7 +278,7 @@ def reference_snap_b_cells(tree, grid, t):
     per_side = max(1, int(hi[f] - lo[f]) // 16)
     across = np.arange(face_cell - per_side, face_cell + per_side)
     along = np.arange(int(lo[o]) // 8, int(hi[o]) // 8)
-    i0, j0 = grid.frame_offset
+    i0, j0 = dc.grid_layout(tree)[3]
     if f == 0:
         ii = np.repeat(across, len(along)) - i0
         jj = np.tile(along, len(across)) - j0
@@ -288,13 +288,13 @@ def reference_snap_b_cells(tree, grid, t):
     return (ii * grid.dims[1] + jj).astype(np.int64)
 
 
-def reference_c_decompose(tree, g, assignment):
+def reference_c_decompose(tree, g):
     """Per-node (cells, values) of the decomposition, each node merged on
     its own with np.unique and np.add.at into zeros."""
     n = len(tree)
     h2 = g.h * g.h
-    flat_assign = assignment.ravel()
-    flat_g = np.where(assignment >= 0, g.values, 0.0).ravel()
+    flat_assign = g.assignment.ravel()
+    flat_g = np.where(g.assignment >= 0, g.values, 0.0).ravel()
     sel = flat_assign >= 0
     own = np.zeros(n)
     np.add.at(own, flat_assign[sel], flat_g[sel] * h2)
@@ -329,9 +329,8 @@ def test_csr_matches_per_node_reference_bitwise(request, which, data):
     tree = request.getfixturevalue(which)
     grid = dc.decomposition_grid(tree)
     g = random_mean_zero(tree, grid, 7) if data == "random" else collar_probe(tree, grid)
-    assign = dc.assign_cells(tree, grid)
-    d = dc.c_decompose(tree, g, assign)
-    cells, values = reference_c_decompose(tree, g, assign)
+    d = dc.c_decompose(tree, g)
+    cells, values = reference_c_decompose(tree, g)
     assert d.ptr.tolist() == np.cumsum([0] + [len(c) for c in cells]).tolist()
     assert np.array_equal(d.cells, np.concatenate(cells))
     # the bytes, so the sign of every zero counts too
@@ -352,15 +351,47 @@ def test_assignment_matches_painted_cubes(request, which):
     tree = request.getfixturevalue(which)
     grid = dc.decomposition_grid(tree)
     lo, hi = tree.decomposition.spans()
-    i0, j0 = grid.frame_offset
+    i0, j0 = dc.grid_layout(tree)[3]
     want = np.full(grid.dims, -1)
     for t in range(len(tree)):
         want[4 * lo[t, 0] - i0:4 * hi[t, 0] - i0, 4 * lo[t, 1] - j0:4 * hi[t, 1] - j0] = t
     want[~grid.mask] = -1
-    assert np.array_equal(dc.assign_cells(tree, grid), want)
+    assert np.array_equal(grid.assignment, want)
 
 
-def test_box_escaping_the_grid_raises(tree5, grid5):
-    shifted = replace(grid5, frame_offset=(grid5.frame_offset[0] + 10**6, grid5.frame_offset[1]))
+def test_box_escaping_the_grid_raises(tree5, grid5, monkeypatch):
+    i0, j0 = dc._frame_offset(tree5, grid5)
+    monkeypatch.setattr(dc, "_frame_offset", lambda tree, grid: (i0 + 10**6, j0))
     with pytest.raises(ParameterError, match="escapes the grid"):
-        dc._snap_b_cells(tree5, shifted)
+        dc._snap_b_cells(tree5, grid5)
+
+
+# each takes the tree and a grid that is not decomposition_grid(tree); the
+# values handed to covered_mean_zero, which takes no tree, are laid out for
+# the tree's own grid, so it can refuse only a grid without cube ids or of
+# another shape
+FOREIGN_GRID_CALLS = {
+    "c_decompose": lambda tree, grid: dc.c_decompose(tree, grid),
+    "collar_probe": lambda tree, grid: dc.collar_probe(tree, grid),
+    "covered_mean_zero": lambda tree, grid: dc.covered_mean_zero(
+        grid, np.ones(dc.grid_layout(tree)[2])),
+    "solve_divergence": lambda tree, grid: dv.solve_divergence(tree, grid, 2.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("call, foreign", [
+    *((call, foreign) for call in FOREIGN_GRID_CALLS for foreign in ("make_grid", "other tree")),
+    *((call, "other domain") for call in ("c_decompose", "collar_probe", "solve_divergence")),
+])
+def test_grid_of_another_layout_or_without_cube_ids_raises(square_tree6, grid5, l_shape,
+                                                          call, foreign):
+    h, origin, dims, _ = dc.grid_layout(square_tree6)
+    if foreign == "make_grid":  # the same layout, but no cube ids
+        grid = F.make_grid(square_tree6.decomposition.domain, h, origin=origin, dims=dims)
+    elif foreign == "other tree":
+        grid = grid5
+    else:  # the L-shape shares the square's bounding box, so its layout too
+        grid = dc.decomposition_grid(tc.build_tree(wt.whitney_decompose(l_shape, 6)))
+        assert (grid.h, grid.origin, grid.dims) == (h, origin, dims)
+    with pytest.raises(ParameterError):
+        FOREIGN_GRID_CALLS[call](square_tree6, grid)

@@ -273,7 +273,7 @@ def test_support_and_mass_balance(solved5):
 
 def test_additivity_of_divergence(solved5):
     grid, f, vec, rep = solved5
-    covered = rep.decomposition.assignment >= 0
+    covered = grid.covered
     div = rep.mac.divergence()
     assert np.abs(np.where(covered, div - f.values, 0.0)).max() <= 1e-9 * (
         np.abs(f.values).max() + 1.0
@@ -283,8 +283,8 @@ def test_additivity_of_divergence(solved5):
 def test_energy_overlap_surrogate(solved5):
     grid, f, vec, rep = solved5
     q = 2.0
-    covered = rep.decomposition.assignment >= 0
-    global_norm = dv.reweighted_ratio(vec, f, covered, q, 0.0) * F.weighted_lp_norm(
+    covered = grid.covered
+    global_norm = dv.reweighted_ratio(vec, f, q, 0.0) * F.weighted_lp_norm(
         f.with_values(np.where(covered, np.abs(f.values), 0.0)), q, 0.0
     )
     # per-node gradient norms through the same measuring stick
@@ -295,7 +295,7 @@ def test_energy_overlap_surrogate(solved5):
         FX[loc.fx_ij[:, 0], loc.fx_ij[:, 1]] = loc.fx
         FY[loc.fy_ij[:, 0], loc.fy_ij[:, 1]] = loc.fy
         mac = dv.MacField(grid=grid, fx=FX, fy=FY)
-        du = dv._grad_magnitude_covered(mac.cell_centered(), covered)
+        du = dv._grad_magnitude_covered(mac.cell_centered())
         total += F.weighted_lp_norm(du, q, 0.0) ** q
     assert global_norm**q <= total * (12**2) ** (q - 1) + 1e-12
 
@@ -304,9 +304,8 @@ def test_energy_overlap_surrogate(solved5):
 def test_one_factor_per_patch_shape(request, domain, shapes, splu_calls):
     tree = tc.build_tree(wt.whitney_decompose(request.getfixturevalue(domain), 6))
     grid = dc.decomposition_grid(tree)
-    assign = dc.assign_cells(tree, grid)
-    f = collar_probe(tree, grid, assign)
-    vec, rep = dv.solve_divergence(tree, f, 2.0, 0.0, assign)
+    f = collar_probe(tree, grid)
+    vec, rep = dv.solve_divergence(tree, f, 2.0, 0.0)
     assert len(splu_calls) == shapes
     d = rep.decomposition
     assert len({dv.patch_key(d.piece(t)[0], grid.dims[1]) for t in range(len(tree))}) == shapes
@@ -328,9 +327,8 @@ def test_threshold_contrast_collar_probe(square_trees):
         grid = dc.decomposition_grid(square_trees[lv])
         f = collar_probe(square_trees[lv], grid)
         vec, rep = dv.solve_divergence(square_trees[lv], f, 2.0, 0.0)
-        covered = rep.decomposition.assignment >= 0
         for beta in ratios:
-            ratios[beta].append(dv.reweighted_ratio(vec, f, covered, 2.0, beta))
+            ratios[beta].append(dv.reweighted_ratio(vec, f, 2.0, beta))
     for beta in (0.0, -0.3):
         vals = ratios[beta]
         increments = np.diff(vals)

@@ -1,4 +1,7 @@
+import itertools
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,3 +155,17 @@ def test_dump_load_roundtrip(tmp_path, grid128, unit_square):
     assert np.array_equal(back.values, f.values)
     assert np.array_equal(back.mask, f.mask)
     assert back.h == f.h
+
+
+def test_mask_runs_match_a_loop(tmp_path, l_shape):
+    grid = F.make_grid(l_shape, 1 / 16)
+    rng = np.random.default_rng(0)
+    masks = [grid.mask, ~grid.mask, np.ones(grid.dims, bool), rng.random(grid.dims) < 0.5]
+    for k, mask in enumerate(masks):
+        path = tmp_path / f"{k}.bin"
+        F.dump_grid(replace(grid, mask=mask), path)
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        runs = [len(list(run)) for _, run in itertools.groupby(mask.ravel())]
+        assert (header["mask_first"], header["mask_rle"]) == (bool(mask.flat[0]), runs)
+    # the L-shape's own mask, several runs, decodes back
+    assert np.array_equal(F.load_grid(tmp_path / "0.bin", l_shape).mask, grid.mask)
