@@ -37,30 +37,16 @@ BETA_BLOCK_ENTRIES = 2**16
 class WeightSpec:
     beta: float
     p: float
-    theta_grid: tuple = DEFAULT_THETA_GRID
 
     def __post_init__(self):
         if not math.isfinite(self.beta):
             raise ParameterError("beta must be finite")
         if not (math.isfinite(self.p) and self.p > 1):
             raise ParameterError("p must be finite and exceed 1")
-        _check_thetas(self.theta_grid)
 
     @property
     def q(self) -> float:
         return self.p / (self.p - 1.0)
-
-
-@dataclass(frozen=True)
-class DiscreteWeights:
-    nu: np.ndarray
-    omega: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.nu, self.omega, self.b):
-            if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-                raise ParameterError("discrete weights must be positive and finite")
 
 
 @dataclass
@@ -73,26 +59,18 @@ class HardyReport:
     classification: dict = field(default_factory=dict)
 
 
-def tree_weights(tree: TreeCovering, w: WeightSpec) -> DiscreteWeights:
-    """nu = omega = ell^beta and b = ell^n, in frame units."""
+def _weights(tree: TreeCovering, beta: float):
+    """(ell^beta, ell^n): nu = omega = ell^beta and b = ell^n, in frame units.
+
+    None when either leaves the positive float range; such a beta is
+    evaluated in log space from beta log ell.
+    """
     ell = tree.ell
-    pw = ell**w.beta
-    return DiscreteWeights(nu=pw, omega=pw.copy(), b=ell**tree.ndim)
-
-
-def _spec_weights(tree: TreeCovering, w: WeightSpec) -> DiscreteWeights | None:
-    """``tree_weights``, or None when ell^beta or ell^n over- or underflows;
-    such a beta is evaluated in log space from beta log ell."""
     with np.errstate(over="ignore", under="ignore"):
-        try:
-            return tree_weights(tree, w)
-        except ParameterError:
-            return None
-
-
-def _check_thetas(thetas):
-    if not all(math.isfinite(t) and t > 1 for t in thetas):
-        raise ParameterError("theta must be finite and exceed 1")
+        pw, b = ell**beta, ell**tree.ndim
+        if all(np.isfinite(a).all() and (a > 0).all() for a in (pw, b)):
+            return pw, b
+    return None
 
 
 def _kahan_add(acc, x):
@@ -119,46 +97,32 @@ def _in_range(arrays, positive, star):
     return ok
 
 
-def a_tree(tree: TreeCovering, w: WeightSpec, theta: float,
-           weights: DiscreteWeights | None = None):
+def a_tree(tree: TreeCovering, w: WeightSpec, theta: float):
     """Exact evaluation of the tree Hardy constant for one theta.
 
-    Returns (value, argmax node); see ``a_tree_thetas``.
+    Returns (value, argmax node); see ``_a_tree_block``.
     """
-    return a_tree_thetas(tree, w, (theta,), weights)[0]
+    if not (math.isfinite(theta) and theta > 1):
+        raise ParameterError("theta must be finite and exceed 1")
+    return _a_tree_block(tree, [w], (theta,))[0][0]
 
 
-def a_tree_thetas(tree: TreeCovering, w: WeightSpec, thetas,
-                  weights: DiscreteWeights | None = None) -> list:
-    """Exact evaluation of the tree Hardy constant for each theta of ``thetas``.
-
-    Returns one (value, argmax node) per theta. This is the one-beta block
-    of the evaluation ``beta_sweep`` runs on blocks of betas: S is summed
-    once for the block, in one down-sweep over (n, betas, 2) Kahan rows,
-    and the shadow sums of every (beta, theta) column share one up-sweep
-    over (n, betas, thetas, 2) rows. Every power has a Python float scalar
-    exponent and a contiguous 1-D operand, one (beta, theta) column at a
-    time, so numpy maps it to the same sqrt/pow kernel as a lone theta
-    would; an array exponent would turn a 0.5 from sqrt into pow and move
-    last bits. The range checks and the argmax reduce over the node axis of
-    each column. A column whose magnitudes pass 1e+-250 is evaluated in log
-    space, and so is every theta of a beta whose ell^beta leaves the float
-    range; the log-space thetas of one beta share one log S down-sweep.
-    There an overflowing value is +inf and the argmax points at the
-    offending node.
-    """
-    if weights is None:
-        weights = _spec_weights(tree, w)
-    return _a_tree_block(tree, [w], thetas, [weights])[0]
-
-
-def _a_tree_block(tree: TreeCovering, specs, thetas, weights) -> list:
+def _a_tree_block(tree: TreeCovering, specs, thetas) -> list:
     """(value, argmax node) per theta of ``thetas``, per spec of ``specs``.
 
-    The specs share p. ``weights[k]`` are the discrete weights of
-    ``specs[k]``, or None when they leave the float range.
+    The specs share p. S is summed once for the block, in one down-sweep
+    over (n, betas, 2) Kahan rows, and the shadow sums of every (beta,
+    theta) column share one up-sweep over (n, betas, thetas, 2) rows. Every
+    power has a Python float scalar exponent and a contiguous 1-D operand,
+    one (beta, theta) column at a time, so numpy maps it to the same
+    sqrt/pow kernel as a lone theta would; an array exponent would turn a
+    0.5 from sqrt into pow and move last bits. The range checks and the
+    argmax reduce over the node axis of each column. A column whose
+    magnitudes pass 1e+-250 is evaluated in log space, and so is every
+    theta of a beta whose ell^beta leaves the float range; the log-space
+    thetas of one beta share one log S down-sweep. There an overflowing
+    value is +inf and the argmax points at the offending node.
     """
-    _check_thetas(thetas)
     n, nb, nt = len(tree), len(specs), len(thetas)
     if n <= 1:
         return [[(0.0, tree.root)] * nt for _ in specs]
@@ -168,10 +132,12 @@ def _a_tree_block(tree: TreeCovering, specs, thetas, weights) -> list:
     term = np.full((n, nb), np.nan)  # NaN columns fail the range check
     base = np.full((nb, n), np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, dw in enumerate(weights):
+        for k, w in enumerate(specs):
+            dw = _weights(tree, w.beta)
             if dw is not None:
-                term[:, k] = dw.b ** (-q / p) * dw.nu ** (-q)
-                base[k] = dw.b * dw.omega**p
+                pw, b = dw
+                term[:, k] = b ** (-q / p) * pw ** (-q)
+                base[k] = b * pw**p
         # S_t sums term along the path from just below the root to t
         x = np.zeros((n, nb, 2))
         x[..., 0] = term
@@ -198,22 +164,20 @@ def _a_tree_block(tree: TreeCovering, specs, thetas, weights) -> list:
     arg = cand.argmax(axis=0)
     val = np.take_along_axis(cand, arg[None], axis=0)[0]
     out = []
-    for k, (w, dw) in enumerate(zip(specs, weights)):
+    for k, w in enumerate(specs):
         row = [(float(v), int(a)) for v, a in zip(val[k], arg[k])]
         failed = np.flatnonzero(~ok[k])
         if len(failed):
-            for j, res in zip(failed, _a_tree_log(tree, w, [thetas[j] for j in failed], dw)):
+            for j, res in zip(failed, _a_tree_log(tree, w, [thetas[j] for j in failed])):
                 row[j] = res
         out.append(row)
     return out
 
 
-def _log_weights(tree, w, dw):
-    """(log nu, log omega, log b); ``dw`` None takes them from beta log ell."""
-    if dw is None:
-        logell = np.log(tree.ell)
-        return w.beta * logell, w.beta * logell, tree.ndim * logell
-    return np.log(dw.nu), np.log(dw.omega), np.log(dw.b)
+def _log_weights(tree, beta):
+    """(log nu, log b) = (beta log ell, n log ell); log omega = log nu."""
+    logell = np.log(tree.ell)
+    return beta * logell, tree.ndim * logell
 
 
 def _exp(x: float) -> float:
@@ -221,18 +185,18 @@ def _exp(x: float) -> float:
     return math.inf if x > math.log(float(np.finfo(float).max)) else math.exp(x)
 
 
-def _a_tree_log(tree, w, thetas, dw) -> list:
+def _a_tree_log(tree, w, thetas) -> list:
     """Log-space evaluation: (value, argmax node) per theta of ``thetas``,
     with one log S down-sweep for all of them."""
     q = w.q
-    lognu, logomega, logb = _log_weights(tree, w, dw)
+    lognu, logb = _log_weights(tree, w.beta)
     logterm = (-q / w.p) * logb - q * lognu
     logterm[tree.root] = -np.inf
     logS = accumulate_down(tree, logterm, np.logaddexp)
     out = []
     for theta in thetas:
         expo = (w.p / q) * (1.0 - 1.0 / theta)
-        loge = logb + w.p * logomega + expo * np.where(
+        loge = logb + w.p * lognu + expo * np.where(
             np.isfinite(logS), logS, 0.0
         )
         loge[tree.root] = -np.inf
@@ -254,14 +218,12 @@ def _min_report(thetas, results) -> HardyReport:
     return HardyReport(per_theta=per, a_tree_min=val, best_theta=best_theta, argmax=arg)
 
 
-def a_tree_min(tree: TreeCovering, w: WeightSpec,
-               weights: DiscreteWeights | None = None) -> HardyReport:
-    """Minimum of the tree constant over the theta grid."""
-    return _min_report(w.theta_grid, a_tree_thetas(tree, w, w.theta_grid, weights))
+def a_tree_min(tree: TreeCovering, w: WeightSpec) -> HardyReport:
+    """Minimum of the tree constant over ``DEFAULT_THETA_GRID``."""
+    return _min_report(DEFAULT_THETA_GRID, _a_tree_block(tree, [w], DEFAULT_THETA_GRID)[0])
 
 
-def a_chain(chain: TreeCovering, w: WeightSpec,
-            weights: DiscreteWeights | None = None) -> float:
+def a_chain(chain: TreeCovering, w: WeightSpec) -> float:
     """Chain Hardy constant: sup over non-root t of prefix^(1/q) suffix^(1/p).
 
     The prefix sum runs over all s preceding-or-equal t including the root.
@@ -269,20 +231,21 @@ def a_chain(chain: TreeCovering, w: WeightSpec,
     """
     if not chain.is_chain:
         raise StructureError("a_chain requires a chain (every node has at most one child)")
-    dw = _spec_weights(chain, w) if weights is None else weights
     n = len(chain)
     if n <= 1:
         return 0.0
     q = w.q
     # chain order: root first along tree.order
     order = chain.order
+    dw = _weights(chain, w.beta)
     if dw is None:  # ell^beta or ell^n leaves the float range
-        lognu, logomega, logb = _log_weights(chain, w, dw)
+        lognu, logb = _log_weights(chain, w.beta)
         logpre = np.logaddexp.accumulate(((-q / w.p) * logb - q * lognu)[order])
-        logsuf = np.logaddexp.accumulate((logb + w.p * logomega)[order][::-1])[::-1]
+        logsuf = np.logaddexp.accumulate((logb + w.p * lognu)[order][::-1])[::-1]
         return _exp(float((logpre[1:] / q + logsuf[1:] / w.p).max()))
-    term_pre = dw.b ** (-q / w.p) * dw.nu ** (-q)
-    term_suf = dw.b * dw.omega**w.p
+    pw, b = dw
+    term_pre = b ** (-q / w.p) * pw ** (-q)
+    term_suf = b * pw**w.p
     pre = np.cumsum(term_pre[order])
     suf = np.cumsum(term_suf[order][::-1])[::-1]
     vals = pre[1:] ** (1.0 / q) * suf[1:] ** (1.0 / w.p)
@@ -333,13 +296,12 @@ def classify_growth(values) -> tuple[str, list]:
     return "inconclusive", ratios
 
 
-def beta_sweep(dom, p: float, betas, levels,
-               theta_grid=DEFAULT_THETA_GRID) -> HardyReport:
+def beta_sweep(dom, p: float, betas, levels) -> HardyReport:
     """A_tree_min per (beta, truncation level) with growth classification.
 
     Each tree is evaluated on blocks of consecutive betas, one block per
-    down/up sweep pair (see ``a_tree_thetas``). A block holds as many betas
-    as keep n * len(block) * len(theta_grid) within BETA_BLOCK_ENTRIES,
+    down/up sweep pair (see ``_a_tree_block``). A block holds as many betas
+    as keep n * len(block) * len(DEFAULT_THETA_GRID) within BETA_BLOCK_ENTRIES,
     and at least one. The best theta per beta is chosen as in
     ``a_tree_min``, and every power keeps a scalar exponent, so the rows
     are bitwise those of one ``a_tree_min`` call per (tree, beta).
@@ -347,17 +309,15 @@ def beta_sweep(dom, p: float, betas, levels,
     levels = list(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ParameterError("levels must be strictly increasing")
-    thetas = tuple(theta_grid)
-    specs = [WeightSpec(beta=beta, p=p, theta_grid=thetas) for beta in betas]
+    thetas = DEFAULT_THETA_GRID
+    specs = [WeightSpec(beta=beta, p=p) for beta in betas]
     reps = {}  # level -> one HardyReport per spec
     for lv in levels:
         tree = build_tree(whitney_decompose(dom, lv))
         size = max(1, BETA_BLOCK_ENTRIES // (len(tree) * len(thetas)))
         reps[lv] = []
         for i in range(0, len(specs), size):
-            block = specs[i:i + size]
-            results = _a_tree_block(tree, block, thetas,
-                                    [_spec_weights(tree, w) for w in block])
+            results = _a_tree_block(tree, specs[i:i + size], thetas)
             reps[lv] += [_min_report(thetas, r) for r in results]
     rows = []
     classification = {}

@@ -56,9 +56,8 @@ class WhitneyDecomposition:
     dist_sq: np.ndarray  # (N,) same, squared (no sqrt rounding)
     # CSR pairs (ptr, idx): the touching cubes of t, ascending, are
     # idx[ptr[t]:ptr[t + 1]]; face_neighbors keeps the face contacts only
-    neighbors: tuple | None = None
-    face_neighbors: tuple | None = None
-    collar_width: float = 0.0
+    neighbors: tuple = field(init=False)
+    face_neighbors: tuple = field(init=False)
     keys: np.ndarray = field(init=False, repr=False)  # (N,) sorted (level, i, j) keys
 
     def __post_init__(self):
@@ -77,16 +76,16 @@ class WhitneyDecomposition:
         self.keys = self._key(lev, idx[:, 0], idx[:, 1])
         if (self.keys[1:] <= self.keys[:-1]).any():
             raise StructureError("cubes must be distinct and sorted by (level, i, j)")
-        if self.neighbors is None:
-            self.neighbors, self.face_neighbors = _adjacency(self)
-        if not self.collar_width:
-            n = 2
-            self.collar_width = (
-                8.0 * math.sqrt(n) * self.frame.size * 2.0 ** (-self.max_level)
-            )
+        self.neighbors, self.face_neighbors = _adjacency(self)
 
     def __len__(self):
         return len(self.levels)
+
+    @property
+    def collar_width(self) -> float:
+        """8 sqrt(2) times the side at ``max_level``: points farther than this
+        from the boundary lie in some cube."""
+        return 8.0 * math.sqrt(2) * self.frame.size * 2.0 ** (-self.max_level)
 
     @property
     def sides(self) -> np.ndarray:
@@ -165,29 +164,20 @@ def _box_segment_dist_sq(lo, hi, a, b):
     return np.where(geometry.segments_meet_boxes(a, b, lo, hi), 0.0, d2)
 
 
-def _pair_min(kernel, edges, ptr, cand, *per_box):
-    """``kernel(*per_box[owner], a, b)`` over the CSR pairs (box m, edge
-    cand[k]) for ptr[m] <= k < ptr[m + 1], in chunks. Every list must be
-    non-empty. Returns the per-box minimum and the per-pair values."""
+def boxes_boundary_dist_sq(dom: PolygonalDomain, lo, hi, ptr, cand):
+    """Squared distance of solid boxes to the polygon boundary.
+
+    Box m is measured against the edges ``cand[ptr[m]:ptr[m + 1]]``, in
+    chunks of pairs; every list must be non-empty. Returns the per-box
+    minimum and the per-pair distances in candidate order.
+    """
+    edges = dom.edges
     owner = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
     pair = np.empty(len(cand))
     for s in range(0, len(cand), PAIR_CHUNK):
         o, e = owner[s : s + PAIR_CHUNK], cand[s : s + PAIR_CHUNK]
-        pair[s : s + PAIR_CHUNK] = kernel(*(x[o] for x in per_box), edges[e, 0], edges[e, 1])
+        pair[s : s + PAIR_CHUNK] = _box_segment_dist_sq(lo[o], hi[o], edges[e, 0], edges[e, 1])
     return np.minimum.reduceat(pair, ptr[:-1]), pair
-
-
-def boxes_boundary_dist_sq(dom: PolygonalDomain, lo, hi, ptr, cand):
-    """Squared distance of solid boxes to the polygon boundary.
-
-    Box m is measured against the edges ``cand[ptr[m]:ptr[m + 1]]``. Returns
-    the per-box minimum and the per-pair distances in candidate order.
-    """
-    return _pair_min(_box_segment_dist_sq, dom.edges, ptr, cand, lo, hi)
-
-
-def _center_dist_sq(px, py, a, b):
-    return point_segment_dist_sq(px, py, *segment_parts(a, b))
 
 
 def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposition:
@@ -200,10 +190,14 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
     Each active cube carries a CSR list of candidate edges, all edges for
     the frame. A child keeps the edges e of its parent P with d(P, e) <=
     d(P) + diam(P): every ancestor A of a cube C passes C's nearest edge
-    e*, since d(A, e*) <= d(C) <= d(A) + diam(A), and likewise the edge
-    nearest to C's center. So both minima run over the same per-pair
-    floats as a test against every edge. A parent that misses the boundary
-    and is split lies inside, so its children skip the ray-parity test.
+    e*, since d(A, e*) <= d(C) <= d(A) + diam(A). So the minimum runs
+    over the same per-pair floats as a test against every edge.
+
+    A cube that meets the boundary is split whatever its centre says. One
+    that misses it lies on one side, with its centre more than side / 2 >
+    BOUNDARY_EPS from the boundary, so the centre's ray parity decides; a
+    parent that misses the boundary and is split lies inside, so its
+    children skip that test.
     """
     if max_level < 2:
         raise ParameterError("max_level must be >= 2")
@@ -214,8 +208,12 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
             f"rounding beyond level {WIDENING_LEVEL_LIMIT}"
         )
     frame = frame_for_domain(dom)
+    if frame.cube_side(max_level) / 2.0 <= geometry.BOUNDARY_EPS:
+        raise ParameterError(
+            f"max_level {max_level} gives cubes of side {frame.cube_side(max_level):.3g}: "
+            f"half a side must exceed the boundary tolerance {geometry.BOUNDARY_EPS:g}"
+        )
     origin = np.asarray(frame.origin)
-    edges = dom.edges
 
     acc_levels, acc_indices, acc_d2 = [], [], []
     active = np.zeros((1, 2), dtype=np.int64)  # the frame itself, level 0
@@ -230,11 +228,9 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
         hi = lo + side
         centers = lo + side / 2.0
         d2, pair_d2 = boxes_boundary_dist_sq(dom, lo, hi, ptr, cand)
-        c2, _ = _pair_min(_center_dist_sq, edges, ptr, cand, centers[:, 0], centers[:, 1])
-        cdist = np.sqrt(c2)
-        inside = cdist > geometry.BOUNDARY_EPS
-        ray = np.flatnonzero(parent_meets)
-        inside[ray] = geometry.contains_many(dom, centers[ray], dist=cdist[ray])
+        inside = np.ones(len(active), dtype=bool)
+        ray = np.flatnonzero(parent_meets & (d2 > 0.0))
+        inside[ray] = geometry._ray_parity(dom, centers[ray, 0], centers[ray, 1])
         accept = inside & (d2 >= 2.0 * side * side)
         if accept.any():
             acc_levels.append(np.full(accept.sum(), level))
@@ -329,12 +325,6 @@ def _csr_lists(csr) -> list:
     return [flat[a:b] for a, b in itertools.pairwise(ptr.tolist())]
 
 
-def _lists_csr(lists) -> tuple:
-    counts = np.fromiter(map(len, lists), np.int64, len(lists))
-    ptr = np.concatenate([[0], np.cumsum(counts)])
-    return ptr, np.fromiter(itertools.chain.from_iterable(lists), np.int64, int(ptr[-1]))
-
-
 def decomposition_to_json(dec: WhitneyDecomposition) -> str:
     obj = {
         "frame": {"origin": list(dec.frame.origin), "size": dec.frame.size},
@@ -367,7 +357,4 @@ def decomposition_from_json(text: str, dom: PolygonalDomain) -> WhitneyDecomposi
         indices=indices,
         dist=dist,
         dist_sq=dist * dist,
-        neighbors=_lists_csr(obj["neighbors"]),
-        face_neighbors=_lists_csr(obj["face_neighbors"]),
-        collar_width=obj["collar_width"],
     )

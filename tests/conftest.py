@@ -6,7 +6,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from whardy import decomp, geometry, treecover, whitney
-from whardy.errors import ParameterError
+from whardy.errors import ConnectivityError, EmptyDecompositionError, ParameterError
 
 
 @pytest.fixture(scope="session")
@@ -120,4 +120,13 @@ def star_polygons(draw, snap=False):
     try:
         return geometry.PolygonalDomain(verts, name="star")
     except ParameterError:
+        assume(False)
+
+
+def star_tree(dom, max_level=6):
+    """The Whitney tree of a drawn polygon; a draw whose truncated
+    decomposition is empty or disconnected is rejected."""
+    try:
+        return treecover.build_tree(whitney.whitney_decompose(dom, max_level))
+    except (EmptyDecompositionError, ConnectivityError):
         assume(False)

@@ -249,6 +249,8 @@ def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
     (["dimension", "--r-max", "inf"], "need finite 0 < r_min < r_max"),
     (["fefferman-stein", "--scales", "0", "--h", "0.1"], "scales must be >= 1"),
     (["fefferman-stein", "--scales", "-3", "--h", "0.1"], "scales must be >= 1"),
+    (["whitney", "--side", "1e-6", "--max-level", "25"],
+     "half a side must exceed the boundary tolerance"),
 ])
 def test_out_of_range_value_exits_1_naming_it(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 1

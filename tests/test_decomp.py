@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import collar_probe, expanded_boxes, random_mean_zero
+from conftest import collar_probe, expanded_boxes, random_mean_zero, star_polygons, star_tree
 from whardy import decomp as dc
 from whardy import divergence as dv
 from whardy import fields as F
@@ -154,17 +156,30 @@ def support_violations(d):
     return bad
 
 
+def assert_definition_properties(tree, grid, seed):
+    """Exact reconstruction, zero node integrals and support inclusion for
+    random mean-zero data."""
+    cov = dc.assign_cells(tree, grid) >= 0
+    g = random_mean_zero(tree, grid, seed)
+    d = dc.c_decompose(tree, g)
+    rec = d.reconstruct()
+    linf = np.abs(g.values).max()
+    l1 = float(np.abs(g.values[cov]).sum()) * grid.h**2
+    assert np.abs(rec - g.values)[cov].max() <= 1e-12 * linf
+    assert max(abs(d.node_integral(t)) for t in range(len(tree))) <= 1e-10 * l1
+    assert support_violations(d) == 0
+
+
 def test_definition_properties_random(tree5, grid5):
-    cov = dc.assign_cells(tree5, grid5) >= 0
     for seed in range(5):
-        g = random_mean_zero(tree5, grid5, seed)
-        d = dc.c_decompose(tree5, g)
-        rec = d.reconstruct()
-        linf = np.abs(g.values).max()
-        l1 = float(np.abs(g.values[cov]).sum()) * grid5.h**2
-        assert np.abs(rec - g.values)[cov].max() <= 1e-12 * linf
-        assert max(abs(d.node_integral(t)) for t in range(len(tree5))) <= 1e-10 * l1
-        assert support_violations(d) == 0
+        assert_definition_properties(tree5, grid5, seed)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(star_polygons(), st.integers(0, 2**16))
+def test_definition_properties_on_star_polygons(dom, seed):
+    tree = star_tree(dom)
+    assert_definition_properties(tree, dc.decomposition_grid(tree), seed)
 
 
 def test_linearity(tree5, grid5):

@@ -49,14 +49,12 @@ def test_a_tree_theta_validation(square_tree6):
     with pytest.raises(ParameterError):
         hd.WeightSpec(0.0, 1.0)
     with pytest.raises(ParameterError):
-        hd.WeightSpec(0.0, 2.0, theta_grid=(0.9,))
+        hd.a_tree(square_tree6, hd.WeightSpec(0.0, 2.0), 0.9)
     for bad in (math.nan, math.inf):
         with pytest.raises(ParameterError):
             hd.WeightSpec(0.0, bad)
         with pytest.raises(ParameterError):
             hd.WeightSpec(bad, 2.0)
-        with pytest.raises(ParameterError):
-            hd.WeightSpec(0.0, 2.0, theta_grid=(1.5, bad))
         with pytest.raises(ParameterError):
             hd.a_tree(square_tree6, hd.WeightSpec(0.0, 2.0), bad)
 
@@ -208,13 +206,13 @@ def test_a_tree_min_report(square_tree6):
 def reference_a_tree(tree, w, theta):
     """One theta on its own: two sweeps over (n, 2) Kahan rows and scalar
     exponents, no log-space fallback."""
-    dw = hd.tree_weights(tree, w)
+    nu, b = tree.ell**w.beta, tree.ell**tree.ndim
     q = w.q
-    term = dw.b ** (-q / w.p) * dw.nu ** (-q)
+    term = b ** (-q / w.p) * nu ** (-q)
     x = np.stack([term, np.zeros_like(term)], axis=1)
     x[tree.root] = 0.0
     S = tc.accumulate_down(tree, x, hd._kahan_add)[:, 0]
-    e = dw.b * dw.omega**w.p * np.where(S > 0, S, 1.0) ** ((w.p / q) * (1.0 - 1.0 / theta))
+    e = b * nu**w.p * np.where(S > 0, S, 1.0) ** ((w.p / q) * (1.0 - 1.0 / theta))
     e[tree.root] = 0.0
     T = tc.accumulate_up(tree, np.stack([e, np.zeros_like(e)], axis=1), hd._kahan_add)[:, 0]
     cand = np.where(S > 0, S ** (1.0 / (theta * q)) * T ** (1.0 / w.p), 0.0)
@@ -248,13 +246,13 @@ def test_theta_batch_mixes_direct_and_log_space(monkeypatch):
     logged = []
     log_path = hd._a_tree_log
 
-    def spy(tree, w, thetas, dw):
+    def spy(tree, w, thetas):
         logged.extend(thetas)
-        return log_path(tree, w, thetas, dw)
+        return log_path(tree, w, thetas)
 
     monkeypatch.setattr(hd, "_a_tree_log", spy)
     rep = hd.a_tree_min(tree, w)
-    assert 0 < len(logged) < len(w.theta_grid)
+    assert 0 < len(logged) < len(hd.DEFAULT_THETA_GRID)
     for theta, (val, arg) in rep.per_theta.items():
         assert (val, arg) == hd.a_tree(tree, w, theta)
         if theta in logged:
@@ -307,16 +305,11 @@ def test_overflowing_weights_go_to_log_space():
             w = hd.WeightSpec(beta, 2.0)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                out_of_range += hd._spec_weights(tree, w) is None
+                out_of_range += hd._weights(tree, beta) is None
                 rep = hd.a_tree_min(tree, w)
             for theta, (val, _) in rep.per_theta.items():
                 assert_log_oracle(val, parent, ell, beta, 2.0, theta)
     assert out_of_range >= 6
-    # explicit weights keep their positivity check
-    tree = tc.synthetic_tree(parent, np.ones(n))
-    with pytest.raises(ParameterError):
-        hd.a_tree(tree, hd.WeightSpec(0.0, 2.0), 1.5,
-                  hd.DiscreteWeights(nu=np.zeros(n), omega=np.ones(n), b=np.ones(n)))
 
 
 @pytest.fixture(scope="module")
@@ -333,7 +326,6 @@ def test_beta_blocks_match_per_beta_bitwise(block_trees, p):
     specs = [hd.WeightSpec(beta, p) for beta in hd.parse_grid("-0.9:0.3:0.05")]
     assert len(specs) % 7
     for tree in block_trees:
-        weights = [hd.tree_weights(tree, w) for w in specs]
         want = []
         for w in specs:
             per = hd.a_tree_min(tree, w).per_theta
@@ -342,7 +334,7 @@ def test_beta_blocks_match_per_beta_bitwise(block_trees, p):
         for size in (1, 7, len(specs)):
             got = []
             for i in range(0, len(specs), size):
-                got += hd._a_tree_block(tree, specs[i:i + size], thetas, weights[i:i + size])
+                got += hd._a_tree_block(tree, specs[i:i + size], thetas)
             assert got == want
 
 
@@ -359,15 +351,15 @@ def test_beta_block_mixes_direct_and_log_space(monkeypatch):
     logged = []
     log_path = hd._a_tree_log
 
-    def spy(tree, w, thetas, dw):
+    def spy(tree, w, thetas):
         logged.extend((w.beta, theta) for theta in thetas)
-        return log_path(tree, w, thetas, dw)
+        return log_path(tree, w, thetas)
 
     monkeypatch.setattr(hd, "_a_tree_log", spy)
     alone = {(w.beta, theta): hd.a_tree(tree, w, theta) for w in specs for theta in thetas}
     alone_logged = set(logged)
     logged.clear()
-    got = hd._a_tree_block(tree, specs, thetas, [hd._spec_weights(tree, w) for w in specs])
+    got = hd._a_tree_block(tree, specs, thetas)
     assert len(logged) == len(alone_logged) and set(logged) == alone_logged
     assert {beta for beta, _ in logged} == {-3.0, -8.0}
     assert len([1 for beta, _ in logged if beta == -3.0]) < len(thetas)

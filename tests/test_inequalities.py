@@ -56,6 +56,24 @@ def test_poincare_scale_invariance(grid64):
     assert r1.ratio == pytest.approx(r2.ratio, rel=1e-10)
 
 
+@pytest.mark.parametrize("h", [1 / 32, 1 / 64])
+def test_checkerboard_is_in_the_central_difference_kernel(unit_square, h):
+    # (-1)^(i+j) has zero central differences at every interior cell; only
+    # the one-sided boundary cells, at distance h/2, see it. There each
+    # gradient component is 2/h, so at beta = 0 the weighted gradient norm
+    # squared is 4 h (4/h edge cells of weight 1, 4 corners of weight 2) and
+    # the ratio ||f|| / ||d grad f|| = 1 / (2 sqrt h) grows as h -> 0.
+    grid = F.make_grid(unit_square, h)
+    i, j = np.indices(grid.dims)
+    f = grid.with_values((-1.0) ** (i + j))
+    interior = (slice(1, -1), slice(1, -1))
+    for comp in F.gradient(f).components:
+        assert (comp.values[interior] == 0.0).all()
+        assert (comp.values != 0.0).any()
+    rep = iq.improved_poincare_ratio(f, 2.0, 0.0)
+    assert rep.ratio == pytest.approx(1.0 / (2.0 * math.sqrt(h)), rel=1e-12)
+
+
 def test_poincare_refinement_family(koch2):
     rng = np.random.default_rng(0)
     coeffs = [(rng.standard_normal((2, 2)), rng.uniform(0, 6, (2, 2))) for _ in range(6)]

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import expanded_boxes
+from conftest import expanded_boxes, star_polygons, star_tree
 from whardy import geometry as geo
 from whardy import hardy as hd
 from whardy import treecover as tc
@@ -51,6 +53,56 @@ def test_k_containment_exact(square_tree6):
         ctr2 = lo[t] + hi[t]
         reach = int(np.maximum(2 * h_hi[t] - ctr2, ctr2 - 2 * h_lo[t]).max())
         assert reach * Kd <= Kn * w
+
+
+def overlapping_pairs(lo, hi):
+    """(i, j), i < j, of every two integer boxes whose interiors meet."""
+    meet = np.all((lo[:, None] < hi[None]) & (lo[None] < hi[:, None]), axis=2)
+    return list(zip(*np.nonzero(np.triu(meet, 1))))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(star_polygons())
+def test_k_is_the_least_containing_constant_on_star_polygons(dom):
+    # per-node hulls by walking every node's ancestors, then the exact
+    # least K >= 1 with every shadow hull inside K Q_t
+    tree = star_tree(dom)
+    lo, hi = tree.spans32[:, 0], tree.spans32[:, 1]
+    h_lo, h_hi = lo.copy(), hi.copy()
+    for s in range(len(tree)):
+        u = int(tree.parent[s])
+        while u >= 0:
+            h_lo[u] = np.minimum(h_lo[u], lo[s])
+            h_hi[u] = np.maximum(h_hi[u], hi[s])
+            u = int(tree.parent[u])
+    want = Fraction(1)
+    for t in range(len(tree)):
+        ctr2 = lo[t] + hi[t]
+        reach = int(max(max(2 * h_hi[t] - ctr2), max(ctr2 - 2 * h_lo[t])))
+        want = max(want, Fraction(reach, int(hi[t, 0] - lo[t, 0])))
+    assert tree.K_frac == want
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(star_polygons(), st.integers(0, 2**16))
+def test_certificate_matches_brute_force_on_star_polygons(dom, seed):
+    # the built tree's transfer boxes are pairwise disjoint; a box moved so
+    # that its low corner sits one unit inside another's high corner is
+    # caught and named as brute force names it
+    tree = star_tree(dom)
+    kids = np.flatnonzero(tree.parent >= 0)
+    lo, hi = tree.boxes32[kids, 0], tree.boxes32[kids, 1]
+    assert overlapping_pairs(lo, hi) == []
+    tc._certify_disjoint(lo, hi, kids)
+    if len(kids) < 2:
+        return
+    k, m = np.random.default_rng(seed).choice(len(kids), size=2, replace=False)
+    lo, hi = lo.copy(), hi.copy()
+    lo[k], hi[k] = hi[m] - 1, hi[m] - 1 + (hi[k] - lo[k])
+    a, b = min((min(kids[i], kids[j]), max(kids[i], kids[j]))
+               for i, j in overlapping_pairs(lo, hi))
+    with pytest.raises(StructureError, match=f"nodes {a} and {b} overlap"):
+        tc._certify_disjoint(lo, hi, kids)
 
 
 @pytest.fixture(scope="module")
@@ -175,11 +227,9 @@ def test_certificate_matches_brute_force():
         n = int(rng.integers(2, 12))
         lo = rng.integers(-10, 40, size=(n, 2))
         hi = lo + 2 ** rng.integers(0, 5, size=(n, 2)) * rng.integers(1, 3, size=(n, 2))
-        overlap = np.all((lo[:, None] < hi[None]) & (lo[None] < hi[:, None]), axis=2)
-        np.fill_diagonal(overlap, False)
-        i, j = np.nonzero(np.triu(overlap))
-        if len(i):
-            with pytest.raises(StructureError, match=f"nodes {i[0]} and {j[0]} "):
+        pairs = overlapping_pairs(lo, hi)
+        if pairs:
+            with pytest.raises(StructureError, match="nodes {} and {} ".format(*pairs[0])):
                 tc._certify_disjoint(lo, hi, np.arange(n))
         else:
             tc._certify_disjoint(lo, hi, np.arange(n))
