@@ -286,11 +286,9 @@ def cmd_korn(args) -> int:
                         val += c[i, j] * x**i * y**j
             return val
 
-        u = fields.VectorFieldGrid(
-            (
-                fields.sample_function(grid, lambda x, y: poly(x, y, cu)),
-                fields.sample_function(grid, lambda x, y: poly(x, y, cv)),
-            )
+        u = (
+            fields.sample_function(grid, lambda x, y: poly(x, y, cu)),
+            fields.sample_function(grid, lambda x, y: poly(x, y, cv)),
         )
         reports.append(ineq.korn_ratio(u, args.p, args.beta, label=f"poly_{k}"))
     return _emit_reports(args, reports, "korn")
@@ -329,8 +327,8 @@ def cmd_divergence(args) -> int:
     vec, rep = divergence.solve_divergence(tree, f, args.q, args.beta)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fields.dump_grid(vec.components[0], out / "velocity_x.bin")
-    fields.dump_grid(vec.components[1], out / "velocity_y.bin")
+    fields.dump_grid(vec[0], out / "velocity_x.bin")
+    fields.dump_grid(vec[1], out / "velocity_y.bin")
     return _emit_reports(args, [rep], "divergence")
 
 

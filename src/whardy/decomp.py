@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .fields import GridFunction, make_grid
+from .fields import GridFunction, grid_dims, make_grid
 from .treecover import TreeCovering, accumulate_up
 
 
@@ -56,15 +56,12 @@ def grid_layout(tree: TreeCovering):
         raise ParameterError("tree has no Whitney decomposition attached")
     L = int(dec.levels.max())
     h = dec.frame.cube_side(L) / 4.0
-    lo, hi = dec.domain.bounding_box()
+    lo = dec.domain.bounding_box()[0]
     fx, fy = dec.frame.origin
     i0 = int(np.floor((lo[0] - fx) / h))
     j0 = int(np.floor((lo[1] - fy) / h))
     origin = (fx + i0 * h, fy + j0 * h)
-    dims = (
-        int(np.ceil((hi[0] - origin[0]) / h - 1e-12)),
-        int(np.ceil((hi[1] - origin[1]) / h - 1e-12)),
-    )
+    dims = grid_dims(dec.domain, h, origin)
     # grid cell (i, j) sits at frame-lattice cell (i0+i, j0+j)
     return h, origin, dims, (i0, j0)
 
@@ -84,27 +81,19 @@ def _frame_offset(tree: TreeCovering, grid: GridFunction) -> tuple[int, int]:
 def decomposition_grid(tree: TreeCovering) -> GridFunction:
     """Frame-aligned grid with h = (finest cube side) / 4 covering the domain,
     carrying the cube id of every cell (``assign_cells``)."""
-    h, origin, dims, _ = grid_layout(tree)
-    g = make_grid(tree.decomposition.domain, h, origin=origin, dims=dims)
+    h, origin, _, _ = grid_layout(tree)
+    g = make_grid(tree.decomposition.domain, h, origin=origin)
     return replace(g, assignment=assign_cells(tree, g))
 
 
 def assign_cells(tree: TreeCovering, grid: GridFunction) -> np.ndarray:
     """Cube id owning each masked cell center, -1 for the uncovered collar."""
-    dec = tree.decomposition
-    L = int(dec.levels.max())
     i0, j0 = _frame_offset(tree, grid)
     out = np.full(grid.dims, -1, dtype=np.int64)
-    todo = np.flatnonzero(grid.mask)  # masked cells not yet assigned
-    gi, gj = np.divmod(todo, grid.dims[1])
-    gi += i0
-    gj += j0
-    for lv in np.unique(dec.levels):
-        side_cells = 4 << (L - int(lv))  # cube side in grid cells
-        t = dec.find(lv, gi // side_cells, gj // side_cells)
-        hit = t >= 0
-        out.flat[todo[hit]] = t[hit]
-        todo, gi, gj = todo[~hit], gi[~hit], gj[~hit]
+    cells = np.flatnonzero(grid.mask)
+    gi, gj = np.divmod(cells, grid.dims[1])
+    # a grid cell is a quarter of a finest-level cube side
+    out.flat[cells] = tree.decomposition.owner((gi + i0) >> 2, (gj + j0) >> 2)
     return out
 
 

@@ -11,6 +11,7 @@ constraint is verified cellwise after every solve.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
@@ -19,7 +20,7 @@ import numpy as np
 
 from .decomp import c_decompose
 from .errors import CompatibilityError, ConvergenceError, ParameterError
-from .fields import GridFunction, VectorFieldGrid, gradient, weighted_lp_norm
+from .fields import GridFunction, gradient_norm, weighted_lp_norm
 from .inequalities import InequalityReport
 from .treecover import TreeCovering
 
@@ -56,11 +57,10 @@ class MacField:
             self.fx[1:, :] - self.fx[:-1, :] + self.fy[:, 1:] - self.fy[:, :-1]
         ) / h
 
-    def cell_centered(self) -> VectorFieldGrid:
+    def cell_centered(self) -> tuple[GridFunction, GridFunction]:
         u = 0.5 * (self.fx[1:, :] + self.fx[:-1, :])
         v = 0.5 * (self.fy[:, 1:] + self.fy[:, :-1])
-        g = self.grid
-        return VectorFieldGrid((g.with_values(u), g.with_values(v)))
+        return self.grid.with_values(u), self.grid.with_values(v)
 
 
 def patch_key(cells: np.ndarray, ny: int) -> bytes:
@@ -152,17 +152,16 @@ def _patch_system(ii: np.ndarray, jj: np.ndarray, ny: int, node: int) -> _PatchS
     return _PatchSystem(has_fx, has_fy, nfx, A, B, lu)
 
 
-def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int,
-                    h: float, node: int = -1, factors: dict | None = None) -> LocalSolve:
+def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int, h: float,
+                    node: int = -1, system: _PatchSystem | None = None) -> LocalSolve:
     """Minimal gradient-energy staggered velocity with div u = f on the patch.
 
     ``cells`` are flat ids (i * ny + j) of the patch; ``f_vals`` the target
     divergence per cell. Velocities on faces not interior to the patch are
     zero. Requires the discrete integral of f to vanish.
 
-    ``factors`` holds the factored system of the last patch shape solved
-    (see ``patch_key``): a patch of that shape reuses it, any other shape
-    replaces it. Without it every call factors afresh; the floats are the
+    ``system`` is the factored local system of a patch with this patch's
+    ``patch_key``; without it the call factors afresh. The floats are the
     same either way.
     """
     cells = np.asarray(cells, dtype=np.int64)
@@ -173,14 +172,8 @@ def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int,
         raise CompatibilityError(f"nonzero mean on node {node}: {total:.3e}")
     ii, jj = np.divmod(cells, ny)
     ij = np.stack([ii, jj], axis=1)
-    if factors is None:
+    if system is None:
         system = _patch_system(ii, jj, ny, node)
-    else:
-        key = patch_key(cells, ny)
-        if key not in factors:
-            factors.clear()  # before factoring, so two factors are never alive at once
-            factors[key] = _patch_system(ii, jj, ny, node)
-        system = factors[key]
     has_fx, has_fy, nfx, A, B, lu = system
     if lu is None:
         if l1 > 0:
@@ -227,12 +220,14 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float)
     # is alive at a time.
     keys = [patch_key(dec.piece(t)[0], ny) for t in range(len(tree))]
     order = sorted(range(len(tree)), key=keys.__getitem__)
+    groups = [list(g) for _, g in itertools.groupby(order, key=keys.__getitem__)]
     del keys  # 16 bytes per patch cell, unused while solving
-    factors: dict = {}
     solves: list = [None] * len(tree)
-    for t in order:
-        solves[t] = local_div_solve(*dec.piece(t), ny, f.h, node=t, factors=factors)
-    del factors  # frees the last factor before the norms below
+    for group in groups:
+        system = _patch_system(*np.divmod(dec.piece(group[0])[0], ny), ny, group[0])
+        for t in group:
+            solves[t] = local_div_solve(*dec.piece(t), ny, f.h, node=t, system=system)
+        del system  # before the next shape is factored, and before the norms below
     # summed in node order, so every float is independent of the visit order
     FX = np.zeros((nx + 1, ny))
     FY = np.zeros((nx, ny + 1))
@@ -279,25 +274,8 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float)
     return vec, report
 
 
-def _grad_magnitude_covered(vec: VectorFieldGrid) -> GridFunction:
-    g = vec.grid
-    masked = replace(g, values=np.zeros(g.dims), mask=g.covered & g.mask)
-    comps = []
-    for c in vec.components:
-        comps.append(masked.with_values(np.where(masked.mask, c.values, 0.0)))
-    gx = gradient(comps[0])
-    gy = gradient(comps[1])
-    mag = np.sqrt(
-        gx.components[0].values ** 2
-        + gx.components[1].values ** 2
-        + gy.components[0].values ** 2
-        + gy.components[1].values ** 2
-    )
-    out_mask = gx.components[0].mask
-    return replace(g, values=np.where(out_mask, mag, 0.0), mask=out_mask)
-
-
-def reweighted_ratio(vec: VectorFieldGrid, f: GridFunction, q: float, beta: float) -> float:
+def reweighted_ratio(vec: tuple[GridFunction, GridFunction], f: GridFunction, q: float,
+                     beta: float) -> float:
     """Ratio of the stated weighted norms for an already-assembled velocity.
 
     The local solves are beta-independent (2-energy minimizers), so one
@@ -307,10 +285,11 @@ def reweighted_ratio(vec: VectorFieldGrid, f: GridFunction, q: float, beta: floa
     return lhs / rhs
 
 
-def _apriori_norms(vec: VectorFieldGrid, f: GridFunction,
+def _apriori_norms(vec: tuple[GridFunction, GridFunction], f: GridFunction,
                    q: float, beta: float) -> tuple[float, float]:
     """(||grad u||, ||f||) in L^q with weight d^(-beta q), over the covered cells."""
     power = -beta * q
-    du = _grad_magnitude_covered(vec)
+    cov = f.covered & f.mask
+    du = gradient_norm(*(replace(c, values=np.where(cov, c.values, 0.0), mask=cov) for c in vec))
     rhs_f = f.with_values(np.where(f.covered, np.abs(f.values), 0.0))
     return weighted_lp_norm(du, q, power), weighted_lp_norm(rhs_f, q, power)

@@ -1,5 +1,7 @@
 """Scalar and vector samples on a uniform cell-centered grid masked to a domain.
 
+A vector field is a plain pair (x, y) of GridFunctions on one grid.
+
 The grid carries the exact distance to the boundary at every cell center;
 weighted norms are midpoint quadrature against powers of that distance.
 Cells closer to the boundary than h/2 are excluded from quadrature and
@@ -50,11 +52,8 @@ class GridFunction:
         return self.assignment >= 0
 
     def cell_centers(self) -> np.ndarray:
-        nx, ny = self.dims
-        xs = self.origin[0] + (np.arange(nx) + 0.5) * self.h
-        ys = self.origin[1] + (np.arange(ny) + 0.5) * self.h
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        return np.stack([X, Y], axis=-1)
+        """(nx, ny, 2) coordinates of every cell centre."""
+        return _all_cell_centers(self.h, self.origin, self.dims)
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         v = np.asarray(values, dtype=float)
@@ -63,53 +62,47 @@ class GridFunction:
         return replace(self, values=v)
 
 
-@dataclass(frozen=True)
-class VectorFieldGrid:
-    components: tuple
-
-    def __post_init__(self):
-        g0 = self.components[0]
-        for g in self.components[1:]:
-            if (
-                g.h != g0.h
-                or g.dims != g0.dims
-                or g.origin != g0.origin
-                or not np.array_equal(g.mask, g0.mask)
-            ):
-                raise ParameterError("vector components must share one grid")
-
-    @property
-    def grid(self) -> GridFunction:
-        return self.components[0]
+def cell_center_xy(h: float, origin, i, j) -> tuple:
+    """x and y of the centres of the cells (i, j) of the grid from ``origin``
+    at cell size h."""
+    return origin[0] + (i + 0.5) * h, origin[1] + (j + 0.5) * h
 
 
-def make_grid(dom: PolygonalDomain, h: float, origin=None, dims=None) -> GridFunction:
-    """Empty grid function covering the domain bounding box at cell size h."""
+def _all_cell_centers(h: float, origin, dims) -> np.ndarray:
+    xy = cell_center_xy(h, origin, *np.indices(dims, sparse=True))
+    return np.stack(np.broadcast_arrays(*xy), axis=-1)
+
+
+def grid_dims(dom: PolygonalDomain, h: float, origin) -> tuple[int, int]:
+    """Cells per axis of the grid from ``origin`` at cell size h that covers
+    the domain's bounding box."""
+    hi = dom.bounding_box()[1]
+    return (
+        int(math.ceil((hi[0] - origin[0]) / h - 1e-12)),
+        int(math.ceil((hi[1] - origin[1]) / h - 1e-12)),
+    )
+
+
+def make_grid(dom: PolygonalDomain, h: float, origin=None) -> GridFunction:
+    """Empty grid function covering the domain bounding box at cell size h,
+    from ``origin`` (default: the box's low corner)."""
     if not (math.isfinite(h) and h > 0):
         raise ParameterError(f"h must be positive and finite, got {h!r}")
-    lo, hi = dom.bounding_box()
     if origin is None:
+        lo = dom.bounding_box()[0]
         origin = (float(lo[0]), float(lo[1]))
-    if dims is None:
-        dims = (
-            int(math.ceil((hi[0] - origin[0]) / h - 1e-12)),
-            int(math.ceil((hi[1] - origin[1]) / h - 1e-12)),
-        )
-    nx, ny = dims
-    xs = origin[0] + (np.arange(nx) + 0.5) * h
-    ys = origin[1] + (np.arange(ny) + 0.5) * h
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+    dims = grid_dims(dom, h, origin)
+    pts = _all_cell_centers(h, origin, dims).reshape(-1, 2)
     dist = geometry.boundary_distances(dom, pts)
     mask = geometry.contains_many(dom, pts, dist=dist)
     return GridFunction(
         h=float(h),
         origin=(float(origin[0]), float(origin[1])),
-        dims=(nx, ny),
-        values=np.zeros((nx, ny)),
-        mask=mask.reshape(nx, ny),
+        dims=dims,
+        values=np.zeros(dims),
+        mask=mask.reshape(dims),
         domain=dom,
-        dist=dist.reshape(nx, ny),
+        dist=dist.reshape(dims),
     )
 
 
@@ -178,8 +171,10 @@ def weighted_mean_zero(f: GridFunction, p: float, beta: float) -> GridFunction:
 # differences
 
 
-def gradient(f: GridFunction) -> VectorFieldGrid:
-    """Central differences where both axis neighbors are masked, one-sided
+def gradient(f: GridFunction) -> tuple[GridFunction, GridFunction]:
+    """The partials (df/dx, df/dy) on f's grid.
+
+    Central differences where both axis neighbors are masked, one-sided
     where one is; output cells keep the mask only if every axis has at least
     one masked neighbor."""
     out_mask = f.mask.copy()
@@ -212,7 +207,14 @@ def gradient(f: GridFunction) -> VectorFieldGrid:
         comps.append(d)
     comps = [np.where(out_mask, d, 0.0) for d in comps]
     base = replace(f, values=comps[0], mask=out_mask)
-    return VectorFieldGrid((base, base.with_values(comps[1])))
+    return base, base.with_values(comps[1])
+
+
+def gradient_norm(*fs: GridFunction) -> GridFunction:
+    """sqrt of the summed squared partials of the fields ``fs``, which share
+    one grid and mask; masked as their gradients."""
+    partials = [d for f in fs for d in gradient(f)]
+    return partials[0].with_values(np.sqrt(sum(d.values**2 for d in partials)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +249,7 @@ def load_grid(path, dom: PolygonalDomain) -> GridFunction:
     runs = header["mask_rle"]
     # runs alternate, starting with mask_first
     flat = np.repeat((np.arange(len(runs)) % 2 == 0) == header["mask_first"], runs)
-    g = make_grid(dom, header["h"], origin=tuple(header["origin"]), dims=dims)
+    g = make_grid(dom, header["h"], origin=tuple(header["origin"]))
     if not np.array_equal(g.mask, flat.reshape(dims)):
         raise ParameterError("stored mask inconsistent with domain")
     return g.with_values(values)

@@ -21,6 +21,9 @@ from .errors import ParameterError
 BOUNDARY_EPS = 1e-12
 
 PRESETS = ("unit_square", "l_shape", "slit_square", "koch_prefractal")
+# 3 * 4^9 = 786,432 vertices, built in a Python loop in about 10 s; each
+# level beyond multiplies both by four
+MAX_KOCH_LEVEL = 9
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,8 @@ def make_domain(preset: str, level: int = 0, side: float = 1.0,
                 aperture: float | None = None) -> PolygonalDomain:
     """Build one of the named test domains.
 
-    ``level`` is the prefractal generation (koch_prefractal only) and
+    ``level`` is the prefractal generation (koch_prefractal only, at most
+    ``MAX_KOCH_LEVEL``) and
     ``side`` the base edge length. ``aperture`` sets the notch opening of
     the slit square (default 1e-3 * side).
     """
@@ -181,8 +185,10 @@ def make_domain(preset: str, level: int = 0, side: float = 1.0,
         )
         return PolygonalDomain(v, name="slit_square")
     if preset == "koch_prefractal":
-        if level < 0 or int(level) != level:
-            raise ParameterError("koch_prefractal level must be an integer >= 0")
+        if not (0 <= level <= MAX_KOCH_LEVEL and int(level) == level):
+            raise ParameterError(
+                f"koch_prefractal level must be an integer from 0 to {MAX_KOCH_LEVEL} "
+                f"(level k has 3 * 4^k vertices), got {level!r}")
         return PolygonalDomain(_koch_vertices(int(level), side),
                                name=f"koch_prefractal_{int(level)}")
     raise ParameterError(f"unknown preset {preset!r}")

@@ -227,7 +227,8 @@ def a_chain(chain: TreeCovering, w: WeightSpec) -> float:
     """Chain Hardy constant: sup over non-root t of prefix^(1/q) suffix^(1/p).
 
     The prefix sum runs over all s preceding-or-equal t including the root.
-    A single node has empty Gamma* and reports the degenerate value 0.
+    A single node has empty Gamma* and reports the degenerate value 0. A
+    chain whose terms or sums leave [1e-250, 1e250] is evaluated in log space.
     """
     if not chain.is_chain:
         raise StructureError("a_chain requires a chain (every node has at most one child)")
@@ -238,18 +239,21 @@ def a_chain(chain: TreeCovering, w: WeightSpec) -> float:
     # chain order: root first along tree.order
     order = chain.order
     dw = _weights(chain, w.beta)
-    if dw is None:  # ell^beta or ell^n leaves the float range
-        lognu, logb = _log_weights(chain, w.beta)
-        logpre = np.logaddexp.accumulate(((-q / w.p) * logb - q * lognu)[order])
-        logsuf = np.logaddexp.accumulate((logb + w.p * lognu)[order][::-1])[::-1]
-        return _exp(float((logpre[1:] / q + logsuf[1:] / w.p).max()))
-    pw, b = dw
-    term_pre = b ** (-q / w.p) * pw ** (-q)
-    term_suf = b * pw**w.p
-    pre = np.cumsum(term_pre[order])
-    suf = np.cumsum(term_suf[order][::-1])[::-1]
-    vals = pre[1:] ** (1.0 / q) * suf[1:] ** (1.0 / w.p)
-    return float(vals.max())
+    if dw is not None:
+        pw, b = dw
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            term_pre = b ** (-q / w.p) * pw ** (-q)
+            term_suf = b * pw**w.p
+            pre = np.cumsum(term_pre[order])
+            suf = np.cumsum(term_suf[order][::-1])[::-1]
+            if _in_range((pre, suf), (term_pre, term_suf), np.ones(n, dtype=bool)):
+                vals = pre[1:] ** (1.0 / q) * suf[1:] ** (1.0 / w.p)
+                return float(vals.max())
+    # the weights or the sums leave the float range
+    lognu, logb = _log_weights(chain, w.beta)
+    logpre = np.logaddexp.accumulate(((-q / w.p) * logb - q * lognu)[order])
+    logsuf = np.logaddexp.accumulate((logb + w.p * lognu)[order][::-1])[::-1]
+    return _exp(float((logpre[1:] / q + logsuf[1:] / w.p).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ from . import geometry
 from .errors import ParameterError
 from .fields import (
     GridFunction,
-    VectorFieldGrid,
+    cell_center_xy,
     check_exponents,
     gradient,
+    gradient_norm,
     weighted_lp_norm,
     weighted_mean_zero,
 )
@@ -61,12 +62,6 @@ def write_reports_csv(reports, path) -> None:
             )
 
 
-def _magnitude(vec: VectorFieldGrid) -> GridFunction:
-    g0 = vec.components[0]
-    sq = sum(c.values**2 for c in vec.components)
-    return g0.with_values(np.sqrt(sq))
-
-
 # ---------------------------------------------------------------------------
 # improved Poincare
 
@@ -76,7 +71,7 @@ def improved_poincare_ratio(f: GridFunction, p: float, beta: float,
     """|| f ||_{L^p(d^{beta p})} against || grad f ||_{L^p(d^{(beta+1) p})}."""
     f0 = weighted_mean_zero(f, p, beta)
     lhs = weighted_lp_norm(f0, p, beta * p)
-    rhs = weighted_lp_norm(_magnitude(gradient(f0)), p, (beta + 1.0) * p)
+    rhs = weighted_lp_norm(gradient_norm(f0), p, (beta + 1.0) * p)
     degenerate = "constant input (0/0)" if rhs == 0.0 else None
     return InequalityReport(
         inequality="improved_poincare",
@@ -123,8 +118,7 @@ def fractional_poincare_ratio(u: GridFunction, p: float, beta: float, s: float,
     ii, jj = np.nonzero(u0.mask)
     pick = rng.integers(0, len(ii), size=mc_samples)
     xi, xj = ii[pick], jj[pick]
-    cx = u0.origin[0] + (xi + 0.5) * u0.h
-    cy = u0.origin[1] + (xj + 0.5) * u0.h
+    cx, cy = cell_center_xy(u0.h, u0.origin, xi, xj)
     dx = u0.dist[xi, xj]
     ux = u0.values[xi, xj]
     R = tau * dx
@@ -185,22 +179,22 @@ def fractional_poincare_ratio(u: GridFunction, p: float, beta: float, s: float,
 # Korn
 
 
-def korn_ratio(u: VectorFieldGrid, p: float, beta: float,
+def korn_ratio(u: tuple[GridFunction, GridFunction], p: float, beta: float,
                label: str = "") -> InequalityReport:
     """|| D u ||_{L^p(d^{beta p})} / || eps(u) ||, after removing the weighted
     mean of the antisymmetric part (a rigid rotation, which leaves eps
-    unchanged; the discrete differences are exact on affine fields)."""
+    unchanged; the discrete differences are exact on affine fields).
+
+    ``u`` is the pair (u_x, u_y), which must share one grid."""
+    ux, uy = u
+    if (ux.h != uy.h or ux.dims != uy.dims or ux.origin != uy.origin
+            or not np.array_equal(ux.mask, uy.mask)):
+        raise ParameterError("vector components must share one grid")
     check_exponents(p, beta * p)  # before the weighted mean below
-    gx = gradient(u.components[0])
-    gy = gradient(u.components[1])
-    mask = gx.components[0].mask & gy.components[0].mask
-    base = gx.components[0]
-    G = np.stack(
-        [
-            [gx.components[0].values, gx.components[1].values],
-            [gy.components[0].values, gy.components[1].values],
-        ]
-    )  # G[i][j] = d u_i / d x_j
+    gx, gy = gradient(ux), gradient(uy)
+    base = gx[0]
+    mask = base.mask  # the gradients of fields on one grid share it
+    G = np.stack([[d.values for d in gx], [d.values for d in gy]])  # G[i][j] = d u_i / d x_j
     eta = 0.5 * (G[0][1] - G[1][0])
 
     ref = replace(base, values=np.where(mask, eta, 0.0), mask=mask)
@@ -221,12 +215,12 @@ def korn_ratio(u: VectorFieldGrid, p: float, beta: float,
     degenerate = "infinitesimal rigid motion" if rhs == 0.0 else None
     return InequalityReport(
         inequality="korn",
-        domain=u.grid.domain.name,
+        domain=ux.domain.name,
         params={"p": p, "beta": beta},
         lhs=lhs,
         rhs=rhs,
         ratio=lhs / rhs if rhs > 0 else math.nan,
-        h=u.grid.h,
+        h=ux.h,
         test_function=label,
         degenerate=degenerate,
         extra={"eta_mean_removed": a},

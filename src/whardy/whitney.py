@@ -114,16 +114,28 @@ class WhitneyDecomposition:
         pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
         return np.where(ok & (self.keys[pos] == key), pos, -1)
 
+    def owner(self, i, j) -> np.ndarray:
+        """Ids of the cubes that hold the cells (i, j) of the lattice at the
+        deepest cube level, -1 where none does."""
+        i, j = np.broadcast_arrays(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64))
+        out = np.full(i.shape, -1, dtype=np.int64)
+        todo = np.arange(i.size)  # cells not yet owned
+        for lev in np.unique(self.levels):
+            if not todo.size:
+                break
+            shift = self._bits - lev  # the cell's ancestor at level lev
+            t = self.find(lev, i.flat[todo] >> shift, j.flat[todo] >> shift)
+            hit = t >= 0
+            out.flat[todo[hit]] = t[hit]
+            todo = todo[~hit]
+        return out
+
     def locate(self, point) -> int | None:
         """Id of the cube whose half-open box contains the point, or None."""
-        px = point[0] - self.frame.origin[0]
-        py = point[1] - self.frame.origin[1]
-        for lev in np.unique(self.levels):
-            s = self.frame.cube_side(int(lev))
-            t = int(self.find(lev, math.floor(px / s), math.floor(py / s)))
-            if t >= 0:
-                return t
-        return None
+        s = self.frame.cube_side(self._bits)
+        t = int(self.owner(math.floor((point[0] - self.frame.origin[0]) / s),
+                           math.floor((point[1] - self.frame.origin[1]) / s)))
+        return t if t >= 0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -295,15 +295,13 @@ def test_criterion_6_inequality_suite(unit_square):
 
             return fn
 
-        u = F.VectorFieldGrid(
-            (F.sample_function(grid128, comp(0)), F.sample_function(grid128, comp(1)))
-        )
-        gx = F.gradient(u.components[0])
-        gy = F.gradient(u.components[1])
-        m = gx.components[0].mask
+        u = (F.sample_function(grid128, comp(0)), F.sample_function(grid128, comp(1)))
+        gx = F.gradient(u[0])
+        gy = F.gradient(u[1])
+        m = gx[0].mask
         G = [
-            [gx.components[0].values, gx.components[1].values],
-            [gy.components[0].values, gy.components[1].values],
+            [gx[0].values, gx[1].values],
+            [gy[0].values, gy[1].values],
         ]
         eps2 = G[0][0] ** 2 + G[1][1] ** 2 + 2 * (0.5 * (G[0][1] + G[1][0])) ** 2
         eta2 = 2 * (0.5 * (G[0][1] - G[1][0])) ** 2

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from whardy import cli
+from whardy import cli, geometry
 
 
 def run(args):
@@ -257,6 +257,13 @@ def test_out_of_range_value_exits_1_naming_it(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not list(tmp_path.iterdir())  # nothing written
+
+
+def test_koch_level_above_the_bound_exits_1_unbuilt(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(geometry, "_koch_vertices", lambda *a: pytest.fail("domain built"))
+    argv = ["whitney", "--domain", "koch", "--koch-level", "10", "--out", str(tmp_path)]
+    assert run(argv) == 1
+    assert "koch_prefractal level must be an integer from 0 to 9" in capsys.readouterr().err
 
 
 def test_non_finite_beta_from_config_exits_1(tmp_path, capsys):

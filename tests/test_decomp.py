@@ -66,6 +66,16 @@ def test_assignment_unique_and_inside(tree5, grid5):
         assert np.all(pts <= hi + 1e-12)
 
 
+def test_assignment_is_the_cube_holding_each_cell_centre(koch2_tree6):
+    grid = dc.decomposition_grid(koch2_tree6)
+    dec = koch2_tree6.decomposition
+    cells = np.random.default_rng(2).choice(np.flatnonzero(grid.mask), 800, replace=False)
+    centres = grid.cell_centers().reshape(-1, 2)[cells]
+    want = [dec.locate(c) for c in centres]
+    assert grid.assignment.flat[cells].tolist() == [-1 if t is None else t for t in want]
+    assert len(set(want)) > 50
+
+
 def test_single_cube_supported(tree5, grid5):
     # mean-zero g inside one cube decomposes as itself, everything else zero
     assign = dc.assign_cells(tree5, grid5)
@@ -402,7 +412,7 @@ def test_grid_of_another_layout_or_without_cube_ids_raises(square_tree6, grid5, 
                                                           call, foreign):
     h, origin, dims, _ = dc.grid_layout(square_tree6)
     if foreign == "make_grid":  # the same layout, but no cube ids
-        grid = F.make_grid(square_tree6.decomposition.domain, h, origin=origin, dims=dims)
+        grid = F.make_grid(square_tree6.decomposition.domain, h, origin=origin)
     elif foreign == "other tree":
         grid = grid5
     else:  # the L-shape shares the square's bounding box, so its layout too

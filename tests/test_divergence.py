@@ -137,13 +137,13 @@ def assert_same_solve(a, b):
 
 L_CELLS = [(i, j) for i in range(4) for j in range(6) if i < 2 or j < 3]
 L_PERM = np.random.default_rng(5).permutation(len(L_CELLS))
-# (ny, offset, h, cell order) of the second patch after the first one at
-# ny = 8, offset (0, 0), h = 0.25 in list order; then how many factors
-# the shared slot makes in all
-REUSED = {
-    "translated": ((8, (3, 2), 0.125, None), 1),
-    "other-ny": ((11, (0, 0), 0.25, None), 1),
-    "permuted": ((8, (0, 0), 0.25, L_PERM), 2),
+# (ny, offset, h, cell order) of a second patch, against the first one at
+# ny = 8, offset (0, 0), h = 0.25 in list order; then whether the two
+# share a patch key, and so one factored system
+SECOND_PATCH = {
+    "translated": ((8, (3, 2), 0.125, None), True),
+    "other-ny": ((11, (0, 0), 0.25, None), True),
+    "permuted": ((8, (0, 0), 0.25, L_PERM), False),
 }
 
 
@@ -154,19 +154,22 @@ def l_patch(ny, offset, order):
     return ij[:, 0] * ny + ij[:, 1]
 
 
-@pytest.mark.parametrize("name", REUSED)
+@pytest.mark.parametrize("name", SECOND_PATCH)
 def test_shared_factor_equals_fresh_solve(name, splu_calls):
-    (ny, offset, h, order), factorizations = REUSED[name]
+    (ny, offset, h, order), same_key = SECOND_PATCH[name]
     rng = np.random.default_rng(4)
     f = rng.standard_normal(len(L_CELLS))
     f -= f.mean()
-    factors = {}
-    dv.local_div_solve(l_patch(8, (0, 0), None), f, 8, 0.25, factors=factors)
+    first = l_patch(8, (0, 0), None)
     cells = l_patch(ny, offset, order)
-    shared = dv.local_div_solve(cells, f, ny, h, factors=factors)
-    assert len(splu_calls) == factorizations and len(factors) == 1
+    assert (dv.patch_key(cells, ny) == dv.patch_key(first, 8)) is same_key
+    # the system solve_divergence passes: the first patch's when the keys agree
+    system = (dv._patch_system(*np.divmod(first, 8), 8, -1) if same_key
+              else dv._patch_system(*np.divmod(cells, ny), ny, -1))
+    shared = dv.local_div_solve(cells, f, ny, h, system=system)
+    assert len(splu_calls) == 1
     fresh = dv.local_div_solve(cells, f, ny, h)
-    assert len(splu_calls) == factorizations + 1
+    assert len(splu_calls) == 2
     assert_same_solve(shared, fresh)
     assert np.array_equal(shared.fx_ij, fresh.fx_ij)
     assert np.array_equal(shared.fy_ij, fresh.fy_ij)
@@ -295,18 +298,20 @@ def test_energy_overlap_surrogate(solved5):
         FX[loc.fx_ij[:, 0], loc.fx_ij[:, 1]] = loc.fx
         FY[loc.fy_ij[:, 0], loc.fy_ij[:, 1]] = loc.fy
         mac = dv.MacField(grid=grid, fx=FX, fy=FY)
-        du = dv._grad_magnitude_covered(mac.cell_centered())
-        total += F.weighted_lp_norm(du, q, 0.0) ** q
+        total += dv._apriori_norms(mac.cell_centered(), f, q, 0.0)[0] ** q
     assert global_norm**q <= total * (12**2) ** (q - 1) + 1e-12
 
 
 @pytest.mark.parametrize("domain, shapes", [("koch2", 37), ("slit_square", 43)])
-def test_one_factor_per_patch_shape(request, domain, shapes, splu_calls):
+def test_one_factor_per_patch_shape(request, domain, shapes, splu_calls, monkeypatch):
     tree = tc.build_tree(wt.whitney_decompose(request.getfixturevalue(domain), 6))
     grid = dc.decomposition_grid(tree)
     f = collar_probe(tree, grid)
+    key_calls = []
+    real_key = dv.patch_key
+    monkeypatch.setattr(dv, "patch_key", lambda *a: key_calls.append(1) or real_key(*a))
     vec, rep = dv.solve_divergence(tree, f, 2.0, 0.0)
-    assert len(splu_calls) == shapes
+    assert len(splu_calls) == shapes and len(key_calls) == len(tree)
     d = rep.decomposition
     assert len({dv.patch_key(d.piece(t)[0], grid.dims[1]) for t in range(len(tree))}) == shapes
     # node-by-node with a fresh factor each, summed in node order

@@ -65,9 +65,19 @@ def test_triangle_inequality(grid128):
 def test_gradient_linear_exact(grid128):
     fx = F.sample_function(grid128, lambda x, y: x)
     g = F.gradient(fx)
-    m = g.components[0].mask
-    assert np.allclose(g.components[0].values[m], 1.0)
-    assert np.allclose(g.components[1].values[m], 0.0)
+    m = g[0].mask
+    assert np.allclose(g[0].values[m], 1.0)
+    assert np.allclose(g[1].values[m], 0.0)
+
+
+def test_gradient_norm_sums_the_partials_of_every_field(grid128):
+    fa = F.sample_function(grid128, lambda x, y: 3.0 * x)
+    fb = F.sample_function(grid128, lambda x, y: 4.0 * y)
+    one, both = F.gradient_norm(fa), F.gradient_norm(fa, fb)
+    m = F.gradient(fa)[0].mask
+    assert np.array_equal(one.mask, m) and np.array_equal(both.mask, m)
+    assert np.allclose(one.values[m], 3.0) and np.allclose(both.values[m], 5.0)
+    assert (one.values[~m] == 0.0).all() and (both.values[~m] == 0.0).all()
 
 
 def test_gradient_quadratic_central_exact(grid128):
@@ -84,8 +94,8 @@ def test_gradient_quadratic_central_exact(grid128):
         & grid128.mask[1:-1, :-2]
         & grid128.mask[1:-1, 2:]
     )
-    assert np.allclose(g.components[0].values[shifted], 2 * cc[..., 0][shifted], atol=1e-12)
-    assert np.allclose(g.components[1].values[shifted], 2 * cc[..., 1][shifted], atol=1e-12)
+    assert np.allclose(g[0].values[shifted], 2 * cc[..., 0][shifted], atol=1e-12)
+    assert np.allclose(g[1].values[shifted], 2 * cc[..., 1][shifted], atol=1e-12)
 
 
 def test_gradient_trig_second_order(unit_square):
@@ -99,10 +109,10 @@ def test_gradient_trig_second_order(unit_square):
     for h in (1 / 32, 1 / 64):
         grid = F.make_grid(unit_square, h)
         g = F.gradient(F.sample_function(grid, f))
-        inner = g.components[0].mask.copy()
+        inner = g[0].mask.copy()
         inner[:2, :] = inner[-2:, :] = inner[:, :2] = inner[:, -2:] = False
         cc = grid.cell_centers()
-        errs.append(np.abs(g.components[0].values - dfx(cc[..., 0], cc[..., 1]))[inner].max())
+        errs.append(np.abs(g[0].values - dfx(cc[..., 0], cc[..., 1]))[inner].max())
     assert errs[1] <= errs[0] / 3.0  # about O(h^2)
 
 
@@ -113,9 +123,9 @@ def test_gradient_linearity(grid128):
     combo = grid128.with_values(2.0 * fa.values - 0.5 * fb.values)
     ga, gb, gc = F.gradient(fa), F.gradient(fb), F.gradient(combo)
     for k in range(2):
-        want = 2.0 * ga.components[k].values - 0.5 * gb.components[k].values
-        assert np.array_equal(gc.components[k].values, want) or np.allclose(
-            gc.components[k].values, want, atol=1e-15
+        want = 2.0 * ga[k].values - 0.5 * gb[k].values
+        assert np.array_equal(gc[k].values, want) or np.allclose(
+            gc[k].values, want, atol=1e-15
         )
 
 
@@ -135,10 +145,6 @@ def test_weighted_mean_zero(grid128):
     assert abs(F.weighted_integral(out)) <= 1e-12
 
 
-def test_vector_field_mask_consistency(grid128, l_shape):
-    other = F.make_grid(l_shape, 1 / 128)
-    with pytest.raises(ParameterError):
-        F.VectorFieldGrid((grid128, other))
 
 
 def test_collar_count(l_shape):

@@ -47,6 +47,12 @@ def test_bad_presets():
         geo.make_domain("heptagon")
     with pytest.raises(ParameterError):
         geo.make_domain("koch_prefractal", level=-1)
+    triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])
+    with mock.patch.object(geo, "_koch_vertices", return_value=triangle) as build:
+        geo.make_domain("koch_prefractal", level=geo.MAX_KOCH_LEVEL)
+        with pytest.raises(ParameterError, match="level must be an integer from 0 to 9"):
+            geo.make_domain("koch_prefractal", level=10)
+    assert build.call_count == 1  # level 10 is rejected before any vertex is built
     with pytest.raises(ParameterError):
         geo.make_domain("unit_square", side=0.0)
     with pytest.raises(ParameterError):

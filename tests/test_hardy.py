@@ -92,6 +92,28 @@ def test_a_chain_overflowing_weights_in_log_space():
     assert math.log(val) == pytest.approx(0.5 * math.log(sq.numerator), rel=1e-13)
 
 
+def test_a_chain_products_out_of_range_in_log_space():
+    # ell_k = 2^(-6k), beta = 12, p = 2: ell^beta and ell^n stay in range, but
+    # the prefix terms ell^-26 = 2^(156k) pass 1e250 and the suffix terms
+    # ell^26 fall below 1e-250, so their products were inf * 0 = NaN
+    n = 12
+    tree = tc.synthetic_tree([-1, *range(n - 1)], [2.0 ** (-6 * k) for k in range(n)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = hd.a_chain(tree, hd.WeightSpec(12.0, 2.0))
+
+    def log_sum(logs):
+        top = max(logs)
+        return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+    log_pre = [156 * k * math.log(2.0) for k in range(n)]  # log ell_k^-26
+    # at p = q = 2, A = max over non-root j of (prefix_j * suffix_j)^(1/2)
+    want = max(0.5 * (log_sum(log_pre[:j + 1]) + log_sum([-x for x in log_pre[j:]]))
+               for j in range(1, n))
+    assert math.isfinite(val)
+    assert val == pytest.approx(math.exp(want), rel=1e-12)
+
+
 def test_snake_chain_bound():
     w = hd.WeightSpec(0.0, 2.0)
     for m in (2, 3, 5):

@@ -67,7 +67,7 @@ def test_checkerboard_is_in_the_central_difference_kernel(unit_square, h):
     i, j = np.indices(grid.dims)
     f = grid.with_values((-1.0) ** (i + j))
     interior = (slice(1, -1), slice(1, -1))
-    for comp in F.gradient(f).components:
+    for comp in F.gradient(f):
         assert (comp.values[interior] == 0.0).all()
         assert (comp.values != 0.0).any()
     rep = iq.improved_poincare_ratio(f, 2.0, 0.0)
@@ -147,34 +147,36 @@ def test_fractional_tau_scaling(grid64):
 
 
 def test_korn_symmetric_field(grid64):
-    u = F.VectorFieldGrid(
-        (
-            F.sample_function(grid64, lambda x, y: x),
-            F.sample_function(grid64, lambda x, y: -y),
-        )
+    u = (
+        F.sample_function(grid64, lambda x, y: x),
+        F.sample_function(grid64, lambda x, y: -y),
     )
     rep = iq.korn_ratio(u, 2.0, 0.0)
     assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_korn_rigid_degenerate(grid64):
-    u = F.VectorFieldGrid(
-        (
-            F.sample_function(grid64, lambda x, y: 3.0 * y),
-            F.sample_function(grid64, lambda x, y: -3.0 * x),
-        )
+    u = (
+        F.sample_function(grid64, lambda x, y: 3.0 * y),
+        F.sample_function(grid64, lambda x, y: -3.0 * x),
     )
     rep = iq.korn_ratio(u, 2.0, 0.0)
     assert rep.degenerate is not None
 
 
+def test_korn_components_must_share_one_grid(grid64, l_shape):
+    other = F.make_grid(l_shape, 1 / 64)
+    with pytest.raises(ParameterError, match="share one grid"):
+        iq.korn_ratio((grid64, other), 2.0, 0.0)
+
+
 def korn_frobenius_identity(u, beta, p):
-    gx = F.gradient(u.components[0])
-    gy = F.gradient(u.components[1])
-    m = gx.components[0].mask
+    gx = F.gradient(u[0])
+    gy = F.gradient(u[1])
+    m = gx[0].mask
     G = [
-        [gx.components[0].values, gx.components[1].values],
-        [gy.components[0].values, gy.components[1].values],
+        [gx[0].values, gx[1].values],
+        [gy[0].values, gy[1].values],
     ]
     eps2 = G[0][0] ** 2 + G[1][1] ** 2 + 2 * (0.5 * (G[0][1] + G[1][0])) ** 2
     eta2 = 2 * (0.5 * (G[0][1] - G[1][0])) ** 2
@@ -198,9 +200,7 @@ def test_korn_frobenius_identity_and_lower_bound(grid64):
 
             return fn
 
-        u = F.VectorFieldGrid(
-            (F.sample_function(grid64, comp(0)), F.sample_function(grid64, comp(1)))
-        )
+        u = (F.sample_function(grid64, comp(0)), F.sample_function(grid64, comp(1)))
         assert korn_frobenius_identity(u, 0.0, 2.0) <= 1e-10
         rep = iq.korn_ratio(u, 2.0, -0.2)
         if rep.degenerate is None:
@@ -227,9 +227,7 @@ def test_korn_refinement_family(l_shape):
         grid = F.make_grid(l_shape, h)
         vals = []
         for c in coeffs:
-            u = F.VectorFieldGrid(
-                (F.sample_function(grid, make(c, 0)), F.sample_function(grid, make(c, 1)))
-            )
+            u = (F.sample_function(grid, make(c, 0)), F.sample_function(grid, make(c, 1)))
             rep = iq.korn_ratio(u, 2.0, -0.2)
             if rep.degenerate is None:
                 vals.append(rep.ratio)

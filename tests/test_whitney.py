@@ -160,6 +160,36 @@ def test_find_exact_and_out_of_lattice(square_dec6):
     assert dec.locate((1.6, 0.5)) is None and dec.locate((-0.6, 0.5)) is None
 
 
+def per_level_locate(dec, point):
+    """The cube holding the point, looked up level by level in its own cell."""
+    for lev in np.unique(dec.levels):
+        s = dec.frame.cube_side(int(lev))
+        i = math.floor((point[0] - dec.frame.origin[0]) / s)
+        j = math.floor((point[1] - dec.frame.origin[1]) / s)
+        t = int(dec.find(lev, i, j))
+        if t >= 0:
+            return t
+    return None
+
+
+@pytest.mark.parametrize("preset, kw", [("slit_square", {}), ("koch_prefractal", {"level": 3})])
+def test_locate_and_owner_match_the_per_level_lookup(preset, kw):
+    dec = wt.whitney_decompose(geo.make_domain(preset, **kw), 6)
+    origin, size = np.array(dec.frame.origin), dec.frame.size
+    rng = np.random.default_rng(1)
+    # random points in and around the frame, and every 7th cube's low corner,
+    # which its half-open box holds
+    corners = origin + dec.indices[::7] * dec.sides[::7, None]
+    pts = np.concatenate([rng.uniform(origin - size / 4, origin + 1.25 * size, (2000, 2)),
+                          corners])
+    want = [per_level_locate(dec, p) for p in pts]
+    assert want[2000:] == list(range(0, len(dec), 7))
+    assert [dec.locate(p) for p in pts] == want
+    cells = np.floor((pts - origin) / dec.frame.cube_side(int(dec.levels.max())))
+    got = dec.owner(cells[:, 0].astype(np.int64), cells[:, 1].astype(np.int64))
+    assert got.tolist() == [-1 if t is None else t for t in want]
+
+
 def test_empty_decomposition_error():
     sliver = geo.PolygonalDomain(
         np.array([[0, 0], [1.0, 0], [1.0, 0.001], [0, 0.001]]), name="sliver"
