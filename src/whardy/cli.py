@@ -250,7 +250,13 @@ def _trig_family(grid, count, seed):
     return out
 
 
+def _check_count(count) -> None:
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count!r}")
+
+
 def cmd_poincare(args) -> int:
+    _check_count(args.count)
     dom = _domain_from_args(args)
     grid = fields.make_grid(dom, args.h)
     reports = []
@@ -270,6 +276,7 @@ def cmd_frac_poincare(args) -> int:
 
 
 def cmd_korn(args) -> int:
+    _check_count(args.count)
     dom = _domain_from_args(args)
     grid = fields.make_grid(dom, args.h)
     rng = np.random.default_rng(args.seed)

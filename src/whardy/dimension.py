@@ -111,27 +111,28 @@ def _scan_cover_count(pts_lex: np.ndarray, r: float, reach: bool = True) -> int:
     n = len(pts_lex)
     covered = np.zeros(n, dtype=bool)
     r2 = r * r
-    xs, rw = pts_lex[:, 0], r * (1.0 + 1e-9)
+    xs, ys = np.ascontiguousarray(pts_lex[:, 0]), np.ascontiguousarray(pts_lex[:, 1])
+    rw = r * (1.0 + 1e-9)
     first = np.searchsorted(xs, xs - rw).tolist()  # window of each point
     stop = np.searchsorted(xs, xs + rw, side="right").tolist()
+    xl, yl = xs.tolist(), ys.tolist()
     count = 0
     ptr = 0
     while ptr < n:
         if covered[ptr]:
             ptr += 1
             continue
-        a, b = first[ptr], stop[ptr]
-        diff = pts_lex[a:b] - pts_lex[ptr]
-        du2 = (diff * diff).sum(axis=1)
+        k, a, b = ptr, first[ptr], stop[ptr]
         if reach:
-            du2[covered[a:b]] = np.inf
-            cand = np.where(du2 <= r2)[0]
-            k = a + int(cand[du2[cand].argmax()])
+            # the first farthest uncovered point within r; covered points
+            # and those beyond r read -1, below u's own 0
+            dx, dy = xs[a:b] - xl[k], ys[a:b] - yl[k]
+            du2 = dx * dx + dy * dy
+            du2[covered[a:b] | (du2 > r2)] = -1.0
+            k = a + int(du2.argmax())
             a, b = first[k], stop[k]
-            diff = pts_lex[a:b] - pts_lex[k]
-            covered[a:b] |= (diff * diff).sum(axis=1) <= r2
-        else:
-            covered[a:b] |= du2 <= r2
+        dx, dy = xs[a:b] - xl[k], ys[a:b] - yl[k]
+        covered[a:b] |= dx * dx + dy * dy <= r2
         count += 1
     return count
 

@@ -215,6 +215,9 @@ def _koch_vertices(level: int, side: float) -> np.ndarray:
 
 # Pairs of (point, edge) evaluated per numpy pass; bounds the temporaries.
 PAIR_CHUNK = 1 << 18
+# (edge, point) pairs per tile of ``boundary_distances``: its temporaries
+# of this many floats stay in cache (2^18-pair tiles ran about 1.5x slower).
+DIST_TILE = 1 << 16
 
 
 def point_segment_dist_sq(px, py, ax, ay, dx, dy, ab2):
@@ -239,15 +242,27 @@ def segment_parts(a, b):
 
 
 def boundary_distances(dom: PolygonalDomain, points) -> np.ndarray:
-    """Distance to the polygon boundary for an (M, 2) array of points."""
+    """Distance to the polygon boundary for an (M, 2) array of points.
+
+    Every (edge, point) pair goes through ``point_segment_dist_sq`` in
+    tiles of at most DIST_TILE pairs: a run of points along the contiguous
+    axis, as long as the tile allows, against a group of edges as (G, 1)
+    columns. A running minimum folds the edge groups together; a minimum is
+    exact, so the tiling does not change a bit of the result.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    px, py = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
+    cols = [v[:, None] for v in segment_parts(dom.edges[:, 0], dom.edges[:, 1])]
+    width = max(1, min(len(pts), DIST_TILE))
+    group = max(1, DIST_TILE // width)
     out = np.empty(len(pts))
-    parts = segment_parts(dom.edges[:, 0], dom.edges[:, 1])
-    chunk = max(1, PAIR_CHUNK // dom.n_edges)
-    for i in range(0, len(pts), chunk):
-        p = pts[i : i + chunk]
-        d2 = point_segment_dist_sq(p[:, 0:1], p[:, 1:2], *parts)
-        out[i : i + chunk] = np.sqrt(d2.min(axis=1))
+    for i in range(0, len(pts), width):
+        p, q = px[i : i + width], py[i : i + width]
+        best = point_segment_dist_sq(p, q, *(c[:group] for c in cols)).min(axis=0)
+        for e in range(group, dom.n_edges, group):
+            tile = point_segment_dist_sq(p, q, *(c[e : e + group] for c in cols))
+            np.minimum(best, tile.min(axis=0), out=best)
+        out[i : i + width] = np.sqrt(best)
     return out
 
 

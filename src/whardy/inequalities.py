@@ -89,6 +89,10 @@ def improved_poincare_ratio(f: GridFunction, p: float, beta: float,
 # ---------------------------------------------------------------------------
 # fractional Poincare
 
+# Monte Carlo samples per block: the per-sample temporaries of one block
+# stay a few megabytes whatever the sample count.
+MC_BLOCK = 1 << 16
+
 
 def fractional_poincare_ratio(u: GridFunction, p: float, beta: float, s: float,
                               tau: float, mc_samples: int, seed: int = 0,
@@ -101,7 +105,9 @@ def fractional_poincare_ratio(u: GridFunction, p: float, beta: float, s: float,
     it. Samples whose y-cell is outside the mask are dropped and counted.
     The estimator bias near the |x - y| singularity is reported, not
     removed: u is piecewise constant per cell, so pairs inside one cell
-    contribute zero.
+    contribute zero. When no sampled pair contributes while the left side
+    is positive, the grid is too coarse for the balls and the report is
+    degenerate.
     """
     if not 0.0 < s < 1.0:
         raise ParameterError("s must lie in (0, 1)")
@@ -113,46 +119,29 @@ def fractional_poincare_ratio(u: GridFunction, p: float, beta: float, s: float,
     u0 = weighted_mean_zero(u, p, beta)
     lhs = weighted_lp_norm(u0, p, beta * p)
 
+    # every draw in full and in this order, so the stream does not depend
+    # on the block size
     rng = np.random.default_rng(seed)
-    nx, ny = u0.dims
     ii, jj = np.nonzero(u0.mask)
     pick = rng.integers(0, len(ii), size=mc_samples)
-    xi, xj = ii[pick], jj[pick]
-    cx, cy = cell_center_xy(u0.h, u0.origin, xi, xj)
-    dx = u0.dist[xi, xj]
-    ux = u0.values[xi, xj]
-    R = tau * dx
-
-    rho = R * np.sqrt(rng.random(mc_samples))
-    phi = rng.random(mc_samples) * (2.0 * math.pi)
-    yx = cx + rho * np.cos(phi)
-    yy = cy + rho * np.sin(phi)
-    ki = np.floor((yx - u0.origin[0]) / u0.h).astype(np.int64)
-    kj = np.floor((yy - u0.origin[1]) / u0.h).astype(np.int64)
-    valid = (ki >= 0) & (ki < nx) & (kj >= 0) & (kj < ny)
-    ki = np.clip(ki, 0, nx - 1)
-    kj = np.clip(kj, 0, ny - 1)
-    valid &= u0.mask[ki, kj]
-    dropped = int(mc_samples - valid.sum())
-
-    uy = u0.values[ki, kj]
-    dy = geometry.boundary_distances(u0.domain, np.stack([yx, yy], axis=1))
-    delta = np.minimum(dx, dy)
-    dist2 = (yx - cx) ** 2 + (yy - cy) ** 2
-    dist2 = np.maximum(dist2, 1e-300)
-    integrand = (
-        np.abs(ux - uy) ** p
-        * dist2 ** (-(n + s * p) / 2.0)
-        * delta ** ((beta + s) * p)
-    )
-    ball_area = math.pi * R**2
-    weights = np.where(valid, integrand * ball_area, 0.0)
+    radial = rng.random(mc_samples)
+    angular = rng.random(mc_samples)
+    weights = np.empty(mc_samples)
+    dropped = 0
+    for lo in range(0, mc_samples, MC_BLOCK):
+        hi = min(lo + MC_BLOCK, mc_samples)
+        dropped += _fractional_block(u0, p, beta, s, tau, ii[pick[lo:hi]], jj[pick[lo:hi]],
+                                     radial[lo:hi], angular[lo:hi], weights[lo:hi])
     area = float(u0.mask.sum()) * u0.h**2
     est = area * float(weights.mean())
     se = area * float(weights.std(ddof=1)) / math.sqrt(mc_samples)
     rhs = est ** (1.0 / p) if est > 0 else 0.0
     rel_se = se / (p * est) if est > 0 else math.inf
-    degenerate = "constant input" if lhs == 0.0 else None
+    degenerate = None
+    if lhs == 0.0:
+        degenerate = "constant input"
+    elif est == 0.0:
+        degenerate = "resolution insufficient: sampled fractional seminorm vanished"
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.nan)
     return InequalityReport(
         inequality="fractional_poincare",
@@ -173,6 +162,44 @@ def fractional_poincare_ratio(u: GridFunction, p: float, beta: float, s: float,
             "dropped_samples": dropped,
         },
     )
+
+
+def _fractional_block(u0: GridFunction, p, beta, s, tau, xi, xj, radial, angular,
+                      weights) -> int:
+    """Write one block of Monte Carlo weights for the x cells (xi, xj) and
+    their uniforms into ``weights``; return the count of dropped samples.
+    A function, so one block's temporaries are freed before the next."""
+    n = 2
+    nx, ny = u0.dims
+    cx, cy = cell_center_xy(u0.h, u0.origin, xi, xj)
+    dx = u0.dist[xi, xj]
+    ux = u0.values[xi, xj]
+    R = tau * dx
+
+    rho = R * np.sqrt(radial)
+    phi = angular * (2.0 * math.pi)
+    yx = cx + rho * np.cos(phi)
+    yy = cy + rho * np.sin(phi)
+    ki = np.floor((yx - u0.origin[0]) / u0.h).astype(np.int64)
+    kj = np.floor((yy - u0.origin[1]) / u0.h).astype(np.int64)
+    valid = (ki >= 0) & (ki < nx) & (kj >= 0) & (kj < ny)
+    ki = np.clip(ki, 0, nx - 1)
+    kj = np.clip(kj, 0, ny - 1)
+    valid &= u0.mask[ki, kj]
+
+    uy = u0.values[ki, kj]
+    dy = geometry.boundary_distances(u0.domain, np.stack([yx, yy], axis=1))
+    delta = np.minimum(dx, dy)
+    dist2 = (yx - cx) ** 2 + (yy - cy) ** 2
+    dist2 = np.maximum(dist2, 1e-300)
+    integrand = (
+        np.abs(ux - uy) ** p
+        * dist2 ** (-(n + s * p) / 2.0)
+        * delta ** ((beta + s) * p)
+    )
+    ball_area = math.pi * R**2
+    weights[:] = np.where(valid, integrand * ball_area, 0.0)
+    return int(len(valid) - valid.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -251,12 +252,31 @@ def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
     (["fefferman-stein", "--scales", "-3", "--h", "0.1"], "scales must be >= 1"),
     (["whitney", "--side", "1e-6", "--max-level", "25"],
      "half a side must exceed the boundary tolerance"),
+    (["poincare", "--count", "0", "--h", "0.1"], "count must be >= 1, got 0"),
+    (["poincare", "--count", "-2", "--h", "0.1"], "count must be >= 1, got -2"),
+    (["korn", "--count", "0", "--h", "0.1"], "count must be >= 1, got 0"),
+    (["korn", "--count", "-1", "--h", "0.1"], "count must be >= 1, got -1"),
 ])
 def test_out_of_range_value_exits_1_naming_it(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not list(tmp_path.iterdir())  # nothing written
+
+
+@pytest.mark.parametrize("argv", [
+    ["--domain", "slit-square", "--h", "0.5"],
+    ["--domain", "l-shape", "--h", "0.25", "--samples", "10000"],
+])
+def test_frac_poincare_with_unresolved_pairs_is_degenerate(tmp_path, argv):
+    """At these h every sampled y stays in its x cell, so the sampled
+    seminorm is 0 while the left side is not."""
+    assert run(["frac-poincare", *argv, "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "fractional_poincare.jsonl").read_text())
+    assert rep["lhs"] > 0 and rep["rhs"] == 0.0 and math.isnan(rep["ratio"])
+    assert rep["degenerate"] == "resolution insufficient: sampled fractional seminorm vanished"
+    summary = json.loads((tmp_path / "fractional_poincare_summary.json").read_text())
+    assert summary["degenerate"] == 1 and summary["max_ratio"] is None
 
 
 def test_koch_level_above_the_bound_exits_1_unbuilt(tmp_path, capsys, monkeypatch):

@@ -203,3 +203,51 @@ def test_windowed_scan_matches_full_scan(seed):
         for r in [1.25, 0.5, 0.25, *(r for r in radii if r > 0)]:
             for reach in (True, False):
                 assert dim._scan_cover_count(pts, r, reach) == full_scan_cover_count(pts, r, reach)
+
+
+def windowed_scan_cover_count(pts_lex, r, reach):
+    """The scan greedy over each ball's x window, with the ball's centre
+    chosen among the candidate indices and distances summed over columns."""
+    n = len(pts_lex)
+    covered = np.zeros(n, dtype=bool)
+    r2 = r * r
+    xs, rw = pts_lex[:, 0], r * (1.0 + 1e-9)
+    first = np.searchsorted(xs, xs - rw).tolist()
+    stop = np.searchsorted(xs, xs + rw, side="right").tolist()
+    count = 0
+    ptr = 0
+    while ptr < n:
+        if covered[ptr]:
+            ptr += 1
+            continue
+        a, b = first[ptr], stop[ptr]
+        diff = pts_lex[a:b] - pts_lex[ptr]
+        du2 = (diff * diff).sum(axis=1)
+        if reach:
+            du2[covered[a:b]] = np.inf
+            cand = np.where(du2 <= r2)[0]
+            k = a + int(cand[du2[cand].argmax()])
+            a, b = first[k], stop[k]
+            diff = pts_lex[a:b] - pts_lex[k]
+            covered[a:b] |= (diff * diff).sum(axis=1) <= r2
+        else:
+            covered[a:b] |= du2 <= r2
+        count += 1
+    return count
+
+
+def test_scan_matches_windowed_reference(square_target, koch4_target):
+    """Boundary samples at the benchmark's scales, and an integer lattice
+    whose radii are exact distances, so many pairs tie at r."""
+    lattice = np.stack(np.indices((40, 40)), axis=-1).reshape(-1, 2).astype(float)
+    cases = [
+        (square_target.points, np.geomspace(6.4e-2, 2e-3, 6)),
+        (koch4_target.points, np.geomspace(3.0**-1, 3.0**-4, 7)),
+        (lattice, [1.0, 2.0, 5.0, math.sqrt(2.0), 2.5]),
+    ]
+    for points, radii in cases:
+        pts = dim._lex_sorted(points)
+        for r in radii:
+            for reach in (True, False):
+                assert (dim._scan_cover_count(pts, float(r), reach)
+                        == windowed_scan_cover_count(pts, float(r), reach))

@@ -254,6 +254,30 @@ def test_predicates_match_dense_oracle_on_star_polygons(dom, seed):
     assert_predicates_match_dense(dom, seed)
 
 
+def assert_distances_match_dense(dom, pts):
+    got = geo.boundary_distances(dom, pts)
+    assert got.tobytes() == dense_boundary_distances(dom, pts).tobytes()
+
+
+def test_tiled_distances_at_tile_edges(unit_square):
+    """One point against 12,288 edges (one tile), and point counts just past
+    a power of two (65,537 is one past a whole tile of points)."""
+    koch6 = geo.make_domain("koch_prefractal", level=6)
+    assert_distances_match_dense(koch6, koch6.edges[100, :1] + np.array([[1e-3, -2e-3]]))
+    rng = np.random.default_rng(5)
+    for m in (4097, 65537):
+        assert_distances_match_dense(unit_square, rng.uniform(-0.2, 1.2, size=(m, 2)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 50])
+def test_tiled_distances_with_uneven_groups(koch3, monkeypatch, m):
+    """Tiles of 7 pairs: one point takes the 192 edges in 27 groups of 7 and
+    one of 3; 50 points go 7 at a time, the last alone."""
+    monkeypatch.setattr(geo, "DIST_TILE", 7)
+    pts = np.random.default_rng(m).uniform(-0.1, 1.1, size=(m, 2))
+    assert_distances_match_dense(koch3, pts)
+
+
 def test_slab_lists_are_the_parity_condition(koch2):
     """A slab lists exactly the edges with ylo <= y < yhi, in edge order."""
     ys = np.concatenate([koch2.vertices[:, 1], np.linspace(-0.1, 1.0, 101)])

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from whardy import fields as F
+from whardy import geometry as geo
 from whardy import inequalities as iq
 from whardy.errors import ParameterError
 
@@ -140,6 +142,98 @@ def test_fractional_tau_scaling(grid64):
     r_small = iq.fractional_poincare_ratio(f, 2.0, 0.0, s, 0.25, 300_000, seed=7).ratio
     r_big = iq.fractional_poincare_ratio(f, 2.0, 0.0, s, 0.5, 300_000, seed=7).ratio
     assert r_small / r_big <= (0.25 / 0.5) ** (s - n) * 1.5
+
+
+def single_pass_fractional(u, p, beta, s, tau, mc_samples, seed):
+    """The estimator with every sample's temporaries alive at once:
+    (lhs, rhs, extra) of ``fractional_poincare_ratio``."""
+    n = 2
+    u0 = F.weighted_mean_zero(u, p, beta)
+    lhs = F.weighted_lp_norm(u0, p, beta * p)
+    rng = np.random.default_rng(seed)
+    nx, ny = u0.dims
+    ii, jj = np.nonzero(u0.mask)
+    pick = rng.integers(0, len(ii), size=mc_samples)
+    xi, xj = ii[pick], jj[pick]
+    cx, cy = F.cell_center_xy(u0.h, u0.origin, xi, xj)
+    dx = u0.dist[xi, xj]
+    ux = u0.values[xi, xj]
+    R = tau * dx
+    rho = R * np.sqrt(rng.random(mc_samples))
+    phi = rng.random(mc_samples) * (2.0 * math.pi)
+    yx = cx + rho * np.cos(phi)
+    yy = cy + rho * np.sin(phi)
+    ki = np.floor((yx - u0.origin[0]) / u0.h).astype(np.int64)
+    kj = np.floor((yy - u0.origin[1]) / u0.h).astype(np.int64)
+    valid = (ki >= 0) & (ki < nx) & (kj >= 0) & (kj < ny)
+    ki = np.clip(ki, 0, nx - 1)
+    kj = np.clip(kj, 0, ny - 1)
+    valid &= u0.mask[ki, kj]
+    dropped = int(mc_samples - valid.sum())
+    uy = u0.values[ki, kj]
+    dy = geo.boundary_distances(u0.domain, np.stack([yx, yy], axis=1))
+    delta = np.minimum(dx, dy)
+    dist2 = np.maximum((yx - cx) ** 2 + (yy - cy) ** 2, 1e-300)
+    integrand = (np.abs(ux - uy) ** p * dist2 ** (-(n + s * p) / 2.0)
+                 * delta ** ((beta + s) * p))
+    weights = np.where(valid, integrand * (math.pi * R**2), 0.0)
+    area = float(u0.mask.sum()) * u0.h**2
+    est = area * float(weights.mean())
+    se = area * float(weights.std(ddof=1)) / math.sqrt(mc_samples)
+    rhs = est ** (1.0 / p) if est > 0 else 0.0
+    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.nan)
+    extra = {
+        "normalized_ratio": ratio * tau ** (n - s) if math.isfinite(ratio) else math.nan,
+        "rhs_power_estimate": est,
+        "rhs_power_se": se,
+        "rhs_relative_se": se / (p * est) if est > 0 else math.inf,
+        "dropped_samples": dropped,
+    }
+    return lhs, rhs, extra
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.fixture(scope="module")
+def frac_fields(unit_square, slit_square, koch2):
+    fn = lambda x, y: np.sin(2 * x) + 0.5 * y  # noqa: E731
+    return [F.sample_function(F.make_grid(dom, 1 / 64), fn)
+            for dom in (unit_square, slit_square, koch2)]
+
+
+def assert_blocked_matches_single_pass(u, samples, seed):
+    rep = iq.fractional_poincare_ratio(u, 2.0, -0.2, 0.5, 0.5, samples, seed=seed)
+    lhs, rhs, extra = single_pass_fractional(u, 2.0, -0.2, 0.5, 0.5, samples, seed)
+    assert same_bits(rep.lhs, lhs) and same_bits(rep.rhs, rhs)
+    assert rep.extra.keys() == extra.keys()
+    assert rep.extra["dropped_samples"] == extra["dropped_samples"]
+    assert all(same_bits(rep.extra[k], v) for k, v in extra.items())
+
+
+@pytest.mark.parametrize("samples", [10_000, 65_536, 65_537, 200_003])
+def test_blocked_fractional_matches_single_pass(frac_fields, samples):
+    for u in frac_fields:
+        assert_blocked_matches_single_pass(u, samples, seed=samples)
+
+
+def test_blocked_fractional_with_small_blocks(frac_fields, monkeypatch):
+    monkeypatch.setattr(iq, "MC_BLOCK", 1000)
+    for u in frac_fields:
+        assert_blocked_matches_single_pass(u, 65_537, seed=3)
+
+
+def test_fractional_memory_stays_bounded(grid64):
+    """10^6 samples keep a few arrays of one float per sample, not ~20."""
+    u = F.sample_function(grid64, lambda x, y: np.sin(2 * x) + 0.5 * y)
+    tracemalloc.start()
+    try:
+        iq.fractional_poincare_ratio(u, 2.0, 0.0, 0.5, 0.5, 1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
