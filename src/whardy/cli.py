@@ -26,11 +26,9 @@ DOMAIN_CHOICES = ("unit-square", "l-shape", "slit-square", "koch")
 
 
 def _domain_from_args(args) -> geometry.PolygonalDomain:
-    name = args.domain.replace("_", "-")
-    if name == "koch":
+    if args.domain == "koch":
         return geometry.make_domain("koch_prefractal", level=args.koch_level, side=args.side)
-    preset = name.replace("-", "_")
-    return geometry.make_domain(preset, side=args.side)
+    return geometry.make_domain(args.domain.replace("-", "_"), side=args.side)
 
 
 def _resolved_config(args) -> dict:

@@ -7,7 +7,8 @@ those within distance r of u (so the ball still covers u but reaches ~2r
 past it). The center count is a genuine r-cover, hence an upper bound on
 the true covering number; the same scan at radius 2r with centers at the
 uncovered points themselves yields a 2r-separated set whose size is a lower
-bound. Both bounds are reported.
+bound. Only ``covering_number`` computes both bounds; the dimension fits
+use the upper count alone.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class CoverTarget:
 
     points: np.ndarray  # (N, d)
     label: str
-    spacing: float = 0.0  # sample spacing for curve targets (0 for explicit sets)
     note: str = ""
 
     def __post_init__(self):
@@ -52,8 +52,7 @@ def boundary_target(dom: PolygonalDomain, r_min: float) -> CoverTarget:
             "prefractal: polygon dimensions are 1 at scales below the feature "
             "size; coarser scales give the fractal reading"
         )
-    return CoverTarget(geometry.sample_boundary(dom, n), label=dom.name,
-                       spacing=per / n, note=note)
+    return CoverTarget(geometry.sample_boundary(dom, n), label=dom.name, note=note)
 
 
 def point_set_target(points, label: str) -> CoverTarget:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .errors import ParameterError, StructureError
 from .treecover import TreeCovering, accumulate_down, accumulate_up, build_tree
 from .whitney import whitney_decompose
@@ -29,8 +30,6 @@ from .whitney import whitney_decompose
 DEFAULT_THETA_GRID = (1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
 LOG_SPACE_LIMIT = 1e250
 MAX_GRID_POINTS = 10_000
-# entries n * betas * thetas of one beta block of a sweep; bounds its temporaries
-BETA_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -305,7 +304,7 @@ def beta_sweep(dom, p: float, betas, levels) -> HardyReport:
 
     Each tree is evaluated on blocks of consecutive betas, one block per
     down/up sweep pair (see ``_a_tree_block``). A block holds as many betas
-    as keep n * len(block) * len(DEFAULT_THETA_GRID) within BETA_BLOCK_ENTRIES,
+    as keep n * len(block) * len(DEFAULT_THETA_GRID) within ``geometry.BLOCK``,
     and at least one. The best theta per beta is chosen as in
     ``a_tree_min``, and every power keeps a scalar exponent, so the rows
     are bitwise those of one ``a_tree_min`` call per (tree, beta).
@@ -318,7 +317,7 @@ def beta_sweep(dom, p: float, betas, levels) -> HardyReport:
     reps = {}  # level -> one HardyReport per spec
     for lv in levels:
         tree = build_tree(whitney_decompose(dom, lv))
-        size = max(1, BETA_BLOCK_ENTRIES // (len(tree) * len(thetas)))
+        size = max(1, geometry.BLOCK // (len(tree) * len(thetas)))
         reps[lv] = []
         for i in range(0, len(specs), size):
             results = _a_tree_block(tree, specs[i:i + size], thetas)
@@ -367,8 +366,9 @@ def parse_grid(text: str):
         raise ParameterError(f"bad grid spec {text!r}; start, stop and step must be finite")
     if step <= 0:
         raise ParameterError("grid step must be positive")
+    if stop < start:
+        raise ParameterError(f"bad grid spec {text!r}; stop must not be below start")
     count = (stop - start) / step + 1e-9
     if not count < MAX_GRID_POINTS:
         raise ParameterError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    n = int(math.floor(count)) + 1
-    return [start + k * step for k in range(max(n, 1))]
+    return [start + k * step for k in range(int(math.floor(count)) + 1)]

@@ -89,11 +89,6 @@ def improved_poincare_ratio(f: GridFunction, p: float, beta: float,
 # ---------------------------------------------------------------------------
 # fractional Poincare
 
-# Monte Carlo samples per block: the per-sample temporaries of one block
-# stay a few megabytes whatever the sample count.
-MC_BLOCK = 1 << 16
-
-
 def fractional_poincare_ratio(u: GridFunction, p: float, beta: float, s: float,
                               tau: float, mc_samples: int, seed: int = 0,
                               label: str = "") -> InequalityReport:
@@ -128,8 +123,11 @@ def fractional_poincare_ratio(u: GridFunction, p: float, beta: float, s: float,
     angular = rng.random(mc_samples)
     weights = np.empty(mc_samples)
     dropped = 0
-    for lo in range(0, mc_samples, MC_BLOCK):
-        hi = min(lo + MC_BLOCK, mc_samples)
+    # blocks of geometry.BLOCK samples: the per-sample temporaries of one
+    # block stay a few megabytes whatever the sample count
+    block = geometry.BLOCK
+    for lo in range(0, mc_samples, block):
+        hi = min(lo + block, mc_samples)
         dropped += _fractional_block(u0, p, beta, s, tau, ii[pick[lo:hi]], jj[pick[lo:hi]],
                                      radial[lo:hi], angular[lo:hi], weights[lo:hi])
     area = float(u0.mask.sum()) * u0.h**2

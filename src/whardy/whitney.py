@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry
 from .errors import EmptyDecompositionError, ParameterError, StructureError
-from .geometry import PAIR_CHUNK, PolygonalDomain, point_segment_dist_sq, segment_parts
+from .geometry import PolygonalDomain, point_segment_dist_sq, segment_parts
 
 EXPANSION = 17.0 / 16.0
 
@@ -180,15 +180,17 @@ def boxes_boundary_dist_sq(dom: PolygonalDomain, lo, hi, ptr, cand):
     """Squared distance of solid boxes to the polygon boundary.
 
     Box m is measured against the edges ``cand[ptr[m]:ptr[m + 1]]``, in
-    chunks of pairs; every list must be non-empty. Returns the per-box
-    minimum and the per-pair distances in candidate order.
+    chunks of ``geometry.BLOCK`` pairs; every list must be non-empty.
+    Returns the per-box minimum and the per-pair distances in candidate
+    order.
     """
     edges = dom.edges
     owner = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
     pair = np.empty(len(cand))
-    for s in range(0, len(cand), PAIR_CHUNK):
-        o, e = owner[s : s + PAIR_CHUNK], cand[s : s + PAIR_CHUNK]
-        pair[s : s + PAIR_CHUNK] = _box_segment_dist_sq(lo[o], hi[o], edges[e, 0], edges[e, 1])
+    block = geometry.BLOCK
+    for s in range(0, len(cand), block):
+        o, e = owner[s : s + block], cand[s : s + block]
+        pair[s : s + block] = _box_segment_dist_sq(lo[o], hi[o], edges[e, 0], edges[e, 1])
     return np.minimum.reduceat(pair, ptr[:-1]), pair
 
 

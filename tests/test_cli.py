@@ -256,6 +256,10 @@ def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
     (["poincare", "--count", "-2", "--h", "0.1"], "count must be >= 1, got -2"),
     (["korn", "--count", "0", "--h", "0.1"], "count must be >= 1, got 0"),
     (["korn", "--count", "-1", "--h", "0.1"], "count must be >= 1, got -1"),
+    (["whitney", "--side", "1e155", "--max-level", "4"], "coordinates must lie within"),
+    (["divergence", "--side", "1e155", "--max-level", "4"], "coordinates must lie within"),
+    (["poincare", "--side", "1e200", "--h", "1e198"], "coordinates must lie within"),
+    (["hardy", "--beta-grid", "0.3:-0.9:0.1"], "stop must not be below start"),
 ])
 def test_out_of_range_value_exits_1_naming_it(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 1

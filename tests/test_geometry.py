@@ -1,3 +1,5 @@
+import ast
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -57,6 +59,11 @@ def test_bad_presets():
         geo.make_domain("unit_square", side=0.0)
     with pytest.raises(ParameterError):
         geo.make_domain("slit_square", aperture=0.9)
+    geo.make_domain("unit_square", side=geo.COORD_LIMIT)
+    with pytest.raises(ParameterError, match="coordinates must lie within"):
+        geo.make_domain("unit_square", side=1.5 * geo.COORD_LIMIT)
+    with pytest.raises(ParameterError, match="coordinates must lie within"):
+        geo.PolygonalDomain(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, -2e150]]))
 
 
 def test_self_intersecting_rejected():
@@ -273,7 +280,7 @@ def test_tiled_distances_at_tile_edges(unit_square):
 def test_tiled_distances_with_uneven_groups(koch3, monkeypatch, m):
     """Tiles of 7 pairs: one point takes the 192 edges in 27 groups of 7 and
     one of 3; 50 points go 7 at a time, the last alone."""
-    monkeypatch.setattr(geo, "DIST_TILE", 7)
+    monkeypatch.setattr(geo, "BLOCK", 7)
     pts = np.random.default_rng(m).uniform(-0.1, 1.1, size=(m, 2))
     assert_distances_match_dense(koch3, pts)
 
@@ -290,7 +297,7 @@ def test_slab_lists_are_the_parity_condition(koch2):
 
 
 def test_slab_chunks_cover_every_pair(koch3, monkeypatch):
-    monkeypatch.setattr(geo, "PAIR_CHUNK", 50)
+    monkeypatch.setattr(geo, "BLOCK", 50)
     ys = np.random.default_rng(2).uniform(-0.1, 1.0, 300)
     index = koch3._parity_slabs
     counts = np.diff(index.ptr)[np.searchsorted(index.breaks, ys, side="right")]
@@ -371,6 +378,40 @@ def assert_boxes_match_dense(dom, h, seed=0):
 ])
 def test_boxes_inside_domain_matches_dense_oracle_on_presets(preset, kw):
     assert_boxes_match_dense(geo.make_domain(preset, **kw), 1 / 64)
+
+
+@pytest.mark.parametrize("preset,kw", [
+    ("slit_square", {"aperture": 1e-12}),
+    ("koch_prefractal", {"level": 3}),
+])
+def test_boxes_inside_domain_in_tiles_of_7_pairs(monkeypatch, preset, kw):
+    """Tiles of 7 (edge, box) pairs. One, two or three boxes take the edges
+    in groups of 7, 3 or 2 (the slit square's 7 edges as 3 + 3 + 1, Koch 3's
+    192 as 27 x 7 + 3); about 100 boxes go 7 at a time against one edge."""
+    dom = geo.make_domain(preset, **kw)
+    los, his = probe_boxes(dom, 0)
+    want = dense_boxes_inside(dom, los, his)
+    odd = np.flatnonzero(dense_parity(dom, (los + his) / 2.0))
+    inside, cut = odd[want[odd]], odd[~want[odd]]
+    picks = [inside[:1], np.r_[inside[:1], cut[:1]], np.r_[cut[:1], inside[:2]],
+             odd[:: len(odd) // 100]]
+    monkeypatch.setattr(geo, "BLOCK", 7)
+    for sel in picks:
+        assert np.array_equal(geo.boxes_inside_domain(dom, los[sel], his[sel]), want[sel])
+
+
+def test_no_module_binds_the_block_budget_by_value():
+    """Every blocked pass reads ``geometry.BLOCK`` at call time, so one
+    monkeypatch reaches them all; ``from .geometry import BLOCK`` would
+    freeze a copy."""
+    src = Path(geo.__file__).parent
+    bound = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("geometry")
+                    and any(a.name in ("BLOCK", "*") for a in node.names)):
+                bound.append(f"{path.name}:{node.lineno}")
+    assert not bound
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

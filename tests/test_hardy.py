@@ -400,7 +400,7 @@ def test_beta_sweep_rows_match_per_beta_a_tree_min(unit_square):
     levels = [5, 6, 7]
     trees = {lv: tc.build_tree(wt.whitney_decompose(unit_square, lv)) for lv in levels}
     # L7 splits the grid into several blocks, the last one partial
-    assert len(trees[7]) * len(hd.DEFAULT_THETA_GRID) * len(betas) > 2 * hd.BETA_BLOCK_ENTRIES
+    assert len(trees[7]) * len(hd.DEFAULT_THETA_GRID) * len(betas) > 2 * hd.geometry.BLOCK
     want = []
     for beta in betas:
         for lv in levels:
@@ -456,6 +456,9 @@ def test_parse_grid():
         hd.parse_grid("1:2")
     with pytest.raises(ParameterError):
         hd.parse_grid("0:1:-0.5")
+    with pytest.raises(ParameterError, match="stop must not be below start"):
+        hd.parse_grid("0.3:-0.9:0.1")
+    assert hd.parse_grid("0.25:0.25:0.1") == [0.25]
     for bad in ("nan:0:0.1", "0:inf:0.1", "0:1:nan", "-inf:0:0.1", "0:1:1e-300",
                 "-1e308:1e308:1"):
         with pytest.raises(ParameterError):

@@ -219,7 +219,7 @@ def test_blocked_fractional_matches_single_pass(frac_fields, samples):
 
 
 def test_blocked_fractional_with_small_blocks(frac_fields, monkeypatch):
-    monkeypatch.setattr(iq, "MC_BLOCK", 1000)
+    monkeypatch.setattr(iq.geometry, "BLOCK", 1000)
     for u in frac_fields:
         assert_blocked_matches_single_pass(u, 65_537, seed=3)
 

@@ -339,6 +339,27 @@ def test_culled_construction_matches_dense_oracle_on_star_polygons(dom):
     assert sandwich_ok(dec)
 
 
+@pytest.mark.parametrize("preset,kw", [("koch_prefractal", {"level": 3}), ("slit_square", {})])
+def test_construction_in_chunks_of_7_pairs(monkeypatch, preset, kw):
+    """Chunks of 7 (cube, edge) pairs split the candidate lists of most
+    cubes, the frame's list of every edge among them."""
+    dom = geo.make_domain(preset, **kw)
+    want = wt.whitney_decompose(dom, 7)
+    monkeypatch.setattr(geo, "BLOCK", 7)
+    got = wt.whitney_decompose(dom, 7)
+    for name in ("levels", "indices", "dist_sq"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_decomposition_at_the_coordinate_limit():
+    """Squared distances of a square with corners at +-COORD_LIMIT stay
+    finite, so the construction runs without overflow."""
+    c = geo.COORD_LIMIT
+    dom = geo.PolygonalDomain(np.array([[-c, -c], [c, -c], [c, c], [-c, c]]))
+    dec = wt.whitney_decompose(dom, 5)
+    assert len(dec) and np.isfinite(dec.dist_sq).all() and sandwich_ok(dec)
+
+
 def assert_adjacency_matches_brute_force(dec):
     lo, hi = dec.spans()
     alo = np.maximum(lo[:, None], lo[None])
