@@ -191,6 +191,7 @@ def cmd_hardy(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    decomp.check_q_beta(args.q, args.beta)  # before the build, not after it
     dom = _domain_from_args(args)
     tree = treecover.build_tree(whitney.whitney_decompose(dom, args.max_level))
     _note_single_level(tree, "the decomposition has a single size class")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -206,8 +207,18 @@ def c_decompose(tree: TreeCovering, g: GridFunction) -> Decomposition:
     )
 
 
+def check_q_beta(q: float, beta: float) -> None:
+    """The decomposition ratio and the divergence estimate take a finite
+    q > 1 and a finite beta."""
+    if not (math.isfinite(q) and q > 1):
+        raise ParameterError(f"q must be finite and exceed 1, got {q!r}")
+    if not math.isfinite(beta):
+        raise ParameterError(f"beta must be finite, got {beta!r}")
+
+
 def decomposition_ratio(dec: Decomposition, q: float, beta: float) -> float:
     """(sum_t ||g_t||_q^q weighted d^(-beta q))^(1/q) over ||g||, same weight."""
+    check_q_beta(q, beta)
     power = -beta * q
     grid = dec.grid
     h2 = grid.h * grid.h

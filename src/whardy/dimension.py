@@ -25,6 +25,11 @@ from .errors import ParameterError
 from .geometry import PolygonalDomain
 
 
+# Most boundary samples: 10^7 points hold 160 MB of coordinates, and the
+# covering scans are slow from 10^6 on.
+MAX_BOUNDARY_SAMPLES = 10**7
+
+
 @dataclass(frozen=True)
 class CoverTarget:
     """Finite point cloud standing in for the set whose dimension is estimated."""
@@ -44,8 +49,11 @@ def boundary_target(dom: PolygonalDomain, r_min: float) -> CoverTarget:
     """Dense arc-length sample of the boundary, spacing <= r_min / 4."""
     if not 0 < r_min < math.inf:
         raise ParameterError(f"r_min must be finite and positive, got {r_min!r}")
-    per = geometry.perimeter(dom)
-    n = max(8, int(math.ceil(per / (r_min / 4.0))))
+    count = geometry.perimeter(dom) / (r_min / 4.0)
+    if not count <= MAX_BOUNDARY_SAMPLES:  # also catches inf
+        raise ParameterError(f"r_min = {r_min!r} needs {count:.3g} boundary samples, more "
+                             f"than the {MAX_BOUNDARY_SAMPLES} allowed")
+    n = max(8, int(math.ceil(count)))
     note = ""
     if dom.name.startswith("koch_prefractal"):
         note = (

@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .decomp import c_decompose
-from .errors import CompatibilityError, ConvergenceError, ParameterError
+from .decomp import c_decompose, check_q_beta
+from .errors import CompatibilityError, ConvergenceError
 from .fields import GridFunction, gradient_norm, weighted_lp_norm
 from .inequalities import InequalityReport
 from .treecover import TreeCovering
@@ -206,10 +206,7 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float)
     of q; the reported norms use the requested q (surrogate documented in
     the report).
     """
-    if not (math.isfinite(q) and q > 1):
-        raise ParameterError(f"q must be finite and exceed 1, got {q!r}")
-    if not math.isfinite(beta):
-        raise ParameterError(f"beta must be finite, got {beta!r}")
+    check_q_beta(q, beta)
     dec = c_decompose(tree, f)
 
     nx, ny = f.dims

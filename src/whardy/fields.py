@@ -73,14 +73,21 @@ def _all_cell_centers(h: float, origin, dims) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*xy), axis=-1)
 
 
+# Most cells of one grid: the unit square's decomposition grid at max level
+# 12 has 4^13, about 4 GB with its centres, distances, mask and values.
+MAX_GRID_CELLS = 4**13
+
+
 def grid_dims(dom: PolygonalDomain, h: float, origin) -> tuple[int, int]:
     """Cells per axis of the grid from ``origin`` at cell size h that covers
-    the domain's bounding box."""
+    the domain's bounding box; at most MAX_GRID_CELLS in all."""
     hi = dom.bounding_box()[1]
-    return (
-        int(math.ceil((hi[0] - origin[0]) / h - 1e-12)),
-        int(math.ceil((hi[1] - origin[1]) / h - 1e-12)),
-    )
+    with np.errstate(over="ignore"):  # an infinite count is rejected below
+        dims = np.ceil((hi - np.asarray(origin, dtype=float)) / h - 1e-12)
+    if not dims.prod() <= MAX_GRID_CELLS:
+        raise ParameterError(f"h = {h!r} needs a grid of {dims.prod():.3g} cells, more than "
+                             f"the {MAX_GRID_CELLS} allowed")
+    return int(dims[0]), int(dims[1])
 
 
 def make_grid(dom: PolygonalDomain, h: float, origin=None) -> GridFunction:

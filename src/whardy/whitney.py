@@ -154,15 +154,27 @@ KEY_LEVEL_LIMIT = 29
 # frame size, must exceed 8 ulps of the frame size (12 ulps at level 29,
 # 6 at level 30).
 WIDENING_LEVEL_LIMIT = int(math.log2(math.sqrt(2.0) * (CANDIDATE_WIDENING - 1.0) / (8 * 2.0**-52)))
-MAX_LEVEL = min(KEY_LEVEL_LIMIT, WIDENING_LEVEL_LIMIT)
+# Slack of the centre bound in ``boxes_boundary_dist_sq``, as a fraction of
+# the box's half-diagonal r: the bound says a pair is farther than c - r - s
+# with s = r * CENTRE_SLACK, so the rounding of c, r, the exact kernel and
+# the contact test, each a few ulps of the frame size, can only make it prune
+# less.
+CENTRE_SLACK = 1e-4
+# Deepest level at which that slack still covers the rounding: s of a finest
+# cube, sqrt(2) / 2 * 2^-level * CENTRE_SLACK of the frame size, must exceed
+# 64 ulps of the frame size (593 ulps at level 29).
+SLACK_LEVEL_LIMIT = int(math.log2(math.sqrt(0.5) * CENTRE_SLACK / (64 * 2.0**-52)))
+MAX_LEVEL = min(KEY_LEVEL_LIMIT, WIDENING_LEVEL_LIMIT, SLACK_LEVEL_LIMIT)
 
 
-def _box_segment_dist_sq(lo, hi, a, b):
-    """Exact squared distance from solid boxes [lo, hi] to segments [a, b].
+def _box_segment_gap_sq(a, b, lo, hi):
+    """Squared distance from segments [a, b] to solid boxes [lo, hi] that
+    they do not meet.
 
-    The (..., 2) arguments broadcast against each other. Zero when the
-    segment meets the closed box; otherwise the minimum is attained at a box
-    corner or a segment endpoint, so checking those features is exact.
+    The (..., 2) arguments broadcast against each other. A segment that
+    misses the box is nearest to it at a box corner or a segment endpoint,
+    so checking those features is exact; the exact distance of a segment
+    that meets the box is zero (``geometry.segments_meet_boxes``).
     """
     seg = segment_parts(a, b)
     lx, ly, hx, hy = lo[..., 0], lo[..., 1], hi[..., 0], hi[..., 1]
@@ -173,7 +185,7 @@ def _box_segment_dist_sq(lo, hi, a, b):
         ex = np.maximum(np.maximum(lx - p[..., 0], 0.0), p[..., 0] - hx)
         ey = np.maximum(np.maximum(ly - p[..., 1], 0.0), p[..., 1] - hy)
         d2 = np.minimum(d2, ex * ex + ey * ey)
-    return np.where(geometry.segments_meet_boxes(a, b, lo, hi), 0.0, d2)
+    return d2
 
 
 def boxes_boundary_dist_sq(dom: PolygonalDomain, lo, hi, ptr, cand):
@@ -181,16 +193,56 @@ def boxes_boundary_dist_sq(dom: PolygonalDomain, lo, hi, ptr, cand):
 
     Box m is measured against the edges ``cand[ptr[m]:ptr[m + 1]]``, in
     chunks of ``geometry.BLOCK`` pairs; every list must be non-empty.
-    Returns the per-box minimum and the per-pair distances in candidate
-    order.
+    Returns the exact per-box minimum and, per pair in candidate order, a
+    value no larger than the pair's exact distance: zero where the edge
+    meets the box, else ``_box_segment_gap_sq``.
+
+    Bounds prune the exact kernels. Every point of a box lies within r of
+    its centre (r: its distance to the farthest corner), so an edge at
+    centre distance c has d(Q, e) >= c - r, and d(Q) <= min c. With
+    s = r * CENTRE_SLACK, only pairs with c - r - s <= 0 get the contact
+    test, and on boxes that meet no edge only pairs with c - r - s <=
+    min c + s get the exact gap. The others return max(c - r - s, 0)^2:
+    below their exact value, and on a box without contact above its
+    minimum. So the minimum is the exact one bit for bit, and a caller
+    that keeps the pairs below a bound keeps a superset of the exact
+    pairs.
     """
     edges = dom.edges
     owner = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
-    pair = np.empty(len(cand))
     block = geometry.BLOCK
+
+    def fill(out, idx, kernel):
+        # kernel(a, b, lo, hi) on the pairs idx, one block at a time
+        for s in range(0, len(idx), block):
+            k = idx[s : s + block]
+            o, e = owner[k], cand[k]
+            out[k] = kernel(edges[e, 0], edges[e, 1], lo[o], hi[o])
+        return out
+
+    mid = (lo + hi) / 2.0
+    r = np.hypot(np.maximum(mid[:, 0] - lo[:, 0], hi[:, 0] - mid[:, 0]),
+                 np.maximum(mid[:, 1] - lo[:, 1], hi[:, 1] - mid[:, 1]))
+    slack = r * CENTRE_SLACK
+    # every pair runs this pass, so it gathers precomputed segment parts
+    # (through ``fill`` Koch 6 at level 12 built 1.5x slower)
+    seg = segment_parts(edges[:, 0], edges[:, 1])
+    c = np.empty(len(cand))
     for s in range(0, len(cand), block):
         o, e = owner[s : s + block], cand[s : s + block]
-        pair[s : s + block] = _box_segment_dist_sq(lo[o], hi[o], edges[e, 0], edges[e, 1])
+        c[s : s + block] = point_segment_dist_sq(mid[o, 0], mid[o, 1], *(v[e] for v in seg))
+    np.sqrt(c, out=c)
+    lower = c - (r + slack)[owner]  # d(Q, e) >= lower
+    meets = fill(np.zeros(len(cand), dtype=bool), np.flatnonzero(lower <= 0.0),
+                 geometry.segments_meet_boxes)
+    touched = np.zeros(len(r), dtype=bool)
+    touched[owner[meets]] = True
+    upper = np.minimum.reduceat(c, ptr[:-1]) + slack  # d(Q) <= upper
+    exact = np.flatnonzero(~touched[owner] & (lower <= upper[owner]))
+    pair = np.maximum(lower, 0.0, out=c)
+    pair *= pair
+    pair[meets] = 0.0
+    fill(pair, exact, _box_segment_gap_sq)
     return np.minimum.reduceat(pair, ptr[:-1]), pair
 
 
@@ -204,8 +256,10 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
     Each active cube carries a CSR list of candidate edges, all edges for
     the frame. A child keeps the edges e of its parent P with d(P, e) <=
     d(P) + diam(P): every ancestor A of a cube C passes C's nearest edge
-    e*, since d(A, e*) <= d(C) <= d(A) + diam(A). So the minimum runs
-    over the same per-pair floats as a test against every edge.
+    e*, since d(A, e*) <= d(C) <= d(A) + diam(A). The per-pair values of
+    ``boxes_boundary_dist_sq`` are lower bounds, so a list may only hold
+    more edges than that rule, and the minimum runs over the same per-pair
+    floats as a test against every edge.
 
     A cube that meets the boundary is split whatever its centre says. One
     that misses it lies on one side, with its centre more than side / 2 >
@@ -218,8 +272,9 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
     if max_level > MAX_LEVEL:
         raise ParameterError(
             f"max_level must be <= {MAX_LEVEL}: cube keys overflow int64 beyond level "
-            f"{KEY_LEVEL_LIMIT}, and the candidate-edge widening no longer covers float "
-            f"rounding beyond level {WIDENING_LEVEL_LIMIT}"
+            f"{KEY_LEVEL_LIMIT}, and the candidate-edge widening and the centre-bound slack "
+            f"no longer cover float rounding beyond level "
+            f"{min(WIDENING_LEVEL_LIMIT, SLACK_LEVEL_LIMIT)}"
         )
     frame = frame_for_domain(dom)
     if frame.cube_side(max_level) / 2.0 <= geometry.BOUNDARY_EPS:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from whardy import cli, geometry
+from whardy import cli, fields, geometry
 
 
 def run(args):
@@ -260,6 +260,10 @@ def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
     (["divergence", "--side", "1e155", "--max-level", "4"], "coordinates must lie within"),
     (["poincare", "--side", "1e200", "--h", "1e198"], "coordinates must lie within"),
     (["hardy", "--beta-grid", "0.3:-0.9:0.1"], "stop must not be below start"),
+    (["decompose", "--q", "0", "--max-level", "4"], "q must be finite and exceed 1"),
+    (["decompose", "--q=-1", "--max-level", "4"], "q must be finite and exceed 1"),
+    (["decompose", "--q", "nan", "--max-level", "4"], "q must be finite and exceed 1"),
+    (["decompose", "--beta", "nan", "--max-level", "4"], "beta must be finite"),
 ])
 def test_out_of_range_value_exits_1_naming_it(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 1
@@ -288,6 +292,20 @@ def test_koch_level_above_the_bound_exits_1_unbuilt(tmp_path, capsys, monkeypatc
     argv = ["whitney", "--domain", "koch", "--koch-level", "10", "--out", str(tmp_path)]
     assert run(argv) == 1
     assert "koch_prefractal level must be an integer from 0 to 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["poincare", "--h", "1e-5"], "needs a grid of 1e+10 cells"),
+    (["korn", "--h", "1e-9"], "needs a grid of 1e+18 cells"),
+    (["dimension", "--r-min", "1e-9"], "needs 1.6e+10 boundary samples"),
+])
+def test_oversized_request_exits_1_unallocated(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(fields, "_all_cell_centers", lambda *a: pytest.fail("grid allocated"))
+    monkeypatch.setattr(geometry, "sample_boundary", lambda *a: pytest.fail("samples allocated"))
+    assert run([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not list(tmp_path.iterdir())
 
 
 def test_non_finite_beta_from_config_exits_1(tmp_path, capsys):

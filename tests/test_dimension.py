@@ -37,6 +37,13 @@ def koch4_target():
     return dim.boundary_target(dom, 3.0**-4)
 
 
+@pytest.mark.parametrize("r_min", [1e-9, 1e-320])
+def test_sample_count_checked_before_allocation(unit_square, monkeypatch, r_min):
+    monkeypatch.setattr(geo, "sample_boundary", lambda *a: pytest.fail("samples allocated"))
+    with pytest.raises(ParameterError, match="boundary samples, more than the 10000000 allowed"):
+        dim.boundary_target(unit_square, r_min)
+
+
 def test_segment_cover():
     seg = dim.point_set_target(np.linspace(0, 1, 2001), "segment")
     cover, packing = dim.covering_number(seg, 0.1)

@@ -147,6 +147,19 @@ def test_weighted_mean_zero(grid128):
 
 
 
+@pytest.mark.parametrize("h", [1e-5, 1e-320, 0.999 * 2.0**-13])
+def test_grid_size_checked_before_allocation(unit_square, monkeypatch, h):
+    monkeypatch.setattr(F, "_all_cell_centers", lambda *a: pytest.fail("grid allocated"))
+    with pytest.raises(ParameterError, match=f"cells, more than the {4**13} allowed"):
+        F.make_grid(unit_square, h)
+
+
+def test_grid_limit_admits_the_square_at_level_12(unit_square):
+    # the unit square's decomposition grid at max level 12: h = 2 / 4096 / 4
+    # from the corner (0, 0)
+    assert F.grid_dims(unit_square, 2.0**-13, (0.0, 0.0)) == (8192, 8192)
+
+
 def test_collar_count(l_shape):
     grid = F.make_grid(l_shape, 1 / 64)
     assert grid.collar_count == int((grid.mask & (grid.dist < grid.h / 2)).sum())

@@ -236,6 +236,19 @@ def test_fractional_memory_stays_bounded(grid64):
     assert peak < 64 * 2**20
 
 
+def test_fractional_draws_stay_bounded(grid64):
+    """The picks are int32 and the uniforms are drawn block by block, so
+    10^6 samples keep about three arrays of one float per sample."""
+    u = F.sample_function(grid64, lambda x, y: np.sin(2 * x) + 0.5 * y)
+    tracemalloc.start()
+    try:
+        iq.fractional_poincare_ratio(u, 2.0, 0.0, 0.5, 0.5, 1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Korn
 

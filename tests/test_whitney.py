@@ -206,6 +206,7 @@ def test_max_level_precondition(unit_square):
 def test_max_level_bound(unit_square):
     # 2 * 29 + bit_length(29) = 63 key bits; the check fires before any level is built
     assert wt.MAX_LEVEL == wt.KEY_LEVEL_LIMIT == wt.WIDENING_LEVEL_LIMIT == 29
+    assert wt.SLACK_LEVEL_LIMIT == 32  # the centre-bound slack covers every level
     with pytest.raises(ParameterError, match="max_level must be <= 29: cube keys overflow"):
         wt.whitney_decompose(unit_square, wt.MAX_LEVEL + 1)
 
@@ -247,6 +248,7 @@ def dense_clip(edges, los, his):
 
 
 def dense_box_dist_sq(lo, hi, edges):
+    """(M, E) squared distances of every box to every edge."""
     a, b = edges[:, 0], edges[:, 1]
     d = b - a
     alive, t0, t1 = dense_clip(edges, lo, hi)
@@ -264,7 +266,7 @@ def dense_box_dist_sq(lo, hi, edges):
         dx = np.maximum(np.maximum(lo[:, None, 0] - pt[None, :, 0], 0.0), pt[None, :, 0] - hi[:, None, 0])
         dy = np.maximum(np.maximum(lo[:, None, 1] - pt[None, :, 1], 0.0), pt[None, :, 1] - hi[:, None, 1])
         d2 = np.minimum(d2, dx * dx + dy * dy)
-    return np.where(alive & (t0 <= t1), 0.0, d2).min(axis=1)
+    return np.where(alive & (t0 <= t1), 0.0, d2)
 
 
 def dense_center_dist(points, edges):
@@ -291,7 +293,8 @@ def dense_whitney(dom, max_level):
         hi, centers = lo + side, lo + side / 2.0
         d2, cdist = np.empty(len(lo)), np.empty(len(lo))
         for i in range(0, len(lo), chunk):
-            d2[i:i + chunk] = dense_box_dist_sq(lo[i:i + chunk], hi[i:i + chunk], dom.edges)
+            d2[i:i + chunk] = dense_box_dist_sq(lo[i:i + chunk], hi[i:i + chunk],
+                                                dom.edges).min(axis=1)
             cdist[i:i + chunk] = dense_center_dist(centers[i:i + chunk], dom.edges)
         inside = geo.contains_many(dom, centers, dist=cdist)
         accept = inside & (d2 >= 2.0 * side * side)
@@ -358,6 +361,104 @@ def test_decomposition_at_the_coordinate_limit():
     dom = geo.PolygonalDomain(np.array([[-c, -c], [c, -c], [c, c], [-c, c]]))
     dec = wt.whitney_decompose(dom, 5)
     assert len(dec) and np.isfinite(dec.dist_sq).all() and sandwich_ok(dec)
+
+
+# ---------------------------------------------------------------------------
+# the pruned distance stage against the dense per-pair oracle
+
+
+def assert_pruned_stage_exact(dom, lo, hi, rng=None):
+    """``boxes_boundary_dist_sq`` against every (box, edge) pair of the dense
+    oracle: each per-box minimum bitwise, and no per-pair value above the
+    exact one, so the Whitney candidate lists may only grow. With ``rng``
+    each box gets a random non-empty subset of the edges, as candidate
+    lists do. Returns the per-pair values and the exact ones."""
+    exact = dense_box_dist_sq(lo, hi, dom.edges)
+    keep = np.ones(exact.shape, dtype=bool)
+    if rng is not None:
+        keep = rng.random(exact.shape) < 0.5
+        keep[np.arange(len(lo)), rng.integers(0, dom.n_edges, len(lo))] = True
+    owner, cand = np.nonzero(keep)
+    ptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    d2, pair = wt.boxes_boundary_dist_sq(dom, lo, hi, ptr, cand)
+    want = exact[owner, cand]
+    assert d2.tobytes() == np.minimum.reduceat(want, ptr[:-1]).tobytes()
+    assert (pair <= want).all()
+    return pair, want
+
+
+def cornered_boxes(points, sides):
+    """The four boxes of each side that have a corner exactly at each point."""
+    p = np.repeat(points, len(sides), axis=0)
+    s = np.tile(sides, len(points))[:, None]
+    boxes = [(np.where(q, p - s, p), np.where(q, p, p + s))
+             for q in ([0, 0], [1, 0], [0, 1], [1, 1])]
+    return np.concatenate([b[0] for b in boxes]), np.concatenate([b[1] for b in boxes])
+
+
+def points_on_edges(dom, t):
+    """The points a + t (b - a) of every edge [a, b], for each t."""
+    a, b = dom.edges[:, None, 0], dom.edges[:, None, 1]
+    return (a + np.asarray(t)[None, :, None] * (b - a)).reshape(-1, 2)
+
+
+SIDES = np.concatenate([2.0 ** -np.arange(1, 30, 4), [0.3, 0.0137, 1e-5, 3e-9]])
+
+
+def test_pruned_stage_with_centres_one_half_diagonal_from_an_edge():
+    """The diamond's edges are perpendicular to the diagonal of a box
+    cornered on them, so the centre lies one half-diagonal from the edge,
+    up to rounding; the other two boxes per point have the edge through two
+    corners."""
+    dom = geo.PolygonalDomain(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
+    t = np.random.default_rng(5).uniform(0.02, 0.98, 150)
+    assert_pruned_stage_exact(dom, *cornered_boxes(points_on_edges(dom, t), SIDES))
+
+
+@pytest.mark.parametrize("preset", ["unit_square", "slit_square"])
+def test_pruned_stage_with_edges_through_corners_and_along_sides(preset):
+    dom = geo.make_domain(preset)
+    t = np.concatenate([[0.0, 0.25, 0.5], np.random.default_rng(6).uniform(0, 1, 40)])
+    lo, hi = cornered_boxes(points_on_edges(dom, t), SIDES)
+    assert_pruned_stage_exact(dom, lo, hi)
+    assert_pruned_stage_exact(dom, lo, hi, rng=np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("preset,kw", [("koch_prefractal", {"level": 3}), ("slit_square", {}),
+                                       ("l_shape", {})])
+def test_pruned_stage_with_boxes_cornered_on_vertices(preset, kw):
+    dom = geo.make_domain(preset, **kw)
+    lo, hi = cornered_boxes(dom.vertices, SIDES[::2])
+    pair, want = assert_pruned_stage_exact(dom, lo, hi)
+    assert_pruned_stage_exact(dom, lo, hi, rng=np.random.default_rng(8))
+    if dom.n_edges > 6:
+        assert (pair < want).any()  # the bound stands in for pruned pairs
+
+
+def test_pruned_stage_at_the_coordinate_limit():
+    c = geo.COORD_LIMIT
+    dom = geo.PolygonalDomain(np.array([[-c, -c], [c, -c], [c, c], [-c, c]]))
+    t = np.concatenate([[0.0, 0.5], np.random.default_rng(9).uniform(0, 1, 20)])
+    lo, hi = cornered_boxes(points_on_edges(dom, t), c * SIDES)
+    pair, _ = assert_pruned_stage_exact(dom, lo, hi)
+    assert np.isfinite(pair).all()
+
+
+def test_pruned_stage_in_chunks_of_7_pairs(monkeypatch, koch2):
+    lo, hi = cornered_boxes(points_on_edges(koch2, [0.0, 0.3]), SIDES[::3])
+    want = assert_pruned_stage_exact(koch2, lo, hi, rng=np.random.default_rng(10))[0]
+    monkeypatch.setattr(geo, "BLOCK", 7)
+    got = assert_pruned_stage_exact(koch2, lo, hi, rng=np.random.default_rng(10))[0]
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(star_polygons())
+def test_pruned_stage_on_star_polygons(dom):
+    pts = np.concatenate([dom.vertices, points_on_edges(dom, [0.37, 0.5])])
+    lo, hi = cornered_boxes(pts, SIDES[::2])
+    assert_pruned_stage_exact(dom, lo, hi)
+    assert_pruned_stage_exact(dom, lo, hi, rng=np.random.default_rng(11))
 
 
 def assert_adjacency_matches_brute_force(dec):
