@@ -414,7 +414,7 @@ def _with_config(ap, args, argv_list):
         flag = f"--{key.replace('_', '-')}={val}"
         try:
             ap.parse_known_args([args.command, flag])
-        except _UsageError as exc:
+        except (_UsageError, ParameterError) as exc:
             raise ParameterError(f"config {key} = {val!r}: {exc}") from None
         flags.append(flag)
     # the subcommand is the first token that is not --config's value
@@ -427,13 +427,23 @@ def _domain_name(value: str) -> str:
     return value.replace("_", "-")
 
 
+class _Seed(argparse.Action):
+    """``--seed``, an int that numpy's generators take: a negative one raises
+    ParameterError while parsing, from a flag or a config entry alike."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _add_common(sp, max_level=True):
     sp.add_argument("--domain", type=_domain_name, choices=DOMAIN_CHOICES,
                     default="unit-square")
     sp.add_argument("--koch-level", type=int, default=2)
     sp.add_argument("--side", type=float, default=1.0)
     sp.add_argument("--out", default="whardy_out")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0, action=_Seed)
     if max_level:
         sp.add_argument("--max-level", type=int, default=6)
 
@@ -555,21 +565,20 @@ def main(argv=None) -> int:
     argv_list = _merge_grid_flags(list(sys.argv[1:] if argv is None else argv))
     try:
         args, remaining = ap.parse_known_args(argv_list)
+        if remaining:
+            ap.print_usage(sys.stderr)
+            print(f"unknown arguments: {remaining}", file=sys.stderr)
+            return 1
+        if args.command is None:
+            ap.print_usage(sys.stderr)
+            return 1
+        if args.config:
+            args = _with_config(ap, args, argv_list)
+        return args.func(args)
     except _UsageError as exc:
         ap.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if remaining:
-        ap.print_usage(sys.stderr)
-        print(f"unknown arguments: {remaining}", file=sys.stderr)
-        return 1
-    if args.command is None:
-        ap.print_usage(sys.stderr)
-        return 1
-    try:
-        if args.config:
-            args = _with_config(ap, args, argv_list)
-        return args.func(args)
     except (ParameterError, EmptyDecompositionError, ConnectivityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

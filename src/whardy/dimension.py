@@ -35,7 +35,6 @@ class CoverTarget:
     """Finite point cloud standing in for the set whose dimension is estimated."""
 
     points: np.ndarray  # (N, d)
-    label: str
     note: str = ""
 
     def __post_init__(self):
@@ -60,22 +59,19 @@ def boundary_target(dom: PolygonalDomain, r_min: float) -> CoverTarget:
             "prefractal: polygon dimensions are 1 at scales below the feature "
             "size; coarser scales give the fractal reading"
         )
-    return CoverTarget(geometry.sample_boundary(dom, n), label=dom.name, note=note)
+    return CoverTarget(geometry.sample_boundary(dom, n), note=note)
 
 
-def point_set_target(points, label: str) -> CoverTarget:
+def point_set_target(points) -> CoverTarget:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = np.stack([pts, np.zeros_like(pts)], axis=1)
-    return CoverTarget(pts, label=label)
+    return CoverTarget(pts)
 
 
 def inverse_reciprocal_set(kmax: int) -> CoverTarget:
     """The calibration set {0} union {1/k : k <= kmax} on the line."""
-    return point_set_target(
-        np.concatenate([[0.0], 1.0 / np.arange(1, kmax + 1)]),
-        label=f"reciprocals_{kmax}",
-    )
+    return point_set_target(np.concatenate([[0.0], 1.0 / np.arange(1, kmax + 1)]))
 
 
 @dataclass
@@ -158,13 +154,6 @@ def farthest_point_spread(points: np.ndarray, k: int):
     return centers
 
 
-def covering_counts(points: np.ndarray, r: float) -> tuple[int, int]:
-    pts = _lex_sorted(points)
-    cover = _scan_cover_count(pts, r, reach=True)
-    packing = _scan_cover_count(pts, 2.0 * r, reach=False)
-    return cover, packing
-
-
 def covering_number(target: CoverTarget, r: float, region=None):
     """Greedy covering count at radius r plus a 2r-packing lower bound.
 
@@ -182,7 +171,8 @@ def covering_number(target: CoverTarget, r: float, region=None):
         pts = pts[np.linalg.norm(pts - x, axis=1) <= R]
         if len(pts) == 0:
             return 0, 0
-    return covering_counts(pts, r)
+    pts = _lex_sorted(pts)
+    return _scan_cover_count(pts, r, reach=True), _scan_cover_count(pts, 2.0 * r, reach=False)
 
 
 # ---------------------------------------------------------------------------

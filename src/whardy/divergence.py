@@ -271,20 +271,13 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float)
     return vec, report
 
 
-def reweighted_ratio(vec: tuple[GridFunction, GridFunction], f: GridFunction, q: float,
-                     beta: float) -> float:
-    """Ratio of the stated weighted norms for an already-assembled velocity.
-
-    The local solves are beta-independent (2-energy minimizers), so one
-    assembly serves every weight exponent.
-    """
-    lhs, rhs = _apriori_norms(vec, f, q, beta)
-    return lhs / rhs
-
-
 def _apriori_norms(vec: tuple[GridFunction, GridFunction], f: GridFunction,
                    q: float, beta: float) -> tuple[float, float]:
-    """(||grad u||, ||f||) in L^q with weight d^(-beta q), over the covered cells."""
+    """(||grad u||, ||f||) in L^q with weight d^(-beta q), over the covered cells.
+
+    The local solves do not depend on beta (2-energy minimizers), so one
+    assembled velocity serves every weight exponent.
+    """
     power = -beta * q
     cov = f.covered & f.mask
     du = gradient_norm(*(replace(c, values=np.where(cov, c.values, 0.0), mask=cov) for c in vec))

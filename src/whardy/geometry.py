@@ -29,8 +29,9 @@ COORD_LIMIT = 1e150
 # every pass; temporaries of this many floats stay in cache (2^18-pair
 # tiles ran about 1.5x slower).
 BLOCK = 1 << 16
-# 3 * 4^9 = 786,432 vertices, built in a Python loop in about 10 s; each
-# level beyond multiplies both by four
+# 3 * 4^9 = 786,432 vertices, built in about 10 s: about 1 s for the
+# vertices and 8-9 s for PolygonalDomain's checks and slab index, most of it
+# _is_simple. Each level beyond multiplies the vertices by four.
 MAX_KOCH_LEVEL = 9
 
 
@@ -289,11 +290,6 @@ def boundary_distances(dom: PolygonalDomain, points) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def distance_to_boundary(dom: PolygonalDomain, x) -> float:
-    """Exact distance of a point to the polygon boundary (0 iff on it)."""
-    return float(boundary_distances(dom, np.asarray(x, dtype=float)[None, :])[0])
-
-
 @dataclass(frozen=True)
 class SlabIndex:
     """Edges by horizontal slab, for queries that only need nearby edges.
@@ -365,10 +361,6 @@ def contains_many(dom: PolygonalDomain, points, dist=None) -> np.ndarray:
     return _ray_parity(dom, pts[:, 0], pts[:, 1]) & (np.asarray(dist) > BOUNDARY_EPS)
 
 
-def contains(dom: PolygonalDomain, x) -> bool:
-    return bool(contains_many(dom, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def sample_boundary(dom: PolygonalDomain, count: int) -> np.ndarray:
     """Points equispaced in arc length along the boundary, starting at vertex 0."""
     if count < 1:
@@ -384,25 +376,16 @@ def sample_boundary(dom: PolygonalDomain, count: int) -> np.ndarray:
     return e[idx, 0] + t[:, None] * seg[idx]
 
 
-def box_inside_domain(dom: PolygonalDomain, lo, hi) -> bool:
-    """Whether the closed axis-aligned box [lo, hi] lies inside the open domain.
+def boxes_inside_domain(dom: PolygonalDomain, los, his) -> np.ndarray:
+    """Whether each closed axis-aligned box [los[m], his[m]] of the (M, 2)
+    corner arrays lies inside the open domain.
 
     True iff no edge meets the box widened by BOUNDARY_EPS on every side and
     the box centre has odd ray parity. An edge-free box lies wholly on one
     side of the boundary, so its centre decides; boxes touching the boundary
-    are excluded.
-    """
-    lo = np.asarray(lo, dtype=float)[None, :]
-    hi = np.asarray(hi, dtype=float)[None, :]
-    return bool(boxes_inside_domain(dom, lo, hi)[0])
-
-
-def boxes_inside_domain(dom: PolygonalDomain, los, his) -> np.ndarray:
-    """Vectorized box_inside_domain over (M, 2) arrays of box corners.
-
-    Boxes whose centre has odd parity are tested against every edge, tiled
-    by ``_fold_edge_tiles`` with the edges as (G, 1, 2) columns and a
-    logical or over the edge groups.
+    are excluded. Boxes whose centre has odd parity are tested against every
+    edge, tiled by ``_fold_edge_tiles`` with the edges as (G, 1, 2) columns
+    and a logical or over the edge groups.
     """
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)

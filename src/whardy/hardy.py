@@ -103,13 +103,13 @@ def a_tree(tree: TreeCovering, w: WeightSpec, theta: float):
     """
     if not (math.isfinite(theta) and theta > 1):
         raise ParameterError("theta must be finite and exceed 1")
-    return _a_tree_block(tree, [w], (theta,))[0][0]
+    return _a_tree_block(tree, w.p, [w.beta], (theta,))[0][0]
 
 
-def _a_tree_block(tree: TreeCovering, specs, thetas) -> list:
-    """(value, argmax node) per theta of ``thetas``, per spec of ``specs``.
+def _a_tree_block(tree: TreeCovering, p: float, betas, thetas) -> list:
+    """(value, argmax node) per theta of ``thetas``, per beta of ``betas``.
 
-    The specs share p. S is summed once for the block, in one down-sweep
+    All at exponent p. S is summed once for the block, in one down-sweep
     over (n, betas, 2) Kahan rows, and the shadow sums of every (beta,
     theta) column share one up-sweep over (n, betas, thetas, 2) rows. Every
     power has a Python float scalar exponent and a contiguous 1-D operand,
@@ -122,17 +122,16 @@ def _a_tree_block(tree: TreeCovering, specs, thetas) -> list:
     thetas of one beta share one log S down-sweep. There an overflowing
     value is +inf and the argmax points at the offending node.
     """
-    n, nb, nt = len(tree), len(specs), len(thetas)
+    n, nb, nt = len(tree), len(betas), len(thetas)
     if n <= 1:
-        return [[(0.0, tree.root)] * nt for _ in specs]
-    p = specs[0].p
-    q = specs[0].q
+        return [[(0.0, tree.root)] * nt for _ in betas]
+    q = p / (p - 1.0)
     star = np.arange(n) != tree.root
     term = np.full((n, nb), np.nan)  # NaN columns fail the range check
     base = np.full((nb, n), np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, w in enumerate(specs):
-            dw = _weights(tree, w.beta)
+        for k, beta in enumerate(betas):
+            dw = _weights(tree, beta)
             if dw is not None:
                 pw, b = dw
                 term[:, k] = b ** (-q / p) * pw ** (-q)
@@ -163,10 +162,11 @@ def _a_tree_block(tree: TreeCovering, specs, thetas) -> list:
     arg = cand.argmax(axis=0)
     val = np.take_along_axis(cand, arg[None], axis=0)[0]
     out = []
-    for k, w in enumerate(specs):
+    for k, beta in enumerate(betas):
         row = [(float(v), int(a)) for v, a in zip(val[k], arg[k])]
         failed = np.flatnonzero(~ok[k])
         if len(failed):
+            w = WeightSpec(beta=beta, p=p)
             for j, res in zip(failed, _a_tree_log(tree, w, [thetas[j] for j in failed])):
                 row[j] = res
         out.append(row)
@@ -219,7 +219,8 @@ def _min_report(thetas, results) -> HardyReport:
 
 def a_tree_min(tree: TreeCovering, w: WeightSpec) -> HardyReport:
     """Minimum of the tree constant over ``DEFAULT_THETA_GRID``."""
-    return _min_report(DEFAULT_THETA_GRID, _a_tree_block(tree, [w], DEFAULT_THETA_GRID)[0])
+    return _min_report(DEFAULT_THETA_GRID,
+                       _a_tree_block(tree, w.p, [w.beta], DEFAULT_THETA_GRID)[0])
 
 
 def a_chain(chain: TreeCovering, w: WeightSpec) -> float:
@@ -235,8 +236,7 @@ def a_chain(chain: TreeCovering, w: WeightSpec) -> float:
     if n <= 1:
         return 0.0
     q = w.q
-    # chain order: root first along tree.order
-    order = chain.order
+    order = np.argsort(chain.depth)  # root first; a chain's depths are distinct
     dw = _weights(chain, w.beta)
     if dw is not None:
         pw, b = dw
@@ -313,19 +313,20 @@ def beta_sweep(dom, p: float, betas, levels) -> HardyReport:
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ParameterError("levels must be strictly increasing")
     thetas = DEFAULT_THETA_GRID
-    specs = [WeightSpec(beta=beta, p=p) for beta in betas]
-    reps = {}  # level -> one HardyReport per spec
+    betas = list(betas)
+    for beta in betas:
+        WeightSpec(beta=beta, p=p)  # checks beta and p before any build
+    reps = {}  # level -> one HardyReport per beta
     for lv in levels:
         tree = build_tree(whitney_decompose(dom, lv))
         size = max(1, geometry.BLOCK // (len(tree) * len(thetas)))
         reps[lv] = []
-        for i in range(0, len(specs), size):
-            results = _a_tree_block(tree, specs[i:i + size], thetas)
+        for i in range(0, len(betas), size):
+            results = _a_tree_block(tree, p, betas[i:i + size], thetas)
             reps[lv] += [_min_report(thetas, r) for r in results]
     rows = []
     classification = {}
-    for k, w in enumerate(specs):
-        beta = w.beta
+    for k, beta in enumerate(betas):
         vals = [reps[lv][k].a_tree_min for lv in levels]
         cls, ratios = classify_growth(vals)
         classification[beta] = {"class": cls, "ratios": ratios, "values": vals}

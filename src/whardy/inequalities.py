@@ -28,6 +28,11 @@ from .fields import (
     weighted_mean_zero,
 )
 
+# Most Monte Carlo samples of one fractional Poincare estimate: the int32
+# cell picks and the float64 weights are held in full, 12 bytes a sample,
+# so 10^8 samples take about 1.2 GB.
+MAX_MC_SAMPLES = 10**8
+
 
 @dataclass
 class InequalityReport:
@@ -111,6 +116,9 @@ def fractional_poincare_ratio(u: GridFunction, p: float, beta: float, s: float,
         raise ParameterError("tau must lie in (0, 1)")
     if mc_samples < 10_000:
         raise ParameterError("need at least 1e4 Monte Carlo samples")
+    if mc_samples > MAX_MC_SAMPLES:
+        raise ParameterError(f"{mc_samples} Monte Carlo samples need {12e-9 * mc_samples:.3g} "
+                             f"GB, more than the {MAX_MC_SAMPLES} allowed")
     n = 2
     u0 = weighted_mean_zero(u, p, beta)
     lhs = weighted_lp_norm(u0, p, beta * p)

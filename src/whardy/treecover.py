@@ -26,10 +26,10 @@ from .whitney import EXPANSION, WhitneyDecomposition
 class TreeCovering:
     """Rooted tree over cube indices plus the geometric covering data.
 
-    The root, depths, children, the root-first order and the sweep schedule
-    are derived from ``parent``; K is derived from ``spans32`` when the tree
-    has integer geometry (NaN otherwise). A parent array with no single
-    root, an index out of range or a cycle raises StructureError.
+    The root, depths, children and the sweep schedule are derived from
+    ``parent``; K is derived from ``spans32`` when the tree has integer
+    geometry (NaN otherwise). A parent array with no single root, an index
+    out of range or a cycle raises StructureError.
     """
 
     parent: np.ndarray  # (N,) int, -1 at the root
@@ -46,7 +46,6 @@ class TreeCovering:
     depth: np.ndarray = field(init=False, repr=False)
     # CSR pair (ptr, idx): the children of p are idx[ptr[p]:ptr[p + 1]], ascending
     children: tuple = field(init=False, repr=False)
-    order: np.ndarray = field(init=False, repr=False)  # root-first, by depth
     # (kids, parents) index arrays, deepest layer first; see accumulate_up
     schedule: list = field(init=False, repr=False)
     K_frac: Fraction = field(init=False)
@@ -61,7 +60,6 @@ class TreeCovering:
             raise StructureError("parent index out of range")
         self.root = int(roots[0])
         self.depth = _depths(parent, self.root)
-        self.order = np.argsort(self.depth, kind="stable")
         self.children, self.schedule = _sweep_schedule(parent, self.depth)
         if self.spans32 is None:
             self.K_frac, self.K = Fraction(0), math.nan
@@ -79,11 +77,16 @@ class TreeCovering:
     def ratio_u_over_b(self) -> float:
         """Reported C2 bound: max over nodes of |U_t| / |B_t|.
 
-        Both volumes are taken in the integer 1/32 lattice of ``boxes32``,
-        where a cube of ``spans32`` side w has side 32 w.
+        U_t is the Whitney expansion (17/16) Q_t, so the ratio is defined for
+        Whitney trees only; other trees raise StructureError. Both volumes
+        are taken in the integer 1/32 lattice of ``boxes32``, where a cube of
+        ``spans32`` side w has side 32 w.
         """
+        if self.decomposition is None:
+            raise StructureError("|U_t| / |B_t| needs a Whitney tree: U_t = (17/16) Q_t "
+                                 "holds only there")
         kids = np.flatnonzero(self.parent >= 0)
-        if self.boxes32 is None or not len(kids):
+        if not len(kids):
             return 0.0
         b = self.boxes32[kids]
         bt = np.prod(b[:, 1] - b[:, 0], axis=1)
@@ -99,7 +102,6 @@ class ShadowStats:
     W: np.ndarray  # (N, L) shadow counts per size class
     P: np.ndarray  # (N, L) root-to-node chain counts, root excluded
     levels: np.ndarray
-    depth: np.ndarray
     shadow_size: np.ndarray
 
 
@@ -423,7 +425,6 @@ def shadow_stats(tree: TreeCovering) -> ShadowStats:
         W=W,
         P=P,
         levels=tree.level.copy(),
-        depth=tree.depth.copy(),
         shadow_size=W.sum(axis=1),
     )
 

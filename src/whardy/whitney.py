@@ -141,30 +141,21 @@ class WhitneyDecomposition:
 # ---------------------------------------------------------------------------
 # construction
 
-# Children keep the parent's candidate edges within (d(P) + diam(P)) times
-# this factor. The exact rule needs factor 1; the widening absorbs float
-# rounding in the per-pair distances, so a list can only grow.
-CANDIDATE_WIDENING = 1.0 + 1e-6
-
 # Deepest level whose (level, i, j) keys fit a nonnegative int64:
 # 2 * 29 + bit_length(29) = 63 bits.
 KEY_LEVEL_LIMIT = 29
-# Deepest level at which the widening still covers the rounding: the slack
-# of a finest cube, sqrt(2) * 2^-level * (CANDIDATE_WIDENING - 1) of the
-# frame size, must exceed 8 ulps of the frame size (12 ulps at level 29,
-# 6 at level 30).
-WIDENING_LEVEL_LIMIT = int(math.log2(math.sqrt(2.0) * (CANDIDATE_WIDENING - 1.0) / (8 * 2.0**-52)))
 # Slack of the centre bound in ``boxes_boundary_dist_sq``, as a fraction of
 # the box's half-diagonal r: the bound says a pair is farther than c - r - s
 # with s = r * CENTRE_SLACK, so the rounding of c, r, the exact kernel and
 # the contact test, each a few ulps of the frame size, can only make it prune
-# less.
+# less. ``whitney_decompose`` widens the children's candidate lists by the
+# same s, so that rounding can only make a list longer.
 CENTRE_SLACK = 1e-4
 # Deepest level at which that slack still covers the rounding: s of a finest
 # cube, sqrt(2) / 2 * 2^-level * CENTRE_SLACK of the frame size, must exceed
 # 64 ulps of the frame size (593 ulps at level 29).
 SLACK_LEVEL_LIMIT = int(math.log2(math.sqrt(0.5) * CENTRE_SLACK / (64 * 2.0**-52)))
-MAX_LEVEL = min(KEY_LEVEL_LIMIT, WIDENING_LEVEL_LIMIT, SLACK_LEVEL_LIMIT)
+MAX_LEVEL = min(KEY_LEVEL_LIMIT, SLACK_LEVEL_LIMIT)
 
 
 def _box_segment_gap_sq(a, b, lo, hi):
@@ -255,11 +246,12 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
 
     Each active cube carries a CSR list of candidate edges, all edges for
     the frame. A child keeps the edges e of its parent P with d(P, e) <=
-    d(P) + diam(P): every ancestor A of a cube C passes C's nearest edge
-    e*, since d(A, e*) <= d(C) <= d(A) + diam(A). The per-pair values of
-    ``boxes_boundary_dist_sq`` are lower bounds, so a list may only hold
-    more edges than that rule, and the minimum runs over the same per-pair
-    floats as a test against every edge.
+    d(P) + diam(P) + s, s = diam(P) / 2 * CENTRE_SLACK: every ancestor A of
+    a cube C passes C's nearest edge e*, since d(A, e*) <= d(C) <= d(A) +
+    diam(A). The per-pair values of ``boxes_boundary_dist_sq`` are lower
+    bounds up to rounding, which s covers through ``SLACK_LEVEL_LIMIT``, so
+    a list may only hold more edges than the exact rule, and the minimum
+    runs over the same per-pair floats as a test against every edge.
 
     A cube that meets the boundary is split whatever its centre says. One
     that misses it lies on one side, with its centre more than side / 2 >
@@ -272,9 +264,8 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
     if max_level > MAX_LEVEL:
         raise ParameterError(
             f"max_level must be <= {MAX_LEVEL}: cube keys overflow int64 beyond level "
-            f"{KEY_LEVEL_LIMIT}, and the candidate-edge widening and the centre-bound slack "
-            f"no longer cover float rounding beyond level "
-            f"{min(WIDENING_LEVEL_LIMIT, SLACK_LEVEL_LIMIT)}"
+            f"{KEY_LEVEL_LIMIT}, and the centre-bound slack no longer covers float rounding "
+            f"beyond level {SLACK_LEVEL_LIMIT}"
         )
     frame = frame_for_domain(dom)
     if frame.cube_side(max_level) / 2.0 <= geometry.BOUNDARY_EPS:
@@ -310,7 +301,8 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
         # Subdivide undecided cubes; prune those fully outside the domain.
         outside = (~inside) & (d2 > 0.0)
         split = ~accept & ~outside
-        reach = (np.sqrt(d2) + side * math.sqrt(2.0)) * CANDIDATE_WIDENING
+        # d(P) + diam(P) + s, with s = diam(P) / 2 * CENTRE_SLACK
+        reach = np.sqrt(d2) + side * math.sqrt(2.0) * (1.0 + CENTRE_SLACK / 2.0)
         owner = np.repeat(np.arange(len(active)), np.diff(ptr))
         keep = split[owner] & (pair_d2 <= (reach * reach)[owner])
         counts = np.bincount(owner[keep], minlength=len(active))[split]

@@ -264,6 +264,10 @@ def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
     (["decompose", "--q=-1", "--max-level", "4"], "q must be finite and exceed 1"),
     (["decompose", "--q", "nan", "--max-level", "4"], "q must be finite and exceed 1"),
     (["decompose", "--beta", "nan", "--max-level", "4"], "beta must be finite"),
+    (["decompose", "--seed", "-1", "--max-level", "4"], "seed must be a non-negative integer"),
+    (["poincare", "--seed", "-1", "--h", "0.1"], "seed must be a non-negative integer"),
+    (["korn", "--seed=-1", "--h", "0.1"], "seed must be a non-negative integer"),
+    (["frac-poincare", "--seed", "-1", "--h", "0.1"], "seed must be a non-negative integer"),
 ])
 def test_out_of_range_value_exits_1_naming_it(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 1
@@ -306,6 +310,17 @@ def test_oversized_request_exits_1_unallocated(tmp_path, capsys, monkeypatch, ar
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not list(tmp_path.iterdir())
+
+
+def test_negative_seed_from_config_exits_1_unbuilt(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.whitney, "whitney_decompose", lambda *a: pytest.fail("tree built"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -3\n")
+    assert run(["--config", str(cfg), "decompose", "--max-level", "4",
+                "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: config seed = '-3': seed must be a non-negative integer, got -3"]
+    assert not (tmp_path / "d").exists()
 
 
 def test_non_finite_beta_from_config_exits_1(tmp_path, capsys):

@@ -79,7 +79,7 @@ def test_assignment_is_the_cube_holding_each_cell_centre(koch2_tree6):
 def test_single_cube_supported(tree5, grid5):
     # mean-zero g inside one cube decomposes as itself, everything else zero
     assign = dc.assign_cells(tree5, grid5)
-    t0 = int(tree5.order[len(tree5) // 2])
+    t0 = int(np.argsort(tree5.depth, kind="stable")[len(tree5) // 2])
     cells = np.argwhere(assign == t0)
     vals = np.zeros(grid5.dims)
     half = len(cells) // 2
@@ -228,7 +228,7 @@ def test_b_cells_disjoint(tree5, grid5):
 
 def test_ratio_identity_for_single_cube(tree5, grid5):
     assign = dc.assign_cells(tree5, grid5)
-    t0 = int(tree5.order[len(tree5) // 2])
+    t0 = int(np.argsort(tree5.depth, kind="stable")[len(tree5) // 2])
     cells = np.argwhere(assign == t0)
     vals = np.zeros(grid5.dims)
     half = len(cells) // 2

@@ -45,7 +45,7 @@ def test_sample_count_checked_before_allocation(unit_square, monkeypatch, r_min)
 
 
 def test_segment_cover():
-    seg = dim.point_set_target(np.linspace(0, 1, 2001), "segment")
+    seg = dim.point_set_target(np.linspace(0, 1, 2001))
     cover, packing = dim.covering_number(seg, 0.1)
     exact = interval_cover_oracle(np.linspace(0, 1, 2001), 0.1)
     assert exact == 5
@@ -54,7 +54,7 @@ def test_segment_cover():
 
 
 def test_single_point():
-    one = dim.point_set_target(np.array([0.7]), "pt")
+    one = dim.point_set_target(np.array([0.7]))
     assert dim.covering_number(one, 0.3) == (1, 1)
 
 
@@ -148,7 +148,7 @@ def test_monotonicity_box_le_assouad(square_target, eset, koch4_target):
 
 def test_scale_invariance(square_target):
     est1 = dim.box_dimension(square_target, 4e-3, 6.4e-2, 6)
-    scaled = dim.point_set_target(square_target.points * 10.0, "scaled")
+    scaled = dim.point_set_target(square_target.points * 10.0)
     est2 = dim.box_dimension(scaled, 4e-2, 6.4e-1, 6)
     assert abs(est1.value - est2.value) < 0.02
 

@@ -90,23 +90,23 @@ def test_is_simple_contacts(verts, simple):
 
 
 def test_distance_square(unit_square):
-    assert geo.distance_to_boundary(unit_square, (0.5, 0.5)) == pytest.approx(0.5)
-    assert geo.distance_to_boundary(unit_square, (0.25, 0.5)) == pytest.approx(0.25)
+    assert geo.boundary_distances(unit_square, [(0.5, 0.5)])[0] == pytest.approx(0.5)
+    assert geo.boundary_distances(unit_square, [(0.25, 0.5)])[0] == pytest.approx(0.25)
     # defined outside as well
-    assert geo.distance_to_boundary(unit_square, (2.0, 0.5)) == pytest.approx(1.0)
+    assert geo.boundary_distances(unit_square, [(2.0, 0.5)])[0] == pytest.approx(1.0)
 
 
 def test_distance_koch_centroid_oracle(koch2):
     c = geo.centroid(koch2)
     want = min(seg_dist(c, e[0], e[1]) for e in koch2.edges)
-    assert geo.distance_to_boundary(koch2, c) == pytest.approx(want, abs=1e-12)
+    assert geo.boundary_distances(koch2, [c])[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_contains(unit_square):
-    assert geo.contains(unit_square, (0.5, 0.5))
-    assert not geo.contains(unit_square, (1.5, 0.5))
-    assert not geo.contains(unit_square, (1.0, 0.5))  # boundary excluded
-    assert not geo.contains(unit_square, (1.0 - 1e-13, 0.5))
+    assert geo.contains_many(unit_square, [(0.5, 0.5)])[0]
+    assert not geo.contains_many(unit_square, [(1.5, 0.5)])[0]
+    assert not geo.contains_many(unit_square, [(1.0, 0.5)])[0]  # boundary excluded
+    assert not geo.contains_many(unit_square, [(1.0 - 1e-13, 0.5)])[0]
 
 
 def test_contains_implies_positive_distance(koch2):
@@ -166,17 +166,17 @@ def test_json_roundtrip(koch2):
 
 
 def test_box_inside_domain(unit_square, slit_square):
-    assert geo.box_inside_domain(unit_square, (0.2, 0.2), (0.8, 0.8))
-    assert not geo.box_inside_domain(unit_square, (-0.1, 0.2), (0.5, 0.5))
+    assert geo.boxes_inside_domain(unit_square, [(0.2, 0.2)], [(0.8, 0.8)])[0]
+    assert not geo.boxes_inside_domain(unit_square, [(-0.1, 0.2)], [(0.5, 0.5)])[0]
     # touching the boundary does not count (open domain)
-    assert not geo.box_inside_domain(unit_square, (0.0, 0.2), (0.5, 0.5))
-    assert not geo.box_inside_domain(unit_square, (0.2, 0.2), (1.0 - 1e-13, 0.8))
+    assert not geo.boxes_inside_domain(unit_square, [(0.0, 0.2)], [(0.5, 0.5)])[0]
+    assert not geo.boxes_inside_domain(unit_square, [(0.2, 0.2)], [(1.0 - 1e-13, 0.8)])[0]
     # the slit notch pierces boxes spanning the vertical midline near the top
-    assert not geo.box_inside_domain(slit_square, (0.4, 0.8), (0.6, 0.95))
-    assert geo.box_inside_domain(slit_square, (0.1, 0.1), (0.45, 0.45))
+    assert not geo.boxes_inside_domain(slit_square, [(0.4, 0.8)], [(0.6, 0.95)])[0]
+    assert geo.boxes_inside_domain(slit_square, [(0.1, 0.1)], [(0.45, 0.45)])[0]
     # a closed box whose top side passes through the slit tip (0.5, 0.5)
-    assert not geo.box_inside_domain(slit_square, (0.4, 0.3), (0.6, 0.5))
-    assert geo.box_inside_domain(slit_square, (0.4, 0.3), (0.6, 0.5 - 1e-9))
+    assert not geo.boxes_inside_domain(slit_square, [(0.4, 0.3)], [(0.6, 0.5)])[0]
+    assert geo.boxes_inside_domain(slit_square, [(0.4, 0.3)], [(0.6, 0.5 - 1e-9)])[0]
 
 
 # ---------------------------------------------------------------------------

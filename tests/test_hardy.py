@@ -356,7 +356,7 @@ def test_beta_blocks_match_per_beta_bitwise(block_trees, p):
         for size in (1, 7, len(specs)):
             got = []
             for i in range(0, len(specs), size):
-                got += hd._a_tree_block(tree, specs[i:i + size], thetas)
+                got += hd._a_tree_block(tree, p, [w.beta for w in specs[i:i + size]], thetas)
             assert got == want
 
 
@@ -381,7 +381,7 @@ def test_beta_block_mixes_direct_and_log_space(monkeypatch):
     alone = {(w.beta, theta): hd.a_tree(tree, w, theta) for w in specs for theta in thetas}
     alone_logged = set(logged)
     logged.clear()
-    got = hd._a_tree_block(tree, specs, thetas)
+    got = hd._a_tree_block(tree, 2.0, [w.beta for w in specs], thetas)
     assert len(logged) == len(alone_logged) and set(logged) == alone_logged
     assert {beta for beta, _ in logged} == {-3.0, -8.0}
     assert len([1 for beta, _ in logged if beta == -3.0]) < len(thetas)

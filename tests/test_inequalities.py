@@ -126,6 +126,13 @@ def test_fractional_sample_floor(grid64):
         )
 
 
+def test_fractional_sample_ceiling_checked_before_any_draw(grid64, monkeypatch):
+    f = F.sample_function(grid64, lambda x, y: x)
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("samples drawn"))
+    with pytest.raises(ParameterError, match="more than the 100000000 allowed"):
+        iq.fractional_poincare_ratio(f, 2.0, 0.0, 0.5, 0.5, iq.MAX_MC_SAMPLES + 1)
+
+
 def test_fractional_seed_consistency(grid64):
     f = F.sample_function(grid64, lambda x, y: x)
     vals = [

@@ -37,7 +37,7 @@ def test_tree_validity(square_tree6):
         if p >= 0:
             assert p in face[t]
     # all reachable
-    assert sorted(tree.order.tolist()) == list(range(len(tree)))
+    assert explicit_subtree(tree, tree.root) == list(range(len(tree)))
 
 
 def test_k_containment_exact(square_tree6):
@@ -245,13 +245,21 @@ def test_certificate_sweeps_past_neighbors():
 
 def test_u_over_b_equal_neighbors():
     # two level-1 cubes of a size-2 frame sharing the face x = 1
-    lo = np.array([[0, 0], [1, 0]])
-    hi = lo + 1
-    tree = tc.synthetic_tree([-1, 0], [1.0, 1.0])
-    tree.spans32 = np.stack([lo, hi], axis=1)
-    tree.boxes32 = np.zeros((2, 2, 2), dtype=np.int64)
-    tree.boxes32[1] = tc._face_box32(lo[1], hi[1], lo[0], hi[0])
+    dom = geo.PolygonalDomain(np.array([[0, 0], [2, 0], [2, 1], [0, 1]]), name="two_cubes")
+    dec = wt.WhitneyDecomposition(
+        domain=dom, frame=wt.Frame((0.0, 0.0), 2.0), max_level=1,
+        levels=np.array([1, 1]), indices=np.array([[0, 0], [1, 0]]),
+        dist=np.zeros(2), dist_sq=np.zeros(2))
+    tree = tc.build_tree(dec, center=(0.5, 0.5))
+    assert tree.parent.tolist() == [-1, 0]
+    assert tree.boxes32[1].tolist() == [[31, 8], [33, 24]]
     assert tree.ratio_u_over_b() == (17 / 16) ** 2 * 32 == 36.125
+
+
+def test_u_over_b_rejects_a_tree_without_whitney_cubes():
+    # the chain's U_t = Q_t u Q_parent is not (17/16) Q_t
+    with pytest.raises(StructureError, match="needs a Whitney tree"):
+        tc.build_cube_chain(4, 2).ratio_u_over_b()
 
 
 def test_shadow_stats_hand_chain():

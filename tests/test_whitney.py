@@ -44,7 +44,7 @@ def test_cube_count_matches_enumeration_oracle(unit_square, square_dec6):
         center = lo + side / 2.0
         d2 = wt.boxes_boundary_dist_sq(unit_square, lo[None, :], hi[None, :],
                                        every_edge_ptr, every_edge)[0][0]
-        inside = geo.contains(unit_square, center)
+        inside = bool(geo.contains_many(unit_square, center[None, :])[0])
         return inside and d2 >= 2.0 * side * side
 
     expected = set()
@@ -205,10 +205,18 @@ def test_max_level_precondition(unit_square):
 
 def test_max_level_bound(unit_square):
     # 2 * 29 + bit_length(29) = 63 key bits; the check fires before any level is built
-    assert wt.MAX_LEVEL == wt.KEY_LEVEL_LIMIT == wt.WIDENING_LEVEL_LIMIT == 29
+    assert wt.MAX_LEVEL == wt.KEY_LEVEL_LIMIT == 29
     assert wt.SLACK_LEVEL_LIMIT == 32  # the centre-bound slack covers every level
     with pytest.raises(ParameterError, match="max_level must be <= 29: cube keys overflow"):
         wt.whitney_decompose(unit_square, wt.MAX_LEVEL + 1)
+
+
+def test_max_level_message_names_the_key_and_slack_limits(unit_square):
+    with pytest.raises(ParameterError) as err:
+        wt.whitney_decompose(unit_square, 30)
+    assert str(err.value) == (
+        "max_level must be <= 29: cube keys overflow int64 beyond level 29, and the "
+        "centre-bound slack no longer covers float rounding beyond level 32")
 
 
 def test_json_roundtrip(square_dec6, unit_square):
@@ -459,6 +467,91 @@ def test_pruned_stage_on_star_polygons(dom):
     lo, hi = cornered_boxes(pts, SIDES[::2])
     assert_pruned_stage_exact(dom, lo, hi)
     assert_pruned_stage_exact(dom, lo, hi, rng=np.random.default_rng(11))
+
+
+# ---------------------------------------------------------------------------
+# the candidate lists' margin against per-pair values rounded upward
+
+
+def assert_lists_keep_raised_pairs(monkeypatch, dom, max_level):
+    """Build with every per-pair value of ``boxes_boundary_dist_sq`` raised
+    to 0.9 s above the dense oracle's exact value (s = r * CENTRE_SLACK, r
+    the box's half-diagonal), the most rounding the slack is meant to
+    absorb; per-box minima are kept. Every child's list must still hold
+    each edge e of its parent P's list that the oracle puts within
+    d(P) + diam(P), and the cubes must keep their bits."""
+    want = wt.whitney_decompose(dom, max_level)
+    stage = wt.boxes_boundary_dist_sq
+    frame = wt.frame_for_domain(dom)
+    origin = np.asarray(frame.origin)
+    E = dom.n_edges
+    required = np.zeros((0, 3), dtype=np.int64)  # (i, j, edge) the exact rule keeps
+    level = 0
+
+    def raised(dom, lo, hi, ptr, cand):
+        nonlocal required, level
+        d2, _ = stage(dom, lo, hi, ptr, cand)
+        side = frame.cube_side(level)
+        ij = np.rint((lo - origin) / side).astype(np.int64)
+        owner = np.repeat(np.arange(len(lo)), np.diff(ptr))
+        n = 1 << level  # lattice width at this level
+        have = (ij[owner, 0] * n + ij[owner, 1]) * E + cand
+        if level:
+            kids = [(2 * required[:, 0] + a, 2 * required[:, 1] + b)
+                    for a in (0, 1) for b in (0, 1)]
+            cubes = ij[:, 0] * n + ij[:, 1]
+            for ci, cj in kids:
+                split = np.isin(ci * n + cj, cubes)  # only split parents have children
+                key = (ci * n + cj) * E + required[:, 2]
+                assert np.isin(key[split], have).all()
+        exact = np.concatenate([dense_box_dist_sq(lo[k:k + 256], hi[k:k + 256], dom.edges)
+                                for k in range(0, len(lo), 256)])[owner, cand]
+        reach = np.sqrt(d2) + side * math.sqrt(2.0)
+        keep = exact <= (reach * reach)[owner]
+        required = np.column_stack([ij[owner[keep]], cand[keep]])
+        slack = side * math.sqrt(0.5) * wt.CENTRE_SLACK
+        level += 1
+        return d2, (np.sqrt(exact) + 0.9 * slack) ** 2
+
+    monkeypatch.setattr(wt, "boxes_boundary_dist_sq", raised)
+    got = wt.whitney_decompose(dom, max_level)
+    for name in ("levels", "indices", "dist_sq"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_lists_keep_a_45_degree_edge_exactly_one_diameter_away(monkeypatch):
+    """The cube P = [0, 1/8]^2 (level 4 of the frame [-1/2, 3/2]^2) meets
+    the boundary, and the edge from (3/8, 1/8) to (1/8, 3/8) lies exactly
+    diam(P) = sqrt(2)/8 from P's corner (1/8, 1/8), in dyadic arithmetic.
+    So the exact rule keeps it, and a value a fraction of s above it passes
+    the bare bound (d(P) + diam(P))^2."""
+    dom = geo.PolygonalDomain(np.array([
+        [0, 0], [1, 0], [1, 1], [0.625, 1], [0.375, 0.125], [0.125, 0.375], [0, 0.625]]))
+    dist = wt._box_segment_gap_sq(np.array([0.375, 0.125]), np.array([0.125, 0.375]),
+                                  np.zeros(2), np.full(2, 0.125))
+    assert dist == 2 * 0.125**2
+    assert wt.frame_for_domain(dom) == wt.Frame((-0.5, -0.5), 2.0)
+    assert_lists_keep_raised_pairs(monkeypatch, dom, 6)
+
+
+@pytest.mark.parametrize("preset,kw,level", [
+    ("unit_square", {}, 8),
+    ("l_shape", {}, 8),
+    ("slit_square", {}, 8),
+    ("koch_prefractal", {"level": 3}, 7),
+])
+def test_lists_keep_raised_pairs_on_presets(monkeypatch, preset, kw, level):
+    assert_lists_keep_raised_pairs(monkeypatch, geo.make_domain(preset, **kw), level)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(star_polygons())
+def test_lists_keep_raised_pairs_on_star_polygons(dom):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        try:
+            assert_lists_keep_raised_pairs(monkeypatch, dom, 6)
+        except EmptyDecompositionError:
+            assume(False)
 
 
 def assert_adjacency_matches_brute_force(dec):
