@@ -229,23 +229,32 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _angle(i, x, j, y, ph):
+    """i x + j y + ph on the axes x (nx, 1) and y (1, ny), bit for bit as on
+    the full grid: a zero coefficient's product is +-0, which leaves the
+    other product unchanged and, as ph != 0, the sum, so it is dropped and
+    the term is evaluated on one axis."""
+    if i == 0:
+        return j * y + ph
+    if j == 0:
+        return i * x + ph
+    return i * x + j * y + ph
+
+
 def _trig_family(grid, count, seed):
+    x, y = fields.cell_center_xy(grid.h, grid.origin, *np.indices(grid.dims, sparse=True))
     rng = np.random.default_rng(seed)
     out = []
     for k in range(count):
         a = rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3))
         ph = rng.uniform(0, 2 * math.pi, (3, 3, 2))
-
-        def fn(x, y, a=a, b=b, ph=ph):
-            val = np.zeros_like(x)
-            for i in range(3):
-                for j in range(3):
-                    val += a[i, j] * np.cos(i * x + j * y + ph[i, j, 0])
-                    val += b[i, j] * np.sin(i * x - j * y + ph[i, j, 1])
-            return val
-
-        out.append((f"trig_{k}", fields.sample_function(grid, fn)))
+        val = np.zeros(grid.dims)
+        for i in range(3):
+            for j in range(3):
+                val += a[i, j] * np.cos(_angle(i, x, j, y, ph[i, j, 0]))
+                val += b[i, j] * np.sin(_angle(i, x, -j, y, ph[i, j, 1]))
+        out.append((f"trig_{k}", grid.with_values(np.where(grid.mask, val, 0.0))))
     return out
 
 

@@ -124,6 +124,44 @@ def sample_function(grid: GridFunction, fn) -> GridFunction:
 # ---------------------------------------------------------------------------
 # quadrature
 
+# frexp exponents of finite floats run from -1073 (the least subnormal,
+# 0.5 * 2^-1073) to 1024; one bucket each.
+_EXP_MIN = -1073
+_EXP_SPAN = 1024 - _EXP_MIN + 1
+
+
+def _exact_sum(values) -> float:
+    """The correctly rounded sum of ``values``: ``math.fsum``'s result bit
+    for bit, without a list of Python floats.
+
+    Each float is m 2^e with an integer mantissa m of at most 53 bits, cut
+    into a high part of at most 26 bits and a low part of at most 27. Per
+    block of ``geometry.BLOCK`` values the parts are added per exponent in
+    float64, exactly, since no bucket then exceeds 2^43; the buckets then
+    become one Python int, divided once by the scale, which rounds
+    correctly. Zero sums are +0.0. A sum beyond the float range raises
+    OverflowError; non-finite input goes to ``math.fsum`` itself.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    if not np.isfinite(v).all():
+        return math.fsum(v.tolist())
+    hi = np.zeros(_EXP_SPAN, dtype=np.int64)
+    lo = np.zeros(_EXP_SPAN, dtype=np.int64)
+    for start in range(0, len(v), geometry.BLOCK):
+        m, e = np.frexp(v[start:start + geometry.BLOCK])
+        e -= _EXP_MIN
+        m *= 2.0**26
+        top = np.trunc(m)
+        m -= top
+        m *= 2.0**27  # the low 27 bits, as an integer
+        hi += np.bincount(e, top, _EXP_SPAN).astype(np.int64)
+        lo += np.bincount(e, m, _EXP_SPAN).astype(np.int64)
+    # the int64 totals hold 2^20 blocks, far beyond MAX_GRID_CELLS
+    total = 0
+    for k in np.flatnonzero(hi | lo).tolist():
+        total += ((int(hi[k]) << 27) + int(lo[k])) << k
+    return total / (1 << (53 - _EXP_MIN))
+
 
 def check_exponents(p: float, power: float) -> None:
     """Every weighted L^p quantity needs a finite p >= 1 and a finite weight power."""
@@ -144,8 +182,8 @@ def weighted_lp_norm(f: GridFunction, p: float, power: float = 0.0) -> float:
         raise ParameterError("empty quadrature mask")
     v = np.abs(f.values[sel]) ** p
     if power != 0.0:
-        v = v * f.dist[sel] ** power
-    total = math.fsum(v.tolist()) * f.h * f.h
+        v *= f.dist[sel] ** power
+    total = _exact_sum(v) * f.h * f.h
     return total ** (1.0 / p)
 
 
@@ -155,7 +193,7 @@ def weighted_integral(f: GridFunction, power: float = 0.0) -> float:
     v = f.values[sel]
     if power != 0.0:
         v = v * f.dist[sel] ** power
-    return math.fsum(v.tolist()) * f.h * f.h
+    return _exact_sum(v) * f.h * f.h
 
 
 def weighted_mean_zero(f: GridFunction, p: float, beta: float) -> GridFunction:
@@ -166,10 +204,10 @@ def weighted_mean_zero(f: GridFunction, p: float, beta: float) -> GridFunction:
     if not sel.any():
         raise ParameterError("empty quadrature mask")
     w = f.dist[sel] ** power
-    denom = math.fsum(w.tolist())
+    denom = _exact_sum(w)
     if denom == 0.0:
         raise ParameterError("zero total weight")
-    c = math.fsum((f.values[sel] * w).tolist()) / denom
+    c = _exact_sum(f.values[sel] * w) / denom
     vals = np.where(f.mask, f.values - c, 0.0)
     return f.with_values(vals)
 

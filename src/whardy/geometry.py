@@ -29,9 +29,10 @@ COORD_LIMIT = 1e150
 # every pass; temporaries of this many floats stay in cache (2^18-pair
 # tiles ran about 1.5x slower).
 BLOCK = 1 << 16
-# 3 * 4^9 = 786,432 vertices, built in about 10 s: about 1 s for the
-# vertices and 8-9 s for PolygonalDomain's checks and slab index, most of it
-# _is_simple. Each level beyond multiplies the vertices by four.
+# 3 * 4^9 = 786,432 vertices, built in about 5 s: about 1 s for the
+# vertices and 3.5-4.5 s for PolygonalDomain's checks and slab index, most of
+# it _is_simple, at a 340 MB peak RSS, most of it the slab index (_is_simple
+# peaks at 53 MB). Each level beyond multiplies the vertices by four.
 MAX_KOCH_LEVEL = 9
 
 
@@ -112,29 +113,55 @@ def index_ranges(starts, counts) -> np.ndarray:
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
+def _block_runs(counts):
+    """Yield ``(start, stop)`` over consecutive runs of ``counts`` that sum
+    to at most BLOCK, unless one entry alone is more."""
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(ends):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + BLOCK, side="right")))
+        yield start, stop
+        start = stop
+
+
 def _is_simple(edges) -> bool:
     """Whether no two edges meet except adjacent ones at their shared vertex.
 
     Only edges whose closed bounding boxes overlap can meet; those pairs
-    come from one sort-and-sweep over the x extents. A proper crossing, or
-    an endpoint of one edge lying on the other (collinear overlap or
-    touching), rejects the polygon unless the pair is adjacent and that
-    endpoint is the shared vertex.
+    come from one sort-and-sweep over the x extents, listed for runs of
+    edges in x order with at most BLOCK pairs each, and the first run
+    with a meeting pair decides.
     """
     n = len(edges)
     blo, bhi = edges.min(axis=1), edges.max(axis=1)
     order = np.argsort(blo[:, 0], kind="stable")
     end = np.searchsorted(blo[order, 0], bhi[order, 0], side="right")
     later = end - np.arange(1, n + 1)  # x-overlapping edges after each in x order
-    u = order[np.repeat(np.arange(n), later)]
-    v = order[index_ranges(np.arange(1, n + 1), later)]
+    for start, stop in _block_runs(later):
+        k, c = np.arange(start, stop), later[start:stop]
+        u, v = order[np.repeat(k, c)], order[index_ranges(k + 1, c)]
+        if _pairs_meet(edges, blo, bhi, u, v):
+            return False
+    return True
+
+
+def _pairs_meet(edges, blo, bhi, u, v) -> bool:
+    """Whether some pair (u, v) of distinct edges with overlapping x extents
+    meets other than at the shared vertex of adjacent edges.
+
+    A proper crossing, or an endpoint of one edge lying on the other
+    (collinear overlap or touching), counts unless the pair is adjacent and
+    that endpoint is the shared vertex.
+    """
+    n = len(edges)
     y_meet = (blo[u, 1] <= bhi[v, 1]) & (blo[v, 1] <= bhi[u, 1])
     i, j = np.minimum(u, v)[y_meet], np.maximum(u, v)[y_meet]
     a, b, c, d = edges[i, 0], edges[i, 1], edges[j, 0], edges[j, 1]
     d1, d2 = _orient(a, b, c), _orient(a, b, d)
     d3, d4 = _orient(c, d, a), _orient(c, d, b)
     if ((d1 * d2 < 0) & (d3 * d4 < 0)).any():
-        return False
+        return True
     on = [
         (d1 == 0) & _on_segment(a, b, c),
         (d2 == 0) & _on_segment(a, b, d),
@@ -144,10 +171,10 @@ def _is_simple(edges) -> bool:
     succ = j == i + 1
     adj = succ | ((i == 0) & (j == n - 1))  # successor, or the wrap-around
     if ((on[0] | on[1] | on[2] | on[3]) & ~adj).any():
-        return False
+        return True
     shared = np.where(succ[:, None], b, a)
-    return not any((touch & adj & (pt != shared).any(axis=1)).any()
-                   for touch, pt in zip(on, (c, d, a, b)))
+    return any((touch & adj & (pt != shared).any(axis=1)).any()
+               for touch, pt in zip(on, (c, d, a, b)))
 
 
 def _on_segment(a, b, pts):
@@ -324,15 +351,10 @@ class SlabIndex:
         counted from ``start``."""
         slab = np.searchsorted(self.breaks, ys, side="right")
         first, counts = self.ptr[slab], np.diff(self.ptr)[slab]
-        ends = np.cumsum(counts)
-        start = 0
-        while start < len(ys):
-            base = ends[start - 1] if start else 0
-            stop = max(start + 1, int(np.searchsorted(ends, base + BLOCK, side="right")))
+        for start, stop in _block_runs(counts):
             c = counts[start:stop]
             yield (start, stop, np.repeat(np.arange(stop - start), c),
                    self.edges[index_ranges(first[start:stop], c)])
-            start = stop
 
 
 def _ray_parity(dom: PolygonalDomain, px, py) -> np.ndarray:

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from whardy import decomp, geometry, treecover, whitney
 from whardy.errors import ConnectivityError, EmptyDecompositionError, ParameterError
+
+# Every property test replays the same examples on every run and machine.
+settings.register_profile("whardy", deadline=None, derandomize=True, database=None)
+settings.load_profile("whardy")
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from whardy import cli, fields, geometry
@@ -360,3 +361,37 @@ def test_scipy_loads_only_for_divergence(tmp_path):
     proc = subprocess.run([sys.executable, "-c", STARTUP_GUARD, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _trig_family_oracle(grid, count, seed):
+    """The trig family evaluated per cell on the full grid."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        a = rng.standard_normal((3, 3))
+        b = rng.standard_normal((3, 3))
+        ph = rng.uniform(0, 2 * math.pi, (3, 3, 2))
+        assert (ph != 0.0).all()
+
+        def fn(x, y, a=a, b=b, ph=ph):
+            val = np.zeros_like(x)
+            for i in range(3):
+                for j in range(3):
+                    val += a[i, j] * np.cos(i * x + j * y + ph[i, j, 0])
+                    val += b[i, j] * np.sin(i * x - j * y + ph[i, j, 1])
+            return val
+
+        out.append(fields.sample_function(grid, fn).values)
+    return out
+
+
+@pytest.mark.parametrize("preset", ["unit_square", "l_shape", "slit_square", "koch_prefractal"])
+@pytest.mark.parametrize("h", [1 / 24, 1 / 61])
+def test_trig_family_on_axes_matches_the_per_cell_formula(preset, h):
+    dom = geometry.make_domain(preset, level=2)
+    grid = fields.make_grid(dom, h)
+    for seed in range(10):
+        got = [f.values for _, f in cli._trig_family(grid, 10, seed)]
+        want = _trig_family_oracle(grid, 10, seed)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()

@@ -185,7 +185,7 @@ def test_definition_properties_random(tree5, grid5):
         assert_definition_properties(tree5, grid5, seed)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(star_polygons(), st.integers(0, 2**16))
 def test_definition_properties_on_star_polygons(dom, seed):
     tree = star_tree(dom)

@@ -1,12 +1,18 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whardy import fields as F
+from whardy import geometry
+from whardy import inequalities as iq
 from whardy.errors import ParameterError
 
 
@@ -188,3 +194,97 @@ def test_mask_runs_match_a_loop(tmp_path, l_shape):
         assert (header["mask_first"], header["mask_rle"]) == (bool(mask.flat[0]), runs)
     # the L-shape's own mask, several runs, decodes back
     assert np.array_equal(F.load_grid(tmp_path / "0.bin", l_shape).mask, grid.mask)
+
+
+# ---------------------------------------------------------------------------
+# exact sums
+
+# m 2^e for 54-bit m: subnormals, where ldexp rounds, up to 2^1000
+scaled_floats = st.builds(math.ldexp, st.integers(-(2**53), 2**53), st.integers(-1130, 947))
+finite_floats = st.one_of(scaled_floats, st.floats(-(2.0**1000), 2.0**1000))
+
+
+@st.composite
+def cancelling_lists(draw):
+    """Lists of floats, some with their exact negatives mixed in."""
+    values = draw(st.lists(finite_floats, max_size=24))
+    keep = draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    return draw(st.permutations(values + [-x for x, k in zip(values, keep) if k]))
+
+
+def assert_is_fsum(got, values):
+    want = math.fsum(values)
+    if want == 0.0:  # fsum may return -0.0; zero sums are +0.0 here
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    else:
+        assert got.hex() == want.hex()
+
+
+@settings(max_examples=300)
+@given(cancelling_lists())
+def test_exact_sum_is_fsum(values):
+    for block in (geometry.BLOCK, 7):  # lengths 0-48 span several blocks of 7
+        with mock.patch.object(geometry, "BLOCK", block):
+            assert_is_fsum(F._exact_sum(np.array(values, dtype=float)), values)
+
+
+def test_exact_sum_is_fsum_on_long_arrays():
+    rng = np.random.default_rng(4)
+    for n in (geometry.BLOCK - 1, geometry.BLOCK, geometry.BLOCK + 1, 3 * geometry.BLOCK + 5):
+        v = rng.standard_normal(n) * 2.0 ** rng.integers(-1074, 1000, n)
+        for x in (v, np.concatenate([v, -v[::-1]]), rng.standard_normal(n) ** 2):
+            assert_is_fsum(F._exact_sum(x), x.tolist())
+
+
+@pytest.mark.parametrize("values", [[], [0.0], [-0.0], [-0.0, -0.0], [1.5, -1.5],
+                                    [5e-324, -5e-324]])
+def test_exact_sum_of_zero_is_positive_zero(values):
+    got = F._exact_sum(np.array(values, dtype=float))
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+@pytest.mark.parametrize("values", [[math.nan, 1.0], [1.0, math.inf], [-math.inf, 2.0],
+                                    [math.inf, math.nan]])
+def test_exact_sum_of_non_finite_values_is_fsum(values):
+    got, want = F._exact_sum(np.array(values)), math.fsum(values)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_exact_sum_errors():
+    with pytest.raises(ValueError):
+        F._exact_sum(np.array([math.inf, 1.0, -math.inf]))
+    with pytest.raises(OverflowError):
+        F._exact_sum(np.array([1.7e308, 1.7e308]))
+    # partial sums beyond the float range are exact too
+    assert F._exact_sum(np.array([1.7e308, 1.7e308, -1.7e308])) == 1.7e308
+
+
+def test_quadrature_makes_no_list_of_cell_values(unit_square, monkeypatch):
+    """Each weighted quadrature of improved_poincare_ratio allocates at most
+    a few float arrays per cell at its peak; a list of Python floats would
+    add 32 bytes per cell."""
+    grid = F.make_grid(unit_square, 1 / 256)
+    rng = np.random.default_rng(0)
+    f = grid.with_values(np.where(grid.mask, rng.standard_normal(grid.dims), 0.0))
+    monkeypatch.setattr(geometry, "BLOCK", 1 << 12)
+    peaks = []
+
+    def measured(fn):
+        def call(*args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+        return call
+
+    for name in ("weighted_mean_zero", "weighted_lp_norm"):
+        monkeypatch.setattr(iq, name, measured(getattr(F, name)))
+    tracemalloc.start()
+    try:
+        iq.improved_poincare_ratio(f, 2.0, 0.5)
+    finally:
+        tracemalloc.stop()
+    cells = grid.dims[0] * grid.dims[1]
+    assert len(peaks) == 3 and max(peaks) < 30 * cells, [p / cells for p in peaks]
+

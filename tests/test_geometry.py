@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -77,16 +78,70 @@ def ring_edges(verts):
     return np.stack([v, np.roll(v, -1, axis=0)], axis=1)
 
 
-@pytest.mark.parametrize("verts,simple", [
+CONTACT_CASES = [
     ([[0, 0], [1, 1], [1, 0], [0, 1]], False),  # proper crossing
     ([[0, 0], [4, 0], [4, 4], [2, 0], [0, 4]], False),  # vertex on a non-adjacent edge
     ([[0, 0], [4, 0], [2, 0], [2, 2]], False),  # edges fold back
     ([[0, 0], [4, 0], [2, 0]], False),  # adjacent edges fold back, nothing else meets
     ([[0, 0], [4, 0], [4, 4], [2, 1], [0, 4]], True),
     ([[0, 0], [2, 0], [4, 0], [4, 4], [0, 4]], True),  # collinear neighbors
-])
+]
+
+
+@pytest.mark.parametrize("verts,simple", CONTACT_CASES)
 def test_is_simple_contacts(verts, simple):
     assert geo._is_simple(ring_edges(verts)) is simple
+
+
+def crossed_koch(level, k):
+    """Koch ``level``'s edges with vertex k moved across the polygon, so
+    that its two edges cross others."""
+    v = geo._koch_vertices(level, 1.0).copy()
+    v[k] = geo.centroid(geo.PolygonalDomain(v)) * 2.0 - v[k]
+    return ring_edges(v)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 50])
+def test_is_simple_runs_keep_every_verdict(monkeypatch, block):
+    cases = [(ring_edges(verts), simple) for verts, simple in CONTACT_CASES]
+    cases += [(geo.make_domain(name, level=3).edges, True)
+              for name in ("unit_square", "l_shape", "slit_square", "koch_prefractal")]
+    cases += [(crossed_koch(3, k), False) for k in (0, 17, 95, 191)]
+    monkeypatch.setattr(geo, "BLOCK", block)
+    for edges, simple in cases:
+        assert geo._is_simple(edges) is simple
+
+
+def test_is_simple_lists_at_most_a_block_of_pairs(monkeypatch):
+    """Every run lists at most BLOCK pairs unless one edge alone has more,
+    the first run with a meeting pair decides, and Koch 7 builds in a few
+    megabytes (88 MB when every pair was listed at once)."""
+    runs = []
+    pairs_meet = geo._pairs_meet
+
+    def spy(edges, blo, bhi, u, v):
+        runs.append((len(u), pairs_meet(edges, blo, bhi, u, v)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(geo, "_pairs_meet", spy)
+    monkeypatch.setattr(geo, "BLOCK", 40)
+    assert geo._is_simple(geo.make_domain("koch_prefractal", level=3).edges)
+    every = len(runs)
+    assert every > 10 and max(n for n, _ in runs) <= 40
+    for k in (0, 95):
+        runs.clear()
+        assert not geo._is_simple(crossed_koch(3, k))
+        assert [meet for _, meet in runs] == [False] * (len(runs) - 1) + [True]
+    assert len(runs) < every
+    monkeypatch.undo()
+    v = geo._koch_vertices(7, 1.0)
+    tracemalloc.start()
+    try:
+        geo.PolygonalDomain(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def test_distance_square(unit_square):
@@ -255,7 +310,7 @@ def test_predicates_match_dense_oracle_on_presets(preset, kw):
     assert_predicates_match_dense(geo.make_domain(preset, **kw))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.booleans().flatmap(lambda snap: star_polygons(snap=snap)), st.integers(0, 2**16))
 def test_predicates_match_dense_oracle_on_star_polygons(dom, seed):
     assert_predicates_match_dense(dom, seed)
@@ -414,7 +469,7 @@ def test_no_module_binds_the_block_budget_by_value():
     assert not bound
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(st.booleans().flatmap(lambda snap: star_polygons(snap=snap)), st.integers(0, 2**16))
 def test_boxes_inside_domain_matches_dense_oracle_on_star_polygons(dom, seed):
     assert_boxes_match_dense(dom, 1 / 16, seed)

@@ -61,7 +61,7 @@ def overlapping_pairs(lo, hi):
     return list(zip(*np.nonzero(np.triu(meet, 1))))
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(star_polygons())
 def test_k_is_the_least_containing_constant_on_star_polygons(dom):
     # per-node hulls by walking every node's ancestors, then the exact
@@ -83,7 +83,7 @@ def test_k_is_the_least_containing_constant_on_star_polygons(dom):
     assert tree.K_frac == want
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(star_polygons(), st.integers(0, 2**16))
 def test_certificate_matches_brute_force_on_star_polygons(dom, seed):
     # the built tree's transfer boxes are pairwise disjoint; a box moved so

@@ -339,7 +339,7 @@ def test_culled_construction_matches_dense_oracle(preset, kw, level):
     assert_matches_dense(geo.make_domain(preset, **kw), level)
 
 
-@settings(max_examples=40, deadline=1000, derandomize=True, database=None)
+@settings(max_examples=40, deadline=1000)
 @given(star_polygons())
 def test_culled_construction_matches_dense_oracle_on_star_polygons(dom):
     try:
@@ -460,7 +460,7 @@ def test_pruned_stage_in_chunks_of_7_pairs(monkeypatch, koch2):
     assert got.tobytes() == want.tobytes()
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(star_polygons())
 def test_pruned_stage_on_star_polygons(dom):
     pts = np.concatenate([dom.vertices, points_on_edges(dom, [0.37, 0.5])])
@@ -544,7 +544,7 @@ def test_lists_keep_raised_pairs_on_presets(monkeypatch, preset, kw, level):
     assert_lists_keep_raised_pairs(monkeypatch, geo.make_domain(preset, **kw), level)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(star_polygons())
 def test_lists_keep_raised_pairs_on_star_polygons(dom):
     with pytest.MonkeyPatch.context() as monkeypatch:
