@@ -242,9 +242,10 @@ def _angle(i, x, j, y, ph):
 
 
 def _trig_family(grid, count, seed):
+    """Yield the (label, function) pairs of the trig family one at a time,
+    so a caller holds one test function, not ``count``."""
     x, y = fields.cell_center_xy(grid.h, grid.origin, *np.indices(grid.dims, sparse=True))
     rng = np.random.default_rng(seed)
-    out = []
     for k in range(count):
         a = rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3))
@@ -254,8 +255,7 @@ def _trig_family(grid, count, seed):
             for j in range(3):
                 val += a[i, j] * np.cos(_angle(i, x, j, y, ph[i, j, 0]))
                 val += b[i, j] * np.sin(_angle(i, x, -j, y, ph[i, j, 1]))
-        out.append((f"trig_{k}", grid.with_values(np.where(grid.mask, val, 0.0))))
-    return out
+        yield f"trig_{k}", grid.with_values(np.where(grid.mask, val, 0.0))
 
 
 def _check_count(count) -> None:
@@ -267,9 +267,8 @@ def cmd_poincare(args) -> int:
     _check_count(args.count)
     dom = _domain_from_args(args)
     grid = fields.make_grid(dom, args.h)
-    reports = []
-    for label, f in _trig_family(grid, args.count, args.seed):
-        reports.append(ineq.improved_poincare_ratio(f, args.p, args.beta, label=label))
+    reports = [ineq.improved_poincare_ratio(f, args.p, args.beta, label=label)
+               for label, f in _trig_family(grid, args.count, args.seed)]
     return _emit_reports(args, reports, "improved_poincare")
 
 

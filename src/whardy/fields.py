@@ -171,6 +171,19 @@ def check_exponents(p: float, power: float) -> None:
         raise ParameterError(f"weight exponent must be finite (check beta), got {power!r}")
 
 
+def distance_weight(dist: np.ndarray, power: float) -> np.ndarray:
+    """The weight d^power of every weighted quantity, for boundary distances
+    ``dist``. A weight that overflows raises ParameterError naming the
+    exponent; weights that underflow to 0 are kept."""
+    with np.errstate(over="ignore", divide="ignore"):
+        w = dist ** power
+    if w.size and not math.isfinite(w.max()):
+        d = float(dist.flat[np.argmax(w)])
+        raise ParameterError(f"weight exponent {power!r} overflows: d^({power!r}) is not finite "
+                             f"at the boundary distance {d!r}")
+    return w
+
+
 def weighted_lp_norm(f: GridFunction, p: float, power: float = 0.0) -> float:
     """(sum |f|^p d^power h^n)^(1/p) over quadrature cells.
 
@@ -182,7 +195,7 @@ def weighted_lp_norm(f: GridFunction, p: float, power: float = 0.0) -> float:
         raise ParameterError("empty quadrature mask")
     v = np.abs(f.values[sel]) ** p
     if power != 0.0:
-        v *= f.dist[sel] ** power
+        v *= distance_weight(f.dist[sel], power)
     total = _exact_sum(v) * f.h * f.h
     return total ** (1.0 / p)
 
@@ -192,7 +205,7 @@ def weighted_integral(f: GridFunction, power: float = 0.0) -> float:
     sel = f.quad_mask
     v = f.values[sel]
     if power != 0.0:
-        v = v * f.dist[sel] ** power
+        v = v * distance_weight(f.dist[sel], power)
     return _exact_sum(v) * f.h * f.h
 
 
@@ -203,7 +216,7 @@ def weighted_mean_zero(f: GridFunction, p: float, beta: float) -> GridFunction:
     sel = f.quad_mask
     if not sel.any():
         raise ParameterError("empty quadrature mask")
-    w = f.dist[sel] ** power
+    w = distance_weight(f.dist[sel], power)
     denom = _exact_sum(w)
     if denom == 0.0:
         raise ParameterError("zero total weight")

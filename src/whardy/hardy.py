@@ -112,8 +112,8 @@ def _a_tree_block(tree: TreeCovering, p: float, betas, thetas) -> list:
     All at exponent p. S is summed once for the block, in one down-sweep
     over (n, betas, 2) Kahan rows, and the shadow sums of every (beta,
     theta) column share one up-sweep over (n, betas, thetas, 2) rows. Every
-    power has a Python float scalar exponent and a contiguous 1-D operand,
-    one (beta, theta) column at a time, so numpy maps it to the same
+    power has a Python float scalar exponent and a C-contiguous operand, the
+    (beta, node) rows of one theta at a time, so numpy maps it to the same
     sqrt/pow kernel as a lone theta would; an array exponent would turn a
     0.5 from sqrt into pow and move last bits. The range checks and the
     argmax reduce over the node axis of each column. A column whose
@@ -144,20 +144,18 @@ def _a_tree_block(tree: TreeCovering, p: float, betas, thetas) -> list:
         St = np.ascontiguousarray(S.T)
         Sg = np.where(St > 0, St, 1.0)
         e = np.zeros((n, nb, nt, 2))
-        for k in range(nb):
-            for j, theta in enumerate(thetas):
-                e[:, k, j, 0] = base[k] * Sg[k] ** ((p / q) * (1.0 - 1.0 / theta))
+        for j, theta in enumerate(thetas):
+            e[:, :, j, 0] = (base * Sg ** ((p / q) * (1.0 - 1.0 / theta))).T
         e[tree.root] = 0.0  # the root never belongs to a shadow over Gamma*
         ok = (_in_range((term, S), (term, S), star)[:, None]
               & _in_range((e[..., 0],), (e[..., 0],), star))
         T = accumulate_up(tree, e, _kahan_add)[..., 0]  # shadow sums
         del e  # bounds the block's peak memory
         cand = np.empty((n, nb, nt))
-        for k in range(nb):
-            for j, theta in enumerate(thetas):
-                Tkj = np.ascontiguousarray(T[:, k, j])
-                cand[:, k, j] = np.where(
-                    St[k] > 0, St[k] ** (1.0 / (theta * q)) * Tkj ** (1.0 / p), 0.0)
+        for j, theta in enumerate(thetas):
+            Tj = np.ascontiguousarray(T[:, :, j].T)
+            cand[:, :, j] = np.where(
+                St > 0, St ** (1.0 / (theta * q)) * Tj ** (1.0 / p), 0.0).T
         ok &= _in_range((T, cand), (T,), star)
     arg = cand.argmax(axis=0)
     val = np.take_along_axis(cand, arg[None], axis=0)[0]

@@ -22,6 +22,7 @@ from .fields import (
     GridFunction,
     cell_center_xy,
     check_exponents,
+    distance_weight,
     gradient,
     gradient_norm,
     weighted_lp_norm,
@@ -30,7 +31,8 @@ from .fields import (
 
 # Most Monte Carlo samples of one fractional Poincare estimate: the int32
 # cell picks and the float64 weights are held in full, 12 bytes a sample,
-# so 10^8 samples take about 1.2 GB.
+# and the moments are taken in place on the weights, so 10^8 samples take
+# about 1.2 GB.
 MAX_MC_SAMPLES = 10**8
 
 
@@ -138,9 +140,11 @@ def fractional_poincare_ratio(u: GridFunction, p: float, beta: float, s: float,
     angular_rng.bit_generator.advance(mc_samples)
     weights = np.empty(mc_samples)
     dropped = 0
-    # blocks of geometry.BLOCK samples: the per-sample temporaries of one
-    # block stay a few megabytes whatever the sample count
-    block = geometry.BLOCK
+    # A block's working set is about 20 arrays of its length in
+    # _fractional_block and about 7 tile temporaries of at most BLOCK pairs
+    # in the boundary_distances call: at BLOCK samples, 26 of BLOCK floats.
+    # Blocks of BLOCK // 8 samples bound it by about 10 BLOCK floats.
+    block = max(1, geometry.BLOCK // 8)
     radial, angular = np.empty(block), np.empty(block)
     for lo in range(0, mc_samples, block):
         hi = min(lo + block, mc_samples)
@@ -148,10 +152,10 @@ def fractional_poincare_ratio(u: GridFunction, p: float, beta: float, s: float,
                                      rng.random(out=radial[:hi - lo]),
                                      angular_rng.random(out=angular[:hi - lo]),
                                      weights[lo:hi])
-    del pick  # before the moments' temporaries
     area = float(u0.mask.sum()) * u0.h**2
-    est = area * float(weights.mean())
-    se = area * float(weights.std(ddof=1)) / math.sqrt(mc_samples)
+    mean, std = _mean_and_std(weights)
+    est = area * mean
+    se = area * std / math.sqrt(mc_samples)
     rhs = est ** (1.0 / p) if est > 0 else 0.0
     rel_se = se / (p * est) if est > 0 else math.inf
     degenerate = None
@@ -179,6 +183,29 @@ def fractional_poincare_ratio(u: GridFunction, p: float, beta: float, s: float,
             "dropped_samples": dropped,
         },
     )
+
+
+def _mean_and_std(x: np.ndarray) -> tuple[float, float]:
+    """``x.mean()`` and ``x.std(ddof=1)`` of a float array, taken in place:
+    ``x`` is overwritten with its squared deviations.
+
+    The steps are numpy's own ``_mean`` and ``_var`` on one array, so both
+    keep their bits. Where n max|x - mean|^2 may pass the float range, the
+    deviations are first scaled by a power of two and the result scaled
+    back; scaling by 2^-k is exact, so the squares only leave out what lies
+    below the normal range, and the standard error of finite values stays
+    finite.
+    """
+    n = len(x)
+    mean = x.sum() / n
+    x -= mean
+    amax = max(float(x.max()), -float(x.min()))
+    k = 0
+    if math.isfinite(amax) and n * amax * amax > 2.0**1022:
+        k = math.frexp(amax)[1] - (1022 - n.bit_length()) // 2
+        x *= 2.0**-k
+    np.square(x, out=x)
+    return float(mean), math.sqrt(x.sum() / (n - 1)) * 2.0**k
 
 
 def _fractional_block(u0: GridFunction, p, beta, s, tau, xi, xj, radial, angular,
@@ -212,7 +239,7 @@ def _fractional_block(u0: GridFunction, p, beta, s, tau, xi, xj, radial, angular
     integrand = (
         np.abs(ux - uy) ** p
         * dist2 ** (-(n + s * p) / 2.0)
-        * delta ** ((beta + s) * p)
+        * distance_weight(delta, (beta + s) * p)
     )
     ball_area = math.pi * R**2
     weights[:] = np.where(valid, integrand * ball_area, 0.0)
@@ -243,7 +270,7 @@ def korn_ratio(u: tuple[GridFunction, GridFunction], p: float, beta: float,
 
     ref = replace(base, values=np.where(mask, eta, 0.0), mask=mask)
     sel = ref.quad_mask
-    w = ref.dist[sel] ** (beta * p)
+    w = distance_weight(ref.dist[sel], beta * p)
     denom = float(w.sum())
     if denom == 0.0:
         raise ParameterError("zero total weight")

@@ -222,6 +222,35 @@ def test_every_preset_with_every_tree_subcommand(tmp_path, preset, command):
     assert run([*argv, "--out", str(tmp_path)]) == 0
 
 
+GRID_COMMANDS = {
+    "dimension": ("dimension", "--r-min", "0.02", "--r-max", "0.2", "--centers", "4",
+                  "--num-ratios", "2"),
+    "fefferman-stein": ("fefferman-stein", "--h", "0.03125"),
+    "korn": ("korn", "--h", "0.03125", "--count", "2"),
+    "poincare": ("poincare", "--h", "0.03125", "--count", "2"),
+    "frac-poincare": ("frac-poincare", "--h", "0.03125", "--samples", "10000"),
+    # at level 4 the slit square's cubes are disconnected and Koch 2 has none
+    "hardy": ("hardy", "--levels", "5,6", "--beta-grid", "-0.5:0:0.25"),
+}
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+@pytest.mark.parametrize("preset", PRESETS)
+def test_every_preset_with_every_grid_subcommand(tmp_path, capsys, preset, command):
+    argv = [*GRID_COMMANDS[command], "--domain", *PRESETS[preset]]
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_underflowing_weights_are_kept(tmp_path, capsys):
+    """At beta = 400 the weights d^800 underflow to 0 near the boundary:
+    that is a valid quadrature, not an error."""
+    argv = ["poincare", "--beta", "400", "--h", "0.0625", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert len((tmp_path / "improved_poincare.jsonl").read_text().splitlines()) == 10
+
+
 @pytest.mark.parametrize("argv", [
     ["fefferman-stein", "--sigmas", "abc", "--h", "0.1"],
     ["poincare", "--h", "nan", "--count", "1"],
@@ -269,6 +298,17 @@ def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
     (["poincare", "--seed", "-1", "--h", "0.1"], "seed must be a non-negative integer"),
     (["korn", "--seed=-1", "--h", "0.1"], "seed must be a non-negative integer"),
     (["frac-poincare", "--seed", "-1", "--h", "0.1"], "seed must be a non-negative integer"),
+    # d^(beta p) overflows at the smallest cell-centre distance, h/2
+    (["poincare", "--beta", "-120", "--h", "0.0625", "--count", "1"],
+     "weight exponent -240.0 overflows"),
+    (["fefferman-stein", "--beta", "-200", "--h", "0.0625"], "weight exponent -400.0 overflows"),
+    (["korn", "--beta", "-200", "--h", "0.0625", "--count", "1"],
+     "weight exponent -400.0 overflows"),
+    (["frac-poincare", "--beta", "-200", "--h", "0.0625", "--samples", "10000"],
+     "weight exponent -400.0 overflows"),
+    # the grid's weights are finite, a sampled delta^((beta + s) p) is not
+    (["frac-poincare", "--beta", "-100", "--h", "0.0625", "--samples", "10000"],
+     "weight exponent -199.0 overflows"),
 ])
 def test_out_of_range_value_exits_1_naming_it(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 1

@@ -1,5 +1,8 @@
 import math
 import tracemalloc
+import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -254,6 +257,121 @@ def test_fractional_draws_stay_bounded(grid64):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Bytes traced at the peak of fn(*args, **kwargs) beyond those alive
+    before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_fractional_working_set_at_a_million_samples(grid64):
+    """12 bytes a sample (11.4 MiB) plus one block's working set: 15.3 MiB
+    traced, where weights.std() and blocks of BLOCK samples took 27.3."""
+    u = F.sample_function(grid64, lambda x, y: np.sin(2 * x) + 0.5 * y)
+    peak = traced_peak(iq.fractional_poincare_ratio, u, 2.0, 0.0, 0.5, 0.5, 1_000_000, seed=1)
+    assert peak <= 17 * 2**20
+
+
+def test_fractional_holds_12_bytes_a_sample(grid64):
+    """The int32 picks and the float64 weights, and no second array of
+    weights for the moments."""
+    u = F.sample_function(grid64, lambda x, y: np.sin(2 * x) + 0.5 * y)
+    samples = 4_000_000
+    peak = traced_peak(iq.fractional_poincare_ratio, u, 2.0, 0.0, 0.5, 0.5, samples, seed=1)
+    assert peak <= 12 * samples + 6 * 2**20
+
+
+@pytest.mark.parametrize("domain, mib", [("unit_square", 4), ("koch3", 6)])
+def test_fractional_block_working_set(request, monkeypatch, domain, mib):
+    """Every block's temporaries together, boundary-distance tiles included,
+    stay within a few MiB: 2.8 MiB traced on the square's 4 edges and 5.1
+    on Koch 3's 192, whose tiles fill BLOCK pairs; blocks of BLOCK samples
+    took 13.1 on both."""
+    grid = F.make_grid(request.getfixturevalue(domain), 1 / 64)
+    u = F.sample_function(grid, lambda x, y: np.sin(2 * x) + 0.5 * y)
+    block, peaks = iq._fractional_block, []
+
+    def traced_block(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dropped = block(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return dropped
+
+    monkeypatch.setattr(iq, "_fractional_block", traced_block)
+    tracemalloc.start()
+    try:
+        iq.fractional_poincare_ratio(u, 2.0, 0.0, 0.5, 0.5, 300_000, seed=1)
+    finally:
+        tracemalloc.stop()
+    assert peaks and max(peaks) <= mib * 2**20
+
+
+@pytest.mark.parametrize("n", [2, 10_000, 65_537, 1_000_003, 3_000_001])
+@pytest.mark.parametrize("kind", ["uniform", "lognormal", "sparse"])
+def test_in_place_moments_equal_numpys(n, kind):
+    rng = np.random.default_rng(n)
+    x = {"uniform": lambda: rng.random(n),
+         "lognormal": lambda: rng.lognormal(0.0, 4.0, n),
+         "sparse": lambda: np.where(rng.random(n) < 0.01, rng.random(n) * 1e5, 0.0)}[kind]()
+    want = (float(x.mean()), float(x.std(ddof=1)))
+    assert iq._mean_and_std(x) == want
+
+
+def test_in_place_moments_scaled_where_squares_may_overflow():
+    """Deviations near 1e153 take the scaled path; where numpy's squares
+    stay finite the result keeps its bits, where they overflow it stays
+    finite and close to the exact value."""
+    rng = np.random.default_rng(5)
+    x = rng.random(10_000) * 1e150
+    x[17] = 3e153  # n max|x - mean|^2 passes 2^1022, the sum of squares does not
+    want = float(x.std(ddof=1))
+    assert math.isfinite(want) and iq._mean_and_std(x.copy())[1] == want
+    x *= 1e3  # now the squares overflow
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(float(x.std(ddof=1)))
+    assert iq._mean_and_std(x.copy())[1] == pytest.approx(exact_std(x), rel=1e-12)
+
+
+def exact_std(x):
+    """The sample standard deviation of the floats x, exactly, rounded once."""
+    vals = [Fraction(v) for v in x.tolist()]
+    mean = sum(vals) / len(vals)
+    var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float((Decimal(var.numerator) / Decimal(var.denominator)).sqrt())
+
+
+def test_fractional_standard_error_finite_where_squares_overflow(unit_square, monkeypatch):
+    """At beta = -80 on h = 1/16 the weights reach 1e209: finite, but their
+    squared deviations are not. The standard error is the exact one, and
+    every other report field keeps the single-pass estimator's bits."""
+    u = F.sample_function(F.make_grid(unit_square, 1 / 16), lambda x, y: np.sin(2 * x) + 0.5 * y)
+    moments, seen = iq._mean_and_std, []
+    monkeypatch.setattr(iq, "_mean_and_std", lambda x: (seen.append(x.copy()), moments(x))[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = iq.fractional_poincare_ratio(u, 2.0, -80.0, 0.5, 0.5, 10_000, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs, extra = single_pass_fractional(u, 2.0, -80.0, 0.5, 0.5, 10_000, 0)
+    assert not math.isfinite(extra["rhs_power_se"])  # the numpy std overflows
+    (weights,) = seen
+    area = float(u.mask.sum()) * u.h**2
+    se = rep.extra["rhs_power_se"]
+    assert se == pytest.approx(area * exact_std(weights) / math.sqrt(10_000), rel=1e-12)
+    assert rep.extra["rhs_relative_se"] == se / (2.0 * rep.extra["rhs_power_estimate"])
+    assert same_bits(rep.lhs, lhs) and same_bits(rep.rhs, rhs)
+    assert same_bits(rep.ratio, lhs / rhs)
+    for key in ("rhs_power_estimate", "normalized_ratio", "dropped_samples"):
+        assert same_bits(rep.extra[key], extra[key])
 
 
 # ---------------------------------------------------------------------------
