@@ -29,10 +29,10 @@ from .fields import (
     weighted_mean_zero,
 )
 
-# Most Monte Carlo samples of one fractional Poincare estimate: the int32
-# cell picks and the float64 weights are held in full, 12 bytes a sample,
-# and the moments are taken in place on the weights, so 10^8 samples take
-# about 1.2 GB.
+# Most Monte Carlo samples of one fractional Poincare estimate: only the
+# float64 weights are held in full, 8 bytes a sample (the cell picks are
+# drawn per block), and the moments are taken in place on the weights, so
+# 10^8 samples take about 0.8 GB, measured under tracemalloc.
 MAX_MC_SAMPLES = 10**8
 
 
@@ -119,7 +119,7 @@ def fractional_poincare_ratio(u: GridFunction, p: float, beta: float, s: float,
     if mc_samples < 10_000:
         raise ParameterError("need at least 1e4 Monte Carlo samples")
     if mc_samples > MAX_MC_SAMPLES:
-        raise ParameterError(f"{mc_samples} Monte Carlo samples need {12e-9 * mc_samples:.3g} "
+        raise ParameterError(f"{mc_samples} Monte Carlo samples need {8e-9 * mc_samples:.3g} "
                              f"GB, more than the {MAX_MC_SAMPLES} allowed")
     n = 2
     u0 = weighted_mean_zero(u, p, beta)
@@ -127,28 +127,37 @@ def fractional_poincare_ratio(u: GridFunction, p: float, beta: float, s: float,
 
     # The stream is all picks, then all radial, then all angular uniforms,
     # whatever the block size. Below 2^31 cells the int32 picks equal the
-    # int64 ones and leave the generator in the same state. Each uniform is
-    # one generator step, so the radial ones come block by block from the
-    # generator and the angular ones from a copy advanced past them. They
-    # fill two reused buffers: two new arrays per block cost 10x the page
-    # faults (61,000 instead of 5,800 at 10^6 samples) and 1.5x the time.
+    # int64 ones and leave the generator in the same state. PCG64 keeps its
+    # spare 32-bit half-word in the generator's state, so picks drawn block
+    # by block concatenate to one draw: a copy taken before them draws each
+    # block's picks, and the generator skips them by one draw that is
+    # dropped before the weights exist (4 bytes a sample, under the
+    # weights' 8). Skipped block by block instead, they left glibc trimming
+    # the blocks' pages: 56,000 minor faults in a first call at 10^6
+    # samples, against 2,500. Each uniform is one generator step, so the
+    # radial ones come block by block from the generator and the angular
+    # ones from a copy advanced past them. They fill two reused buffers: two
+    # new arrays per block cost 10x the page faults (61,000 instead of 5,800
+    # at 10^6 samples) and 1.5x the time.
     rng = np.random.default_rng(seed)
     ii, jj = np.nonzero(u0.mask)
-    pick = rng.integers(0, len(ii), size=mc_samples,
-                        dtype=np.int32 if len(ii) < 2**31 else np.int64)
+    pick_dtype = np.int32 if len(ii) < 2**31 else np.int64
+    pick_rng = copy.deepcopy(rng)
+    rng.integers(0, len(ii), size=mc_samples, dtype=pick_dtype)
     angular_rng = copy.deepcopy(rng)
     angular_rng.bit_generator.advance(mc_samples)
     weights = np.empty(mc_samples)
     dropped = 0
     # A block's working set is about 20 arrays of its length in
-    # _fractional_block and about 7 tile temporaries of at most BLOCK pairs
-    # in the boundary_distances call: at BLOCK samples, 26 of BLOCK floats.
-    # Blocks of BLOCK // 8 samples bound it by about 10 BLOCK floats.
+    # _fractional_block and about 7 tile temporaries of at most BLOCK // 8
+    # pairs in the boundary_distances call: about 3 BLOCK floats at blocks
+    # of BLOCK // 8 samples.
     block = max(1, geometry.BLOCK // 8)
     radial, angular = np.empty(block), np.empty(block)
     for lo in range(0, mc_samples, block):
         hi = min(lo + block, mc_samples)
-        dropped += _fractional_block(u0, p, beta, s, tau, ii[pick[lo:hi]], jj[pick[lo:hi]],
+        pick = pick_rng.integers(0, len(ii), size=hi - lo, dtype=pick_dtype)
+        dropped += _fractional_block(u0, p, beta, s, tau, ii[pick], jj[pick],
                                      rng.random(out=radial[:hi - lo]),
                                      angular_rng.random(out=angular[:hi - lo]),
                                      weights[lo:hi])

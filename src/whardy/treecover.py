@@ -10,6 +10,7 @@ cube side, so disjointness and inclusion checks are exact.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -450,21 +451,33 @@ def verify_shadow_lemma(stats: ShadowStats, lam: float) -> float:
 # serialization
 
 
+def _box_texts(tree: TreeCovering):
+    """The JSON text of each node's world transfer box B_t as center and
+    half widths, one string a node: null at the root and for trees without
+    boxes. ``json`` writes a finite float with ``float.__repr__``, which
+    ``str`` of a float list uses too."""
+    if tree.boxes32 is None:
+        yield from itertools.repeat("null", len(tree))
+        return
+    dec = tree.decomposition
+    if dec is None:  # cube chain: origin 0, cells of side ell
+        origin, unit = 0.0, float(tree.ell[0]) / 32.0
+    else:
+        origin = np.asarray(dec.frame.origin)
+        unit = dec.frame.cube_side(int(dec.levels.max())) / 32.0
+    lo, hi = origin + tree.boxes32[:, 0] * unit, origin + tree.boxes32[:, 1] * unit
+    center, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    if not (np.isfinite(center).all() and np.isfinite(half).all()):
+        raise ParameterError("transfer boxes must be finite to be written as JSON")
+    for t, (c, h) in enumerate(zip(center, half)):
+        yield ("null" if t == tree.root
+               else f'{{"center": {c.tolist()}, "half_widths": {h.tolist()}}}')
+
+
 def tree_to_json(tree: TreeCovering) -> str:
-    """Root, parents, K and the world transfer boxes B_t as center and half
-    widths (None at the root and for trees without boxes)."""
-    B: list = [None] * len(tree)
-    if tree.boxes32 is not None:
-        kids = np.flatnonzero(tree.parent >= 0)
-        dec = tree.decomposition
-        if dec is None:  # cube chain: origin 0, cells of side ell
-            origin, unit = 0.0, float(tree.ell[0]) / 32.0
-        else:
-            origin = np.asarray(dec.frame.origin)
-            unit = dec.frame.cube_side(int(dec.levels.max())) / 32.0
-        lo, hi = origin + tree.boxes32[kids, 0] * unit, origin + tree.boxes32[kids, 1] * unit
-        rows = zip(kids.tolist(), ((lo + hi) / 2.0).tolist(), ((hi - lo) / 2.0).tolist())
-        for t, center, half in rows:
-            B[t] = {"center": center, "half_widths": half}
-    obj = {"root": int(tree.root), "parent": tree.parent.tolist(), "K": tree.K, "B": B}
-    return json.dumps(obj, sort_keys=True)
+    """Root, parents, K and the world transfer boxes B_t: the text
+    ``json.dumps`` writes with sorted keys, with no dict or list held per
+    node. K and the root still go through ``json.dumps``."""
+    boxes = ", ".join(_box_texts(tree))
+    return (f'{{"B": [{boxes}], "K": {json.dumps(tree.K)}, '
+            f'"parent": {tree.parent.tolist()}, "root": {json.dumps(tree.root)}}}')

@@ -379,28 +379,33 @@ def _adjacency(dec: WhitneyDecomposition):
 # serialization
 
 
-def _csr_lists(csr) -> list:
-    """Row lists of a CSR pair (ptr, idx)."""
+def _csr_rows(csr):
+    """The JSON text of each row of a CSR pair (ptr, idx), one string a row."""
     ptr, idx = csr
-    flat = idx.tolist()
-    return [flat[a:b] for a, b in itertools.pairwise(ptr.tolist())]
+    for a, b in itertools.pairwise(ptr.tolist()):
+        yield str(idx[a:b].tolist())
 
 
 def decomposition_to_json(dec: WhitneyDecomposition) -> str:
-    obj = {
-        "frame": {"origin": list(dec.frame.origin), "size": dec.frame.size},
-        "max_level": dec.max_level,
-        "collar_width": dec.collar_width,
-        "cubes": [
-            {"id": t, "level": lev, "index": ij, "dist": d}
-            for t, (lev, ij, d) in enumerate(
-                zip(dec.levels.tolist(), dec.indices.tolist(), dec.dist.tolist())
-            )
-        ],
-        "neighbors": _csr_lists(dec.neighbors),
-        "face_neighbors": _csr_lists(dec.face_neighbors),
-    }
-    return json.dumps(obj, sort_keys=True)
+    """The decomposition as the text ``json.dumps`` writes with sorted keys:
+    collar width, frame and max level, the cubes as id, level, index and
+    dist, and both neighbor lists. Each cube's record and each row is built
+    as one string, so no dict or list is held per cube; ``json`` writes a
+    finite float with ``float.__repr__``, so ``{d!r}`` keeps every byte.
+    The header values go through ``json.dumps``."""
+    if not np.isfinite(dec.dist).all():
+        raise ParameterError("cube distances must be finite to be written as JSON")
+    rows = zip(dec.levels.tolist(), dec.indices[:, 0].tolist(), dec.indices[:, 1].tolist(),
+               dec.dist.tolist())
+    cubes = ", ".join(f'{{"dist": {d!r}, "id": {t}, "index": [{i}, {j}], "level": {lev}}}'
+                      for t, (lev, i, j, d) in enumerate(rows))
+    face = ", ".join(_csr_rows(dec.face_neighbors))
+    nb = ", ".join(_csr_rows(dec.neighbors))
+    frame = json.dumps({"origin": list(dec.frame.origin), "size": dec.frame.size},
+                       sort_keys=True)
+    return (f'{{"collar_width": {json.dumps(dec.collar_width)}, "cubes": [{cubes}], '
+            f'"face_neighbors": [{face}], "frame": {frame}, '
+            f'"max_level": {json.dumps(dec.max_level)}, "neighbors": [{nb}]}}')
 
 
 def decomposition_from_json(text: str, dom: PolygonalDomain) -> WhitneyDecomposition:

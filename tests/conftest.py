@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -56,6 +57,13 @@ def square_dec6(square_decs):
 @pytest.fixture(scope="session")
 def square_tree6(square_trees):
     return square_trees[6]
+
+
+def csr_lists(csr) -> list:
+    """Row lists of a CSR pair (ptr, idx)."""
+    ptr, idx = csr
+    flat = idx.tolist()
+    return [flat[a:b] for a, b in itertools.pairwise(ptr.tolist())]
 
 
 def expanded_boxes(dec, factor=17 / 16):

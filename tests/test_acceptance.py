@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import collar_probe, expanded_boxes, oracle_a_tree, random_mean_zero
+from conftest import collar_probe, csr_lists, expanded_boxes, oracle_a_tree, random_mean_zero
 from whardy import decomp as dc
 from whardy import dimension as dim
 from whardy import divergence as dv
@@ -52,7 +52,7 @@ def test_criterion_1_whitney_suite():
         upper = bool(np.all(dec.dist <= 4.0 * sides * math.sqrt(2.0) + 1e-12))
         clauses.append((f"{preset}: sandwich", lower and upper))
         ratios_ok = True
-        for t, nb in enumerate(wt._csr_lists(dec.neighbors)):
+        for t, nb in enumerate(csr_lists(dec.neighbors)):
             for s in nb:
                 if round(float(sides[s] / sides[t]), 12) not in {0.25, 0.5, 1.0, 2.0, 4.0}:
                     ratios_ok = False

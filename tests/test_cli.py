@@ -80,6 +80,15 @@ def test_decompose_subcommand(tmp_path):
     assert obj["properties_ok"]
 
 
+def test_decompose_weights_only_the_covered_cells(tmp_path):
+    """At beta = 200 and level 4, d^(-beta q) overflows only off the cover,
+    where no weight is formed: no warning, and a finite ratio."""
+    out = tmp_path / "d"
+    assert run(["decompose", "--max-level", "4", "--beta", "200", "--out", str(out)]) == 0
+    obj = json.loads((out / "decompose_summary.json").read_text())
+    assert obj["properties_ok"] and math.isfinite(obj["ratio"])
+
+
 def test_divergence_subcommand(tmp_path):
     out = tmp_path / "v"
     assert run(["divergence", "--max-level", "4", "--out", str(out)]) == 0
@@ -309,6 +318,8 @@ def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
     # the grid's weights are finite, a sampled delta^((beta + s) p) is not
     (["frac-poincare", "--beta", "-100", "--h", "0.0625", "--samples", "10000"],
      "weight exponent -199.0 overflows"),
+    # d^(-beta q) overflows on a covered cell (at level 4 only off the cover)
+    (["decompose", "--beta", "200", "--max-level", "5"], "weight exponent -400.0 overflows"),
 ])
 def test_out_of_range_value_exits_1_naming_it(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 1

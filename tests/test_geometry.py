@@ -157,6 +157,20 @@ def test_distance_koch_centroid_oracle(koch2):
     assert geo.boundary_distances(koch2, [c])[0] == pytest.approx(want, abs=1e-12)
 
 
+def test_distance_tiles_bound_their_working_set(slit_square):
+    """A tile spans BLOCK // 8 pairs, so its ~7 temporaries hold about
+    BLOCK floats: 2.1 MiB traced for 65,536 points of the slit square,
+    output included, where tiles of BLOCK pairs took 6.0."""
+    pts = np.random.default_rng(0).random((65_536, 2))
+    tracemalloc.start()
+    try:
+        geo.boundary_distances(slit_square, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
+
+
 def test_contains(unit_square):
     assert geo.contains_many(unit_square, [(0.5, 0.5)])[0]
     assert not geo.contains_many(unit_square, [(1.5, 0.5)])[0]

@@ -272,28 +272,45 @@ def traced_peak(fn, *args, **kwargs):
 
 
 def test_fractional_working_set_at_a_million_samples(grid64):
-    """12 bytes a sample (11.4 MiB) plus one block's working set: 15.3 MiB
-    traced, where weights.std() and blocks of BLOCK samples took 27.3."""
+    """8 bytes a sample (7.6 MiB) plus one block's working set: 9.7 MiB
+    traced, where stored picks took 14.6 and weights.std() and blocks of
+    BLOCK samples 27.3."""
     u = F.sample_function(grid64, lambda x, y: np.sin(2 * x) + 0.5 * y)
     peak = traced_peak(iq.fractional_poincare_ratio, u, 2.0, 0.0, 0.5, 0.5, 1_000_000, seed=1)
-    assert peak <= 17 * 2**20
+    assert peak <= 12 * 2**20
 
 
-def test_fractional_holds_12_bytes_a_sample(grid64):
-    """The int32 picks and the float64 weights, and no second array of
-    weights for the moments."""
+def test_fractional_holds_8_bytes_a_sample(grid64):
+    """The float64 weights alone: no stored picks and no second array of
+    weights for the moments (32.6 MiB traced; 48.9 with the int32 picks)."""
     u = F.sample_function(grid64, lambda x, y: np.sin(2 * x) + 0.5 * y)
     samples = 4_000_000
     peak = traced_peak(iq.fractional_poincare_ratio, u, 2.0, 0.0, 0.5, 0.5, samples, seed=1)
-    assert peak <= 12 * samples + 6 * 2**20
+    assert peak <= 8 * samples + 6 * 2**20
 
 
-@pytest.mark.parametrize("domain, mib", [("unit_square", 4), ("koch3", 6)])
+@pytest.mark.parametrize("n", [1, 3, 4096, 65_537, 2**31 - 1])
+@pytest.mark.parametrize("block", [7, 4096, 8192])
+def test_block_pick_draws_concatenate_to_one_draw(n, block):
+    """fractional_poincare_ratio skips its picks with one draw and draws
+    them again block by block, and relies on this: PCG64 keeps its spare
+    32-bit half-word in the generator's state, so int32 draws in blocks of
+    any length equal one draw and leave the generator in the same state."""
+    size = 3 * block + 5
+    whole, blocks = np.random.default_rng(n), np.random.default_rng(n)
+    want = whole.integers(0, n, size=size, dtype=np.int32)
+    got = np.concatenate([blocks.integers(0, n, size=min(block, size - lo), dtype=np.int32)
+                          for lo in range(0, size, block)])
+    assert np.array_equal(got, want)
+    assert blocks.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("domain, mib", [("unit_square", 2), ("koch3", 2)])
 def test_fractional_block_working_set(request, monkeypatch, domain, mib):
     """Every block's temporaries together, boundary-distance tiles included,
-    stay within a few MiB: 2.8 MiB traced on the square's 4 edges and 5.1
-    on Koch 3's 192, whose tiles fill BLOCK pairs; blocks of BLOCK samples
-    took 13.1 on both."""
+    stay within a few MiB: 1.7 MiB traced on the square's 4 edges and on
+    Koch 3's 192, whose tiles span BLOCK // 8 pairs (5.1 MiB when they
+    spanned BLOCK); blocks of BLOCK samples took 13.1 on both."""
     grid = F.make_grid(request.getfixturevalue(domain), 1 / 64)
     u = F.sample_function(grid, lambda x, y: np.sin(2 * x) + 0.5 * y)
     block, peaks = iq._fractional_block, []

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expanded_boxes, star_polygons, star_tree
+from conftest import csr_lists, expanded_boxes, star_polygons, star_tree
 from whardy import geometry as geo
 from whardy import hardy as hd
 from whardy import treecover as tc
@@ -31,7 +33,7 @@ def explicit_subtree(tree, t):
 def test_tree_validity(square_tree6):
     tree = square_tree6
     assert int((tree.parent < 0).sum()) == 1
-    face = wt._csr_lists(tree.decomposition.face_neighbors)
+    face = csr_lists(tree.decomposition.face_neighbors)
     for t in range(len(tree)):
         p = int(tree.parent[t])
         if p >= 0:
@@ -451,7 +453,7 @@ def test_sweeps_match_per_node_loops(square_tree6):
     for tree in sweep_trees(square_tree6):
         parent = tree.parent.tolist()
         kids = [[c for c in range(len(parent)) if parent[c] == p] for p in range(len(parent))]
-        assert wt._csr_lists(tree.children) == kids
+        assert csr_lists(tree.children) == kids
         assert tree.is_chain == all(len(k) <= 1 for k in kids)
         for name, x, op, row_op in sweep_cases(len(tree), rng):
             up = tc.accumulate_up(tree, x, op)
@@ -477,6 +479,94 @@ def test_tree_json(square_tree6):
     assert obj["B"][square_tree6.root] is None
     some = next(b for b in obj["B"] if b is not None)
     assert set(some) == {"center", "half_widths"}
+
+
+def dumped_decomposition(dec):
+    """The text of ``json.dumps`` on the decomposition's object, the
+    reference decomposition_to_json must match byte for byte."""
+    rows = zip(dec.levels.tolist(), dec.indices.tolist(), dec.dist.tolist())
+    obj = {
+        "frame": {"origin": list(dec.frame.origin), "size": dec.frame.size},
+        "max_level": dec.max_level,
+        "collar_width": dec.collar_width,
+        "cubes": [{"id": t, "level": lev, "index": ij, "dist": d}
+                  for t, (lev, ij, d) in enumerate(rows)],
+        "neighbors": csr_lists(dec.neighbors),
+        "face_neighbors": csr_lists(dec.face_neighbors),
+    }
+    return json.dumps(obj, sort_keys=True)
+
+
+def dumped_tree(tree):
+    """The text of ``json.dumps`` on the tree's object, the reference
+    tree_to_json must match byte for byte."""
+    B = [None] * len(tree)
+    if tree.boxes32 is not None:
+        kids = np.flatnonzero(tree.parent >= 0)
+        dec = tree.decomposition
+        if dec is None:
+            origin, unit = 0.0, float(tree.ell[0]) / 32.0
+        else:
+            origin = np.asarray(dec.frame.origin)
+            unit = dec.frame.cube_side(int(dec.levels.max())) / 32.0
+        lo, hi = origin + tree.boxes32[kids, 0] * unit, origin + tree.boxes32[kids, 1] * unit
+        rows = zip(kids.tolist(), ((lo + hi) / 2.0).tolist(), ((hi - lo) / 2.0).tolist())
+        for t, center, half in rows:
+            B[t] = {"center": center, "half_widths": half}
+    obj = {"root": int(tree.root), "parent": tree.parent.tolist(), "K": tree.K, "B": B}
+    return json.dumps(obj, sort_keys=True)
+
+
+@pytest.mark.parametrize("preset, level, max_level", [
+    ("unit_square", 0, 7), ("l_shape", 0, 7), ("slit_square", 0, 8), ("koch_prefractal", 3, 7),
+])
+def test_json_writers_equal_json_dumps_on_presets(preset, level, max_level):
+    tree = tc.build_tree(wt.whitney_decompose(geo.make_domain(preset, level=level), max_level))
+    assert wt.decomposition_to_json(tree.decomposition) == dumped_decomposition(tree.decomposition)
+    assert tc.tree_to_json(tree) == dumped_tree(tree)
+
+
+@settings(max_examples=3)
+@given(star_polygons())
+def test_json_writers_equal_json_dumps_on_star_polygons(dom):
+    tree = star_tree(dom)
+    assert wt.decomposition_to_json(tree.decomposition) == dumped_decomposition(tree.decomposition)
+    assert tc.tree_to_json(tree) == dumped_tree(tree)
+
+
+@pytest.mark.parametrize("tree", [
+    tc.build_cube_chain(5, 1), tc.build_cube_chain(4, 2), tc.build_cube_chain(3, 3),
+    tc.synthetic_tree([-1, 0, 0, 1], [1.0, 0.5, 0.5, 0.25]),  # no boxes, K is NaN
+], ids=["chain-1d", "chain-2d", "chain-3d", "no-boxes"])
+def test_tree_json_equals_json_dumps_without_a_decomposition(tree):
+    assert tc.tree_to_json(tree) == dumped_tree(tree)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_json_writers_refuse_non_finite_values(square_dec6, bad):
+    """json.dumps would write Infinity or NaN; the row writers refuse."""
+    dist = square_dec6.dist.copy()
+    dist[3] = bad
+    with pytest.raises(ParameterError, match="must be finite"):
+        wt.decomposition_to_json(dataclasses.replace(square_dec6, dist=dist))
+    chain = tc.build_cube_chain(3)
+    chain.ell = np.full(len(chain), math.nan)  # inf would warn on 0 * inf
+    with pytest.raises(ParameterError, match="must be finite"):
+        tc.tree_to_json(chain)
+
+
+def test_json_writers_hold_at_most_three_times_their_text(koch3):
+    """At Koch 3, level 8 (2,000 cubes), the per-cube dicts and lists took
+    17.6 and 12.6 times the text; one string a cube or node, 2.4 and 2.5."""
+    tree = tc.build_tree(wt.whitney_decompose(koch3, 8))
+    for write, arg in ((wt.decomposition_to_json, tree.decomposition), (tc.tree_to_json, tree)):
+        tracemalloc.start()
+        try:
+            text = write(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text), write.__name__
 
 
 def test_tree_json_boxes_from_boxes32(square_tree6):

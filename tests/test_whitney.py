@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import expanded_boxes, star_polygons
+from conftest import csr_lists, expanded_boxes, star_polygons
 from whardy import geometry as geo
 from whardy import whitney as wt
 from whardy.errors import EmptyDecompositionError, ParameterError, StructureError
@@ -68,7 +68,7 @@ def test_area_bound(square_dec6, unit_square):
 def test_neighbors_and_ratios(square_dec6):
     dec = square_dec6
     sides = dec.sides
-    nb, face = wt._csr_lists(dec.neighbors), wt._csr_lists(dec.face_neighbors)
+    nb, face = csr_lists(dec.neighbors), csr_lists(dec.face_neighbors)
     seen = set()
     for t in range(len(dec)):
         for s in nb[t]:
@@ -82,7 +82,7 @@ def test_face_vs_corner_contact(square_dec6):
     dec = square_dec6
     L = int(dec.levels.max())
     lo, hi = dec.spans(L)
-    nb, face = wt._csr_lists(dec.neighbors), wt._csr_lists(dec.face_neighbors)
+    nb, face = csr_lists(dec.neighbors), csr_lists(dec.face_neighbors)
     corner_pairs = 0
     for t in range(len(dec)):
         for s in nb[t]:
@@ -101,7 +101,7 @@ def test_face_vs_corner_contact(square_dec6):
 def test_expanded_overlap_iff_neighbors(unit_square):
     dec = wt.whitney_decompose(unit_square, 5)
     boxes = expanded_boxes(dec)
-    nb = wt._csr_lists(dec.neighbors)
+    nb = csr_lists(dec.neighbors)
     for t in range(len(dec)):
         for s in range(t + 1, len(dec)):
             (tlo, thi), (slo, shi) = boxes[t], boxes[s]
