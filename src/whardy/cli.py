@@ -10,6 +10,7 @@ suite failed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -37,11 +38,43 @@ def _resolved_config(args) -> dict:
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(cfg.items())}
 
 
-def _write_json(path: Path, payload: dict, args) -> None:
-    payload = dict(payload)
-    payload["config"] = _resolved_config(args)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+# ---------------------------------------------------------------------------
+# the one output path: every artifact is written here, after the command's
+# work, so a command that fails leaves no --out behind
+
+
+def _artifact(args, name: str) -> Path:
+    """The path of artifact ``name`` under --out, created at the first write."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
+def _write_csv(args, name: str, header, rows) -> None:
+    with open(_artifact(args, name), "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+
+
+def _finish(args, name: str, payload: dict, status: str, failure: str = "") -> int:
+    """Write ``name`` (a summary) with the resolved configuration; print
+    ``status`` and return 0, or, on a ``failure``, its FAILED line and 2."""
+    payload = {**payload, "config": _resolved_config(args)}
+    _artifact(args, name).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    if failure:
+        print(f"{failure} FAILED", file=sys.stderr)
+        return 2
+    print(status)
+    return 0
+
+
+def _parse_list(text: str, kind, flag: str, what: str) -> list:
+    """The comma-separated values of ``flag``, each read by ``kind``."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ParameterError(f"bad {flag} {text!r}: expected {what}") from None
 
 
 def _dipole(grid):
@@ -83,11 +116,10 @@ def cmd_whitney(args) -> int:
     ptr, idx = dec.neighbors
     ratio = sides[idx] / np.repeat(sides, np.diff(ptr))
     ratios_ok = bool(np.all((0.25 - 1e-15 <= ratio) & (ratio <= 4.0 + 1e-15)))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "whitney.json").write_text(whitney.decomposition_to_json(dec))
-    _write_json(
-        out / "whitney_summary.json",
+    _artifact(args, "whitney.json").write_text(whitney.decomposition_to_json(dec))
+    return _finish(
+        args,
+        "whitney_summary.json",
         {
             "theorem": "whitney_properties",
             "cubes": len(dec),
@@ -96,13 +128,9 @@ def cmd_whitney(args) -> int:
             "sandwich_upper": ok_upper,
             "neighbor_ratios_ok": ratios_ok,
         },
-        args,
+        f"whitney: {len(dec)} cubes, invariants ok",
+        "" if ok_lower and ok_upper and ratios_ok else "whitney: invariant suite",
     )
-    if not (ok_lower and ok_upper and ratios_ok):
-        print("whitney: invariant suite FAILED", file=sys.stderr)
-        return 2
-    print(f"whitney: {len(dec)} cubes, invariants ok")
-    return 0
 
 
 def cmd_tree(args) -> int:
@@ -112,11 +140,10 @@ def cmd_tree(args) -> int:
     c_emp = treecover.verify_shadow_lemma(stats, args.lam)
     max_p = int(stats.P.max())
     ok = max_p <= math.ceil(tree.K) ** tree.ndim
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "tree.json").write_text(treecover.tree_to_json(tree))
-    _write_json(
-        out / "tree_summary.json",
+    _artifact(args, "tree.json").write_text(treecover.tree_to_json(tree))
+    return _finish(
+        args,
+        "tree_summary.json",
         {
             "theorem": "tree_covering",
             "K": tree.K,
@@ -126,13 +153,9 @@ def cmd_tree(args) -> int:
             "chain_bound_ok": ok,
             "U_over_B": tree.ratio_u_over_b(),
         },
-        args,
+        f"tree: K={tree.K:.3f}, C_emp(lambda={args.lam})={c_emp:.3f}",
+        "" if ok else "tree: chain bound",
     )
-    if not ok:
-        print("tree: chain bound FAILED", file=sys.stderr)
-        return 2
-    print(f"tree: K={tree.K:.3f}, C_emp(lambda={args.lam})={c_emp:.3f}")
-    return 0
 
 
 def cmd_dimension(args) -> int:
@@ -145,49 +168,37 @@ def cmd_dimension(args) -> int:
     extent = float(max(hi - lo))
     Rg = [0.6 * extent, 0.3 * extent]
     assouad = dimension.assouad_dimension(target, ratios, Rg, centers=args.centers)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dimension.write_csv(assouad, out / "assouad.csv")
-    _write_json(
-        out / "dimension_summary.json",
+    _write_csv(args, "assouad.csv", ["center_x", "center_y", "R", "r", "N_r", "slope"],
+               assouad.rows)
+    return _finish(
+        args,
+        "dimension_summary.json",
         {
             "theorem": "dimension_estimates",
             "box": json.loads(box.to_json()),
             "assouad": json.loads(assouad.to_json()),
         },
-        args,
+        f"dimension: box={box.value:.3f}, assouad={assouad.value:.3f}",
+        "" if box.value <= assouad.value + 0.1 else "dimension: monotonicity box <= assouad + 0.1",
     )
-    ok = box.value <= assouad.value + 0.1
-    if not ok:
-        print("dimension: monotonicity box <= assouad + 0.1 FAILED", file=sys.stderr)
-        return 2
-    print(f"dimension: box={box.value:.3f}, assouad={assouad.value:.3f}")
-    return 0
 
 
 def cmd_hardy(args) -> int:
     dom = _domain_from_args(args)
     betas = hardy.parse_grid(args.beta_grid)
-    try:
-        levels = [int(v) for v in args.levels.split(",")]
-    except ValueError:
-        raise ParameterError(f"bad --levels {args.levels!r}: expected integers") from None
-    report = hardy.beta_sweep(dom, args.p, betas, levels)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    hardy.write_sweep_csv(report, out / "hardy_sweep.csv")
-    _write_json(
-        out / "hardy_summary.json",
+    levels = _parse_list(args.levels, int, "--levels", "integers")
+    rows, classification = hardy.beta_sweep(dom, args.p, betas, levels)
+    _write_csv(args, "hardy_sweep.csv",
+               ["beta", "p", "theta", "level", "A_tree", "argmax_node", "classification"], rows)
+    return _finish(
+        args,
+        "hardy_summary.json",
         {
             "theorem": "hardy_tree_constant",
-            "classification": {
-                str(b): info for b, info in report.classification.items()
-            },
+            "classification": {str(b): info for b, info in classification.items()},
         },
-        args,
+        f"hardy: swept {len(betas)} betas over levels {levels}",
     )
-    print(f"hardy: swept {len(betas)} betas over levels {levels}")
-    return 0
 
 
 def cmd_decompose(args) -> int:
@@ -204,14 +215,13 @@ def cmd_decompose(args) -> int:
     rec_err = float(np.abs(d.reconstruct() - vals)[cov].max())
     max_int = max(abs(d.node_integral(t)) for t in range(len(tree)))
     ratio = decomp.decomposition_ratio(d, args.q, args.beta)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    decomp.dump_decomposition(d, out / "decomposition.bin")
+    decomp.dump_decomposition(d, _artifact(args, "decomposition.bin"))
     linf = float(np.abs(vals).max())
     l1 = float(np.abs(vals[cov]).sum()) * grid.h**2
     ok = rec_err <= 1e-12 * linf and max_int <= 1e-10 * l1
-    _write_json(
-        out / "decompose_summary.json",
+    return _finish(
+        args,
+        "decompose_summary.json",
         {
             "theorem": "c_orthogonal_decomposition",
             "reconstruction_error": rec_err,
@@ -220,13 +230,9 @@ def cmd_decompose(args) -> int:
             "uncovered_cells": d.uncovered_count,
             "properties_ok": ok,
         },
-        args,
+        f"decompose: ratio={ratio:.4f}, properties ok",
+        "" if ok else "decompose: definition properties",
     )
-    if not ok:
-        print("decompose: definition properties FAILED", file=sys.stderr)
-        return 2
-    print(f"decompose: ratio={ratio:.4f}, properties ok")
-    return 0
 
 
 def _angle(i, x, j, y, ph):
@@ -309,10 +315,7 @@ def cmd_korn(args) -> int:
 
 
 def cmd_fefferman_stein(args) -> int:
-    try:
-        sigmas = [float(v) for v in args.sigmas.split(",")]
-    except ValueError:
-        raise ParameterError(f"bad --sigmas {args.sigmas!r}: expected numbers") from None
+    sigmas = _parse_list(args.sigmas, float, "--sigmas", "numbers")
     dom = _domain_from_args(args)
     grid = fields.make_grid(dom, args.h)
     freq = args.checker_frequency
@@ -339,54 +342,46 @@ def cmd_divergence(args) -> int:
     else:
         f = _dipole(grid)
     vec, rep = divergence.solve_divergence(tree, f, args.q, args.beta)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    fields.dump_grid(vec[0], out / "velocity_x.bin")
-    fields.dump_grid(vec[1], out / "velocity_y.bin")
+    fields.dump_grid(vec[0], _artifact(args, "velocity_x.bin"))
+    fields.dump_grid(vec[1], _artifact(args, "velocity_y.bin"))
     return _emit_reports(args, [rep], "divergence")
 
 
 def _emit_reports(args, reports, name) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ineq.write_reports_jsonl(reports, out / f"{name}.jsonl")
-    ineq.write_reports_csv(reports, out / f"{name}.csv")
+    _artifact(args, f"{name}.jsonl").write_text("".join(r.to_json() + "\n" for r in reports))
+    _write_csv(args, f"{name}.csv",
+               ["inequality", "domain", "params", "h", "lhs", "rhs", "ratio", "degenerate"],
+               ([r.inequality, r.domain, json.dumps(r.params, sort_keys=True),
+                 r.h, r.lhs, r.rhs, r.ratio, r.degenerate or ""] for r in reports))
     finite = [r.ratio for r in reports if r.degenerate is None]
-    _write_json(
-        out / f"{name}_summary.json",
+    return _finish(
+        args,
+        f"{name}_summary.json",
         {
             "theorem": name,
             "count": len(reports),
             "max_ratio": max(finite) if finite else None,
             "degenerate": sum(1 for r in reports if r.degenerate),
         },
-        args,
+        f"{name}: {len(reports)} reports, max ratio "
+        f"{max(finite) if finite else float('nan'):.4g}",
     )
-    print(f"{name}: {len(reports)} reports, max ratio "
-          f"{max(finite) if finite else float('nan'):.4g}")
-    return 0
 
 
 def cmd_report(args) -> int:
     out = Path(args.out)
     if not out.is_dir():
-        print(f"report: {out} is not a directory", file=sys.stderr)
-        return 1
+        raise ParameterError(f"report: {out} is not a directory")
     summaries = sorted(out.glob("*_summary.json"))
     if not summaries:
-        print("report: no *_summary.json artifacts found; run other subcommands first",
-              file=sys.stderr)
-        return 1
-    rows = []
-    for path in summaries:
-        obj = json.loads(path.read_text())
-        rows.append((obj.get("theorem", path.stem), path.name))
-    table = {"artifacts": [{"theorem": t, "file": f} for t, f in rows]}
-    _write_json(out / "report.json", table, args)
+        raise ParameterError("report: no *_summary.json artifacts found; "
+                             "run other subcommands first")
+    rows = [(json.loads(path.read_text()).get("theorem", path.stem), path.name)
+            for path in summaries]
     width = max(len(t) for t, _ in rows)
-    for t, f in rows:
-        print(f"{t:<{width}}  {f}")
-    return 0
+    return _finish(args, "report.json",
+                   {"artifacts": [{"theorem": t, "file": f} for t, f in rows]},
+                   "\n".join(f"{t:<{width}}  {f}" for t, f in rows))
 
 
 # ---------------------------------------------------------------------------

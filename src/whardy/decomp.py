@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .fields import GridFunction, distance_weight, grid_dims, make_grid
+from .fields import GridFunction, _abs_power, distance_weight, grid_dims, make_grid
 from .treecover import TreeCovering, accumulate_up
 
 
@@ -222,13 +222,13 @@ def decomposition_ratio(dec: Decomposition, q: float, beta: float) -> float:
     power = -beta * q
     grid = dec.grid
     h2 = grid.h * grid.h
-    terms = np.abs(dec.values) ** q * distance_weight(grid.dist.ravel()[dec.cells], power)
+    terms = _abs_power(dec.values, q) * distance_weight(grid.dist.ravel()[dec.cells], power)
     num = 0.0
     for a, b in itertools.pairwise(dec.ptr.tolist()):
         # a pairwise .sum() per node; np.add.reduceat would move the last bits
         num += float(terms[a:b].sum()) * h2
     covered = grid.covered
-    den = float((np.abs(grid.values[covered]) ** q
+    den = float((_abs_power(grid.values[covered], q)
                  * distance_weight(grid.dist[covered], power)).sum()) * h2
     if den == 0.0:
         raise ParameterError("zero denominator in decomposition ratio")

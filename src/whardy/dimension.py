@@ -13,7 +13,6 @@ use the upper count alone.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -270,15 +269,7 @@ def assouad_dimension(target: CoverTarget, r_grid, R_grid,
         slopes=sorted(slopes),
         note=target.note,
     )
+    # (center_x, center_y, R, r, N_r, slope) per covering; an attribute, not
+    # a field, so to_json leaves them out
     est.rows = rows
     return est
-
-
-def write_csv(est: DimensionEstimate, path) -> None:
-    """CSV rows (center_x, center_y, R, r, N_r, slope) for Assouad runs."""
-    rows = getattr(est, "rows", [])
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["center_x", "center_y", "R", "r", "N_r", "slope"])
-        for row in rows:
-            wr.writerow(row)

@@ -4,9 +4,9 @@ A vector field is a plain pair (x, y) of GridFunctions on one grid.
 
 The grid carries the exact distance to the boundary at every cell center;
 weighted norms are midpoint quadrature against powers of that distance.
-Cells closer to the boundary than h/2 are excluded from quadrature and
-counted, since negative powers of the distance blow up in the collar and
-the error budget there is reported rather than hidden.
+Cells closer to the boundary than h/2 (the collar) are excluded from
+quadrature, since negative powers of the distance blow up there; how many
+cells that excludes is not yet reported.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ class GridFunction:
     # (nx, ny) Whitney cube id per cell, -1 in the uncovered collar; set by
     # decomp.decomposition_grid
     assignment: np.ndarray | None = None
-
-    @property
-    def collar_count(self) -> int:
-        """Masked cells excluded from quadrature because dist < h/2."""
-        return int((self.mask & (self.dist < self.h / 2.0)).sum())
 
     @property
     def quad_mask(self) -> np.ndarray:
@@ -184,6 +179,22 @@ def distance_weight(dist: np.ndarray, power: float) -> np.ndarray:
     return w
 
 
+def _abs_power(values: np.ndarray, p: float) -> np.ndarray:
+    """|values|^p of every p-th power quantity. A power that overflows, or
+    that is 0 at every nonzero value, raises ParameterError naming the
+    exponent; powers that underflow to 0 at some values are kept, as
+    weights are."""
+    with np.errstate(over="ignore"):
+        v = np.abs(values) ** p
+    if v.size and not math.isfinite(v.max()):  # NaN and inf inputs pass through
+        over = np.isinf(v) & np.isfinite(values)
+        if over.any():
+            raise ParameterError(f"|f|^{p!r} overflows at |f| = {abs(float(values[over][0]))!r}")
+    if not v.any() and values.any():
+        raise ParameterError(f"|f|^{p!r} underflows to 0 at every nonzero |f|")
+    return v
+
+
 def weighted_lp_norm(f: GridFunction, p: float, power: float = 0.0) -> float:
     """(sum |f|^p d^power h^n)^(1/p) over quadrature cells.
 
@@ -193,7 +204,7 @@ def weighted_lp_norm(f: GridFunction, p: float, power: float = 0.0) -> float:
     sel = f.quad_mask
     if not sel.any():
         raise ParameterError("empty quadrature mask")
-    v = np.abs(f.values[sel]) ** p
+    v = _abs_power(f.values[sel], p)
     if power != 0.0:
         v *= distance_weight(f.dist[sel], power)
     total = _exact_sum(v) * f.h * f.h

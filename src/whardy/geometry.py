@@ -60,7 +60,11 @@ class PolygonalDomain:
         object.__setattr__(self, "vertices", verts)
         edges = np.stack([verts, np.roll(verts, -1, axis=0)], axis=1)
         object.__setattr__(self, "_edges", edges)
-        if signed_area(verts) <= 0:
+        area = signed_area(verts)
+        if area == 0:
+            raise ParameterError("polygon area is 0: its vertices are collinear, or so close "
+                                 "that the area underflows")
+        if area < 0:
             raise ParameterError("polygon must be counter-clockwise (signed area > 0)")
         if not _is_simple(edges):
             raise ParameterError("polygon edges may intersect only at shared endpoints")

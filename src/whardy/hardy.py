@@ -16,9 +16,9 @@ equals sqrt(6).
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,12 +50,12 @@ class WeightSpec:
 
 @dataclass
 class HardyReport:
+    """The tree constant of one tree at one weight, minimised over theta."""
+
     per_theta: dict  # theta -> (value, argmax node)
     a_tree_min: float
     best_theta: float
     argmax: int
-    rows: list = field(default_factory=list)
-    classification: dict = field(default_factory=dict)
 
 
 def _weights(tree: TreeCovering, beta: float):
@@ -184,7 +184,11 @@ def _exp(x: float) -> float:
 
 def _a_tree_log(tree, w, thetas) -> list:
     """Log-space evaluation: (value, argmax node) per theta of ``thetas``,
-    with one log S down-sweep for all of them."""
+    with one log S down-sweep for all of them.
+
+    A log that overflows to +-inf is a value of +inf or a vanishing term;
+    one whose terms sum to inf - inf has no value, and raises
+    ParameterError naming p."""
     q = w.q
     lognu, logb = _log_weights(tree, w.beta)
     logterm = (-q / w.p) * logb - q * lognu
@@ -193,10 +197,14 @@ def _a_tree_log(tree, w, thetas) -> list:
     out = []
     for theta in thetas:
         expo = (w.p / q) * (1.0 - 1.0 / theta)
-        loge = logb + w.p * lognu + expo * np.where(
-            np.isfinite(logS), logS, 0.0
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            loge = logb + w.p * lognu + expo * np.where(
+                np.isfinite(logS), logS, 0.0
+            )
         loge[tree.root] = -np.inf
+        if np.isnan(loge).any():
+            raise ParameterError(f"p = {w.p!r} leaves the float range even in log space: "
+                                 f"a shadow term of theta = {theta!r} reads inf - inf")
         logT = accumulate_up(tree, loge, np.logaddexp)
         with np.errstate(invalid="ignore"):
             logcand = np.where(
@@ -257,8 +265,9 @@ def a_chain(chain: TreeCovering, w: WeightSpec) -> float:
 # beta sweep
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One row of a beta sweep, its fields in the order of hardy_sweep.csv."""
+
     beta: float
     p: float
     theta: float
@@ -297,8 +306,10 @@ def classify_growth(values) -> tuple[str, list]:
     return "inconclusive", ratios
 
 
-def beta_sweep(dom, p: float, betas, levels) -> HardyReport:
-    """A_tree_min per (beta, truncation level) with growth classification.
+def beta_sweep(dom, p: float, betas, levels) -> tuple[list, dict]:
+    """A_tree_min per (beta, truncation level) with growth classification:
+    the ``SweepRow`` of every (beta, level), beta-major, and per beta its
+    class, level ratios and values.
 
     Each tree is evaluated on blocks of consecutive betas, one block per
     down/up sweep pair (see ``_a_tree_block``). A block holds as many betas
@@ -341,18 +352,7 @@ def beta_sweep(dom, p: float, betas, levels) -> HardyReport:
                     classification=cls,
                 )
             )
-    return HardyReport(
-        per_theta={}, a_tree_min=math.nan, best_theta=math.nan, argmax=-1,
-        rows=rows, classification=classification,
-    )
-
-
-def write_sweep_csv(report: HardyReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["beta", "p", "theta", "level", "A_tree", "argmax_node", "classification"])
-        for r in report.rows:
-            wr.writerow([r.beta, r.p, r.theta, r.level, r.a_tree, r.argmax_node, r.classification])
+    return rows, classification
 
 
 def parse_grid(text: str):

@@ -9,7 +9,6 @@ universal constant.
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field as dc_field, replace
@@ -51,23 +50,6 @@ class InequalityReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-
-def write_reports_jsonl(reports, path) -> None:
-    with open(path, "w") as fh:
-        for rep in reports:
-            fh.write(rep.to_json() + "\n")
-
-
-def write_reports_csv(reports, path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["inequality", "domain", "params", "h", "lhs", "rhs", "ratio", "degenerate"])
-        for r in reports:
-            wr.writerow(
-                [r.inequality, r.domain, json.dumps(r.params, sort_keys=True),
-                 r.h, r.lhs, r.rhs, r.ratio, r.degenerate or ""]
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +320,14 @@ def sharp_maximal(f: GridFunction, sigma: float = 1.0,
     if not scales >= 1:
         raise ParameterError(f"scales must be >= 1, got {scales!r}")
     nx, ny = f.dims
+    sides = _cube_family(f.dims, scales)
+    # the widest sigma-scaled box reaches at most this far from 0
+    reach = max(map(abs, f.origin)) + max(nx, ny) * f.h + sigma * max(sides, default=0) * f.h
+    if not math.isfinite(reach):
+        raise ParameterError(f"sigma = {sigma!r} scales the cubes' boxes beyond the float range")
     vals = np.where(f.mask, f.values, 0.0)
     out = np.zeros((nx, ny))
-    for w in _cube_family(f.dims, scales):
+    for w in sides:
         shift_vals = sorted({0, w // 2})
         for sx in shift_vals:
             for sy in shift_vals:

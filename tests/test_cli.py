@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -320,12 +321,49 @@ def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
      "weight exponent -199.0 overflows"),
     # d^(-beta q) overflows on a covered cell (at level 4 only off the cover)
     (["decompose", "--beta", "200", "--max-level", "5"], "weight exponent -400.0 overflows"),
+    # |f|^p leaves the float range: sin 2x + y/2, mean-zeroed, lies within
+    # (-1, 1) on this grid, and the other inputs pass 1 somewhere
+    (["frac-poincare", "--p", "1e6", "--samples", "10000", "--h", "0.05"],
+     "|f|^1000000.0 underflows to 0 at every nonzero |f|"),
+    (["divergence", "--q", "1e6", "--max-level", "4"], "|f|^1000000.0 overflows"),
+    (["poincare", "--p", "1e6", "--h", "0.05"], "|f|^1000000.0 overflows"),
+    (["decompose", "--q", "1e6", "--max-level", "5"], "|f|^1000000.0 overflows"),
+    (["hardy", "--p", "1e308", "--levels", "4,5"], "p = 1e+308 leaves the float range"),
+    (["fefferman-stein", "--sigmas", "1e308", "--h", "0.05"],
+     "sigma = 1e+308 scales the cubes' boxes beyond the float range"),
+    (["whitney", "--side", "1e-200", "--max-level", "4"], "polygon area is 0"),
 ])
 def test_out_of_range_value_exits_1_naming_it(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not list(tmp_path.iterdir())  # nothing written
+
+
+@pytest.mark.parametrize("argv", [
+    ["korn", "--beta", "nan", "--h", "0.1", "--count", "1"],
+    ["decompose", "--q", "1e6", "--max-level", "4"],
+    ["hardy", "--p", "1e308", "--levels", "4,5"],
+])
+def test_failing_command_leaves_no_out_directory(tmp_path, argv):
+    """--out is made by the first artifact written, so a command that fails,
+    even after its trees are built, leaves a new --out absent."""
+    assert run([*argv, "--out", str(tmp_path / "new" / "out")]) == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_failed_invariant_writes_its_summary_and_exits_2(tmp_path, capsys, monkeypatch):
+    box_dimension = cli.dimension.box_dimension
+    monkeypatch.setattr(cli.dimension, "box_dimension",
+                        lambda *a: replace(box_dimension(*a), value=5.0))
+    argv = ["dimension", "--num-scales", "4", "--num-ratios", "2", "--centers", "2"]
+    assert run([*argv, "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "dimension: monotonicity box <= assouad + 0.1 FAILED\n"
+    summary = json.loads((tmp_path / "dimension_summary.json").read_text())
+    assert summary["box"]["value"] == 5.0 and summary["config"]["command"] == "dimension"
+    assert (tmp_path / "assouad.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

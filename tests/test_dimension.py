@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from whardy import cli
 from whardy import dimension as dim
 from whardy import geometry as geo
 from whardy.errors import ParameterError
@@ -166,13 +167,14 @@ def test_covering_sandwich(square_target, koch4_target, eset):
 
 def test_csv_and_json(tmp_path, square_target):
     est = dim.assouad_dimension(square_target, [1 / 16, 1 / 32], [0.5], centers=4)
-    path = tmp_path / "rows.csv"
-    dim.write_csv(est, path)
-    lines = path.read_text().splitlines()
+    assert len(est.rows) > 0 and all(len(row) == 6 for row in est.rows)
+    obj = est.to_json()
+    assert '"kind": "assouad"' in obj and '"rows"' not in obj
+    assert cli.main(["dimension", "--num-ratios", "2", "--centers", "4",
+                     "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "assouad.csv").read_text().splitlines()
     assert lines[0] == "center_x,center_y,R,r,N_r,slope"
     assert len(lines) > 1
-    obj = est.to_json()
-    assert '"kind": "assouad"' in obj
 
 
 def full_scan_cover_count(pts_lex, r, reach):

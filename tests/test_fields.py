@@ -166,9 +166,17 @@ def test_grid_limit_admits_the_square_at_level_12(unit_square):
     assert F.grid_dims(unit_square, 2.0**-13, (0.0, 0.0)) == (8192, 8192)
 
 
-def test_collar_count(l_shape):
-    grid = F.make_grid(l_shape, 1 / 64)
-    assert grid.collar_count == int((grid.mask & (grid.dist < grid.h / 2)).sum())
+def test_pth_power_out_of_range_raises_naming_p(grid128):
+    fx = F.sample_function(grid128, lambda x, y: x)  # 0 < x < 1
+    with pytest.raises(ParameterError, match=r"\|f\|\^1000000.0 underflows"):
+        F.weighted_lp_norm(fx, 1e6)
+    with pytest.raises(ParameterError, match=r"\|f\|\^1000000.0 overflows"):
+        F.weighted_lp_norm(fx.with_values(2.0 * fx.values), 1e6)
+    # x^200 underflows to 0 below x = 0.03 only: a valid quadrature
+    with np.errstate(under="raise"):
+        with pytest.raises(FloatingPointError):
+            fx.values ** 200
+    assert F.weighted_lp_norm(fx, 200.0) > 0
 
 
 def test_dump_load_roundtrip(tmp_path, grid128, unit_square):

@@ -67,6 +67,16 @@ def test_bad_presets():
         geo.PolygonalDomain(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, -2e150]]))
 
 
+def test_zero_area_has_its_own_message():
+    # the square of side 1e-200 is counter-clockwise, but its area underflows
+    with pytest.raises(ParameterError, match="polygon area is 0"):
+        geo.make_domain("unit_square", side=1e-200)
+    with pytest.raises(ParameterError, match="polygon area is 0"):
+        geo.PolygonalDomain(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+    with pytest.raises(ParameterError, match="must be counter-clockwise"):
+        geo.PolygonalDomain(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+
+
 def test_self_intersecting_rejected():
     bowtie = np.array([[0, 0], [1, 1], [1, 0], [0, 1]], dtype=float)
     with pytest.raises(ParameterError):

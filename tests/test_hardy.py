@@ -217,6 +217,17 @@ def test_overflowing_term_goes_to_log_space_silently():
         assert val == pytest.approx(math.exp(want), rel=1e-10)
 
 
+def test_inf_minus_inf_in_log_space_raises_naming_p(square_tree6):
+    # at p = 1e308, q rounds to 1 and p log nu overflows to +inf in the
+    # shadow terms: at beta = -0.9 it meets a -inf (p / q) log S term, while
+    # at beta = -0.8 the sums only overflow, to the documented +inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r"p = 1e\+308 leaves the float range"):
+            hd.a_tree_min(square_tree6, hd.WeightSpec(-0.9, 1e308))
+        assert hd.a_tree_min(square_tree6, hd.WeightSpec(-0.8, 1e308)).a_tree_min == math.inf
+
+
 def test_a_tree_min_report(square_tree6):
     w = hd.WeightSpec(-0.3, 2.0)
     rep = hd.a_tree_min(square_tree6, w)
@@ -406,7 +417,7 @@ def test_beta_sweep_rows_match_per_beta_a_tree_min(unit_square):
         for lv in levels:
             rep = hd.a_tree_min(trees[lv], hd.WeightSpec(beta, 2.0))
             want.append((beta, rep.best_theta, lv, rep.a_tree_min, rep.argmax))
-    rows = hd.beta_sweep(unit_square, 2.0, betas, levels).rows
+    rows, _ = hd.beta_sweep(unit_square, 2.0, betas, levels)
     assert [(r.beta, r.theta, r.level, r.a_tree, r.argmax_node) for r in rows] == want
 
 
@@ -423,11 +434,11 @@ def test_kahan_add_rows_fold_per_column():
 
 
 def test_beta_sweep_classification(unit_square):
-    rep = hd.beta_sweep(unit_square, 2.0, [-0.3, -0.7], [5, 6, 7])
-    assert rep.classification[-0.3]["class"] == "convergent"
-    assert rep.classification[-0.7]["class"] == "divergent"
+    _, classification = hd.beta_sweep(unit_square, 2.0, [-0.3, -0.7], [5, 6, 7])
+    assert classification[-0.3]["class"] == "convergent"
+    assert classification[-0.7]["class"] == "divergent"
     # below the admissible range the constant is nondecreasing in the level
-    vals = rep.classification[-0.7]["values"]
+    vals = classification[-0.7]["values"]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -469,11 +480,10 @@ def test_parse_grid():
         hd.parse_grid(f"1:{cap + 1}:1")
 
 
-def test_sweep_csv(tmp_path, unit_square):
-    rep = hd.beta_sweep(unit_square, 2.0, [0.0], [4, 5])
-    path = tmp_path / "sweep.csv"
-    hd.write_sweep_csv(rep, path)
-    lines = path.read_text().splitlines()
+def test_sweep_csv(tmp_path):
+    assert cli.main(["hardy", "--beta-grid", "0:0:0.1", "--levels", "4,5",
+                     "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "hardy_sweep.csv").read_text().splitlines()
     assert lines[0].startswith("beta,p,theta,level,A_tree")
     assert len(lines) == 3
 

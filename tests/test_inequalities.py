@@ -537,6 +537,16 @@ def test_sharp_maximal_sigma_validation(grid64):
         iq.sharp_maximal(f, 0.5)
 
 
+def test_sharp_maximal_rejects_boxes_beyond_the_float_range(grid64):
+    f = F.sample_function(grid64, lambda x, y: x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="sigma = 1e\\+308 scales the cubes' boxes"):
+            iq.sharp_maximal(f, 1e308)
+        # boxes of half-width 5e299 are finite: none lies inside, so it is 0
+        assert not iq.sharp_maximal(f, 1e300).values.any()
+
+
 def test_fefferman_stein_checkerboard(grid64):
     f = F.sample_function(
         grid64, lambda x, y: np.sign(np.sin(8 * np.pi * x) * np.sin(8 * np.pi * y))
@@ -566,13 +576,12 @@ def test_fefferman_stein_sigma_trend(grid64):
     assert normalized[0] >= normalized[1] >= normalized[2]
 
 
-def test_report_serialization(tmp_path, grid64):
-    f = F.sample_function(grid64, lambda x, y: x)
-    reps = [iq.improved_poincare_ratio(f, 2.0, 0.0, label="x")]
-    iq.write_reports_jsonl(reps, tmp_path / "r.jsonl")
-    iq.write_reports_csv(reps, tmp_path / "r.csv")
+def test_report_serialization(tmp_path):
+    from whardy import cli
+
+    assert cli.main(["poincare", "--h", "0.0625", "--count", "1", "--out", str(tmp_path)]) == 0
     import json
 
-    obj = json.loads((tmp_path / "r.jsonl").read_text().splitlines()[0])
+    obj = json.loads((tmp_path / "improved_poincare.jsonl").read_text().splitlines()[0])
     assert obj["inequality"] == "improved_poincare"
-    assert (tmp_path / "r.csv").read_text().startswith("inequality,domain")
+    assert (tmp_path / "improved_poincare.csv").read_text().startswith("inequality,domain")
