@@ -5,8 +5,9 @@ each piece gets a minimal-Dirichlet-energy MAC solution of div u_t = f_t on
 its own cell patch with zero boundary faces, and the global field is the
 face-wise sum. Local problems are equality-constrained quadratic programs
 solved through the sparse KKT saddle system with one pressure multiplier
-pinned per patch, factored once per patch shape; the divergence
-constraint is verified cellwise after every solve.
+pinned per patch. Each patch shape is assembled and factored once, and
+all its patches are solved in one call; the divergence constraint is
+verified cellwise after every solve.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from . import geometry
 from .decomp import c_decompose, check_q_beta
-from .errors import CompatibilityError, ConvergenceError
+from .errors import CompatibilityError, ConvergenceError, StructureError
 from .fields import GridFunction, gradient_norm, weighted_lp_norm
 from .inequalities import InequalityReport
 from .treecover import TreeCovering
@@ -63,17 +65,29 @@ class MacField:
         return self.grid.with_values(u), self.grid.with_values(v)
 
 
-def patch_key(cells: np.ndarray, ny: int) -> bytes:
-    """Shape key of a patch: its (i - i_min, j - j_min) pairs in input cell order.
+def _cell_offsets(cells: np.ndarray, ptr: np.ndarray, ny: int) -> np.ndarray:
+    """(i - i_min, j - j_min) of every cell, the minima taken over its patch
+    ``cells[ptr[t]:ptr[t + 1]]``: an (N, 2) array in input cell order."""
+    ii, jj = np.divmod(cells, ny)
+    size = np.diff(ptr)
+    full = size > 0
+    lo_i = np.repeat(np.minimum.reduceat(ii, ptr[:-1][full]), size[full])
+    lo_j = np.repeat(np.minimum.reduceat(jj, ptr[:-1][full]), size[full])
+    return np.stack([ii - lo_i, jj - lo_j], axis=1)
+
+
+def patch_keys(cells: np.ndarray, ptr: np.ndarray, ny: int) -> list[bytes]:
+    """Shape key of each patch ``cells[ptr[t]:ptr[t + 1]]``: its
+    (i - i_min, j - j_min) pairs in input cell order.
 
     Faces and unknowns are numbered in input cell order, so patches with
     equal keys share one local system, whatever their position, ``ny`` or
     ``h`` (which only scales the right-hand side).
     """
-    ii, jj = np.divmod(np.asarray(cells, dtype=np.int64), ny)
-    if len(ii) == 0:
-        return b""
-    return np.stack([ii - ii.min(), jj - jj.min()], axis=1).tobytes()
+    ptr = np.asarray(ptr)
+    off = _cell_offsets(np.asarray(cells, dtype=np.int64), ptr, ny)
+    bounds = ptr.tolist()
+    return [off[a:b].tobytes() for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 class _PatchSystem(NamedTuple):
@@ -82,9 +96,22 @@ class _PatchSystem(NamedTuple):
     has_fx: np.ndarray  # cells whose low x-face is interior to the patch
     has_fy: np.ndarray
     nfx: int
-    A: sp.csr_matrix | None  # face Laplacian of the energy; None without faces
-    B: sp.csr_matrix | None  # cellwise divergence, rows in input cell order
+    # rows of the face Laplacian A of the energy, then of the cellwise
+    # divergence B in input cell order; None without faces
+    AB: sp.csr_matrix | None
     lu: spla.SuperLU | None  # factor of the pinned KKT matrix
+
+
+def _compressed(cols: np.ndarray, vals: np.ndarray):
+    """(data, indices, indptr) of the rows ``cols`` (-1 for no entry) with
+    values ``vals``, each row's columns ascending: the canonical form a COO
+    conversion gives, so products and factors see the same matrix. The
+    index arrays are int32, which scipy takes without a scan."""
+    row, k = np.nonzero(cols >= 0)
+    col = cols[row, k]
+    order = np.argsort(row * (int(col.max()) + 1) + col)
+    indptr = np.searchsorted(row, np.arange(len(cols) + 1))
+    return vals[row, k][order], col[order].astype(np.int32), indptr.astype(np.int32)
 
 
 def _patch_system(ii: np.ndarray, jj: np.ndarray, ny: int, node: int) -> _PatchSystem:
@@ -111,7 +138,7 @@ def _patch_system(ii: np.ndarray, jj: np.ndarray, ny: int, node: int) -> _PatchS
     nfx = int(has_fx.sum())
     nf = nfx + int(has_fy.sum())
     if nf == 0:
-        return _PatchSystem(has_fx, has_fy, 0, None, None, None)
+        return _PatchSystem(has_fx, has_fy, 0, None, None)
 
     # unknown number of the x- (y-) face keyed by each cell, -1 for none;
     # the trailing -1 is what a missing cell (index -1) reads
@@ -120,82 +147,109 @@ def _patch_system(ii: np.ndarray, jj: np.ndarray, ny: int, node: int) -> _PatchS
     fy_id = np.full(nc + 1, -1)
     fy_id[:nc][has_fy] = np.arange(nfx, nf)
 
-    # A = 4I - adjacency on each face lattice: row a holds face a itself,
-    # then its +x, -x, +y, -y neighbours of the same component
-    lap = np.concatenate([fx_id[nb[has_fx]], fy_id[nb[has_fy]]])
-    a_row, k = np.nonzero(lap >= 0)
-    a_col = lap[a_row, k]
-    a_val = np.array([4.0, -1.0, -1.0, -1.0, -1.0])[k]
-    A = sp.coo_matrix((a_val, (a_row, a_col)), shape=(nf, nf)).tocsr()
-
-    # constraint: high faces minus low faces of each cell = h * f
-    div = np.stack([fx_id[nb[:, 1]], fx_id[:nc], fy_id[nb[:, 3]], fy_id[:nc]], axis=1)
-    b_row, k = np.nonzero(div >= 0)
-    b_col = div[b_row, k]
-    b_val = np.array([1.0, -1.0, 1.0, -1.0])[k]
-    B = sp.coo_matrix((b_val, (b_row, b_col)), shape=(nc, nf)).tocsr()
+    # Row a < nf: A = 4I - adjacency on each face lattice, face a itself,
+    # then its +x, -x, +y, -y neighbours of the same component. Row nf + c:
+    # the constraint of cell c, its high faces minus its low faces = h * f.
+    cols = np.full((nf + nc, 7), -1)
+    cols[:nf, :5] = np.concatenate([fx_id[nb[has_fx]], fy_id[nb[has_fy]]])
+    cols[nf:, :4] = np.stack([fx_id[nb[:, 1]], fx_id[:nc], fy_id[nb[:, 3]], fy_id[:nc]],
+                             axis=1)
+    vals = np.zeros((nf + nc, 7))
+    vals[:nf] = [4.0, -1.0, -1.0, -1.0, -1.0, -1.0, 1.0]
+    vals[nf:, :4] = [1.0, -1.0, 1.0, -1.0]
+    AB = sp.csr_matrix(_compressed(cols, vals), shape=(nf + nc, nf))
 
     # KKT [[A, B1^T], [B1, 0]], where B1 is B without its first row: the
     # first cell's multiplier is pinned (B has a constant null space per
-    # connected patch; compatibility holds by the mean-zero check)
-    keep = b_row > 0
-    m_row, m_col, m_val = b_row[keep] + (nf - 1), b_col[keep], b_val[keep]
-    K = sp.coo_matrix(
-        (np.concatenate([a_val, m_val, m_val]),
-         (np.concatenate([a_row, m_row, m_col]), np.concatenate([a_col, m_col, m_row]))),
-        shape=(nf + nc - 1, nf + nc - 1),
-    ).tocsc()
+    # connected patch; compatibility holds by the mean-zero check). Cell
+    # c >= 1 is unknown nf + c - 1, and face a's column of B joins the cell
+    # keying it (-1) to that cell's -x (-y) neighbour (+1). K is symmetric,
+    # so its canonical rows are its canonical columns.
+    cols[:nfx, 5:] = np.stack([np.flatnonzero(has_fx), nb[has_fx, 2]], axis=1)
+    cols[nfx:nf, 5:] = np.stack([np.flatnonzero(has_fy), nb[has_fy, 4]], axis=1)
+    cols[:nf, 5:] = np.where(cols[:nf, 5:] > 0, cols[:nf, 5:] + (nf - 1), -1)
+    rows = np.r_[:nf, nf + 1:nf + nc]
+    K = sp.csc_matrix(_compressed(cols[rows], vals[rows]), shape=(nf + nc - 1, nf + nc - 1))
     try:
         lu = spla.splu(K)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise ConvergenceError(f"local KKT system of node {node} is singular: {exc}") from exc
-    return _PatchSystem(has_fx, has_fy, nfx, A, B, lu)
+    return _PatchSystem(has_fx, has_fy, nfx, AB, lu)
 
 
 def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int, h: float,
-                    node: int = -1, system: _PatchSystem | None = None) -> LocalSolve:
-    """Minimal gradient-energy staggered velocity with div u = f on the patch.
+                    nodes, system: _PatchSystem | None = None) -> list[LocalSolve]:
+    """Minimal gradient-energy staggered velocities with div u = f on a block
+    of patches of one shape.
 
-    ``cells`` are flat ids (i * ny + j) of the patch; ``f_vals`` the target
-    divergence per cell. Velocities on faces not interior to the patch are
-    zero. Requires the discrete integral of f to vanish.
+    Row r of ``cells`` holds the flat ids (i * ny + j) of node ``nodes[r]``'s
+    patch, row r of ``f_vals`` the target divergence per cell; one patch is
+    a block of one row. Every row must have the first row's ``patch_keys``
+    key. Velocities on faces not interior to a patch are zero. Requires the
+    discrete integral of each row of f to vanish. Each row's floats are
+    those of solving it alone.
 
-    ``system`` is the factored local system of a patch with this patch's
-    ``patch_key``; without it the call factors afresh. The floats are the
-    same either way.
+    ``system`` is the factored local system of a patch with this key;
+    without it the call factors afresh. The floats are the same either way.
     """
     cells = np.asarray(cells, dtype=np.int64)
     f_vals = np.asarray(f_vals, dtype=float)
-    total = float(f_vals.sum()) * h * h
-    l1 = float(np.abs(f_vals).sum()) * h * h
-    if l1 > 0 and abs(total) > 1e-10 * l1:
-        raise CompatibilityError(f"nonzero mean on node {node}: {total:.3e}")
-    ii, jj = np.divmod(cells, ny)
-    ij = np.stack([ii, jj], axis=1)
+    nodes = np.asarray(nodes).tolist()
+    k, m = cells.shape
+    off = _cell_offsets(cells.ravel(), m * np.arange(k + 1), ny).reshape(k, m, 2)
+    other = (off != off[:1]).any(axis=(1, 2))
+    if other.any():
+        raise StructureError(f"patch of node {nodes[int(np.argmax(other))]} does not "
+                             f"have the shape of node {nodes[0]}'s")
+    total = f_vals.sum(axis=1) * h * h
+    l1 = np.abs(f_vals).sum(axis=1) * h * h
+    bad = (l1 > 0) & (np.abs(total) > 1e-10 * l1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise CompatibilityError(f"nonzero mean on node {nodes[r]}: {total[r]:.3e}")
+    ij = np.stack(np.divmod(cells, ny), axis=-1)
     if system is None:
-        system = _patch_system(ii, jj, ny, node)
-    has_fx, has_fy, nfx, A, B, lu = system
-    if lu is None:
-        if l1 > 0:
-            raise CompatibilityError(f"patch of node {node} has no interior face")
-        return LocalSolve(node, cells, ij[has_fx], np.zeros(0), ij[has_fy], np.zeros(0),
-                          0.0, 0.0)
+        system = _patch_system(*np.divmod(cells[0], ny), ny, nodes[0])
+    has_fx, has_fy, nfx, AB, lu = system
+    nf = 0 if AB is None else AB.shape[1]
+    u = np.zeros((k, nf))
+    energy = np.zeros(k)
+    residual = np.zeros(k)
+    if lu is None and (l1 > 0).any():
+        raise CompatibilityError(
+            f"patch of node {nodes[int(np.argmax(l1 > 0))]} has no interior face")
 
-    nf = A.shape[0]
-    rhs_c = h * f_vals
-    u = lu.solve(np.concatenate([np.zeros(nf), rhs_c[1:]]))[:nf]
-
-    scale = float(np.linalg.norm(rhs_c)) or 1.0
-    residual = float(np.linalg.norm(B @ u - rhs_c)) / scale
-    if not residual <= SOLVER_TOL:
-        raise ConvergenceError(
-            f"local solve on node {node} stalled at residual {residual:.2e}",
-            residual=residual,
-        )
-    Au = A @ u
-    energy = float(u[:nfx] @ Au[:nfx] + u[nfx:] @ Au[nfx:])
-    return LocalSolve(node, cells, ij[has_fx], u[:nfx], ij[has_fy], u[nfx:], energy,
-                      residual)
+    if lu is not None:
+        rhs_c = h * f_vals
+        # One lu.solve per row: SuperLU takes another BLAS path for several
+        # right-hand sides (dtrsm/dgemm for dtrsv/dgemv), whose floats differ
+        # on large supernodes. lu.solve copies its input, so one buffer serves.
+        rhs = np.zeros(nf + m - 1)
+        for r in range(k):
+            rhs[nf:] = rhs_c[r, 1:]
+            u[r] = lu.solve(rhs)[:nf]
+        scale = np.linalg.norm(rhs_c, axis=1)
+        scale[scale == 0] = 1.0
+        # The products run max(1, BLOCK // rows) rows at a time; each row's
+        # reductions run along contiguous rows, the energy as two ddots, so
+        # no float depends on the block's width.
+        width = max(1, geometry.BLOCK // (nf + m))
+        for s in range(0, k, width):
+            blk = slice(s, s + width)
+            ab = (AB @ u[blk].T).T.copy()  # (A u | B u) of each row
+            energy[blk] = [v[:nfx] @ a[:nfx] + v[nfx:] @ a[nfx:nf]
+                           for v, a in zip(u[blk], ab)]
+            residual[blk] = np.linalg.norm(ab[:, nf:] - rhs_c[blk], axis=1) / scale[blk]
+        stalled = ~(residual <= SOLVER_TOL)
+        if stalled.any():
+            r = int(np.argmax(stalled))
+            raise ConvergenceError(
+                f"local solve on node {nodes[r]} stalled at residual {residual[r]:.2e}",
+                residual=float(residual[r]),
+            )
+    fx_ij, fy_ij = ij[:, has_fx], ij[:, has_fy]
+    return [LocalSolve(nodes[r], cells[r], fx_ij[r], u[r, :nfx], fy_ij[r], u[r, nfx:],
+                       float(energy[r]), float(residual[r])) for r in range(k)]
 
 
 def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float):
@@ -212,18 +266,20 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float)
     nx, ny = f.dims
     # supp(g_t) is the local patch: the cube's cells, its own transfer box
     # and its children's, which all connect through the shared faces. The
-    # nodes are visited grouped by patch shape (a stable sort, so node order
-    # within a group), so each shape is factored once and only one factor
-    # is alive at a time.
-    keys = [patch_key(dec.piece(t)[0], ny) for t in range(len(tree))]
+    # nodes are grouped by patch shape (a stable sort, so node order within
+    # a group); each shape is factored once and solved as one block, and
+    # only one factor is alive at a time.
+    keys = patch_keys(dec.cells, dec.ptr, ny)
     order = sorted(range(len(tree)), key=keys.__getitem__)
-    groups = [list(g) for _, g in itertools.groupby(order, key=keys.__getitem__)]
+    groups = [np.array(list(g)) for _, g in itertools.groupby(order, key=keys.__getitem__)]
     del keys  # 16 bytes per patch cell, unused while solving
     solves: list = [None] * len(tree)
-    for group in groups:
-        system = _patch_system(*np.divmod(dec.piece(group[0])[0], ny), ny, group[0])
-        for t in group:
-            solves[t] = local_div_solve(*dec.piece(t), ny, f.h, node=t, system=system)
+    for nodes in groups:
+        at = dec.ptr[nodes, None] + np.arange(dec.ptr[nodes[0] + 1] - dec.ptr[nodes[0]])
+        cells = dec.cells[at]
+        system = _patch_system(*np.divmod(cells[0], ny), ny, nodes[0])
+        for loc in local_div_solve(cells, dec.values[at], ny, f.h, nodes, system=system):
+            solves[loc.node] = loc
         del system  # before the next shape is factored, and before the norms below
     # summed in node order, so every float is independent of the visit order
     FX = np.zeros((nx + 1, ny))

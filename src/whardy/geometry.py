@@ -265,7 +265,11 @@ def point_segment_dist_sq(px, py, ax, ay, dx, dy, ab2):
     through this kernel, so the same pair always gives the same float.
     """
     apx, apy = px - ax, py - ay
-    t = np.clip((apx * dx + apy * dy) / ab2, 0.0, 1.0)
+    # clamped in place, an array even for scalar input: np.clip runs a
+    # Python-level wrapper on every call
+    t = np.asarray((apx * dx + apy * dy) / ab2)
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, 1.0, out=t)
     ex, ey = apx - t * dx, apy - t * dy
     return ex * ex + ey * ey
 

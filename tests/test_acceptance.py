@@ -349,7 +349,7 @@ def test_criterion_7_divergence_suite(square_trees):
     # dense KKT oracle at a tiny size
     cells = np.array([0, 1, 2, 3])
     fvals = np.array([1.0, 0.0, -1.0, 0.0])
-    loc = dv.local_div_solve(cells, fvals, ny=2, h=0.5)
+    loc = dv.local_div_solve(cells[None], fvals[None], 2, 0.5, [-1])[0]
     from test_divergence import dense_kkt_oracle, face_dicts
 
     fx_ids, fy_ids, u, nfx = dense_kkt_oracle(cells, fvals, 2, 0.5)

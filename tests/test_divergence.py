@@ -6,9 +6,10 @@ from conftest import collar_probe
 from whardy import decomp as dc
 from whardy import divergence as dv
 from whardy import fields as F
+from whardy import geometry as G
 from whardy import treecover as tc
 from whardy import whitney as wt
-from whardy.errors import CompatibilityError, ConvergenceError, ParameterError
+from whardy.errors import CompatibilityError, ConvergenceError, ParameterError, StructureError
 
 
 def dense_kkt_oracle(cells, f_vals, ny, h):
@@ -68,8 +69,14 @@ def face_dicts(loc):
     )
 
 
+def solve_one(cells, f, ny, h, node=-1, system=None):
+    """``local_div_solve`` on a block of one patch."""
+    return dv.local_div_solve(np.asarray(cells)[None], np.asarray(f)[None], ny, h, [node],
+                              system=system)[0]
+
+
 def assert_matches_oracle(cells, f, ny, h, tol):
-    loc = dv.local_div_solve(cells, f, ny=ny, h=h)
+    loc = solve_one(cells, f, ny, h)
     fx_ids, fy_ids, u, nfx = dense_kkt_oracle(cells, f, ny, h)
     fx, fy = face_dicts(loc)
     assert fx.keys() == fx_ids.keys() and fy.keys() == fy_ids.keys()
@@ -112,8 +119,7 @@ def test_local_disconnected_patch_rejected():
     # two dominoes, (0, 0)-(0, 1) and (2, 0)-(2, 1): the KKT matrix is
     # singular, and its factorization fails naming the node
     with pytest.raises(ConvergenceError, match="node 3 is singular"):
-        dv.local_div_solve(np.array([0, 1, 6, 7]), np.array([1.0, -1.0, 2.0, -2.0]),
-                           ny=3, h=1.0, node=3)
+        solve_one([0, 1, 6, 7], [1.0, -1.0, 2.0, -2.0], ny=3, h=1.0, node=3)
 
 
 @pytest.fixture
@@ -162,26 +168,95 @@ def test_shared_factor_equals_fresh_solve(name, splu_calls):
     f -= f.mean()
     first = l_patch(8, (0, 0), None)
     cells = l_patch(ny, offset, order)
-    assert (dv.patch_key(cells, ny) == dv.patch_key(first, 8)) is same_key
+    assert (dv.patch_keys(cells, [0, len(cells)], ny)
+            == dv.patch_keys(first, [0, len(first)], 8)) is same_key
     # the system solve_divergence passes: the first patch's when the keys agree
     system = (dv._patch_system(*np.divmod(first, 8), 8, -1) if same_key
               else dv._patch_system(*np.divmod(cells, ny), ny, -1))
-    shared = dv.local_div_solve(cells, f, ny, h, system=system)
+    shared = solve_one(cells, f, ny, h, system=system)
     assert len(splu_calls) == 1
-    fresh = dv.local_div_solve(cells, f, ny, h)
+    fresh = solve_one(cells, f, ny, h)
     assert len(splu_calls) == 2
     assert_same_solve(shared, fresh)
     assert np.array_equal(shared.fx_ij, fresh.fx_ij)
     assert np.array_equal(shared.fy_ij, fresh.fy_ij)
 
 
+def test_patch_keys_in_one_pass_equal_each_patch_alone():
+    # the L, translated, permuted, empty and a single cell, last
+    patches = [l_patch(8, (0, 0), None), l_patch(8, (3, 2), None), l_patch(8, (0, 0), L_PERM),
+               np.zeros(0, dtype=np.int64), np.array([13])]
+    ptr = np.cumsum([0] + [len(c) for c in patches])
+    keys = dv.patch_keys(np.concatenate(patches), ptr, 8)
+    assert keys == [dv.patch_keys(c, [0, len(c)], 8)[0] for c in patches]
+    assert keys[0] == keys[1] != keys[2] and keys[3] == b""
+
+
+# (ny, cells of the first patch, offsets of the others) of one block:
+# L-shapes translated along a grid of ny = 12; 18 x 18 squares, whose KKT
+# factor has supernodes on which SuperLU's several-right-hand-side path
+# gives other floats than one right-hand side at a time; and diagonal
+# pairs of cells, which share no face
+BLOCKS = {
+    "l-shape": (12, l_patch(12, (0, 0), None), [(0, 6), (5, 0), (4, 5), (1, 1), (3, 0)]),
+    "square": (21, np.array([i * 21 + j for i in range(18) for j in range(18)]),
+               [(18, 0), (3, 2), (40, 3)]),
+    "no-face": (7, np.array([0, 8]), [(0, 2), (3, 1), (5, 4)]),
+}
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("name", BLOCKS)
+def test_block_equals_fresh_solves(name, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(G, "BLOCK", block)
+    ny, first, offsets = BLOCKS[name]
+    cells = np.array([first] + [first + di * ny + dj for di, dj in offsets])
+    rng = np.random.default_rng(6)
+    f = rng.standard_normal(cells.shape)
+    f -= f.mean(axis=1, keepdims=True)
+    f[2] = 0.0  # a zero-data row
+    if name == "no-face":
+        f[:] = 0.0  # nonzero data on a patch without interior faces is infeasible
+    nodes = [10 + r for r in range(len(cells))]
+    block_solves = dv.local_div_solve(cells, f, ny, 0.125, nodes)
+    assert [loc.node for loc in block_solves] == nodes
+    for r, loc in enumerate(block_solves):
+        fresh = solve_one(cells[r], f[r], ny, 0.125, node=nodes[r])
+        assert_same_solve(loc, fresh)
+        assert np.array_equal(loc.fx_ij, fresh.fx_ij)
+        assert np.array_equal(loc.fy_ij, fresh.fy_ij)
+        assert loc.residual <= dv.SOLVER_TOL
+    assert block_solves[2].energy == 0.0 and not block_solves[2].fx.any()
+    assert (len(block_solves[0].fx) + len(block_solves[0].fy) == 0) is (name == "no-face")
+
+
+def test_block_of_other_shapes_rejected():
+    ny = 8
+    first = l_patch(ny, (0, 0), None)
+    f = np.zeros((3, len(first)))
+    # the same cells in another order, then an L reflected in its diagonal
+    for other in (l_patch(ny, (0, 0), L_PERM), np.array([j * ny + i for i, j in L_CELLS])):
+        cells = np.array([first, first + ny, other])
+        with pytest.raises(StructureError, match="node 7 does not have the shape of node 5"):
+            dv.local_div_solve(cells, f, ny, 0.25, [5, 6, 7])
+
+
+def test_block_nonzero_mean_row_names_its_node():
+    cells = np.array([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]])
+    f = np.array([[1.0, 0.0, -1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 2.0, -2.0, 0.0]])
+    with pytest.raises(CompatibilityError, match="nonzero mean on node 41"):
+        dv.local_div_solve(cells, f, 2, 1.0, [40, 41, 42])
+
+
 def test_nan_velocity_fails_global_check(square_trees, monkeypatch):
     real = dv.local_div_solve
 
     def nan_solve(*args, **kwargs):
-        loc = real(*args, **kwargs)
-        loc.fx = np.full_like(loc.fx, np.nan)
-        return loc
+        block = real(*args, **kwargs)
+        for loc in block:
+            loc.fx = np.full_like(loc.fx, np.nan)
+        return block
 
     monkeypatch.setattr(dv, "local_div_solve", nan_solve)
     f = bump_dipole(dc.decomposition_grid(square_trees[5]))
@@ -191,14 +266,14 @@ def test_nan_velocity_fails_global_check(square_trees, monkeypatch):
 
 def test_local_zero_rhs():
     cells = np.array([0, 1, 2, 3])
-    loc = dv.local_div_solve(cells, np.zeros(4), ny=2, h=1.0)
+    loc = solve_one(cells, np.zeros(4), ny=2, h=1.0)
     assert loc.energy == 0.0
     assert np.all(loc.fx == 0.0)
 
 
 def test_local_nonzero_mean_rejected():
     with pytest.raises(CompatibilityError):
-        dv.local_div_solve(np.array([0, 1, 2, 3]), np.ones(4), ny=2, h=1.0)
+        solve_one([0, 1, 2, 3], np.ones(4), ny=2, h=1.0)
 
 
 def test_energy_scaling_across_sizes():
@@ -209,7 +284,7 @@ def test_energy_scaling_across_sizes():
     cells = np.array([i * ny + j for i in range(4) for j in range(4)])
     f = rng.standard_normal(len(cells))
     f -= f.mean()
-    energies = [dv.local_div_solve(cells, f, ny=ny, h=h).energy for h in (0.1, 0.2, 0.4)]
+    energies = [solve_one(cells, f, ny, h).energy for h in (0.1, 0.2, 0.4)]
     factor = energies[1] / energies[0]
     assert energies[2] / energies[1] == pytest.approx(factor, rel=1e-12)
     assert factor == pytest.approx(4.0, rel=1e-12)
@@ -309,17 +384,18 @@ def test_one_factor_per_patch_shape(request, domain, shapes, splu_calls, monkeyp
     grid = dc.decomposition_grid(tree)
     f = collar_probe(tree, grid)
     key_calls = []
-    real_key = dv.patch_key
-    monkeypatch.setattr(dv, "patch_key", lambda *a: key_calls.append(1) or real_key(*a))
+    real_key = dv.patch_keys
+    monkeypatch.setattr(dv, "patch_keys", lambda *a: key_calls.append(1) or real_key(*a))
     vec, rep = dv.solve_divergence(tree, f, 2.0, 0.0)
-    assert len(splu_calls) == shapes and len(key_calls) == len(tree)
+    # every node's key in one call
+    assert len(splu_calls) == shapes and len(key_calls) == 1
     d = rep.decomposition
-    assert len({dv.patch_key(d.piece(t)[0], grid.dims[1]) for t in range(len(tree))}) == shapes
+    assert len(set(dv.patch_keys(d.cells, d.ptr, grid.dims[1]))) == shapes
     # node-by-node with a fresh factor each, summed in node order
     dec = dc.c_decompose(tree, f)
     FX, FY = np.zeros_like(rep.mac.fx), np.zeros_like(rep.mac.fy)
     for t in range(len(tree)):
-        loc = dv.local_div_solve(*dec.piece(t), grid.dims[1], grid.h, node=t)
+        loc = solve_one(*dec.piece(t), grid.dims[1], grid.h, node=t)
         assert_same_solve(loc, rep.solves[t])
         FX[loc.fx_ij[:, 0], loc.fx_ij[:, 1]] += loc.fx
         FY[loc.fy_ij[:, 0], loc.fy_ij[:, 1]] += loc.fy
