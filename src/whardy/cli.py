@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -57,11 +58,15 @@ def _write_csv(args, name: str, header, rows) -> None:
         wr.writerows(rows)
 
 
+def _json(obj) -> str:
+    """The one rule for the JSON text of every artifact: sorted keys."""
+    return json.dumps(obj, sort_keys=True)
+
+
 def _finish(args, name: str, payload: dict, status: str, failure: str = "") -> int:
     """Write ``name`` (a summary) with the resolved configuration; print
     ``status`` and return 0, or, on a ``failure``, its FAILED line and 2."""
-    payload = {**payload, "config": _resolved_config(args)}
-    _artifact(args, name).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    _artifact(args, name).write_text(_json({**payload, "config": _resolved_config(args)}) + "\n")
     if failure:
         print(f"{failure} FAILED", file=sys.stderr)
         return 2
@@ -167,16 +172,15 @@ def cmd_dimension(args) -> int:
     lo, hi = dom.bounding_box()
     extent = float(max(hi - lo))
     Rg = [0.6 * extent, 0.3 * extent]
-    assouad = dimension.assouad_dimension(target, ratios, Rg, centers=args.centers)
-    _write_csv(args, "assouad.csv", ["center_x", "center_y", "R", "r", "N_r", "slope"],
-               assouad.rows)
+    assouad, rows = dimension.assouad_dimension(target, ratios, Rg, centers=args.centers)
+    _write_csv(args, "assouad.csv", ["center_x", "center_y", "R", "r", "N_r", "slope"], rows)
     return _finish(
         args,
         "dimension_summary.json",
         {
             "theorem": "dimension_estimates",
-            "box": json.loads(box.to_json()),
-            "assouad": json.loads(assouad.to_json()),
+            "box": asdict(box),
+            "assouad": asdict(assouad),
         },
         f"dimension: box={box.value:.3f}, assouad={assouad.value:.3f}",
         "" if box.value <= assouad.value + 0.1 else "dimension: monotonicity box <= assouad + 0.1",
@@ -215,7 +219,7 @@ def cmd_decompose(args) -> int:
     rec_err = float(np.abs(d.reconstruct() - vals)[cov].max())
     max_int = max(abs(d.node_integral(t)) for t in range(len(tree)))
     ratio = decomp.decomposition_ratio(d, args.q, args.beta)
-    decomp.dump_decomposition(d, _artifact(args, "decomposition.bin"))
+    _artifact(args, "decomposition.bin").write_bytes(decomp.dump_decomposition(d))
     linf = float(np.abs(vals).max())
     l1 = float(np.abs(vals[cov]).sum()) * grid.h**2
     ok = rec_err <= 1e-12 * linf and max_int <= 1e-10 * l1
@@ -341,17 +345,17 @@ def cmd_divergence(args) -> int:
         f = decomp.collar_probe(tree, grid)
     else:
         f = _dipole(grid)
-    vec, rep = divergence.solve_divergence(tree, f, args.q, args.beta)
-    fields.dump_grid(vec[0], _artifact(args, "velocity_x.bin"))
-    fields.dump_grid(vec[1], _artifact(args, "velocity_y.bin"))
+    mac, _, rep = divergence.solve_divergence(tree, f, args.q, args.beta)
+    for name, u in zip(("velocity_x.bin", "velocity_y.bin"), mac.cell_centered()):
+        _artifact(args, name).write_bytes(fields.dump_grid(u))
     return _emit_reports(args, [rep], "divergence")
 
 
 def _emit_reports(args, reports, name) -> int:
-    _artifact(args, f"{name}.jsonl").write_text("".join(r.to_json() + "\n" for r in reports))
+    _artifact(args, f"{name}.jsonl").write_text("".join(_json(asdict(r)) + "\n" for r in reports))
     _write_csv(args, f"{name}.csv",
                ["inequality", "domain", "params", "h", "lhs", "rhs", "ratio", "degenerate"],
-               ([r.inequality, r.domain, json.dumps(r.params, sort_keys=True),
+               ([r.inequality, r.domain, _json(r.params),
                  r.h, r.lhs, r.rhs, r.ratio, r.degenerate or ""] for r in reports))
     finite = [r.ratio for r in reports if r.degenerate is None]
     return _finish(

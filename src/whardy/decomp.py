@@ -13,14 +13,14 @@ box arithmetic), and all integrals below are exact cell sums.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParameterError
-from .fields import GridFunction, _abs_power, distance_weight, grid_dims, make_grid
+from .fields import (GridFunction, _abs_power, _binary_artifact, distance_weight, grid_dims,
+                     make_grid)
 from .treecover import TreeCovering, accumulate_up
 
 
@@ -34,7 +34,6 @@ class Decomposition:
     ptr: np.ndarray  # (n + 1,)
     cells: np.ndarray  # flat cell indices of every supp(g_t), node by node
     values: np.ndarray  # g_t on those cells
-    m: np.ndarray  # shadow integrals m_t
     uncovered_count: int = 0
 
     def piece(self, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -55,8 +54,7 @@ def grid_layout(tree: TreeCovering):
     dec = tree.decomposition
     if dec is None:
         raise ParameterError("tree has no Whitney decomposition attached")
-    L = int(dec.levels.max())
-    h = dec.frame.cube_side(L) / 4.0
+    h = dec.frame.cube_side(dec.finest_level) / 4.0
     lo = dec.domain.bounding_box()[0]
     fx, fy = dec.frame.origin
     i0 = int(np.floor((lo[0] - fx) / h))
@@ -202,7 +200,6 @@ def c_decompose(tree: TreeCovering, g: GridFunction) -> Decomposition:
         ptr=np.searchsorted(t, np.arange(n + 1)),
         cells=cells,
         values=np.bincount(inv, weights=val, minlength=len(uniq)),
-        m=m,
         uncovered_count=uncovered,
     )
 
@@ -239,15 +236,20 @@ def decomposition_ratio(dec: Decomposition, q: float, beta: float) -> float:
 # dump
 
 
-def dump_decomposition(dec: Decomposition, path) -> None:
-    """Single binary container: JSON index line then per-node id/value blocks."""
-    bounds = list(itertools.pairwise(dec.ptr.tolist()))
+def dump_decomposition(dec: Decomposition) -> bytearray:
+    """Single binary container: a JSON index line, then node by node the
+    node's cell ids as little-endian int64 and their values as float64."""
+    a, b = dec.ptr[:-1], dec.ptr[1:]
+    count = b - a
     # node t's block holds 8-byte ids then 8-byte values, so it starts at 16 ptr[t]
-    index = [{"node": t, "offset": 16 * a, "count": b - a} for t, (a, b) in enumerate(bounds)]
-    header = json.dumps({"h": dec.grid.h, "dims": list(dec.grid.dims), "index": index},
-                        sort_keys=True)
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for a, b in bounds:
-            fh.write(dec.cells[a:b].astype("<i8").tobytes())
-            fh.write(dec.values[a:b].astype("<f8").tobytes())
+    index = [{"node": t, "offset": 16 * s, "count": c}
+             for t, (s, c) in enumerate(zip(a.tolist(), count.tolist()))]
+    out, body = _binary_artifact({"h": dec.grid.h, "dims": list(dec.grid.dims), "index": index},
+                                 "<i8", 2 * len(dec.cells))
+    # the id of piece entry k sits at word ptr[t] + k of the body, its value's
+    # bits at ptr[t + 1] + k, for the node t that holds k
+    k = np.arange(len(dec.cells))
+    node = np.repeat(np.arange(len(count)), count)
+    body[a[node] + k] = dec.cells
+    body[b[node] + k] = np.asarray(dec.values, dtype="<f8").view("<i8")
+    return out

@@ -13,9 +13,8 @@ use the upper count alone.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,9 +83,6 @@ class DimensionEstimate:
     scales: list  # (r, R) pairs actually used
     slopes: list = field(default_factory=list)  # per-(center, R) Assouad slopes
     note: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +213,9 @@ def box_dimension(target: CoverTarget, r_min: float, r_max: float,
 
 
 def assouad_dimension(target: CoverTarget, r_grid, R_grid,
-                      centers: int) -> DimensionEstimate:
-    """Localized covering-number slopes, aggregated at the 95th percentile.
+                      centers: int) -> tuple[DimensionEstimate, list]:
+    """Localized covering-number slopes, aggregated at the 95th percentile,
+    and the rows (center_x, center_y, R, r, N_r, slope), one per covering.
 
     ``r_grid`` holds ratios rho in (0, 1); each window (x, R) is covered at
     radii r = rho * R and the regression of log N_r on log(R / r) gives one
@@ -258,7 +255,7 @@ def assouad_dimension(target: CoverTarget, r_grid, R_grid,
     if not slopes:
         raise ParameterError("insufficient samples for Assouad estimate")
     value = float(np.percentile(slopes, 95))
-    est = DimensionEstimate(
+    return DimensionEstimate(
         kind="assouad",
         value=value,
         slope=value,
@@ -268,8 +265,4 @@ def assouad_dimension(target: CoverTarget, r_grid, R_grid,
         scales=scales,
         slopes=sorted(slopes),
         note=target.note,
-    )
-    # (center_x, center_y, R, r, N_r, slope) per covering; an attribute, not
-    # a field, so to_json leaves them out
-    est.rows = rows
-    return est
+    ), rows

@@ -22,7 +22,7 @@ import numpy as np
 from . import geometry
 from .decomp import c_decompose, check_q_beta
 from .errors import CompatibilityError, ConvergenceError, StructureError
-from .fields import GridFunction, gradient_norm, weighted_lp_norm
+from .fields import GridFunction, _exact_sum, gradient_norm, weighted_lp_norm
 from .inequalities import InequalityReport
 from .treecover import TreeCovering
 
@@ -252,8 +252,11 @@ def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int, h: float,
                        float(energy[r]), float(residual[r])) for r in range(k)]
 
 
-def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float):
+def solve_divergence(tree: TreeCovering, f: GridFunction, q: float,
+                     beta: float) -> tuple[MacField, list[LocalSolve], InequalityReport]:
     """Assemble u = sum of local solutions; report the weighted a-priori ratio.
+
+    Returns the assembled field, the local solves in node order and the report.
 
     f must live on ``decomposition_grid(tree)`` and have zero mean over the
     covered cells. The energy minimized locally is the 2-energy regardless
@@ -291,13 +294,13 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float)
 
     mac = MacField(grid=f, fx=FX, fy=FY)
     covered = f.covered
-    div = mac.divergence()
-    fnorm = float(np.linalg.norm(np.where(covered, f.values, 0.0)))
-    resid = float(np.linalg.norm(np.where(covered, div - f.values, 0.0)))
+    # correctly rounded sums of squares, so no float depends on how BLAS
+    # splits a reduction across threads
+    fnorm = math.sqrt(_exact_sum(f.values[covered] ** 2))
+    resid = math.sqrt(_exact_sum((mac.divergence() - f.values)[covered] ** 2))
     rel_resid = resid / fnorm if fnorm > 0 else resid
 
-    vec = mac.cell_centered()
-    lhs, rhs = _apriori_norms(vec, f, q, beta)
+    lhs, rhs = _apriori_norms(mac.cell_centered(), f, q, beta)
     degenerate = "zero data" if rhs == 0.0 else None
     report = InequalityReport(
         inequality="divergence",
@@ -321,10 +324,7 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float, beta: float)
             f"global divergence residual {rel_resid:.2e} exceeds 1e-8",
             residual=rel_resid,
         )
-    report.solves = solves
-    report.mac = mac
-    report.decomposition = dec
-    return vec, report
+    return mac, solves, report
 
 
 def _apriori_norms(vec: tuple[GridFunction, GridFunction], f: GridFunction,

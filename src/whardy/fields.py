@@ -290,31 +290,34 @@ def gradient_norm(*fs: GridFunction) -> GridFunction:
 # binary dump
 
 
-def dump_grid(f: GridFunction, path) -> None:
+def _binary_artifact(header: dict, dtype: str, count: int) -> tuple[bytearray, np.ndarray]:
+    """The buffer of ``header`` as a sorted-key JSON line, then ``count`` items of
+    ``dtype``, and a writable view of the items: a dump fills them in place."""
+    line = json.dumps(header, sort_keys=True).encode() + b"\n"
+    out = bytearray(len(line) + count * np.dtype(dtype).itemsize)
+    out[:len(line)] = line
+    return out, np.frombuffer(out, dtype=dtype, offset=len(line))
+
+
+def dump_grid(f: GridFunction) -> bytearray:
+    """A JSON header line (h, origin, dims, the mask as alternating run
+    lengths), then the values as little-endian float64, row-major."""
     flat = f.mask.ravel()
     ends = np.flatnonzero(flat[1:] != flat[:-1]) + 1
     runs = np.diff(ends, prepend=0, append=flat.size).tolist()
-    header = json.dumps(
-        {
-            "h": f.h,
-            "origin": list(f.origin),
-            "dims": list(f.dims),
-            "mask_first": bool(flat[0]),
-            "mask_rle": runs,
-        },
-        sort_keys=True,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+    out, body = _binary_artifact({"h": f.h, "origin": list(f.origin), "dims": list(f.dims),
+                                  "mask_first": bool(flat[0]), "mask_rle": runs},
+                                 "<f8", flat.size)
+    body[:] = f.values.ravel()
+    return out
 
 
-def load_grid(path, dom: PolygonalDomain) -> GridFunction:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        raw = fh.read()
+def load_grid(data: bytes, dom: PolygonalDomain) -> GridFunction:
+    """The grid function of ``dump_grid``'s bytes, on the domain ``dom``."""
+    end = data.index(b"\n")
+    header = json.loads(data[:end])
     dims = tuple(header["dims"])
-    values = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+    values = np.frombuffer(data, dtype="<f8", offset=end + 1).reshape(dims).copy()
     runs = header["mask_rle"]
     # runs alternate, starting with mask_first
     flat = np.repeat((np.arange(len(runs)) % 2 == 0) == header["mask_first"], runs)

@@ -9,9 +9,8 @@ universal constant.
 from __future__ import annotations
 
 import copy
-import json
 import math
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -47,9 +46,6 @@ class InequalityReport:
     test_function: str = ""
     degenerate: str | None = None
     extra: dict = dc_field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def build_tree(dec: WhitneyDecomposition, center=None) -> TreeCovering:
     np.minimum.at(parent, owner[pred], nbr[pred])
     parent[root] = -1
 
-    spans32 = np.stack(dec.spans(int(dec.levels.max())), axis=1)
+    spans32 = np.stack(dec.spans(), axis=1)
     return TreeCovering(
         parent=parent,
         ell=np.exp2(-dec.levels.astype(float)),
@@ -464,7 +464,7 @@ def _box_texts(tree: TreeCovering):
         origin, unit = 0.0, float(tree.ell[0]) / 32.0
     else:
         origin = np.asarray(dec.frame.origin)
-        unit = dec.frame.cube_side(int(dec.levels.max())) / 32.0
+        unit = dec.frame.cube_side(dec.finest_level) / 32.0
     lo, hi = origin + tree.boxes32[:, 0] * unit, origin + tree.boxes32[:, 1] * unit
     center, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     if not (np.isfinite(center).all() and np.isfinite(half).all()):

@@ -59,16 +59,17 @@ class WhitneyDecomposition:
     neighbors: tuple = field(init=False)
     face_neighbors: tuple = field(init=False)
     keys: np.ndarray = field(init=False, repr=False)  # (N,) sorted (level, i, j) keys
+    finest_level: int = field(init=False)  # the deepest cube level, 0 without cubes
 
     def __post_init__(self):
         # Cube ids follow the lexicographic (level, i, j) order: adjacency,
         # locate and the tree's parent choice rely on it.
         lev = np.asarray(self.levels, dtype=np.int64)
         idx = np.asarray(self.indices, dtype=np.int64).reshape(len(lev), 2)
-        self._bits = int(lev.max()) if len(lev) else 0
-        if self._bits > KEY_LEVEL_LIMIT:
+        self.finest_level = int(lev.max()) if len(lev) else 0
+        if self.finest_level > KEY_LEVEL_LIMIT:
             raise StructureError(
-                f"cube level {self._bits} exceeds {KEY_LEVEL_LIMIT}: (level, i, j) keys "
+                f"cube level {self.finest_level} exceeds {KEY_LEVEL_LIMIT}: (level, i, j) keys "
                 "would overflow int64"
             )
         if (lev < 0).any() or (idx >> lev[:, None]).any():
@@ -92,8 +93,8 @@ class WhitneyDecomposition:
         return self.frame.size * np.exp2(-self.levels.astype(float))
 
     def spans(self, at_level: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Integer cube extents [lo, hi] per axis in units of 2^-at_level."""
-        L = int(self.levels.max()) if at_level is None else at_level
+        """Integer cube extents [lo, hi] per axis in units of 2^-at_level (default: finest)."""
+        L = self.finest_level if at_level is None else at_level
         shift = (L - self.levels).astype(np.int64)
         lo = self.indices.astype(np.int64) << shift[:, None]
         hi = (self.indices.astype(np.int64) + 1) << shift[:, None]
@@ -101,14 +102,14 @@ class WhitneyDecomposition:
 
     def _key(self, level, i, j):
         # level << 2b | i << b | j with b the deepest level: 2b + bit_length(b) bits
-        b = self._bits
+        b = self.finest_level
         return (level << (2 * b)) | (i << b) | j
 
     def find(self, level, i, j):
         """Ids of the cubes (level, i, j), -1 where there is none; the cell
         indices may fall outside the level's lattice."""
         level, i, j = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (level, i, j)))
-        ok = (level >= 0) & (level <= self._bits)
+        ok = (level >= 0) & (level <= self.finest_level)
         ok &= ((i | j) >> np.where(ok, level, 0)) == 0
         key = self._key(np.where(ok, level, 0), np.where(ok, i, 0), np.where(ok, j, 0))
         pos = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
@@ -123,7 +124,7 @@ class WhitneyDecomposition:
         for lev in np.unique(self.levels):
             if not todo.size:
                 break
-            shift = self._bits - lev  # the cell's ancestor at level lev
+            shift = self.finest_level - lev  # the cell's ancestor at level lev
             t = self.find(lev, i.flat[todo] >> shift, j.flat[todo] >> shift)
             hit = t >= 0
             out.flat[todo[hit]] = t[hit]
@@ -132,7 +133,7 @@ class WhitneyDecomposition:
 
     def locate(self, point) -> int | None:
         """Id of the cube whose half-open box contains the point, or None."""
-        s = self.frame.cube_side(self._bits)
+        s = self.frame.cube_side(self.finest_level)
         t = int(self.owner(math.floor((point[0] - self.frame.origin[0]) / s),
                            math.floor((point[1] - self.frame.origin[1]) / s)))
         return t if t >= 0 else None

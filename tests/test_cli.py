@@ -116,6 +116,32 @@ def test_byte_identical_reruns(tmp_path):
             assert pa == pb
 
 
+def _child_env(**extra) -> dict:
+    """This process's environment for a child interpreter that imports this
+    checkout's ``src``, with ``extra`` set."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif((CPUS or 1) < 2, reason="needs 2 CPUs")
+def test_byte_identical_reruns_across_blas_threads(tmp_path):
+    # a BLAS reduction's last bits follow how OpenBLAS splits it across its
+    # threads, so no artifact may take one
+    argv = ["divergence", "--domain", "slit-square", "--max-level", "6", "--data", "collar"]
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "whardy.cli", *argv, "--out", str(tmp_path / threads)],
+            env=_child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    one, two = ((tmp_path / t / "divergence.jsonl").read_bytes() for t in ("1", "2"))
+    assert one == two
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("max_level = 4\nseed = 9\n")
@@ -444,11 +470,8 @@ assert "scipy.sparse.linalg" in sys.modules, "the divergence solve loaded no sci
 
 def test_scipy_loads_only_for_divergence(tmp_path):
     # a fresh interpreter: this test process has scipy loaded already
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", STARTUP_GUARD, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

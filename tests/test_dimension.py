@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -103,14 +104,14 @@ def test_box_dimension_errors(square_target):
 
 
 def test_assouad_square(square_target):
-    est = dim.assouad_dimension(
+    est, _ = dim.assouad_dimension(
         square_target, [1 / 16, 1 / 32, 1 / 64, 1 / 128], [0.6, 0.3], centers=12
     )
     assert est.value == pytest.approx(1.0, abs=0.1)
 
 
 def test_assouad_reciprocals(eset):
-    est = dim.assouad_dimension(
+    est, _ = dim.assouad_dimension(
         eset, [1 / 16, 1 / 32, 1 / 64, 1 / 128],
         np.geomspace(1e-3, 3e-2, 8), centers=12,
     )
@@ -120,7 +121,7 @@ def test_assouad_reciprocals(eset):
 
 
 def test_assouad_koch(koch4_target):
-    est = dim.assouad_dimension(koch4_target, [1 / 3, 1 / 9, 1 / 27], [0.45, 0.3],
+    est, _ = dim.assouad_dimension(koch4_target, [1 / 3, 1 / 9, 1 / 27], [0.45, 0.3],
                                 centers=16)
     assert est.value == pytest.approx(1.26, abs=0.08)
     assert "prefractal" in est.note
@@ -143,7 +144,7 @@ def test_monotonicity_box_le_assouad(square_target, eset, koch4_target):
     ]
     for target, box_args, (ratios, Rg, nc) in cases:
         b = dim.box_dimension(target, *box_args)
-        a = dim.assouad_dimension(target, ratios, Rg, centers=nc)
+        a, _ = dim.assouad_dimension(target, ratios, Rg, centers=nc)
         assert b.value <= a.value + 0.1
 
 
@@ -166,9 +167,9 @@ def test_covering_sandwich(square_target, koch4_target, eset):
 
 
 def test_csv_and_json(tmp_path, square_target):
-    est = dim.assouad_dimension(square_target, [1 / 16, 1 / 32], [0.5], centers=4)
-    assert len(est.rows) > 0 and all(len(row) == 6 for row in est.rows)
-    obj = est.to_json()
+    est, rows = dim.assouad_dimension(square_target, [1 / 16, 1 / 32], [0.5], centers=4)
+    assert len(rows) > 0 and all(len(row) == 6 for row in rows)
+    obj = cli._json(asdict(est))
     assert '"kind": "assouad"' in obj and '"rows"' not in obj
     assert cli.main(["dimension", "--num-ratios", "2", "--centers", "4",
                      "--out", str(tmp_path)]) == 0

@@ -317,12 +317,11 @@ def bump_dipole(grid):
 def solved5(square_trees):
     grid = dc.decomposition_grid(square_trees[5])
     f = bump_dipole(grid)
-    vec, rep = dv.solve_divergence(square_trees[5], f, 2.0, 0.0)
-    return grid, f, vec, rep
+    return grid, f, *dv.solve_divergence(square_trees[5], f, 2.0, 0.0)
 
 
 def test_global_divergence_residual(solved5):
-    _, f, _, rep = solved5
+    *_, rep = solved5
     assert rep.extra["div_residual_rel"] <= 1e-8
 
 
@@ -330,45 +329,45 @@ def test_zero_data_degenerate(unit_square):
     tree = tc.build_tree(wt.whitney_decompose(unit_square, 4))
     grid = dc.decomposition_grid(tree)
     f = grid.with_values(np.zeros(grid.dims))
-    vec, rep = dv.solve_divergence(tree, f, 2.0, 0.0)
+    mac, _, rep = dv.solve_divergence(tree, f, 2.0, 0.0)
     assert rep.degenerate == "zero data"
-    assert np.allclose(rep.mac.fx, 0.0) and np.allclose(rep.mac.fy, 0.0)
+    assert np.allclose(mac.fx, 0.0) and np.allclose(mac.fy, 0.0)
 
 
-def test_support_and_mass_balance(solved5):
-    grid, f, vec, rep = solved5
-    dec = rep.decomposition
+def test_support_and_mass_balance(solved5, square_trees):
+    grid, f, mac, solves, rep = solved5
+    dec = dc.c_decompose(square_trees[5], f)
     # mass balance: node integrals sum to zero and match the data
-    total = sum(rep.decomposition.node_integral(t) for t in range(len(dec.tree)))
+    total = sum(dec.node_integral(t) for t in range(len(dec.tree)))
     assert abs(total) <= 1e-10
     # each local velocity lives only on faces interior to its patch
     ny = grid.dims[1]
-    for loc in rep.solves[:10]:
+    for loc in solves[:10]:
         patch = set(int(c) for c in loc.cells)
         for i, j in loc.fx_ij.tolist():
             assert (i - 1) * ny + j in patch and i * ny + j in patch
 
 
 def test_additivity_of_divergence(solved5):
-    grid, f, vec, rep = solved5
+    grid, f, mac, solves, rep = solved5
     covered = grid.covered
-    div = rep.mac.divergence()
+    div = mac.divergence()
     assert np.abs(np.where(covered, div - f.values, 0.0)).max() <= 1e-9 * (
         np.abs(f.values).max() + 1.0
     )
 
 
 def test_energy_overlap_surrogate(solved5):
-    grid, f, vec, rep = solved5
+    grid, f, mac, solves, rep = solved5
     q = 2.0
     covered = grid.covered
-    lhs, rhs = dv._apriori_norms(vec, f, q, 0.0)
+    lhs, rhs = dv._apriori_norms(mac.cell_centered(), f, q, 0.0)
     global_norm = lhs / rhs * F.weighted_lp_norm(
         f.with_values(np.where(covered, np.abs(f.values), 0.0)), q, 0.0
     )
     # per-node gradient norms through the same measuring stick
     total = 0.0
-    for loc in rep.solves:
+    for loc in solves:
         FX = np.zeros((grid.dims[0] + 1, grid.dims[1]))
         FY = np.zeros((grid.dims[0], grid.dims[1] + 1))
         FX[loc.fx_ij[:, 0], loc.fx_ij[:, 1]] = loc.fx
@@ -386,21 +385,20 @@ def test_one_factor_per_patch_shape(request, domain, shapes, splu_calls, monkeyp
     key_calls = []
     real_key = dv.patch_keys
     monkeypatch.setattr(dv, "patch_keys", lambda *a: key_calls.append(1) or real_key(*a))
-    vec, rep = dv.solve_divergence(tree, f, 2.0, 0.0)
+    mac, solves, rep = dv.solve_divergence(tree, f, 2.0, 0.0)
     # every node's key in one call
     assert len(splu_calls) == shapes and len(key_calls) == 1
-    d = rep.decomposition
-    assert len(set(dv.patch_keys(d.cells, d.ptr, grid.dims[1]))) == shapes
-    # node-by-node with a fresh factor each, summed in node order
     dec = dc.c_decompose(tree, f)
-    FX, FY = np.zeros_like(rep.mac.fx), np.zeros_like(rep.mac.fy)
+    assert len(set(dv.patch_keys(dec.cells, dec.ptr, grid.dims[1]))) == shapes
+    # node-by-node with a fresh factor each, summed in node order
+    FX, FY = np.zeros_like(mac.fx), np.zeros_like(mac.fy)
     for t in range(len(tree)):
         loc = solve_one(*dec.piece(t), grid.dims[1], grid.h, node=t)
-        assert_same_solve(loc, rep.solves[t])
+        assert_same_solve(loc, solves[t])
         FX[loc.fx_ij[:, 0], loc.fx_ij[:, 1]] += loc.fx
         FY[loc.fy_ij[:, 0], loc.fy_ij[:, 1]] += loc.fy
     assert len(splu_calls) == shapes + len(tree)
-    assert np.array_equal(rep.mac.fx, FX) and np.array_equal(rep.mac.fy, FY)
+    assert np.array_equal(mac.fx, FX) and np.array_equal(mac.fy, FY)
 
 
 def test_threshold_contrast_collar_probe(square_trees):
@@ -408,7 +406,8 @@ def test_threshold_contrast_collar_probe(square_trees):
     for lv in (5, 6, 7):
         grid = dc.decomposition_grid(square_trees[lv])
         f = collar_probe(square_trees[lv], grid)
-        vec, rep = dv.solve_divergence(square_trees[lv], f, 2.0, 0.0)
+        mac, _, rep = dv.solve_divergence(square_trees[lv], f, 2.0, 0.0)
+        vec = mac.cell_centered()
         for beta in ratios:
             lhs, rhs = dv._apriori_norms(vec, f, 2.0, beta)
             ratios[beta].append(lhs / rhs)

@@ -327,6 +327,41 @@ def assert_matches_dense(dom, max_level):
     return dec
 
 
+def assert_truncations_are_prefixes(dom, levels, deep):
+    """Each build at a level L in ``levels`` is bitwise the first rows of the
+    build at ``deep``, and the deeper build's next row is a cube below level L."""
+    full = wt.whitney_decompose(dom, deep)
+    for L in levels:
+        try:
+            dec = wt.whitney_decompose(dom, L)
+        except EmptyDecompositionError:  # the empty prefix
+            assert full.levels[0] > L
+            continue
+        n = len(dec)
+        for name in ("levels", "indices", "dist_sq"):
+            assert getattr(dec, name).tobytes() == getattr(full, name)[:n].tobytes(), (L, name)
+        assert n < len(full) and full.levels[n] > L
+
+
+@pytest.mark.parametrize("preset,kw", [
+    ("unit_square", {}),
+    ("l_shape", {}),
+    ("slit_square", {}),
+    ("koch_prefractal", {"level": 2}),
+])
+def test_truncations_are_prefixes_of_a_deeper_build(preset, kw):
+    assert_truncations_are_prefixes(geo.make_domain(preset, **kw), range(4, 9), 9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(star_polygons())
+def test_truncations_are_prefixes_on_star_polygons(dom):
+    try:
+        assert_truncations_are_prefixes(dom, range(2, 7), 7)
+    except EmptyDecompositionError:  # raised by the deepest build only
+        assume(False)
+
+
 @pytest.mark.parametrize("preset,kw,level", [
     ("unit_square", {}, 9),
     ("l_shape", {}, 8),
