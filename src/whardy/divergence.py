@@ -5,9 +5,10 @@ each piece gets a minimal-Dirichlet-energy MAC solution of div u_t = f_t on
 its own cell patch with zero boundary faces, and the global field is the
 face-wise sum. Local problems are equality-constrained quadratic programs
 solved through the sparse KKT saddle system with one pressure multiplier
-pinned per patch. Each patch shape is assembled and factored once, and
-all its patches are solved in one call; the divergence constraint is
-verified cellwise after every solve.
+pinned per patch. The systems of all patch shapes are assembled in one
+vectorized pass, each is factored once, and all patches of a shape are
+solved in one call; the divergence constraint is verified cellwise after
+every solve.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import geometry
 from .decomp import c_decompose, check_q_beta
 from .errors import CompatibilityError, ConvergenceError, StructureError
 from .fields import GridFunction, _exact_sum, gradient_norm, weighted_lp_norm
+from .geometry import _block_runs, index_ranges
 from .inequalities import InequalityReport
 from .treecover import TreeCovering
 
@@ -93,6 +95,7 @@ def patch_keys(cells: np.ndarray, ptr: np.ndarray, ny: int) -> list[bytes]:
 class _PatchSystem(NamedTuple):
     """The shape-dependent part of a local solve."""
 
+    offsets: np.ndarray  # (i - i_min, j - j_min) of each cell: the shape
     has_fx: np.ndarray  # cells whose low x-face is interior to the patch
     has_fy: np.ndarray
     nfx: int
@@ -102,79 +105,185 @@ class _PatchSystem(NamedTuple):
     lu: spla.SuperLU | None  # factor of the pinned KKT matrix
 
 
-def _compressed(cols: np.ndarray, vals: np.ndarray):
-    """(data, indices, indptr) of the rows ``cols`` (-1 for no entry) with
-    values ``vals``, each row's columns ascending: the canonical form a COO
-    conversion gives, so products and factors see the same matrix. The
-    index arrays are int32, which scipy takes without a scan."""
-    row, k = np.nonzero(cols >= 0)
-    col = cols[row, k]
-    order = np.argsort(row * (int(col.max()) + 1) + col)
-    indptr = np.searchsorted(row, np.arange(len(cols) + 1))
-    return vals[row, k][order], col[order].astype(np.int32), indptr.astype(np.int32)
+class _Compressed(NamedTuple):
+    """Row-compressed arrays of several patches' matrices, one after another:
+    patch s has the entries ``entry[s]:entry[s + 1]`` and the indptr
+    ``indptr[at[s]:at[s + 1]]``, counted from its own first entry."""
+
+    data: np.ndarray
+    indices: np.ndarray  # int32, like indptr: scipy takes them without a scan
+    indptr: np.ndarray
+    entry: list
+    at: list
+
+    def matrix(self, s: int) -> tuple:
+        a, b = self.entry[s], self.entry[s + 1]
+        return self.data[a:b], self.indices[a:b], self.indptr[self.at[s]:self.at[s + 1]]
 
 
-def _patch_system(ii: np.ndarray, jj: np.ndarray, ny: int, node: int) -> _PatchSystem:
-    # scipy loads on the first factorization, off every other command's startup
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+def _compress(table: np.ndarray, keep: np.ndarray, patch: np.ndarray,
+              count: int) -> _Compressed:
+    """The entries of a table of entry keys (see ``_assemble``) where
+    ``keep`` holds, row by row, for each of ``count`` patches; ``patch``
+    (non-decreasing) is each row's patch. Each row's keys ascend, so each
+    patch gets the canonical form a COO conversion gives, and products and
+    factors see the same matrix."""
+    flat = np.flatnonzero(keep)
+    key = table.ravel()[flat]
+    per_row = np.bincount(flat // table.shape[1], minlength=len(table))
+    rows = np.bincount(patch, minlength=count)
+    total = np.cumsum(np.append(0, per_row))
+    first = total[np.cumsum(rows) - rows]  # entries before each patch
+    indptr = np.zeros(len(per_row) + count, dtype=np.int32)
+    indptr[np.arange(len(per_row)) + patch + 1] = total[1:] - first[patch]
+    return _Compressed((key & 7) - 1.0, (key >> 3).astype(np.int32), indptr,
+                       [*first.tolist(), int(total[-1])],
+                       np.cumsum(np.append(0, rows + 1)).tolist())
 
-    nc = len(ii)
-    # Face (i, j) sits on the low side of cell (i, j) and shares its key
-    # i * (ny + 1) + j. The spare column j = ny keeps the lattice steps
-    # +-(ny + 1) and +-1 from wrapping across grid rows.
-    keys = ii * (ny + 1) + jj
-    srt = np.argsort(keys)
-    # the sentinel above every key keeps each searchsorted index in range
-    lattice = np.append(keys[srt], np.iinfo(np.int64).max)
-    steps = keys[:, None] + np.array([0, ny + 1, -(ny + 1), 1, -1])
-    at = np.searchsorted(lattice, steps)
+
+def _assemble(cells: np.ndarray, ptr: np.ndarray, ny: int) -> tuple:
+    """The local matrices of every patch ``cells[ptr[s]:ptr[s + 1]]``, in one
+    vectorized pass over all of them.
+
+    Returns ``(off, has_fx, has_fy, nfx, nf, AB, KKT)``: each cell's
+    offsets (see ``_cell_offsets``), whether its low x- (y-) face is
+    interior to its patch, each patch's x-face and face
+    counts as lists, and the compressed rows of each patch's
+    Laplacian-over-divergence matrix and of its pinned KKT matrix. A
+    patch's faces and unknowns are numbered in its input cell order, so its
+    matrices depend on its ``patch_keys`` key alone.
+    """
+    n, size = len(cells), np.diff(ptr)
+    count = len(size)
+    patch = np.repeat(np.arange(count), size)
+    local = np.arange(n) - ptr[:-1][patch]  # each cell's place in its patch
+    off = _cell_offsets(cells, ptr, ny)
+    # Patch s gets the places base[s]:base[s + 1] of one lattice, (wi + 2) wj
+    # of them for its wi rows of offsets a and wj - 1 columns of offsets b.
+    # Cell (a, b) is at base[s] + (a + 1) wj + b, and face (i, j), on the
+    # low side of cell (i, j), shares its cell's place. The spare first and
+    # last rows and last column keep the steps +-wj and +-1 in the patch.
+    full = size > 0
+    wi, wj = np.zeros((2, count), dtype=np.int64)
+    wi[full], wj[full] = np.maximum.reduceat(off, ptr[:-1][full]).T + [[1], [2]]
+    places = (wi + 2) * wj
+    base = np.cumsum(places) - places
+    place = (base + wj)[patch] + off[:, 0] * wj[patch] + off[:, 1]
+    lattice = np.full(int(places.sum()), -1)
+    lattice[place] = np.arange(n)
     # patch cell at each step (itself, +x, -x, +y, -y) from each cell, or -1
-    nb = np.where(lattice[at] == steps, np.append(srt, -1)[at], -1)
+    nb = lattice[place[:, None] + wj[patch, None] * [0, 1, -1, 0, 0] + [0, 0, 0, 1, -1]]
 
     # interior faces in input cell order: x-face (i, j) where cell (i-1, j)
     # is in the patch too, y-face (i, j) where cell (i, j-1) is
     has_fx, has_fy = nb[:, 2] >= 0, nb[:, 4] >= 0
-    nfx = int(has_fx.sum())
-    nf = nfx + int(has_fy.sum())
-    if nf == 0:
-        return _PatchSystem(has_fx, has_fy, 0, None, None)
+    xf, yf = np.flatnonzero(has_fx), np.flatnonzero(has_fy)
+    nfx = np.bincount(patch[xf], minlength=count)
+    nfy = np.bincount(patch[yf], minlength=count)
+    nf = nfx + nfy
+    # unknown of the x- (y-) face keyed by each cell, numbered in its patch
+    # x-faces first, -1 for none; the trailing -1 is what a missing cell
+    # (index -1) reads
+    fx_id = np.full(n + 1, -1)
+    fx_id[xf] = np.arange(len(xf)) - (np.cumsum(nfx) - nfx)[patch[xf]]
+    fy_id = np.full(n + 1, -1)
+    fy_id[yf] = np.arange(len(yf)) - (np.cumsum(nfy) - nfy - nfx)[patch[yf]]
 
-    # unknown number of the x- (y-) face keyed by each cell, -1 for none;
-    # the trailing -1 is what a missing cell (index -1) reads
-    fx_id = np.full(nc + 1, -1)
-    fx_id[:nc][has_fx] = np.arange(nfx)
-    fy_id = np.full(nc + 1, -1)
-    fy_id[:nc][has_fy] = np.arange(nfx, nf)
+    # Patch s has nf[s] + size[s] rows from row[s]: face a's row is a, cell
+    # c's is nf[s] + c. Row a: A = 4I - adjacency on each face lattice. Row
+    # nf + c: the constraint of cell c, its high faces minus its low faces =
+    # h * f. In the KKT matrix [[A, B1^T], [B1, 0]], B1 is B without its
+    # first row: the first cell's multiplier is pinned (B has a constant
+    # null space per connected patch; compatibility holds by the mean-zero
+    # check). Cell c >= 1 is unknown nf + c - 1, and face a's column of B
+    # joins the cell keying it (-1) to that cell's -x (-y) neighbour (+1).
+    # K is symmetric, so its canonical rows are its canonical columns.
+    rows = nf + size
+    row = np.cumsum(rows) - rows
+    pinned = np.where(local > 0, nf[patch] + local - 1, -1)
+    # An entry's key is (column << 3) | (value + 1), so sorting a row's keys
+    # sorts its columns and carries the values; no entry is ``last``, past
+    # every key. A face row holds the face itself (4) and its +x, -x, +y
+    # and -y neighbours of the same component (-1) in A, then the cell
+    # keying it (-1) and that cell's -x (-y) neighbour (+1) in B^T; a cell
+    # row its +x (+1), own x (-1), +y (+1) and own y (-1) faces in B.
+    last = np.iinfo(np.int64).max
+    faces = np.concatenate([xf, yf])  # the cell keying each face, x-faces first
+    nface = len(faces)
+    table = np.full((nface + n, 7), -1)
+    table[:nface, :5] = np.concatenate([fx_id[nb[xf]], fy_id[nb[yf]]])
+    table[:nface, 5] = pinned[faces]
+    table[:nface, 6] = pinned[np.concatenate([nb[xf, 2], nb[yf, 4]])]
+    table[nface:, :4] = np.stack([fx_id[nb[:, 1]], fx_id[:n], fy_id[nb[:, 3]], fy_id[:n]],
+                                 axis=1)
+    none = table < 0
+    table <<= 3
+    table[:nface] |= [5, 0, 0, 0, 0, 0, 2]
+    table[nface:] |= [2, 0, 2, 0, 0, 0, 0]
+    table[none] = last
+    table.sort(axis=1)
+    # the rows in matrix order, patch after patch
+    at = np.empty(len(table), dtype=np.int64)
+    at[np.concatenate([row[patch[faces]] + np.concatenate([fx_id[xf], fy_id[yf]]),
+                       (row + nf)[patch] + local])] = np.arange(len(table))
+    table = table[at]
 
-    # Row a < nf: A = 4I - adjacency on each face lattice, face a itself,
-    # then its +x, -x, +y, -y neighbours of the same component. Row nf + c:
-    # the constraint of cell c, its high faces minus its low faces = h * f.
-    cols = np.full((nf + nc, 7), -1)
-    cols[:nf, :5] = np.concatenate([fx_id[nb[has_fx]], fy_id[nb[has_fy]]])
-    cols[nf:, :4] = np.stack([fx_id[nb[:, 1]], fx_id[:nc], fy_id[nb[:, 3]], fy_id[:nc]],
-                             axis=1)
-    vals = np.zeros((nf + nc, 7))
-    vals[:nf] = [4.0, -1.0, -1.0, -1.0, -1.0, -1.0, 1.0]
-    vals[nf:, :4] = [1.0, -1.0, 1.0, -1.0]
-    AB = sp.csr_matrix(_compressed(cols, vals), shape=(nf + nc, nf))
+    row_patch = np.repeat(np.arange(count), rows)
+    # AB holds the entries in face columns: all of A and B, none of B^T
+    AB = _compress(table, table < (nf << 3)[row_patch, None], row_patch, count)
+    kept = np.ones(len(table), dtype=bool)
+    kept[(row + nf)[full]] = False  # the first cell's row is pinned
+    table = table[kept]
+    KKT = _compress(table, table < last, row_patch[kept], count)
+    return off, has_fx, has_fy, nfx.tolist(), nf.tolist(), AB, KKT
 
-    # KKT [[A, B1^T], [B1, 0]], where B1 is B without its first row: the
-    # first cell's multiplier is pinned (B has a constant null space per
-    # connected patch; compatibility holds by the mean-zero check). Cell
-    # c >= 1 is unknown nf + c - 1, and face a's column of B joins the cell
-    # keying it (-1) to that cell's -x (-y) neighbour (+1). K is symmetric,
-    # so its canonical rows are its canonical columns.
-    cols[:nfx, 5:] = np.stack([np.flatnonzero(has_fx), nb[has_fx, 2]], axis=1)
-    cols[nfx:nf, 5:] = np.stack([np.flatnonzero(has_fy), nb[has_fy, 4]], axis=1)
-    cols[:nf, 5:] = np.where(cols[:nf, 5:] > 0, cols[:nf, 5:] + (nf - 1), -1)
-    rows = np.r_[:nf, nf + 1:nf + nc]
-    K = sp.csc_matrix(_compressed(cols[rows], vals[rows]), shape=(nf + nc - 1, nf + nc - 1))
-    try:
-        lu = spla.splu(K)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise ConvergenceError(f"local KKT system of node {node} is singular: {exc}") from exc
-    return _PatchSystem(has_fx, has_fy, nfx, AB, lu)
+
+def _patch_systems(cells: np.ndarray, ptr, ny: int, nodes):
+    """Yield the factored local system of each patch ``cells[ptr[s]:ptr[s +
+    1]]`` in turn; ``nodes[s]`` names it in errors.
+
+    One ``_assemble`` pass builds a run of patches whose tables (at most 3
+    rows of 7 entries per cell) hold at most BLOCK // 8 entries, unless one
+    patch alone has more: the pass keeps about 8 table-sized temporaries. A
+    patch is factored only when its system is asked for, so one factor is
+    alive at a time if the caller drops each system first.
+    """
+    # scipy loads on the first factorization, off every other command's startup
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    ptr = np.asarray(ptr)
+    for start, stop in _block_runs(8 * 21 * np.diff(ptr)):
+        run = ptr[start:stop + 1] - ptr[start]
+        off, has_fx, has_fy, nfx, nf, AB, KKT = _assemble(cells[ptr[start]:ptr[stop]], run, ny)
+        for s, (a, b) in enumerate(itertools.pairwise(run.tolist())):
+            if nf[s] == 0:
+                yield _PatchSystem(off[a:b], has_fx[a:b], has_fy[a:b], 0, None, None)
+                continue
+            rows = nf[s] + b - a
+            K = sp.csc_matrix(KKT.matrix(s), shape=(rows - 1, rows - 1))
+            try:
+                lu = spla.splu(K)
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise ConvergenceError(
+                    f"local KKT system of node {nodes[start + s]} is singular: {exc}") from exc
+            yield _PatchSystem(off[a:b], has_fx[a:b], has_fy[a:b], nfx[s],
+                               sp.csr_matrix(AB.matrix(s), shape=(rows, nf[s])), lu)
+            del lu  # before the next patch is factored
+
+
+def _check_mean_zero(f_vals: np.ndarray, ptr, h: float, nodes) -> None:
+    """Raise ``CompatibilityError`` naming the first patch whose data
+    ``f_vals[ptr[t]:ptr[t + 1]]`` has a nonzero integral; ``nodes[t]``
+    names patch t."""
+    size = np.diff(ptr)
+    patch = np.repeat(np.arange(len(size)), size)
+    total = np.bincount(patch, f_vals, len(size)) * h * h
+    l1 = np.bincount(patch, np.abs(f_vals), len(size)) * h * h
+    bad = (l1 > 0) & (np.abs(total) > 1e-10 * l1)
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise CompatibilityError(f"nonzero mean on node {nodes[t]}: {total[t]:.3e}")
 
 
 def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int, h: float,
@@ -185,41 +294,47 @@ def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int, h: float,
     Row r of ``cells`` holds the flat ids (i * ny + j) of node ``nodes[r]``'s
     patch, row r of ``f_vals`` the target divergence per cell; one patch is
     a block of one row. Every row must have the first row's ``patch_keys``
-    key. Velocities on faces not interior to a patch are zero. Requires the
-    discrete integral of each row of f to vanish. Each row's floats are
-    those of solving it alone.
+    key, and the discrete integral of each row of f must vanish. Velocities
+    on faces not interior to a patch are zero. Each row's floats are those
+    of solving it alone.
 
-    ``system`` is the factored local system of a patch with this key;
-    without it the call factors afresh. The floats are the same either way.
+    ``system`` is the factored local system of a patch of this shape, from
+    ``_patch_systems``, which ``solve_divergence`` builds once per shape;
+    every row must then have its patch's key. Without it the call factors
+    the first row's patch. The floats are the same either way. The keys
+    are checked in both cases (``StructureError``), the means only without
+    ``system``, as ``solve_divergence`` checks them for all its nodes at
+    once: a row that is not mean-zero still fails the residual check (its
+    pinned cell's divergence is off by the row's integral).
     """
     cells = np.asarray(cells, dtype=np.int64)
     f_vals = np.asarray(f_vals, dtype=float)
     nodes = np.asarray(nodes).tolist()
     k, m = cells.shape
-    off = _cell_offsets(cells.ravel(), m * np.arange(k + 1), ny).reshape(k, m, 2)
-    other = (off != off[:1]).any(axis=(1, 2))
-    if other.any():
-        raise StructureError(f"patch of node {nodes[int(np.argmax(other))]} does not "
-                             f"have the shape of node {nodes[0]}'s")
-    total = f_vals.sum(axis=1) * h * h
-    l1 = np.abs(f_vals).sum(axis=1) * h * h
-    bad = (l1 > 0) & (np.abs(total) > 1e-10 * l1)
-    if bad.any():
-        r = int(np.argmax(bad))
-        raise CompatibilityError(f"nonzero mean on node {nodes[r]}: {total[r]:.3e}")
     ij = np.stack(np.divmod(cells, ny), axis=-1)
+    # equal keys are translates: equal offsets from each row's first cell
+    rel = ij - ij[:, :1]
+    ref = rel[0] if system is None else system.offsets - system.offsets[:1]
+    other = (rel != ref).any(axis=(1, 2)) if len(ref) == m else np.ones(k, dtype=bool)
+    if other.any():
+        whose = f"node {nodes[0]}'s" if system is None else "its system's"
+        raise StructureError(f"patch of node {nodes[int(np.argmax(other))]} does not "
+                             f"have the shape of {whose}")
     if system is None:
-        system = _patch_system(*np.divmod(cells[0], ny), ny, nodes[0])
-    has_fx, has_fy, nfx, AB, lu = system
+        _check_mean_zero(f_vals.ravel(), m * np.arange(k + 1), h, nodes)
+        system = next(_patch_systems(cells[0], [0, m], ny, nodes))
+    _, has_fx, has_fy, nfx, AB, lu = system
     nf = 0 if AB is None else AB.shape[1]
     u = np.zeros((k, nf))
     energy = np.zeros(k)
     residual = np.zeros(k)
-    if lu is None and (l1 > 0).any():
-        raise CompatibilityError(
-            f"patch of node {nodes[int(np.argmax(l1 > 0))]} has no interior face")
 
-    if lu is not None:
+    if lu is None:
+        nonzero = np.abs(f_vals).sum(axis=1) > 0
+        if nonzero.any():
+            raise CompatibilityError(
+                f"patch of node {nodes[int(np.argmax(nonzero))]} has no interior face")
+    else:
         rhs_c = h * f_vals
         # One lu.solve per row: SuperLU takes another BLAS path for several
         # right-hand sides (dtrsm/dgemm for dtrsv/dgemv), whose floats differ
@@ -267,21 +382,27 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float,
     dec = c_decompose(tree, f)
 
     nx, ny = f.dims
+    _check_mean_zero(dec.values, dec.ptr, f.h, range(len(tree)))
     # supp(g_t) is the local patch: the cube's cells, its own transfer box
     # and its children's, which all connect through the shared faces. The
     # nodes are grouped by patch shape (a stable sort, so node order within
-    # a group); each shape is factored once and solved as one block, and
-    # only one factor is alive at a time.
+    # a group). The first patch of each
+    # shape stands for it: they are assembled a run at a time, each by one
+    # vectorized pass, and each is factored once and its shape solved as
+    # one block, one factor alive at a time.
     keys = patch_keys(dec.cells, dec.ptr, ny)
     order = sorted(range(len(tree)), key=keys.__getitem__)
     groups = [np.array(list(g)) for _, g in itertools.groupby(order, key=keys.__getitem__)]
     del keys  # 16 bytes per patch cell, unused while solving
+    first = np.array([nodes[0] for nodes in groups], dtype=np.int64)
+    size = np.diff(dec.ptr)[first]
+    systems = _patch_systems(dec.cells[index_ranges(dec.ptr[first], size)],
+                             np.append(0, np.cumsum(size)), ny, first)
     solves: list = [None] * len(tree)
-    for nodes in groups:
-        at = dec.ptr[nodes, None] + np.arange(dec.ptr[nodes[0] + 1] - dec.ptr[nodes[0]])
-        cells = dec.cells[at]
-        system = _patch_system(*np.divmod(cells[0], ny), ny, nodes[0])
-        for loc in local_div_solve(cells, dec.values[at], ny, f.h, nodes, system=system):
+    # strict: the exhausted generator drops its last run's arrays too
+    for nodes, m, system in zip(groups, size.tolist(), systems, strict=True):
+        at = dec.ptr[nodes, None] + np.arange(m)
+        for loc in local_div_solve(dec.cells[at], dec.values[at], ny, f.h, nodes, system=system):
             solves[loc.node] = loc
         del system  # before the next shape is factored, and before the norms below
     # summed in node order, so every float is independent of the visit order

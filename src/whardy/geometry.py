@@ -29,10 +29,11 @@ COORD_LIMIT = 1e150
 # every pass; temporaries of this many floats stay in cache (2^18-pair
 # tiles ran about 1.5x slower).
 BLOCK = 1 << 16
-# 3 * 4^9 = 786,432 vertices, built in about 5 s: about 1 s for the
+# 3 * 4^9 = 786,432 vertices, built in about 6 s: about 1 s for the
 # vertices and 3.5-4.5 s for PolygonalDomain's checks and slab index, most of
-# it _is_simple, at a 340 MB peak RSS, most of it the slab index (_is_simple
-# peaks at 53 MB). Each level beyond multiplies the vertices by four.
+# it _is_simple, at a 200 MB peak RSS (the slab index holds 57 MB and peaks
+# at 81 MB while built; _is_simple peaks at 53 MB). Each level beyond
+# multiplies the vertices by four.
 MAX_KOCH_LEVEL = 9
 
 
@@ -351,14 +352,33 @@ class SlabIndex:
 
     @classmethod
     def build(cls, ylo, yhi) -> SlabIndex:
+        """The index of the edges with y-ranges [ylo, yhi). ``ptr`` comes
+        from the slab counts; ``edges`` is then filled for runs of edges
+        with at most BLOCK (slab, edge) pairs each, unless one edge alone
+        has more, each run after the earlier runs' edges of its slabs."""
         breaks = np.unique(np.concatenate([ylo, yhi]))
         first = np.searchsorted(breaks, ylo) + 1  # slab starting at ylo
         counts = np.searchsorted(breaks, yhi) + 1 - first
-        slab = index_ranges(first, counts)
-        edge = np.repeat(np.arange(len(ylo)), counts)
-        order = np.argsort(slab, kind="stable")
-        ptr = np.searchsorted(slab[order], np.arange(len(breaks) + 2))
-        return cls(breaks, ptr, edge[order])
+        # edge e lists for slabs first[e] to first[e] + counts[e] - 1
+        n = len(breaks) + 2
+        starts = np.bincount(first, minlength=n) - np.bincount(first + counts, minlength=n)
+        ptr = np.append(0, np.cumsum(np.cumsum(starts)[:-1]))
+        edges = np.empty(int(ptr[-1]), dtype=np.int64)
+        free = ptr[:-1].copy()  # next place of each slab
+        for start, stop in _block_runs(counts):
+            c = counts[start:stop]
+            if not c.any():  # horizontal edges only: no pairs
+                continue
+            slab = index_ranges(first[start:stop], c)
+            order = np.argsort(slab, kind="stable")
+            slab = slab[order]
+            # a pair's place: its slab's next place, plus its rank in the
+            # run among that slab's pairs
+            at = free[slab] + np.arange(len(slab)) - np.searchsorted(slab, slab)
+            edges[at] = np.repeat(np.arange(start, stop), c)[order]
+            last = np.append(slab[1:] != slab[:-1], True)  # each slab's last pair
+            free[slab[last]] = at[last] + 1
+        return cls(breaks, ptr, edges)
 
     def chunks(self, ys):
         """Yield ``(start, stop, owner, edge)`` over consecutive runs of

@@ -1,6 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import collar_probe
 from whardy import decomp as dc
@@ -59,6 +65,21 @@ def dense_kkt_oracle(cells, f_vals, ny, h):
     rhs = np.concatenate([np.zeros(nf), h * f_vals[1:]])
     sol = np.linalg.solve(K, rhs)
     return fx_ids, fy_ids, sol[:nf], nfx
+
+
+def oracle_energy(cells, f_vals, ny, h):
+    """u^T A u of the dense oracle's velocities: on each face lattice, 4 u_a^2
+    less u_a u_b for every ordered pair of neighbouring faces."""
+    fx_ids, fy_ids, u, nfx = dense_kkt_oracle(cells, f_vals, ny, h)
+    total = 0.0
+    for ids, base in ((fx_ids, 0), (fy_ids, nfx)):
+        for (i, j), a in ids.items():
+            total += 4.0 * u[base + a] ** 2
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                b = ids.get((i + di, j + dj))
+                if b is not None:
+                    total -= u[base + a] * u[base + b]
+    return total
 
 
 def face_dicts(loc):
@@ -171,8 +192,8 @@ def test_shared_factor_equals_fresh_solve(name, splu_calls):
     assert (dv.patch_keys(cells, [0, len(cells)], ny)
             == dv.patch_keys(first, [0, len(first)], 8)) is same_key
     # the system solve_divergence passes: the first patch's when the keys agree
-    system = (dv._patch_system(*np.divmod(first, 8), 8, -1) if same_key
-              else dv._patch_system(*np.divmod(cells, ny), ny, -1))
+    patch, patch_ny = (first, 8) if same_key else (cells, ny)
+    system = next(dv._patch_systems(patch, [0, len(patch)], patch_ny, [-1]))
     shared = solve_one(cells, f, ny, h, system=system)
     assert len(splu_calls) == 1
     fresh = solve_one(cells, f, ny, h)
@@ -231,6 +252,144 @@ def test_block_equals_fresh_solves(name, block, monkeypatch):
     assert (len(block_solves[0].fx) + len(block_solves[0].fy) == 0) is (name == "no-face")
 
 
+def reference_system(cells, ny):
+    """(has_fx, has_fy, nfx, AB, K) of one patch built alone, from a sorted
+    lookup of integer face keys: the oracle of the one-pass ``_assemble``."""
+    ii, jj = np.divmod(np.asarray(cells, dtype=np.int64), ny)
+    nc = len(ii)
+    keys = ii * (ny + 1) + jj
+    srt = np.argsort(keys)
+    lattice = np.append(keys[srt], np.iinfo(np.int64).max)
+    steps = keys[:, None] + np.array([0, ny + 1, -(ny + 1), 1, -1])
+    at = np.searchsorted(lattice, steps)
+    nb = np.where(lattice[at] == steps, np.append(srt, -1)[at], -1)
+    has_fx, has_fy = nb[:, 2] >= 0, nb[:, 4] >= 0
+    nfx = int(has_fx.sum())
+    nf = nfx + int(has_fy.sum())
+    if nf == 0:
+        return has_fx, has_fy, 0, None, None
+
+    def compressed(cols, vals):
+        row, k = np.nonzero(cols >= 0)
+        col = cols[row, k]
+        order = np.argsort(row * (int(col.max()) + 1) + col)
+        indptr = np.searchsorted(row, np.arange(len(cols) + 1))
+        return vals[row, k][order], col[order].astype(np.int32), indptr.astype(np.int32)
+
+    fx_id = np.full(nc + 1, -1)
+    fx_id[:nc][has_fx] = np.arange(nfx)
+    fy_id = np.full(nc + 1, -1)
+    fy_id[:nc][has_fy] = np.arange(nfx, nf)
+    cols = np.full((nf + nc, 7), -1)
+    cols[:nf, :5] = np.concatenate([fx_id[nb[has_fx]], fy_id[nb[has_fy]]])
+    cols[nf:, :4] = np.stack([fx_id[nb[:, 1]], fx_id[:nc], fy_id[nb[:, 3]], fy_id[:nc]], axis=1)
+    vals = np.zeros((nf + nc, 7))
+    vals[:nf] = [4.0, -1.0, -1.0, -1.0, -1.0, -1.0, 1.0]
+    vals[nf:, :4] = [1.0, -1.0, 1.0, -1.0]
+    AB = sp.csr_matrix(compressed(cols, vals), shape=(nf + nc, nf))
+    cols[:nfx, 5:] = np.stack([np.flatnonzero(has_fx), nb[has_fx, 2]], axis=1)
+    cols[nfx:nf, 5:] = np.stack([np.flatnonzero(has_fy), nb[has_fy, 4]], axis=1)
+    cols[:nf, 5:] = np.where(cols[:nf, 5:] > 0, cols[:nf, 5:] + (nf - 1), -1)
+    rows = np.r_[:nf, nf + 1:nf + nc]
+    K = sp.csc_matrix(compressed(cols[rows], vals[rows]), shape=(nf + nc - 1, nf + nc - 1))
+    return has_fx, has_fy, nfx, AB, K
+
+
+def assert_systems_match_reference(cells, ptr, ny, block):
+    """Each system of one ``_patch_systems`` call over the patches
+    ``cells[ptr[s]:ptr[s + 1]]``, and the matrix it hands to ``splu``, has
+    the reference's flags and compressed arrays, dtypes included."""
+    factored = []
+    real = spla.splu
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spla, "splu", lambda K: factored.append(K) or real(K))
+        if block is not None:
+            mp.setattr(G, "BLOCK", block)
+        systems = dv._patch_systems(cells, ptr, ny, list(range(len(ptr) - 1)))
+        for a, b in itertools.pairwise(ptr):
+            seen = len(factored)
+            system = next(systems)
+            has_fx, has_fy, nfx, AB, K = reference_system(cells[a:b], ny)
+            assert np.array_equal(system.has_fx, has_fx)
+            assert np.array_equal(system.has_fy, has_fy) and system.nfx == nfx
+            if AB is None:
+                assert system.AB is None and system.lu is None and len(factored) == seen
+                continue
+            assert len(factored) == seen + 1
+            for new, old in ((system.AB, AB), (factored[-1], K)):
+                assert new.format == old.format and new.shape == old.shape
+                for name in ("data", "indices", "indptr"):
+                    x, y = getattr(new, name), getattr(old, name)
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert next(systems, None) is None
+
+
+@st.composite
+def connected_patches(draw):
+    """(i, j) offsets of a connected patch grown from one cell, a neighbour
+    of some cell at a time, listed in a drawn order."""
+    cells = [(0, 0)]
+    for pick, (di, dj) in draw(st.lists(st.tuples(st.integers(0, 1000), st.sampled_from(
+            [(1, 0), (-1, 0), (0, 1), (0, -1)])), max_size=30)):
+        i, j = cells[pick % len(cells)]
+        if (i + di, j + dj) not in cells:
+            cells.append((i + di, j + dj))
+    ij = np.array(draw(st.permutations(cells)))
+    return ij - ij.min(axis=0)
+
+
+# in every drawn batch: a single cell, a diagonal pair (no interior face),
+# an L and the L with its cells in another order
+FIXED_PATCHES = [np.array([[0, 0]]), np.array([[0, 0], [1, 1]]), np.array(L_CELLS),
+                 np.array(L_CELLS)[L_PERM]]
+
+
+@given(st.lists(connected_patches(), min_size=1, max_size=6), st.randoms(),
+       st.sampled_from([None, 7]))
+def test_one_pass_assembly_equals_reference(drawn, rand, block):
+    patches = drawn + FIXED_PATCHES
+    rand.shuffle(patches)
+    ny = max(int(ij[:, 1].max()) for ij in patches) + 4
+    # each patch at its own place on a grid of ny columns: shapes only
+    # depend on offsets, so the places may overlap
+    cells = np.concatenate([(ij[:, 0] + rand.randrange(5)) * ny + ij[:, 1]
+                            + rand.randrange(ny - int(ij[:, 1].max())) for ij in patches])
+    ptr = np.cumsum([0] + [len(ij) for ij in patches])
+    assert_systems_match_reference(cells, ptr, ny, block)
+
+
+@pytest.fixture(scope="module")
+def collar_pieces(request):
+    """(tree, grid, collar probe, its decomposition) of a domain fixture at
+    a level, built once per module."""
+    cache = {}
+
+    def get(domain, level):
+        if (domain, level) not in cache:
+            tree = tc.build_tree(wt.whitney_decompose(request.getfixturevalue(domain), level))
+            grid = dc.decomposition_grid(tree)
+            f = collar_probe(tree, grid)
+            cache[domain, level] = tree, grid, f, dc.c_decompose(tree, f)
+        return cache[domain, level]
+
+    return get
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("domain, level", [("koch2", 5), ("koch2", 6), ("slit_square", 6)])
+def test_benchmark_shapes_assembly_equals_reference(collar_pieces, domain, level, block):
+    """Every patch shape of the benchmark's divergence rungs, assembled in
+    one pass (at BLOCK = 7 one patch a pass), as solve_divergence does."""
+    _, grid, _, dec = collar_pieces(domain, level)
+    first = {}
+    for t, key in enumerate(dv.patch_keys(dec.cells, dec.ptr, grid.dims[1])):
+        first.setdefault(key, t)
+    nodes = np.array(sorted(first.values()))
+    size = np.diff(dec.ptr)[nodes]
+    cells = dec.cells[G.index_ranges(dec.ptr[nodes], size)]
+    assert_systems_match_reference(cells, np.cumsum(np.append(0, size)), grid.dims[1], block)
+
+
 def test_block_of_other_shapes_rejected():
     ny = 8
     first = l_patch(ny, (0, 0), None)
@@ -240,6 +399,24 @@ def test_block_of_other_shapes_rejected():
         cells = np.array([first, first + ny, other])
         with pytest.raises(StructureError, match="node 7 does not have the shape of node 5"):
             dv.local_div_solve(cells, f, ny, 0.25, [5, 6, 7])
+
+
+def test_block_checked_against_its_system():
+    ny = 8
+    first = l_patch(ny, (0, 0), None)
+    system = next(dv._patch_systems(first, [0, len(first)], ny, [5]))
+    # a row of the same cells in another order; rows of the patch less its
+    # last cell
+    for cells, bad in ((np.array([first + ny, l_patch(ny, (0, 0), L_PERM)]), 6),
+                       (np.array([first[:-1] + ny, first[:-1]]), 5)):
+        with pytest.raises(StructureError, match=f"node {bad} does not have the shape of its system"):
+            dv.local_div_solve(cells, np.zeros(cells.shape), ny, 0.25, [5, 6], system=system)
+    # the means are the caller's to check; a row that is not mean-zero
+    # fails the residual check
+    f = np.zeros((2, len(first)))
+    f[1, 0] = 1.0
+    with pytest.raises(ConvergenceError, match="local solve on node 6 stalled"):
+        dv.local_div_solve(np.array([first, first + ny]), f, ny, 0.25, [5, 6], system=system)
 
 
 def test_block_nonzero_mean_row_names_its_node():
@@ -377,11 +554,15 @@ def test_energy_overlap_surrogate(solved5):
     assert global_norm**q <= total * (12**2) ** (q - 1) + 1e-12
 
 
-@pytest.mark.parametrize("domain, shapes", [("koch2", 37), ("slit_square", 43)])
-def test_one_factor_per_patch_shape(request, domain, shapes, splu_calls, monkeypatch):
-    tree = tc.build_tree(wt.whitney_decompose(request.getfixturevalue(domain), 6))
-    grid = dc.decomposition_grid(tree)
-    f = collar_probe(tree, grid)
+# the benchmark's two L6 rungs, and the unit square at L7, where one
+# lu.solve on a whole block changed the velocities' bits
+LEVEL = {"koch2": 6, "slit_square": 6, "unit_square": 7}
+
+
+@pytest.mark.parametrize("domain, shapes",
+                         [("koch2", 37), ("slit_square", 43), ("unit_square", 78)])
+def test_one_factor_per_patch_shape(collar_pieces, domain, shapes, splu_calls, monkeypatch):
+    tree, grid, f, _ = collar_pieces(domain, LEVEL[domain])
     key_calls = []
     real_key = dv.patch_keys
     monkeypatch.setattr(dv, "patch_keys", lambda *a: key_calls.append(1) or real_key(*a))
@@ -390,6 +571,7 @@ def test_one_factor_per_patch_shape(request, domain, shapes, splu_calls, monkeyp
     assert len(splu_calls) == shapes and len(key_calls) == 1
     dec = dc.c_decompose(tree, f)
     assert len(set(dv.patch_keys(dec.cells, dec.ptr, grid.dims[1]))) == shapes
+    assert [loc.node for loc in solves] == list(range(len(tree)))
     # node-by-node with a fresh factor each, summed in node order
     FX, FY = np.zeros_like(mac.fx), np.zeros_like(mac.fy)
     for t in range(len(tree)):
@@ -399,6 +581,16 @@ def test_one_factor_per_patch_shape(request, domain, shapes, splu_calls, monkeyp
         FY[loc.fy_ij[:, 0], loc.fy_ij[:, 1]] += loc.fy
     assert len(splu_calls) == shapes + len(tree)
     assert np.array_equal(mac.fx, FX) and np.array_equal(mac.fy, FY)
+
+
+def test_report_counts_and_energy_sum(solved5, square_trees):
+    grid, f, mac, solves, rep = solved5
+    tree = square_trees[5]
+    dec = dc.c_decompose(tree, f)
+    assert rep.extra["nodes"] == len(tree) == 96
+    assert rep.extra["uncovered_cells"] == int((grid.mask & ~grid.covered).sum()) > 0
+    energies = [oracle_energy(*dec.piece(t), grid.dims[1], grid.h) for t in range(len(tree))]
+    assert rep.extra["local_energies_sum"] == pytest.approx(math.fsum(energies), rel=1e-12)
 
 
 def test_threshold_contrast_collar_probe(square_trees):

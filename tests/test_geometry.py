@@ -389,6 +389,54 @@ def test_slab_chunks_cover_every_pair(koch3, monkeypatch):
     assert stops[-1] == len(ys) and total == counts.sum()
 
 
+def slab_index_at_once(ylo, yhi):
+    """(breaks, ptr, edges) from every (slab, edge) pair listed at once and
+    stably sorted by slab."""
+    breaks = np.unique(np.concatenate([ylo, yhi]))
+    first = np.searchsorted(breaks, ylo) + 1
+    counts = np.searchsorted(breaks, yhi) + 1 - first
+    slab = geo.index_ranges(first, counts)
+    order = np.argsort(slab, kind="stable")
+    ptr = np.searchsorted(slab[order], np.arange(len(breaks) + 2))
+    return breaks, ptr, np.repeat(np.arange(len(ylo)), counts)[order]
+
+
+def assert_slab_index_in_runs(dom):
+    """The index filled in runs of BLOCK pairs, at the default and at 7 (so
+    about one edge a run), equals the one listed at once, dtypes included."""
+    ylo, yhi = dom.edges[:, :, 1].min(axis=1), dom.edges[:, :, 1].max(axis=1)
+    want = slab_index_at_once(ylo, yhi)
+    for block in (geo.BLOCK, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geo, "BLOCK", block)
+            index = geo.SlabIndex.build(ylo, yhi)
+        for got, ref in zip((index.breaks, index.ptr, index.edges), want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def test_slab_index_in_runs_on_koch4():
+    assert_slab_index_in_runs(geo.make_domain("koch_prefractal", level=4))
+
+
+@given(st.booleans().flatmap(lambda snap: star_polygons(snap=snap)))
+def test_slab_index_in_runs_on_star_polygons(dom):
+    assert_slab_index_in_runs(dom)
+
+
+# a zigzag left side puts a break at every integer y, so at BLOCK = 7 an
+# edge spanning 8 or 9 slabs is a run alone, and a horizontal edge next to
+# one is a run with no pairs
+ZIGZAG = [(0, 9), (1, 8), (0, 7), (1, 6), (0, 5), (1, 4), (0, 3), (1, 2), (0, 1)]
+
+
+@pytest.mark.parametrize("verts", [
+    [(0, 0), (10, 0), (10, 9), *ZIGZAG],  # edge 0 horizontal, edge 1 9 slabs
+    [(0, 0), (10, 0), (10, 9), (9, 9), (9, 1), (2, 1), (2, 9), *ZIGZAG],
+], ids=["leading", "between"])
+def test_slab_index_in_runs_with_pair_free_runs(verts):
+    assert_slab_index_in_runs(geo.PolygonalDomain(verts))
+
+
 # ---------------------------------------------------------------------------
 # box admissibility against a dense separating-axis oracle
 
