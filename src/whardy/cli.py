@@ -336,6 +336,7 @@ def cmd_fefferman_stein(args) -> int:
 
 
 def cmd_divergence(args) -> int:
+    decomp.check_q_beta(args.q, args.beta)  # before the build, not after it
     dom = _domain_from_args(args)
     tree = treecover.build_tree(whitney.whitney_decompose(dom, args.max_level))
     grid = decomp.decomposition_grid(tree)
@@ -345,7 +346,7 @@ def cmd_divergence(args) -> int:
         f = decomp.collar_probe(tree, grid)
     else:
         f = _dipole(grid)
-    mac, _, rep = divergence.solve_divergence(tree, f, args.q, args.beta)
+    mac, rep = divergence.solve_divergence(tree, f, args.q, args.beta)
     for name, u in zip(("velocity_x.bin", "velocity_y.bin"), mac.cell_centered()):
         _artifact(args, name).write_bytes(fields.dump_grid(u))
     return _emit_reports(args, [rep], "divergence")
@@ -372,6 +373,18 @@ def _emit_reports(args, reports, name) -> int:
     )
 
 
+def _theorem(path: Path) -> str:
+    """The theorem a summary artifact names, else its file stem."""
+    try:
+        obj = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # unreadable, or no JSON text
+        raise ParameterError(f"report: {path}: {getattr(exc, 'strerror', None) or exc}") from None
+    theorem = obj.get("theorem", path.stem) if isinstance(obj, dict) else None
+    if not isinstance(theorem, str):
+        raise ParameterError(f"report: {path}: not a JSON object with a string theorem")
+    return theorem
+
+
 def cmd_report(args) -> int:
     out = Path(args.out)
     if not out.is_dir():
@@ -380,8 +393,7 @@ def cmd_report(args) -> int:
     if not summaries:
         raise ParameterError("report: no *_summary.json artifacts found; "
                              "run other subcommands first")
-    rows = [(json.loads(path.read_text()).get("theorem", path.stem), path.name)
-            for path in summaries]
+    rows = [(_theorem(path), path.name) for path in summaries]
     width = max(len(t) for t, _ in rows)
     return _finish(args, "report.json",
                    {"artifacts": [{"theorem": t, "file": f} for t, f in rows]},

@@ -36,18 +36,6 @@ SOLVER_TOL = 1e-10
 
 
 @dataclass
-class LocalSolve:
-    node: int
-    cells: np.ndarray  # flat cell ids of the patch
-    fx_ij: np.ndarray  # (m, 2) x-faces (i, j): between cells (i-1, j) and (i, j)
-    fx: np.ndarray  # velocity on each x-face
-    fy_ij: np.ndarray  # (m, 2) y-faces (i, j): between cells (i, j-1) and (i, j)
-    fy: np.ndarray
-    energy: float
-    residual: float
-
-
-@dataclass
 class MacField:
     """Face-centered velocity on the full grid."""
 
@@ -272,10 +260,9 @@ def _patch_systems(cells: np.ndarray, ptr, ny: int, nodes):
             del lu  # before the next patch is factored
 
 
-def _check_mean_zero(f_vals: np.ndarray, ptr, h: float, nodes) -> None:
-    """Raise ``CompatibilityError`` naming the first patch whose data
-    ``f_vals[ptr[t]:ptr[t + 1]]`` has a nonzero integral; ``nodes[t]``
-    names patch t."""
+def _check_mean_zero(f_vals: np.ndarray, ptr, h: float) -> None:
+    """Raise ``CompatibilityError`` naming the first patch t whose data
+    ``f_vals[ptr[t]:ptr[t + 1]]`` has a nonzero integral."""
     size = np.diff(ptr)
     patch = np.repeat(np.arange(len(size)), size)
     total = np.bincount(patch, f_vals, len(size)) * h * h
@@ -283,95 +270,82 @@ def _check_mean_zero(f_vals: np.ndarray, ptr, h: float, nodes) -> None:
     bad = (l1 > 0) & (np.abs(total) > 1e-10 * l1)
     if bad.any():
         t = int(np.argmax(bad))
-        raise CompatibilityError(f"nonzero mean on node {nodes[t]}: {total[t]:.3e}")
+        raise CompatibilityError(f"nonzero mean on node {t}: {total[t]:.3e}")
 
 
-def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int, h: float,
-                    nodes, system: _PatchSystem | None = None) -> list[LocalSolve]:
+def local_div_solve(cells: np.ndarray, f_vals: np.ndarray, ny: int, h: float, nodes,
+                    system: _PatchSystem) -> tuple[np.ndarray, np.ndarray]:
     """Minimal gradient-energy staggered velocities with div u = f on a block
     of patches of one shape.
 
     Row r of ``cells`` holds the flat ids (i * ny + j) of node ``nodes[r]``'s
-    patch, row r of ``f_vals`` the target divergence per cell; one patch is
-    a block of one row. Every row must have the first row's ``patch_keys``
-    key, and the discrete integral of each row of f must vanish. Velocities
-    on faces not interior to a patch are zero. Each row's floats are those
-    of solving it alone.
+    patch, row r of ``f_vals`` the target divergence per cell, whose discrete
+    integral must vanish: a row that is not mean-zero fails the residual
+    check. ``system`` is the factored system of a patch of this shape, from
+    ``_patch_systems``; a row of another shape raises ``StructureError``.
 
-    ``system`` is the factored local system of a patch of this shape, from
-    ``_patch_systems``, which ``solve_divergence`` builds once per shape;
-    every row must then have its patch's key. Without it the call factors
-    the first row's patch. The floats are the same either way. The keys
-    are checked in both cases (``StructureError``), the means only without
-    ``system``, as ``solve_divergence`` checks them for all its nodes at
-    once: a row that is not mean-zero still fails the residual check (its
-    pinned cell's divergence is off by the row's integral).
+    Returns ``(u, energy)``: row r of ``u`` holds the velocities on the
+    x-faces of the cells ``system.has_fx`` selects, then on the y-faces of
+    those ``system.has_fy`` selects, in input cell order; face (i, j) is the
+    low face of cell (i, j). Each row's floats are those of solving it alone.
     """
     cells = np.asarray(cells, dtype=np.int64)
     f_vals = np.asarray(f_vals, dtype=float)
-    nodes = np.asarray(nodes).tolist()
     k, m = cells.shape
     ij = np.stack(np.divmod(cells, ny), axis=-1)
     # equal keys are translates: equal offsets from each row's first cell
-    rel = ij - ij[:, :1]
-    ref = rel[0] if system is None else system.offsets - system.offsets[:1]
-    other = (rel != ref).any(axis=(1, 2)) if len(ref) == m else np.ones(k, dtype=bool)
+    ref = system.offsets - system.offsets[:1]
+    other = ((ij - ij[:, :1]) != ref).any(axis=(1, 2)) if len(ref) == m else np.ones(k, bool)
     if other.any():
-        whose = f"node {nodes[0]}'s" if system is None else "its system's"
         raise StructureError(f"patch of node {nodes[int(np.argmax(other))]} does not "
-                             f"have the shape of {whose}")
-    if system is None:
-        _check_mean_zero(f_vals.ravel(), m * np.arange(k + 1), h, nodes)
-        system = next(_patch_systems(cells[0], [0, m], ny, nodes))
-    _, has_fx, has_fy, nfx, AB, lu = system
+                             f"have the shape of its system")
+    _, _, _, nfx, AB, lu = system
     nf = 0 if AB is None else AB.shape[1]
     u = np.zeros((k, nf))
     energy = np.zeros(k)
-    residual = np.zeros(k)
 
     if lu is None:
         nonzero = np.abs(f_vals).sum(axis=1) > 0
         if nonzero.any():
             raise CompatibilityError(
                 f"patch of node {nodes[int(np.argmax(nonzero))]} has no interior face")
-    else:
-        rhs_c = h * f_vals
-        # One lu.solve per row: SuperLU takes another BLAS path for several
-        # right-hand sides (dtrsm/dgemm for dtrsv/dgemv), whose floats differ
-        # on large supernodes. lu.solve copies its input, so one buffer serves.
-        rhs = np.zeros(nf + m - 1)
-        for r in range(k):
-            rhs[nf:] = rhs_c[r, 1:]
-            u[r] = lu.solve(rhs)[:nf]
-        scale = np.linalg.norm(rhs_c, axis=1)
-        scale[scale == 0] = 1.0
-        # The products run max(1, BLOCK // rows) rows at a time; each row's
-        # reductions run along contiguous rows, the energy as two ddots, so
-        # no float depends on the block's width.
-        width = max(1, geometry.BLOCK // (nf + m))
-        for s in range(0, k, width):
-            blk = slice(s, s + width)
-            ab = (AB @ u[blk].T).T.copy()  # (A u | B u) of each row
-            energy[blk] = [v[:nfx] @ a[:nfx] + v[nfx:] @ a[nfx:nf]
-                           for v, a in zip(u[blk], ab)]
-            residual[blk] = np.linalg.norm(ab[:, nf:] - rhs_c[blk], axis=1) / scale[blk]
-        stalled = ~(residual <= SOLVER_TOL)
-        if stalled.any():
-            r = int(np.argmax(stalled))
-            raise ConvergenceError(
-                f"local solve on node {nodes[r]} stalled at residual {residual[r]:.2e}",
-                residual=float(residual[r]),
-            )
-    fx_ij, fy_ij = ij[:, has_fx], ij[:, has_fy]
-    return [LocalSolve(nodes[r], cells[r], fx_ij[r], u[r, :nfx], fy_ij[r], u[r, nfx:],
-                       float(energy[r]), float(residual[r])) for r in range(k)]
+        return u, energy
+    rhs_c = h * f_vals
+    # One lu.solve per row: SuperLU takes another BLAS path for several
+    # right-hand sides (dtrsm/dgemm for dtrsv/dgemv), whose floats differ
+    # on large supernodes. lu.solve copies its input, so one buffer serves.
+    rhs = np.zeros(nf + m - 1)
+    for r in range(k):
+        rhs[nf:] = rhs_c[r, 1:]
+        u[r] = lu.solve(rhs)[:nf]
+    scale = np.linalg.norm(rhs_c, axis=1)
+    scale[scale == 0] = 1.0
+    residual = np.zeros(k)
+    # The products run max(1, BLOCK // rows) rows at a time; each row's
+    # reductions run along contiguous rows, the energy as two ddots, so
+    # no float depends on the block's width.
+    width = max(1, geometry.BLOCK // (nf + m))
+    for s in range(0, k, width):
+        blk = slice(s, s + width)
+        ab = (AB @ u[blk].T).T.copy()  # (A u | B u) of each row
+        energy[blk] = [v[:nfx] @ a[:nfx] + v[nfx:] @ a[nfx:nf]
+                       for v, a in zip(u[blk], ab)]
+        residual[blk] = np.linalg.norm(ab[:, nf:] - rhs_c[blk], axis=1) / scale[blk]
+    stalled = ~(residual <= SOLVER_TOL)
+    if stalled.any():
+        r = int(np.argmax(stalled))
+        raise ConvergenceError(
+            f"local solve on node {nodes[r]} stalled at residual {residual[r]:.2e}",
+            residual=float(residual[r]),
+        )
+    return u, energy
 
 
 def solve_divergence(tree: TreeCovering, f: GridFunction, q: float,
-                     beta: float) -> tuple[MacField, list[LocalSolve], InequalityReport]:
+                     beta: float) -> tuple[MacField, InequalityReport]:
     """Assemble u = sum of local solutions; report the weighted a-priori ratio.
 
-    Returns the assembled field, the local solves in node order and the report.
+    Returns the assembled field and the report.
 
     f must live on ``decomposition_grid(tree)`` and have zero mean over the
     covered cells. The energy minimized locally is the 2-energy regardless
@@ -382,7 +356,7 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float,
     dec = c_decompose(tree, f)
 
     nx, ny = f.dims
-    _check_mean_zero(dec.values, dec.ptr, f.h, range(len(tree)))
+    _check_mean_zero(dec.values, dec.ptr, f.h)
     # supp(g_t) is the local patch: the cube's cells, its own transfer box
     # and its children's, which all connect through the shared faces. The
     # nodes are grouped by patch shape (a stable sort, so node order within
@@ -398,22 +372,30 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float,
     size = np.diff(dec.ptr)[first]
     systems = _patch_systems(dec.cells[index_ranges(dec.ptr[first], size)],
                              np.append(0, np.cumsum(size)), ny, first)
-    solves: list = [None] * len(tree)
+    x_faces = (nx + 1) * ny
+    energy = np.zeros(len(tree))
+    blocks = []  # (node, flat index in FX then FY, velocity) of each face
     # strict: the exhausted generator drops its last run's arrays too
     for nodes, m, system in zip(groups, size.tolist(), systems, strict=True):
         at = dec.ptr[nodes, None] + np.arange(m)
-        for loc in local_div_solve(dec.cells[at], dec.values[at], ny, f.h, nodes, system=system):
-            solves[loc.node] = loc
+        cells = dec.cells[at]
+        u, energy[nodes] = local_div_solve(cells, dec.values[at], ny, f.h, nodes, system)
+        # x-face (i, j) is FX's i ny + j, the id of the cell keying it;
+        # y-face (i, j) is FY's i (ny + 1) + j, that cell's id plus i
+        yc = cells[:, system.has_fy]
+        face = np.concatenate([cells[:, system.has_fx], x_faces + yc + yc // ny], axis=1)
+        blocks.append((np.repeat(nodes, face.shape[1]), face.ravel(), u.ravel()))
         del system  # before the next shape is factored, and before the norms below
-    # summed in node order, so every float is independent of the visit order
-    FX = np.zeros((nx + 1, ny))
-    FY = np.zeros((nx, ny + 1))
-    for loc in solves:
-        FX[loc.fx_ij[:, 0], loc.fx_ij[:, 1]] += loc.fx
-        FY[loc.fy_ij[:, 0], loc.fy_ij[:, 1]] += loc.fy
-    energies = [loc.energy for loc in solves]
-
-    mac = MacField(grid=f, fx=FX, fy=FY)
+    # The faces in node order (a stable sort), summed by one bincount, which
+    # adds each bin's weights in input order from 0.0: every float is that
+    # of summing the nodes' fields in node order, whatever the visit order.
+    node, face, u = (np.concatenate(part) for part in zip(*blocks))
+    del blocks
+    order = np.argsort(node, kind="stable")
+    fxy = np.bincount(face[order], u[order], x_faces + nx * (ny + 1))
+    del node, face, u, order  # before the norms below
+    mac = MacField(grid=f, fx=fxy[:x_faces].reshape(nx + 1, ny),
+                   fy=fxy[x_faces:].reshape(nx, ny + 1))
     covered = f.covered
     # correctly rounded sums of squares, so no float depends on how BLAS
     # splits a reduction across threads
@@ -435,7 +417,7 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float,
         degenerate=degenerate,
         extra={
             "div_residual_rel": rel_resid,
-            "local_energies_sum": float(np.sum(energies)),
+            "local_energies_sum": float(np.sum(energy)),
             "uncovered_cells": dec.uncovered_count,
             "nodes": len(tree),
         },
@@ -445,7 +427,7 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float,
             f"global divergence residual {rel_resid:.2e} exceeds 1e-8",
             residual=rel_resid,
         )
-    return mac, solves, report
+    return mac, report
 
 
 def _apriori_norms(vec: tuple[GridFunction, GridFunction], f: GridFunction,

@@ -410,6 +410,10 @@ def decomposition_to_json(dec: WhitneyDecomposition) -> str:
 
 
 def decomposition_from_json(text: str, dom: PolygonalDomain) -> WhitneyDecomposition:
+    """``decomposition_to_json``'s text read back on ``dom``, bit for bit but
+    ``dist_sq``: it is ``dist * dist``, which differs from the construction's
+    square in the last bit on 46 of 374 slit-square cubes at level 6 and on
+    602 of 1,912 Koch 2 cubes at level 8."""
     obj = json.loads(text)
     frame = Frame(tuple(obj["frame"]["origin"]), obj["frame"]["size"])
     cubes = obj["cubes"]

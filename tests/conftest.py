@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
-from whardy import decomp, geometry, treecover, whitney
+from whardy import decomp, divergence, geometry, treecover, whitney
 from whardy.errors import ConnectivityError, EmptyDecompositionError, ParameterError
 
 # Every property test replays the same examples on every run and machine.
@@ -82,6 +82,78 @@ def random_mean_zero(tree, grid, seed):
 
 
 collar_probe = decomp.collar_probe
+
+
+def dense_kkt_oracle(cells, f_vals, ny, h):
+    """Direct dense solve of the local divergence problem: the minimal
+    face-Laplacian energy velocities with div u = f on the patch."""
+    cellset = {int(c): k for k, c in enumerate(cells)}
+    nc = len(cells)
+    ii = cells // ny
+    jj = cells % ny
+    fx_ids, fy_ids = {}, {}
+    for k in range(nc):
+        i, j = int(ii[k]), int(jj[k])
+        if i > 0 and (i - 1) * ny + j in cellset:
+            fx_ids.setdefault((i, j), len(fx_ids))
+        if j > 0 and i * ny + (j - 1) in cellset:
+            fy_ids.setdefault((i, j), len(fy_ids))
+    nfx = len(fx_ids)
+    nf = nfx + len(fy_ids)
+
+    def lap(ids):
+        n = len(ids)
+        A = 4.0 * np.eye(n)
+        for (i, j), a in ids.items():
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                b = ids.get((i + di, j + dj))
+                if b is not None:
+                    A[a, b] = -1.0
+        return A
+
+    A = np.zeros((nf, nf))
+    A[:nfx, :nfx] = lap(fx_ids)
+    A[nfx:, nfx:] = lap(fy_ids)
+    B = np.zeros((nc, nf))
+    for k in range(nc):
+        i, j = int(ii[k]), int(jj[k])
+        for key, sign in (((i + 1, j), 1.0), ((i, j), -1.0)):
+            a = fx_ids.get(key)
+            if a is not None:
+                B[k, a] = sign
+        for key, sign in (((i, j + 1), 1.0), ((i, j), -1.0)):
+            a = fy_ids.get(key)
+            if a is not None:
+                B[k, nfx + a] = sign
+    K = np.zeros((nf + nc - 1, nf + nc - 1))
+    K[:nf, :nf] = A
+    K[:nf, nf:] = B[1:].T
+    K[nf:, :nf] = B[1:]
+    rhs = np.concatenate([np.zeros(nf), h * f_vals[1:]])
+    sol = np.linalg.solve(K, rhs)
+    return fx_ids, fy_ids, sol[:nf], nfx
+
+
+def face_dicts(cells, ny, system, u):
+    """A patch's x- and y-face velocities ``u`` (its row of
+    ``divergence.local_div_solve`` under ``system``) as {(i, j): value}
+    dicts in input cell order; face (i, j) is the low face of cell (i, j)."""
+    ij = [tuple(p) for p in np.stack(np.divmod(np.asarray(cells), ny), axis=1).tolist()]
+    return (dict(zip(itertools.compress(ij, system.has_fx), u[:system.nfx].tolist())),
+            dict(zip(itertools.compress(ij, system.has_fy), u[system.nfx:].tolist())))
+
+
+def solve_patch(cells, f_vals, ny, h, node=-1):
+    """One patch solved as ``divergence.solve_divergence`` solves each node:
+    its mean checked, its system factored through ``_patch_systems`` and
+    ``local_div_solve`` run on a block of one. Returns its x- and y-face
+    dicts (see ``face_dicts``) and its energy."""
+    cells = np.asarray(cells, dtype=np.int64)
+    f_vals = np.asarray(f_vals, dtype=float)
+    divergence._check_mean_zero(f_vals, [0, len(cells)], h)
+    system = next(divergence._patch_systems(cells, [0, len(cells)], ny, [node]))
+    u, energy = divergence.local_div_solve(cells[None], f_vals[None], ny, h, [node], system)
+    return *face_dicts(cells, ny, system, u[0]), float(energy[0])
 
 
 def oracle_a_tree(parent, ell, beta, p, theta, ndim=2):

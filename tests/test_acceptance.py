@@ -11,7 +11,8 @@ import time
 
 import numpy as np
 
-from conftest import collar_probe, csr_lists, expanded_boxes, oracle_a_tree, random_mean_zero
+from conftest import (collar_probe, csr_lists, dense_kkt_oracle, expanded_boxes, oracle_a_tree,
+                      random_mean_zero, solve_patch)
 from whardy import decomp as dc
 from whardy import dimension as dim
 from whardy import divergence as dv
@@ -349,11 +350,8 @@ def test_criterion_7_divergence_suite(square_trees):
     # dense KKT oracle at a tiny size
     cells = np.array([0, 1, 2, 3])
     fvals = np.array([1.0, 0.0, -1.0, 0.0])
-    loc = dv.local_div_solve(cells[None], fvals[None], 2, 0.5, [-1])[0]
-    from test_divergence import dense_kkt_oracle, face_dicts
-
+    fx, fy, _ = solve_patch(cells, fvals, 2, 0.5)
     fx_ids, fy_ids, u, nfx = dense_kkt_oracle(cells, fvals, 2, 0.5)
-    fx, fy = face_dicts(loc)
     worst = max(abs(fx[k] - u[a]) for k, a in fx_ids.items())
     worst = max(worst, max(abs(fy[k] - u[nfx + a]) for k, a in fy_ids.items()))
     clauses.append((f"local solver vs dense oracle ({worst:.1e})", worst <= 1e-12))
@@ -363,7 +361,7 @@ def test_criterion_7_divergence_suite(square_trees):
     for lv in (5, 6, 7):
         grid = dc.decomposition_grid(square_trees[lv])
         f = collar_probe(square_trees[lv], grid)
-        mac, _, rep = dv.solve_divergence(square_trees[lv], f, 2.0, 0.0)
+        mac, rep = dv.solve_divergence(square_trees[lv], f, 2.0, 0.0)
         vec = mac.cell_centered()
         if rep.extra["div_residual_rel"] > 1e-8:
             resid_ok = False

@@ -43,6 +43,26 @@ def test_report_empty_dir(tmp_path):
     assert run(["report", "--out", str(tmp_path / "missing")]) == 1
 
 
+@pytest.mark.parametrize("content, message", [
+    ("{", "Expecting property name"),
+    ("[1, 2]", "not a JSON object"),
+    ('{"theorem": 5}', "not a JSON object with a string theorem"),
+    (None, "Is a directory"),
+], ids=["invalid-json", "list", "number-theorem", "directory"])
+def test_report_on_a_bad_summary_exits_1_naming_it(tmp_path, capsys, content, message):
+    assert run(["whitney", "--max-level", "4", "--out", str(tmp_path)]) == 0
+    bad = tmp_path / "bad_summary.json"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_text(content)
+    capsys.readouterr()
+    assert run(["report", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: report: {bad}: ") and message in err[0]
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_tree_subcommand(tmp_path):
     out = tmp_path / "t"
     assert run(["tree", "--domain", "koch", "--koch-level", "1",
@@ -436,6 +456,13 @@ def test_negative_seed_from_config_exits_1_unbuilt(tmp_path, capsys, monkeypatch
                 "--out", str(tmp_path / "d")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: config seed = '-3': seed must be a non-negative integer, got -3"]
+    assert not (tmp_path / "d").exists()
+
+
+def test_divergence_checks_q_before_any_build(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.whitney, "whitney_decompose", lambda *a: pytest.fail("tree built"))
+    assert run(["divergence", "--q", "0.5", "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: q must be finite and exceed 1, got 0.5"]
     assert not (tmp_path / "d").exists()
 
 

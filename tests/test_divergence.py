@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import collar_probe
+from conftest import collar_probe, dense_kkt_oracle, face_dicts, solve_patch
 from whardy import decomp as dc
 from whardy import divergence as dv
 from whardy import fields as F
@@ -16,55 +16,6 @@ from whardy import geometry as G
 from whardy import treecover as tc
 from whardy import whitney as wt
 from whardy.errors import CompatibilityError, ConvergenceError, ParameterError, StructureError
-
-
-def dense_kkt_oracle(cells, f_vals, ny, h):
-    """Direct dense solve of the same constrained minimization."""
-    cellset = {int(c): k for k, c in enumerate(cells)}
-    nc = len(cells)
-    ii = cells // ny
-    jj = cells % ny
-    fx_ids, fy_ids = {}, {}
-    for k in range(nc):
-        i, j = int(ii[k]), int(jj[k])
-        if i > 0 and (i - 1) * ny + j in cellset:
-            fx_ids.setdefault((i, j), len(fx_ids))
-        if j > 0 and i * ny + (j - 1) in cellset:
-            fy_ids.setdefault((i, j), len(fy_ids))
-    nfx = len(fx_ids)
-    nf = nfx + len(fy_ids)
-
-    def lap(ids):
-        n = len(ids)
-        A = 4.0 * np.eye(n)
-        for (i, j), a in ids.items():
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                b = ids.get((i + di, j + dj))
-                if b is not None:
-                    A[a, b] = -1.0
-        return A
-
-    A = np.zeros((nf, nf))
-    A[:nfx, :nfx] = lap(fx_ids)
-    A[nfx:, nfx:] = lap(fy_ids)
-    B = np.zeros((nc, nf))
-    for k in range(nc):
-        i, j = int(ii[k]), int(jj[k])
-        for key, sign in (((i + 1, j), 1.0), ((i, j), -1.0)):
-            a = fx_ids.get(key)
-            if a is not None:
-                B[k, a] = sign
-        for key, sign in (((i, j + 1), 1.0), ((i, j), -1.0)):
-            a = fy_ids.get(key)
-            if a is not None:
-                B[k, nfx + a] = sign
-    K = np.zeros((nf + nc - 1, nf + nc - 1))
-    K[:nf, :nf] = A
-    K[:nf, nf:] = B[1:].T
-    K[nf:, :nf] = B[1:]
-    rhs = np.concatenate([np.zeros(nf), h * f_vals[1:]])
-    sol = np.linalg.solve(K, rhs)
-    return fx_ids, fy_ids, sol[:nf], nfx
 
 
 def oracle_energy(cells, f_vals, ny, h):
@@ -82,37 +33,39 @@ def oracle_energy(cells, f_vals, ny, h):
     return total
 
 
-def face_dicts(loc):
-    """A local solve's x- and y-face velocities as {(i, j): value} dicts."""
-    return tuple(
-        {(int(i), int(j)): float(v) for (i, j), v in zip(ij, vals)}
-        for ij, vals in ((loc.fx_ij, loc.fx), (loc.fy_ij, loc.fy))
-    )
-
-
-def solve_one(cells, f, ny, h, node=-1, system=None):
-    """``local_div_solve`` on a block of one patch."""
-    return dv.local_div_solve(np.asarray(cells)[None], np.asarray(f)[None], ny, h, [node],
-                              system=system)[0]
-
-
 def assert_matches_oracle(cells, f, ny, h, tol):
-    loc = solve_one(cells, f, ny, h)
+    fx, fy, energy = solve_patch(cells, f, ny, h)
     fx_ids, fy_ids, u, nfx = dense_kkt_oracle(cells, f, ny, h)
-    fx, fy = face_dicts(loc)
     assert fx.keys() == fx_ids.keys() and fy.keys() == fy_ids.keys()
     for key, a in fx_ids.items():
         assert fx[key] == pytest.approx(u[a], abs=tol)
     for key, a in fy_ids.items():
         assert fy[key] == pytest.approx(u[nfx + a], abs=tol)
-    return loc
+    return fx, fy, energy
+
+
+def divergence_residual(cells, f, ny, h, fx, fy):
+    """|B u - h f| / |h f| (1 for zero data) of a patch's face dicts: each
+    cell's high faces less its low faces, against h f."""
+    ii, jj = np.divmod(np.asarray(cells), ny)
+    div = [fx.get((i + 1, j), 0.0) - fx.get((i, j), 0.0) + fy.get((i, j + 1), 0.0)
+           - fy.get((i, j), 0.0) for i, j in zip(ii.tolist(), jj.tolist())]
+    rhs = h * np.asarray(f, dtype=float)
+    return np.linalg.norm(np.array(div) - rhs) / (np.linalg.norm(rhs) or 1.0)
+
+
+def add_faces(FX, FY, fx, fy):
+    """Add a patch's face dicts to the grid's face arrays."""
+    for arr, faces in ((FX, fx), (FY, fy)):
+        ij = np.array(list(faces), dtype=np.int64).reshape(-1, 2)
+        arr[ij[:, 0], ij[:, 1]] += np.array(list(faces.values()))
 
 
 def test_local_solver_matches_dense_oracle():
     cells = np.array([0, 1, 2, 3])  # 2x2 block with ny = 2
     f = np.array([1.0, 0.0, -1.0, 0.0])
-    loc = assert_matches_oracle(cells, f, 2, 0.5, 1e-12)
-    assert loc.residual <= 1e-10
+    fx, fy, _ = assert_matches_oracle(cells, f, 2, 0.5, 1e-12)
+    assert divergence_residual(cells, f, 2, 0.5, fx, fy) <= 1e-10
 
 
 L_SHAPE = [i * 6 + j for i in range(4) for j in range(6) if i < 2 or j < 3]
@@ -140,7 +93,7 @@ def test_local_disconnected_patch_rejected():
     # two dominoes, (0, 0)-(0, 1) and (2, 0)-(2, 1): the KKT matrix is
     # singular, and its factorization fails naming the node
     with pytest.raises(ConvergenceError, match="node 3 is singular"):
-        solve_one([0, 1, 6, 7], [1.0, -1.0, 2.0, -2.0], ny=3, h=1.0, node=3)
+        solve_patch([0, 1, 6, 7], [1.0, -1.0, 2.0, -2.0], ny=3, h=1.0, node=3)
 
 
 @pytest.fixture
@@ -158,8 +111,15 @@ def splu_calls(monkeypatch):
 
 
 def assert_same_solve(a, b):
-    assert np.array_equal(a.fx, b.fx) and np.array_equal(a.fy, b.fy)
-    assert a.energy == b.energy and a.residual == b.residual
+    """Equal (fx, fy, energy) of two solves: the same faces in the same
+    order, and equal floats."""
+    assert [list(d.items()) for d in a[:2]] == [list(d.items()) for d in b[:2]]
+    assert a[2] == b[2]
+
+
+def block_row(cells, ny, system, u, energy, r):
+    """Row r of a ``local_div_solve`` block as ``solve_patch`` returns it."""
+    return *face_dicts(cells[r], ny, system, u[r]), float(energy[r])
 
 
 L_CELLS = [(i, j) for i in range(4) for j in range(6) if i < 2 or j < 3]
@@ -194,13 +154,12 @@ def test_shared_factor_equals_fresh_solve(name, splu_calls):
     # the system solve_divergence passes: the first patch's when the keys agree
     patch, patch_ny = (first, 8) if same_key else (cells, ny)
     system = next(dv._patch_systems(patch, [0, len(patch)], patch_ny, [-1]))
-    shared = solve_one(cells, f, ny, h, system=system)
+    shared = block_row(cells[None], ny, system,
+                       *dv.local_div_solve(cells[None], f[None], ny, h, [-1], system), 0)
     assert len(splu_calls) == 1
-    fresh = solve_one(cells, f, ny, h)
+    fresh = solve_patch(cells, f, ny, h)
     assert len(splu_calls) == 2
     assert_same_solve(shared, fresh)
-    assert np.array_equal(shared.fx_ij, fresh.fx_ij)
-    assert np.array_equal(shared.fy_ij, fresh.fy_ij)
 
 
 def test_patch_keys_in_one_pass_equal_each_patch_alone():
@@ -240,16 +199,16 @@ def test_block_equals_fresh_solves(name, block, monkeypatch):
     if name == "no-face":
         f[:] = 0.0  # nonzero data on a patch without interior faces is infeasible
     nodes = [10 + r for r in range(len(cells))]
-    block_solves = dv.local_div_solve(cells, f, ny, 0.125, nodes)
-    assert [loc.node for loc in block_solves] == nodes
-    for r, loc in enumerate(block_solves):
-        fresh = solve_one(cells[r], f[r], ny, 0.125, node=nodes[r])
-        assert_same_solve(loc, fresh)
-        assert np.array_equal(loc.fx_ij, fresh.fx_ij)
-        assert np.array_equal(loc.fy_ij, fresh.fy_ij)
-        assert loc.residual <= dv.SOLVER_TOL
-    assert block_solves[2].energy == 0.0 and not block_solves[2].fx.any()
-    assert (len(block_solves[0].fx) + len(block_solves[0].fy) == 0) is (name == "no-face")
+    system = next(dv._patch_systems(first, [0, len(first)], ny, nodes[:1]))
+    u, energy = dv.local_div_solve(cells, f, ny, 0.125, nodes, system)
+    assert u.shape == (len(cells), system.has_fx.sum() + system.has_fy.sum())
+    assert energy.shape == (len(cells),)
+    for r in range(len(cells)):
+        loc = block_row(cells, ny, system, u, energy, r)
+        assert_same_solve(loc, solve_patch(cells[r], f[r], ny, 0.125, node=nodes[r]))
+        assert divergence_residual(cells[r], f[r], ny, 0.125, *loc[:2]) <= dv.SOLVER_TOL
+    assert energy[2] == 0.0 and not u[2].any()
+    assert (u.shape[1] == 0) is (name == "no-face")
 
 
 def reference_system(cells, ny):
@@ -394,11 +353,12 @@ def test_block_of_other_shapes_rejected():
     ny = 8
     first = l_patch(ny, (0, 0), None)
     f = np.zeros((3, len(first)))
+    system = next(dv._patch_systems(first, [0, len(first)], ny, [5]))
     # the same cells in another order, then an L reflected in its diagonal
     for other in (l_patch(ny, (0, 0), L_PERM), np.array([j * ny + i for i, j in L_CELLS])):
         cells = np.array([first, first + ny, other])
-        with pytest.raises(StructureError, match="node 7 does not have the shape of node 5"):
-            dv.local_div_solve(cells, f, ny, 0.25, [5, 6, 7])
+        with pytest.raises(StructureError, match="node 7 does not have the shape of its system"):
+            dv.local_div_solve(cells, f, ny, 0.25, [5, 6, 7], system)
 
 
 def test_block_checked_against_its_system():
@@ -420,20 +380,20 @@ def test_block_checked_against_its_system():
 
 
 def test_block_nonzero_mean_row_names_its_node():
-    cells = np.array([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]])
     f = np.array([[1.0, 0.0, -1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 2.0, -2.0, 0.0]])
+    # nodes 0-39 have empty pieces, nodes 40-42 the rows of f
+    ptr = np.append(np.zeros(41, dtype=np.int64), [4, 8, 12])
     with pytest.raises(CompatibilityError, match="nonzero mean on node 41"):
-        dv.local_div_solve(cells, f, 2, 1.0, [40, 41, 42])
+        dv._check_mean_zero(f.ravel(), ptr, 1.0)
 
 
 def test_nan_velocity_fails_global_check(square_trees, monkeypatch):
     real = dv.local_div_solve
 
-    def nan_solve(*args, **kwargs):
-        block = real(*args, **kwargs)
-        for loc in block:
-            loc.fx = np.full_like(loc.fx, np.nan)
-        return block
+    def nan_solve(cells, f_vals, ny, h, nodes, system):
+        u, energy = real(cells, f_vals, ny, h, nodes, system)
+        u[:, :system.nfx] = np.nan
+        return u, energy
 
     monkeypatch.setattr(dv, "local_div_solve", nan_solve)
     f = bump_dipole(dc.decomposition_grid(square_trees[5]))
@@ -443,14 +403,14 @@ def test_nan_velocity_fails_global_check(square_trees, monkeypatch):
 
 def test_local_zero_rhs():
     cells = np.array([0, 1, 2, 3])
-    loc = solve_one(cells, np.zeros(4), ny=2, h=1.0)
-    assert loc.energy == 0.0
-    assert np.all(loc.fx == 0.0)
+    fx, _, energy = solve_patch(cells, np.zeros(4), ny=2, h=1.0)
+    assert energy == 0.0
+    assert np.all(np.array(list(fx.values())) == 0.0)
 
 
 def test_local_nonzero_mean_rejected():
     with pytest.raises(CompatibilityError):
-        solve_one([0, 1, 2, 3], np.ones(4), ny=2, h=1.0)
+        solve_patch([0, 1, 2, 3], np.ones(4), ny=2, h=1.0)
 
 
 def test_energy_scaling_across_sizes():
@@ -461,7 +421,7 @@ def test_energy_scaling_across_sizes():
     cells = np.array([i * ny + j for i in range(4) for j in range(4)])
     f = rng.standard_normal(len(cells))
     f -= f.mean()
-    energies = [solve_one(cells, f, ny, h).energy for h in (0.1, 0.2, 0.4)]
+    energies = [solve_patch(cells, f, ny, h)[2] for h in (0.1, 0.2, 0.4)]
     factor = energies[1] / energies[0]
     assert energies[2] / energies[1] == pytest.approx(factor, rel=1e-12)
     assert factor == pytest.approx(4.0, rel=1e-12)
@@ -506,27 +466,29 @@ def test_zero_data_degenerate(unit_square):
     tree = tc.build_tree(wt.whitney_decompose(unit_square, 4))
     grid = dc.decomposition_grid(tree)
     f = grid.with_values(np.zeros(grid.dims))
-    mac, _, rep = dv.solve_divergence(tree, f, 2.0, 0.0)
+    mac, rep = dv.solve_divergence(tree, f, 2.0, 0.0)
     assert rep.degenerate == "zero data"
     assert np.allclose(mac.fx, 0.0) and np.allclose(mac.fy, 0.0)
 
 
 def test_support_and_mass_balance(solved5, square_trees):
-    grid, f, mac, solves, rep = solved5
+    grid, f, mac, rep = solved5
     dec = dc.c_decompose(square_trees[5], f)
     # mass balance: node integrals sum to zero and match the data
     total = sum(dec.node_integral(t) for t in range(len(dec.tree)))
     assert abs(total) <= 1e-10
     # each local velocity lives only on faces interior to its patch
     ny = grid.dims[1]
-    for loc in solves[:10]:
-        patch = set(int(c) for c in loc.cells)
-        for i, j in loc.fx_ij.tolist():
+    for t in range(10):
+        cells, vals = dec.piece(t)
+        fx, _, _ = solve_patch(cells, vals, ny, grid.h, node=t)
+        patch = set(cells.tolist())
+        for i, j in fx:
             assert (i - 1) * ny + j in patch and i * ny + j in patch
 
 
 def test_additivity_of_divergence(solved5):
-    grid, f, mac, solves, rep = solved5
+    grid, f, mac, rep = solved5
     covered = grid.covered
     div = mac.divergence()
     assert np.abs(np.where(covered, div - f.values, 0.0)).max() <= 1e-9 * (
@@ -534,8 +496,8 @@ def test_additivity_of_divergence(solved5):
     )
 
 
-def test_energy_overlap_surrogate(solved5):
-    grid, f, mac, solves, rep = solved5
+def test_energy_overlap_surrogate(solved5, square_trees):
+    grid, f, mac, rep = solved5
     q = 2.0
     covered = grid.covered
     lhs, rhs = dv._apriori_norms(mac.cell_centered(), f, q, 0.0)
@@ -544,11 +506,11 @@ def test_energy_overlap_surrogate(solved5):
     )
     # per-node gradient norms through the same measuring stick
     total = 0.0
-    for loc in solves:
+    dec = dc.c_decompose(square_trees[5], f)
+    for t in range(len(dec.tree)):
         FX = np.zeros((grid.dims[0] + 1, grid.dims[1]))
         FY = np.zeros((grid.dims[0], grid.dims[1] + 1))
-        FX[loc.fx_ij[:, 0], loc.fx_ij[:, 1]] = loc.fx
-        FY[loc.fy_ij[:, 0], loc.fy_ij[:, 1]] = loc.fy
+        add_faces(FX, FY, *solve_patch(*dec.piece(t), grid.dims[1], grid.h, node=t)[:2])
         mac = dv.MacField(grid=grid, fx=FX, fy=FY)
         total += dv._apriori_norms(mac.cell_centered(), f, q, 0.0)[0] ** q
     assert global_norm**q <= total * (12**2) ** (q - 1) + 1e-12
@@ -559,32 +521,68 @@ def test_energy_overlap_surrogate(solved5):
 LEVEL = {"koch2": 6, "slit_square": 6, "unit_square": 7}
 
 
-@pytest.mark.parametrize("domain, shapes",
-                         [("koch2", 37), ("slit_square", 43), ("unit_square", 78)])
-def test_one_factor_per_patch_shape(collar_pieces, domain, shapes, splu_calls, monkeypatch):
+@pytest.mark.parametrize("domain, shapes, block", [
+    ("koch2", 37, None), ("slit_square", 43, None), ("unit_square", 78, None),
+    ("koch2", 37, 7), ("slit_square", 43, 7)], ids=[
+    "koch2-37", "slit_square-43", "unit_square-78", "koch2-37-block7", "slit_square-43-block7"])
+def test_one_factor_per_patch_shape(collar_pieces, domain, shapes, block, splu_calls,
+                                    monkeypatch):
     tree, grid, f, _ = collar_pieces(domain, LEVEL[domain])
-    key_calls = []
-    real_key = dv.patch_keys
+    if block is not None:
+        monkeypatch.setattr(G, "BLOCK", block)
+    key_calls, solve_calls = [], []
+    real_key, real_solve = dv.patch_keys, dv.local_div_solve
     monkeypatch.setattr(dv, "patch_keys", lambda *a: key_calls.append(1) or real_key(*a))
-    mac, solves, rep = dv.solve_divergence(tree, f, 2.0, 0.0)
-    # every node's key in one call
-    assert len(splu_calls) == shapes and len(key_calls) == 1
+    monkeypatch.setattr(dv, "local_div_solve", lambda *a: solve_calls.append(1) or real_solve(*a))
+    mac, rep = dv.solve_divergence(tree, f, 2.0, 0.0)
+    # every node's key in one call, one factor and one block solve per shape
+    assert len(splu_calls) == len(solve_calls) == shapes and len(key_calls) == 1
     dec = dc.c_decompose(tree, f)
-    assert len(set(dv.patch_keys(dec.cells, dec.ptr, grid.dims[1]))) == shapes
-    assert [loc.node for loc in solves] == list(range(len(tree)))
+    assert len(set(real_key(dec.cells, dec.ptr, grid.dims[1]))) == shapes
     # node-by-node with a fresh factor each, summed in node order
     FX, FY = np.zeros_like(mac.fx), np.zeros_like(mac.fy)
+    energies = np.zeros(len(tree))
     for t in range(len(tree)):
-        loc = solve_one(*dec.piece(t), grid.dims[1], grid.h, node=t)
-        assert_same_solve(loc, solves[t])
-        FX[loc.fx_ij[:, 0], loc.fx_ij[:, 1]] += loc.fx
-        FY[loc.fy_ij[:, 0], loc.fy_ij[:, 1]] += loc.fy
+        fx, fy, energies[t] = solve_patch(*dec.piece(t), grid.dims[1], grid.h, node=t)
+        add_faces(FX, FY, fx, fy)
     assert len(splu_calls) == shapes + len(tree)
     assert np.array_equal(mac.fx, FX) and np.array_equal(mac.fy, FY)
+    assert rep.extra["local_energies_sum"] == float(np.sum(energies))
+
+
+def test_overlapping_pieces_sum_in_node_order(square_trees, monkeypatch):
+    """Three pieces on one block of cells, visited out of node order (the
+    2 x 3 shape of nodes 0 and 2, then node 1's 2 x 2), and empty pieces on
+    every other node: the field is the node-order sum of each node's solve,
+    bit for bit, where the visit order gives other bits."""
+    tree = square_trees[5]
+    grid = dc.decomposition_grid(tree)
+    (nx, ny), n = grid.dims, len(tree)
+    i0, j0 = nx // 2, ny // 2
+    assert grid.covered[i0:i0 + 2, j0:j0 + 3].all()
+    pieces = [np.array([(i0 + a) * ny + j0 + b for a in range(2) for b in range(cols)])
+              for cols in (3, 2, 3)]
+    rng = np.random.default_rng(8)
+    vals = [v - v.mean() for v in (rng.standard_normal(len(c)) for c in pieces)]
+    flat = np.zeros(nx * ny)
+    for c, v in zip(pieces, vals):
+        flat[c] += v
+    f = grid.with_values(flat.reshape(nx, ny))
+    ptr = np.append(np.cumsum([0, 6, 4, 6]), np.full(n - 3, 16))
+    dec = dc.Decomposition(tree, f, ptr, np.concatenate(pieces), np.concatenate(vals))
+    monkeypatch.setattr(dv, "c_decompose", lambda *a: dec)
+    mac, rep = dv.solve_divergence(tree, f, 2.0, 0.0)
+    FX, FY = np.zeros_like(mac.fx), np.zeros_like(mac.fy)
+    energies = np.zeros(n)
+    for t in range(3):
+        fx, fy, energies[t] = solve_patch(pieces[t], vals[t], ny, grid.h, node=t)
+        add_faces(FX, FY, fx, fy)
+    assert np.array_equal(mac.fx, FX) and np.array_equal(mac.fy, FY)
+    assert rep.extra["local_energies_sum"] == float(np.sum(energies))
 
 
 def test_report_counts_and_energy_sum(solved5, square_trees):
-    grid, f, mac, solves, rep = solved5
+    grid, f, mac, rep = solved5
     tree = square_trees[5]
     dec = dc.c_decompose(tree, f)
     assert rep.extra["nodes"] == len(tree) == 96
@@ -598,7 +596,7 @@ def test_threshold_contrast_collar_probe(square_trees):
     for lv in (5, 6, 7):
         grid = dc.decomposition_grid(square_trees[lv])
         f = collar_probe(square_trees[lv], grid)
-        mac, _, rep = dv.solve_divergence(square_trees[lv], f, 2.0, 0.0)
+        mac, rep = dv.solve_divergence(square_trees[lv], f, 2.0, 0.0)
         vec = mac.cell_centered()
         for beta in ratios:
             lhs, rhs = dv._apriori_norms(vec, f, 2.0, beta)

@@ -219,14 +219,22 @@ def test_max_level_message_names_the_key_and_slack_limits(unit_square):
         "centre-bound slack no longer covers float rounding beyond level 32")
 
 
-def test_json_roundtrip(square_dec6, unit_square):
-    text = wt.decomposition_to_json(square_dec6)
-    back = wt.decomposition_from_json(text, unit_square)
-    assert np.array_equal(back.levels, square_dec6.levels)
-    assert np.array_equal(back.indices, square_dec6.indices)
-    for csr in ("neighbors", "face_neighbors"):
-        for got, want in zip(getattr(back, csr), getattr(square_dec6, csr)):
-            assert got.dtype == np.int64 and np.array_equal(got, want)
+def test_json_roundtrip(square_dec6, unit_square, slit_square, koch2):
+    for dom, dec in ((unit_square, square_dec6), (slit_square, wt.whitney_decompose(slit_square, 6)),
+                     (koch2, wt.whitney_decompose(koch2, 6))):
+        back = wt.decomposition_from_json(wt.decomposition_to_json(dec), dom)
+        assert np.array_equal(back.levels, dec.levels)
+        assert np.array_equal(back.indices, dec.indices)
+        # bit for bit: every float is written with repr
+        assert back.dist.dtype == dec.dist.dtype and back.dist.tobytes() == dec.dist.tobytes()
+        assert back.dist_sq.tobytes() == (dec.dist * dec.dist).tobytes()
+        assert back.frame == dec.frame and back.max_level == dec.max_level
+        for name in ("origin", "size"):
+            assert np.asarray(getattr(back.frame, name)).tobytes() == \
+                np.asarray(getattr(dec.frame, name)).tobytes()
+        for csr in ("neighbors", "face_neighbors"):
+            for got, want in zip(getattr(back, csr), getattr(dec, csr)):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
