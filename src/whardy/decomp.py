@@ -12,14 +12,13 @@ box arithmetic), and all integrals below are exact cell sums.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParameterError
-from .fields import (GridFunction, _abs_power, _binary_artifact, distance_weight, grid_dims,
+from .fields import (GridFunction, _abs_power, _binary_artifact, _weighted_sum, grid_dims,
                      make_grid)
 from .treecover import TreeCovering, accumulate_up
 
@@ -218,15 +217,9 @@ def decomposition_ratio(dec: Decomposition, q: float, beta: float) -> float:
     check_q_beta(q, beta)
     power = -beta * q
     grid = dec.grid
-    h2 = grid.h * grid.h
-    terms = _abs_power(dec.values, q) * distance_weight(grid.dist.ravel()[dec.cells], power)
-    num = 0.0
-    for a, b in itertools.pairwise(dec.ptr.tolist()):
-        # a pairwise .sum() per node; np.add.reduceat would move the last bits
-        num += float(terms[a:b].sum()) * h2
+    num = _weighted_sum(_abs_power(dec.values, q), grid.dist.ravel()[dec.cells], power)
     covered = grid.covered
-    den = float((_abs_power(grid.values[covered], q)
-                 * distance_weight(grid.dist[covered], power)).sum()) * h2
+    den = _weighted_sum(_abs_power(grid.values[covered], q), grid.dist[covered], power)
     if den == 0.0:
         raise ParameterError("zero denominator in decomposition ratio")
     return (num ** (1.0 / q)) / (den ** (1.0 / q))

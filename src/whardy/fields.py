@@ -11,6 +11,7 @@ cells that excludes is not yet reported.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, replace
@@ -195,6 +196,36 @@ def _abs_power(values: np.ndarray, p: float) -> np.ndarray:
     return v
 
 
+def _weighted_sum(values: np.ndarray, dist: np.ndarray, power: float) -> float:
+    """The correctly rounded sum of values d^power for boundary distances
+    ``dist``, of the values alone at power 0. A term of finite factors, or
+    the sum, that leaves the float range raises ParameterError naming the
+    exponent; NaN and inf values pass through."""
+    terms, over = values, False
+    if power != 0.0:
+        terms = distance_weight(dist, power)
+        with np.errstate(over="ignore"):
+            terms *= values
+        over = not np.isfinite(terms).all() and (np.isinf(terms) & np.isfinite(values)).any()
+    if not over:
+        with contextlib.suppress(OverflowError):
+            return _exact_sum(terms)
+    raise ParameterError(f"weight exponent {power!r} overflows: a term or sum weighted by "
+                         f"d^({power!r}) leaves the float range")
+
+
+def _weighted_mean(f: GridFunction, power: float) -> float:
+    """The d^power-weighted mean of f over its quadrature cells."""
+    sel = f.quad_mask
+    if not sel.any():
+        raise ParameterError("empty quadrature mask")
+    dist = f.dist[sel]
+    denom = _weighted_sum(np.broadcast_to(1.0, dist.shape), dist, power)
+    if denom == 0.0:
+        raise ParameterError("zero total weight")
+    return _weighted_sum(f.values[sel], dist, power) / denom
+
+
 def weighted_lp_norm(f: GridFunction, p: float, power: float = 0.0) -> float:
     """(sum |f|^p d^power h^n)^(1/p) over quadrature cells.
 
@@ -204,36 +235,22 @@ def weighted_lp_norm(f: GridFunction, p: float, power: float = 0.0) -> float:
     sel = f.quad_mask
     if not sel.any():
         raise ParameterError("empty quadrature mask")
-    v = _abs_power(f.values[sel], p)
-    if power != 0.0:
-        v *= distance_weight(f.dist[sel], power)
-    total = _exact_sum(v) * f.h * f.h
+    total = _weighted_sum(_abs_power(f.values[sel], p), f.dist[sel], power) * f.h * f.h
     return total ** (1.0 / p)
 
 
 def weighted_integral(f: GridFunction, power: float = 0.0) -> float:
     """sum f d^power h^n over quadrature cells (signed)."""
     sel = f.quad_mask
-    v = f.values[sel]
-    if power != 0.0:
-        v = v * distance_weight(f.dist[sel], power)
-    return _exact_sum(v) * f.h * f.h
+    return _weighted_sum(f.values[sel], f.dist[sel], power) * f.h * f.h
 
 
 def weighted_mean_zero(f: GridFunction, p: float, beta: float) -> GridFunction:
     """Subtract the d^(beta p)-weighted mean so the weighted integral vanishes."""
     power = beta * p
     check_exponents(p, power)
-    sel = f.quad_mask
-    if not sel.any():
-        raise ParameterError("empty quadrature mask")
-    w = distance_weight(f.dist[sel], power)
-    denom = _exact_sum(w)
-    if denom == 0.0:
-        raise ParameterError("zero total weight")
-    c = _exact_sum(f.values[sel] * w) / denom
-    vals = np.where(f.mask, f.values - c, 0.0)
-    return f.with_values(vals)
+    c = _weighted_mean(f, power)
+    return f.with_values(np.where(f.mask, f.values - c, 0.0))
 
 
 # ---------------------------------------------------------------------------

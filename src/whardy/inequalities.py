@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from . import geometry
 from .errors import ParameterError
 from .fields import (
     GridFunction,
+    _weighted_mean,
     cell_center_xy,
     check_exponents,
     distance_weight,
@@ -255,19 +256,13 @@ def korn_ratio(u: tuple[GridFunction, GridFunction], p: float, beta: float,
     G = np.stack([[d.values for d in gx], [d.values for d in gy]])  # G[i][j] = d u_i / d x_j
     eta = 0.5 * (G[0][1] - G[1][0])
 
-    ref = replace(base, values=np.where(mask, eta, 0.0), mask=mask)
-    sel = ref.quad_mask
-    w = distance_weight(ref.dist[sel], beta * p)
-    denom = float(w.sum())
-    if denom == 0.0:
-        raise ParameterError("zero total weight")
-    a = float((ref.values[sel] * w).sum()) / denom
+    a = _weighted_mean(base.with_values(eta), beta * p)
     eta0 = eta - a  # u - A x shifts only the antisymmetric part
 
     eps_sq = G[0][0] ** 2 + G[1][1] ** 2 + 2.0 * (0.5 * (G[0][1] + G[1][0])) ** 2
     du_sq = eps_sq + 2.0 * eta0**2
-    eps_mag = ref.with_values(np.where(mask, np.sqrt(eps_sq), 0.0))
-    du_mag = ref.with_values(np.where(mask, np.sqrt(du_sq), 0.0))
+    eps_mag = base.with_values(np.where(mask, np.sqrt(eps_sq), 0.0))
+    du_mag = base.with_values(np.where(mask, np.sqrt(du_sq), 0.0))
     rhs = weighted_lp_norm(eps_mag, p, beta * p)
     lhs = weighted_lp_norm(du_mag, p, beta * p)
     degenerate = "infinitesimal rigid motion" if rhs == 0.0 else None
@@ -292,14 +287,7 @@ def korn_ratio(u: tuple[GridFunction, GridFunction], p: float, beta: float,
 def _cube_family(dims, scales: int):
     """Dyadic cell-aligned cube sides; single cells are skipped (zero oscillation)."""
     top = 1 << max(dims).bit_length()
-    sides = []
-    for j in range(scales + 1):
-        w = top >> j
-        if w < 2:
-            break
-        if w <= max(dims) and w not in sides:
-            sides.append(w)
-    return sides
+    return [top >> j for j in range(scales + 1) if 2 <= top >> j <= max(dims)]
 
 
 def sharp_maximal(f: GridFunction, sigma: float = 1.0,
@@ -324,9 +312,8 @@ def sharp_maximal(f: GridFunction, sigma: float = 1.0,
     vals = np.where(f.mask, f.values, 0.0)
     out = np.zeros((nx, ny))
     for w in sides:
-        shift_vals = sorted({0, w // 2})
-        for sx in shift_vals:
-            for sy in shift_vals:
+        for sx in (0, w // 2):
+            for sy in (0, w // 2):
                 _accumulate_oscillation(f, vals, out, w, sx, sy, sigma)
     out = np.where(f.mask, out, 0.0)
     return f.with_values(out)

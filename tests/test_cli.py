@@ -5,12 +5,13 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from whardy import cli, fields, geometry
+from whardy import cli, decomp, fields, geometry, treecover, whitney
 
 
 def run(args):
@@ -64,11 +65,50 @@ def test_report_on_a_bad_summary_exits_1_naming_it(tmp_path, capsys, content, me
 
 
 def test_tree_subcommand(tmp_path):
+    """K, C_emp and U_over_B equal their values recomputed from whitney.json
+    and tree.json: K and |U_t| / |B_t| exactly, in integer units of the
+    finest cube side, and the shadow counts of C_emp by walking up from
+    every cube."""
     out = tmp_path / "t"
-    assert run(["tree", "--domain", "koch", "--koch-level", "1",
-                "--max-level", "5", "--out", str(out), "--lam", "1.3"]) == 0
+    argv = ["--domain", "koch", "--koch-level", "1", "--max-level", "5", "--out", str(out)]
+    assert run(["whitney", *argv]) == 0
+    assert run(["tree", *argv, "--lam", "1.3"]) == 0
     obj = json.loads((out / "tree_summary.json").read_text())
-    assert obj["K"] > 0 and obj["C_emp"] > 0
+    wh = json.loads((out / "whitney.json").read_text())
+    tree = json.loads((out / "tree.json").read_text())
+    parent = tree["parent"]
+    level = [c["level"] for c in wh["cubes"]]
+    finest = max(level)
+    side = [1 << (finest - k) for k in level]
+    lo = [[i << (finest - k) for i in c["index"]] for c, k in zip(wh["cubes"], level)]
+    hull_lo = [list(x) for x in lo]
+    hull_hi = [[x + w for x in a] for a, w in zip(lo, side)]
+    W = np.zeros((len(parent), finest + 1))
+    for s in range(len(parent)):
+        t = s
+        while t >= 0:
+            hull_lo[t] = [min(a, b) for a, b in zip(hull_lo[t], lo[s])]
+            hull_hi[t] = [max(a, b + side[s]) for a, b in zip(hull_hi[t], lo[s])]
+            W[t, level[s]] += 1
+            t = parent[t]
+    K = Fraction(1)
+    for t, w in enumerate(side):  # the reach of the hull from the doubled centre, per axis
+        reach = max(max(2 * b - (2 * x + w), (2 * x + w) - 2 * a)
+                    for x, a, b in zip(lo[t], hull_lo[t], hull_hi[t]))
+        K = max(K, Fraction(reach, w))
+    assert obj["K"] == tree["K"] == float(K)
+    i, k = np.arange(finest + 1), np.array(level)[:, None]
+    assert obj["C_emp"] == float(np.where(W > 0, W * np.exp2(-(i - k) * 1.3), 0.0).max())
+    # B_t on the lattice of 1/32 finest sides; U_t = (17/16) Q_t has side 34 w there
+    unit = wh["frame"]["size"] * 2.0**-finest / 32
+    origin = np.array(wh["frame"]["origin"])
+    u_over_b = 0
+    for t, b in enumerate(tree["B"]):
+        if b is not None:
+            c, hw = np.array(b["center"]), np.array(b["half_widths"])
+            width = np.round((c + hw - origin) / unit) - np.round((c - hw - origin) / unit)
+            u_over_b = max(u_over_b, Fraction((34 * side[t]) ** 2, int(width.prod())))
+    assert obj["U_over_B"] == float(u_over_b)
 
 
 def test_hardy_negative_grid(tmp_path):
@@ -94,11 +134,28 @@ def test_hardy_overflowing_weights(tmp_path):
     assert all(line.endswith(",divergent") for line in lines[1:])
 
 
-def test_decompose_subcommand(tmp_path):
-    out = tmp_path / "d"
-    assert run(["decompose", "--max-level", "4", "--out", str(out)]) == 0
-    obj = json.loads((out / "decompose_summary.json").read_text())
-    assert obj["properties_ok"]
+def test_decompose_subcommand(tmp_path, unit_square):
+    """The ratio equals the one recomputed from decomposition.bin's pieces
+    and the grid's values and distances, with math.fsum."""
+    tree = treecover.build_tree(whitney.whitney_decompose(unit_square, 4))
+    grid = decomp.decomposition_grid(tree)
+    g = decomp.covered_mean_zero(grid, np.random.default_rng(0).standard_normal(grid.dims))
+    cov = grid.covered
+    for beta in (0.0, -0.3):
+        out = tmp_path / repr(beta)
+        assert run(["decompose", "--max-level", "4", "--beta", repr(beta), "--out", str(out)]) == 0
+        obj = json.loads((out / "decompose_summary.json").read_text())
+        assert obj["properties_ok"]
+        data = (out / "decomposition.bin").read_bytes()
+        end = data.index(b"\n")
+        body = np.frombuffer(data, dtype="<i8", offset=end + 1)
+        num = []
+        for entry in json.loads(data[:end])["index"]:
+            a, n = entry["offset"] // 8, entry["count"]
+            cells, vals = body[a:a + n], body[a + n:a + 2 * n].view("<f8")
+            num += (vals**2 * grid.dist.ravel()[cells] ** (-2 * beta)).tolist()
+        den = (g.values[cov] ** 2 * grid.dist[cov] ** (-2 * beta)).tolist()
+        assert obj["ratio"] == math.fsum(num) ** 0.5 / math.fsum(den) ** 0.5
 
 
 def test_decompose_weights_only_the_covered_cells(tmp_path):
@@ -307,12 +364,19 @@ def test_underflowing_weights_are_kept(tmp_path, capsys):
     assert len((tmp_path / "improved_poincare.jsonl").read_text().splitlines()) == 10
 
 
+# each weight d^-145.6 is finite at h = 1/64, their sum is not
+WEIGHTED_SUM_OVERFLOWS = [[*command, "--beta", "-72.8", "--h", "0.015625"] for command in
+                          (["poincare"], ["korn"], ["fefferman-stein"],
+                           ["frac-poincare", "--samples", "10000"])]
+
+
 @pytest.mark.parametrize("argv", [
     ["fefferman-stein", "--sigmas", "abc", "--h", "0.1"],
     ["poincare", "--h", "nan", "--count", "1"],
     ["hardy", "--p", "nan"],
     ["hardy", "--p", "inf"],
     ["hardy", "--beta-grid", "0:1:1e-300"],
+    *WEIGHTED_SUM_OVERFLOWS,
 ])
 def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
     assert run([*argv, "--out", str(tmp_path)]) == 1
@@ -378,6 +442,8 @@ def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
     (["fefferman-stein", "--sigmas", "1e308", "--h", "0.05"],
      "sigma = 1e+308 scales the cubes' boxes beyond the float range"),
     (["whitney", "--side", "1e-200", "--max-level", "4"], "polygon area is 0"),
+    *[(argv, "weight exponent -145.6 overflows: a term or sum weighted by d^(-145.6) leaves "
+             "the float range") for argv in WEIGHTED_SUM_OVERFLOWS],
 ])
 def test_out_of_range_value_exits_1_naming_it(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 1

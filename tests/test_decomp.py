@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,21 @@ def test_ratio_identity_for_single_cube(tree5, grid5):
     vals[cells[half:, 0], cells[half:, 1]] = -1.0
     d = dc.c_decompose(tree5, grid5.with_values(vals))
     assert dc.decomposition_ratio(d, 2.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ratio_is_the_fsum_ratio(koch2_tree6):
+    """Both sums of the decomposition ratio are correctly rounded: bit for
+    bit math.fsum's over the pieces and over the covered cells."""
+    grid = dc.decomposition_grid(koch2_tree6)
+    g = random_mean_zero(koch2_tree6, grid, 1)
+    d = dc.c_decompose(koch2_tree6, g)
+    cov = grid.covered
+    for q, beta in ((2.0, 0.0), (2.0, -0.3), (3.0, 0.2)):
+        power = -beta * q
+        num = np.abs(d.values) ** q * grid.dist.ravel()[d.cells] ** power
+        den = np.abs(g.values[cov]) ** q * grid.dist[cov] ** power
+        want = math.fsum(num.tolist()) ** (1 / q) / math.fsum(den.tolist()) ** (1 / q)
+        assert dc.decomposition_ratio(d, q, beta) == want
 
 
 def test_ratio_zero_denominator(tree5, grid5):

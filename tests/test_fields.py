@@ -264,6 +264,26 @@ def test_exact_sum_errors():
     assert F._exact_sum(np.array([1.7e308, 1.7e308, -1.7e308])) == 1.7e308
 
 
+def test_weighted_sum_out_of_range_names_the_exponent():
+    dist = np.array([0.5, 0.25, 2.0])
+    message = r"weight exponent {} overflows: a term or sum weighted by d\^\({}\) leaves"
+    # finite terms 1.2e308, 0.6e308 and 0.3e308 total 2.1e308
+    with pytest.raises(ParameterError, match=message.format(-1.0, -1.0)):
+        F._weighted_sum(np.array([6e307, 1.5e307, 6e307]), dist, -1.0)
+    # 1e300 * 0.25^-10 = 1.05e306 is finite, +-1e305 * 0.25^-10 are not
+    for big in (1e305, -1e305):
+        with pytest.raises(ParameterError, match=message.format(-10.0, -10.0)):
+            F._weighted_sum(np.array([1.0, big, 1.0]), dist, -10.0)
+    assert F._weighted_sum(np.array([1.0, 1e300, 1.0]), dist, -10.0) == math.fsum(
+        [0.5**-10, 1e300 * 0.25**-10, 2.0**-10])
+    # NaN and inf values pass through
+    assert math.isnan(F._weighted_sum(np.array([1.0, math.nan, 1e305]), dist, -10.0))
+    assert F._weighted_sum(np.array([1.0, -math.inf, 1.0]), dist, -10.0) == -math.inf
+    # at power 0 the values are summed alone
+    with pytest.raises(ParameterError, match=message.format(0.0, 0.0)):
+        F._weighted_sum(np.array([1.7e308, 1.7e308]), dist[:2], 0.0)
+
+
 def test_quadrature_makes_no_list_of_cell_values(unit_square, monkeypatch):
     """Each weighted quadrature of improved_poincare_ratio allocates at most
     a few float arrays per cell at its peak; a list of Python floats would

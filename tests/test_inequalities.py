@@ -456,6 +456,22 @@ def test_korn_frobenius_identity_and_lower_bound(grid64):
             assert rep.ratio >= 1.0 - 1e-9
 
 
+def test_korn_rotation_mean_is_the_fsum_mean(l_shape):
+    """eta_mean_removed is the d^(beta p)-weighted mean of the rotation
+    eta = (d u_x / dy - d u_y / dx) / 2 over the quadrature cells, each sum
+    correctly rounded: bit for bit math.fsum's."""
+    grid = F.make_grid(l_shape, 1 / 64)
+    u = (F.sample_function(grid, lambda x, y: x * y**2 - 3 * y),
+         F.sample_function(grid, lambda x, y: x**2 + 0.5 * x * y))
+    gx, gy = F.gradient(u[0]), F.gradient(u[1])
+    sel = gx[0].quad_mask
+    eta = (0.5 * (gx[1].values - gy[0].values))[sel]
+    for beta in (0.0, -0.2, 0.4):
+        w = grid.dist[sel] ** (2 * beta)
+        want = math.fsum((eta * w).tolist()) / math.fsum(w.tolist())
+        assert iq.korn_ratio(u, 2.0, beta).extra["eta_mean_removed"] == want
+
+
 def test_korn_refinement_family(l_shape):
     rng = np.random.default_rng(2)
     coeffs = [rng.standard_normal((2, 4, 4)) for _ in range(6)]
