@@ -241,7 +241,7 @@ def _patch_systems(cells: np.ndarray, ptr, ny: int, nodes):
     import scipy.sparse.linalg as spla
 
     ptr = np.asarray(ptr)
-    for start, stop in _block_runs(8 * 21 * np.diff(ptr)):
+    for start, stop in _block_runs(8 * 21 * np.diff(ptr), geometry.BLOCK):
         run = ptr[start:stop + 1] - ptr[start]
         off, has_fx, has_fy, nfx, nf, AB, KKT = _assemble(cells[ptr[start]:ptr[stop]], run, ny)
         for s, (a, b) in enumerate(itertools.pairwise(run.tolist())):

@@ -198,15 +198,21 @@ def _abs_power(values: np.ndarray, p: float) -> np.ndarray:
 
 def _weighted_sum(values: np.ndarray, dist: np.ndarray, power: float) -> float:
     """The correctly rounded sum of values d^power for boundary distances
-    ``dist``, of the values alone at power 0. A term of finite factors, or
-    the sum, that leaves the float range raises ParameterError naming the
-    exponent; NaN and inf values pass through."""
-    terms, over = values, False
+    ``dist``, of the values alone at power 0 (see ``_checked_sum``)."""
+    terms = values
     if power != 0.0:
         terms = distance_weight(dist, power)
         with np.errstate(over="ignore"):
             terms *= values
-        over = not np.isfinite(terms).all() and (np.isinf(terms) & np.isfinite(values)).any()
+    return _checked_sum(terms, values, power)
+
+
+def _checked_sum(terms: np.ndarray, values: np.ndarray, power: float) -> float:
+    """The correctly rounded sum of ``terms``, the products of ``values`` and
+    d^power. A term of finite factors, or the sum, that leaves the float
+    range raises ParameterError naming the exponent; NaN and inf values
+    pass through."""
+    over = not np.isfinite(terms).all() and (np.isinf(terms) & np.isfinite(values)).any()
     if not over:
         with contextlib.suppress(OverflowError):
             return _exact_sum(terms)
@@ -215,15 +221,21 @@ def _weighted_sum(values: np.ndarray, dist: np.ndarray, power: float) -> float:
 
 
 def _weighted_mean(f: GridFunction, power: float) -> float:
-    """The d^power-weighted mean of f over its quadrature cells."""
+    """The d^power-weighted mean of f over its quadrature cells; both sums
+    take one weight array."""
     sel = f.quad_mask
     if not sel.any():
         raise ParameterError("empty quadrature mask")
-    dist = f.dist[sel]
-    denom = _weighted_sum(np.broadcast_to(1.0, dist.shape), dist, power)
+    values = f.values[sel]
+    weight, terms = np.broadcast_to(1.0, values.shape), values
+    if power != 0.0:
+        weight = distance_weight(f.dist[sel], power)
+        with np.errstate(over="ignore"):
+            terms = weight * values
+    denom = _checked_sum(weight, weight, power)
     if denom == 0.0:
         raise ParameterError("zero total weight")
-    return _weighted_sum(f.values[sel], dist, power) / denom
+    return _checked_sum(terms, values, power) / denom
 
 
 def weighted_lp_norm(f: GridFunction, p: float, power: float = 0.0) -> float:

@@ -118,14 +118,23 @@ def index_ranges(starts, counts) -> np.ndarray:
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
-def _block_runs(counts):
+def _pair_tile() -> int:
+    """(query, edge) pairs per call of every per-pair kernel (distances, box
+    contact, parity crossings): its about 7 tile-sized temporaries then hold
+    about BLOCK floats. Passes that list pairs (``_is_simple``,
+    ``SlabIndex.build``, ``divergence._patch_systems``) keep runs of BLOCK,
+    as pair-tile runs slowed ``_is_simple`` on Koch 8 from 0.44 to 0.62 s."""
+    return max(1, BLOCK // 8)
+
+
+def _block_runs(counts, budget):
     """Yield ``(start, stop)`` over consecutive runs of ``counts`` that sum
-    to at most BLOCK, unless one entry alone is more."""
+    to at most ``budget``, unless one entry alone is more."""
     ends = np.cumsum(counts)
     start = 0
     while start < len(ends):
         base = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + BLOCK, side="right")))
+        stop = max(start + 1, int(np.searchsorted(ends, base + budget, side="right")))
         yield start, stop
         start = stop
 
@@ -143,7 +152,7 @@ def _is_simple(edges) -> bool:
     order = np.argsort(blo[:, 0], kind="stable")
     end = np.searchsorted(blo[order, 0], bhi[order, 0], side="right")
     later = end - np.arange(1, n + 1)  # x-overlapping edges after each in x order
-    for start, stop in _block_runs(later):
+    for start, stop in _block_runs(later, BLOCK):
         k, c = np.arange(start, stop), later[start:stop]
         u, v = order[np.repeat(k, c)], order[index_ranges(k + 1, c)]
         if _pairs_meet(edges, blo, bhi, u, v):
@@ -283,21 +292,17 @@ def segment_parts(a, b):
     return ax, ay, dx, dy, np.where(ab2 == 0, 1.0, ab2)
 
 
-def _fold_edge_tiles(out, n_edges, tile, fold, pairs):
+def _fold_edge_tiles(out, n_edges, tile, fold):
     """Fill ``out[m]`` with the ``fold`` of query m's values over every edge.
 
     ``tile(rows, edges)`` takes a slice of queries and a slice of edges and
-    returns their (edges, queries) values. A tile spans at most ``pairs``
-    pairs: a run of queries along the contiguous axis, as long as the
-    budget allows, against a group of edges. The caller sizes ``pairs`` by
-    its tile's working set, not by one temporary: ``boundary_distances``
-    passes ``max(1, BLOCK // 8)``, since its kernel keeps about 7
-    temporaries of the tile's size; the contact test of
-    ``boxes_inside_domain`` passes BLOCK, since narrower tiles slowed it
-    (see there). ``fold`` is a ufunc that reduces each tile over its edges
-    and merges the groups; it must be exact (a minimum, a logical or), so
-    the tiling does not change a bit.
+    returns their (edges, queries) values. A tile spans at most a pair tile
+    (``_pair_tile``): a run of queries along the contiguous axis, as long
+    as the tile allows, against a group of edges. ``fold`` is a ufunc that
+    reduces each tile over its edges and merges the groups; it must be
+    exact (a minimum, a logical or), so the tiling does not change a bit.
     """
+    pairs = _pair_tile()
     width = max(1, min(len(out), pairs))
     group = max(1, pairs // width)
     for i in range(0, len(out), width):
@@ -318,9 +323,8 @@ def boundary_distances(dom: PolygonalDomain, points) -> np.ndarray:
 
     Every (edge, point) pair goes through ``point_segment_dist_sq``, tiled
     by ``_fold_edge_tiles`` with the edges as (G, 1) columns and a running
-    minimum over the edge groups. Tiles of ``max(1, BLOCK // 8)`` pairs
-    keep the working set near BLOCK floats: 2.1 MiB traced on 65,536
-    points, where tiles of BLOCK pairs took 6.0.
+    minimum over the edge groups: 2.1 MiB traced on 65,536 points, where
+    tiles of BLOCK pairs took 6.0.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     px, py = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
@@ -329,8 +333,7 @@ def boundary_distances(dom: PolygonalDomain, points) -> np.ndarray:
     def tile(rows, edges):
         return point_segment_dist_sq(px[rows], py[rows], *(c[edges] for c in cols))
 
-    out = _fold_edge_tiles(np.empty(len(pts)), dom.n_edges, tile, np.minimum,
-                           max(1, BLOCK // 8))
+    out = _fold_edge_tiles(np.empty(len(pts)), dom.n_edges, tile, np.minimum)
     return np.sqrt(out, out=out)
 
 
@@ -365,7 +368,7 @@ class SlabIndex:
         ptr = np.append(0, np.cumsum(np.cumsum(starts)[:-1]))
         edges = np.empty(int(ptr[-1]), dtype=np.int64)
         free = ptr[:-1].copy()  # next place of each slab
-        for start, stop in _block_runs(counts):
+        for start, stop in _block_runs(counts, BLOCK):
             c = counts[start:stop]
             if not c.any():  # horizontal edges only: no pairs
                 continue
@@ -382,12 +385,12 @@ class SlabIndex:
 
     def chunks(self, ys):
         """Yield ``(start, stop, owner, edge)`` over consecutive runs of
-        ``ys``: the (point, edge) pairs of the run's slabs, at most
-        BLOCK of them unless one point alone has more, with ``owner``
+        ``ys``: the (point, edge) pairs of the run's slabs, at most a
+        pair tile of them unless one point alone has more, with ``owner``
         counted from ``start``."""
         slab = np.searchsorted(self.breaks, ys, side="right")
         first, counts = self.ptr[slab], np.diff(self.ptr)[slab]
-        for start, stop in _block_runs(counts):
+        for start, stop in _block_runs(counts, _pair_tile()):
             c = counts[start:stop]
             yield (start, stop, np.repeat(np.arange(stop - start), c),
                    self.edges[index_ranges(first[start:stop], c)])
@@ -443,10 +446,7 @@ def boxes_inside_domain(dom: PolygonalDomain, los, his) -> np.ndarray:
     side of the boundary, so its centre decides; boxes touching the boundary
     are excluded. Boxes whose centre has odd parity are tested against every
     edge, tiled by ``_fold_edge_tiles`` with the edges as (G, 1, 2) columns
-    and a logical or over the edge groups. Its tiles span BLOCK pairs: the
-    contact test sees a few thousand boxes a call, so tiles of BLOCK // 8
-    pairs made about ten times the tile calls and slowed
-    ``fefferman-stein`` on Koch 3 by 7%.
+    and a logical or over the edge groups.
     """
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
@@ -459,8 +459,7 @@ def boxes_inside_domain(dom: PolygonalDomain, los, his) -> np.ndarray:
     def tile(rows, edges):
         return segments_meet_boxes(p[edges], q[edges], lo[rows], hi[rows])
 
-    meets = _fold_edge_tiles(np.empty(len(idx), dtype=bool), dom.n_edges, tile, np.logical_or,
-                             BLOCK)
+    meets = _fold_edge_tiles(np.empty(len(idx), dtype=bool), dom.n_edges, tile, np.logical_or)
     out[idx] = ~meets
     return out
 

@@ -311,9 +311,11 @@ def beta_sweep(dom, p: float, betas, levels) -> tuple[list, dict]:
     the ``SweepRow`` of every (beta, level), beta-major, and per beta its
     class, level ratios and values.
 
-    Each tree is evaluated on blocks of consecutive betas, one block per
-    down/up sweep pair (see ``_a_tree_block``). A block holds as many betas
-    as keep n * len(block) * len(DEFAULT_THETA_GRID) within ``geometry.BLOCK``,
+    The trees come from one Whitney build at the deepest level, truncated
+    at each level (``WhitneyDecomposition.truncate``). Each tree is
+    evaluated on blocks of consecutive betas, one block per down/up sweep
+    pair (see ``_a_tree_block``). A block holds as many betas as keep
+    n * len(block) * len(DEFAULT_THETA_GRID) within ``geometry.BLOCK``,
     and at least one. The best theta per beta is chosen as in
     ``a_tree_min``, and every power keeps a scalar exponent, so the rows
     are bitwise those of one ``a_tree_min`` call per (tree, beta).
@@ -326,8 +328,9 @@ def beta_sweep(dom, p: float, betas, levels) -> tuple[list, dict]:
     for beta in betas:
         WeightSpec(beta=beta, p=p)  # checks beta and p before any build
     reps = {}  # level -> one HardyReport per beta
+    dec = whitney_decompose(dom, levels[-1]) if levels else None
     for lv in levels:
-        tree = build_tree(whitney_decompose(dom, lv))
+        tree = build_tree(dec.truncate(lv))
         size = max(1, geometry.BLOCK // (len(tree) * len(thetas)))
         reps[lv] = []
         for i in range(0, len(betas), size):

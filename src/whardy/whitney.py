@@ -82,6 +82,24 @@ class WhitneyDecomposition:
     def __len__(self):
         return len(self.levels)
 
+    def truncate(self, level: int) -> WhitneyDecomposition:
+        """The decomposition ``whitney_decompose`` builds at ``max_level =
+        level``: its cubes are those at levels <= ``level``, a prefix of
+        the ids, since a cube's acceptance depends only on its ancestors.
+        Raises what that build would for ``level`` below 2 or without cubes,
+        and ParameterError above ``max_level``."""
+        if level < 2:
+            raise ParameterError("max_level must be >= 2")
+        if level > self.max_level:
+            raise ParameterError(f"level {level} exceeds the decomposition's max_level "
+                                 f"{self.max_level}")
+        n = int(np.searchsorted(self.levels, level, side="right"))
+        if n == 0:
+            raise EmptyDecompositionError(
+                f"no Whitney cube fits inside {self.domain.name} at max_level={level}")
+        return WhitneyDecomposition(self.domain, self.frame, level, self.levels[:n],
+                                    self.indices[:n], self.dist[:n], self.dist_sq[:n])
+
     @property
     def collar_width(self) -> float:
         """8 sqrt(2) times the side at ``max_level``: points farther than this
@@ -183,8 +201,8 @@ def _box_segment_gap_sq(a, b, lo, hi):
 def boxes_boundary_dist_sq(dom: PolygonalDomain, lo, hi, ptr, cand):
     """Squared distance of solid boxes to the polygon boundary.
 
-    Box m is measured against the edges ``cand[ptr[m]:ptr[m + 1]]``, in
-    chunks of ``geometry.BLOCK`` pairs; every list must be non-empty.
+    Box m is measured against the edges ``cand[ptr[m]:ptr[m + 1]]``; every
+    list must be non-empty.
     Returns the exact per-box minimum and, per pair in candidate order, a
     value no larger than the pair's exact distance: zero where the edge
     meets the box, else ``_box_segment_gap_sq``.
@@ -202,7 +220,7 @@ def boxes_boundary_dist_sq(dom: PolygonalDomain, lo, hi, ptr, cand):
     """
     edges = dom.edges
     owner = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
-    block = geometry.BLOCK
+    block = geometry._pair_tile()
 
     def fill(out, idx, kernel):
         # kernel(a, b, lo, hi) on the pairs idx, one block at a time

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -262,6 +263,37 @@ def test_exact_sum_errors():
         F._exact_sum(np.array([1.7e308, 1.7e308]))
     # partial sums beyond the float range are exact too
     assert F._exact_sum(np.array([1.7e308, 1.7e308, -1.7e308])) == 1.7e308
+
+
+def test_weighted_mean_forms_the_weights_once(grid128, monkeypatch):
+    """Both sums of a weighted mean share one d^power array, with the
+    floats of a weight formed per sum."""
+    f = F.sample_function(grid128, lambda x, y: np.sin(3 * x) + y * y)
+    want = F.weighted_mean_zero(f, 2.0, -0.3)
+    sel, power = f.quad_mask, -0.6
+    num = F._weighted_sum(f.values[sel], f.dist[sel], power)
+    den = F._weighted_sum(np.ones(int(sel.sum())), f.dist[sel], power)
+    assert np.array_equal(want.values[f.mask], f.values[f.mask] - num / den)
+    calls = []
+    weight = F.distance_weight
+
+    def counted(dist, power):
+        calls.append(power)
+        return weight(dist, power)
+
+    monkeypatch.setattr(F, "distance_weight", counted)
+    got = F.weighted_mean_zero(f, 2.0, -0.3)
+    assert calls == [power]
+    assert got.values.tobytes() == want.values.tobytes()
+    # the same errors as a sum with its own weights: a weight, the sum of
+    # the weights and a product that leave the float range
+    big = f.with_values(np.full(f.dims, 1e308))
+    ones = np.ones(int(sel.sum()))
+    for g, power, values in ((f, -145.6, ones), (f, -127.0, ones), (big, -1.0, big.values[sel])):
+        with pytest.raises(ParameterError) as ref:
+            F._weighted_sum(values, g.dist[sel], power)
+        with pytest.raises(ParameterError, match=re.escape(str(ref.value))):
+            F._weighted_mean(g, power)
 
 
 def test_weighted_sum_out_of_range_names_the_exponent():

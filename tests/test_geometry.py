@@ -181,6 +181,20 @@ def test_distance_tiles_bound_their_working_set(slit_square):
     assert peak <= 3 * 2**20
 
 
+def test_contact_tiles_bound_their_working_set(koch3):
+    """The contact test's tiles are pair tiles too: 0.5 MiB traced for 2,000
+    random 0.02-wide boxes on Koch 3, where tiles of BLOCK pairs took 3.2."""
+    lo, hi = koch3.bounding_box()
+    los = np.random.default_rng(0).uniform(lo, hi, size=(2000, 2))
+    tracemalloc.start()
+    try:
+        geo.boxes_inside_domain(koch3, los, los + 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+
+
 def test_contains(unit_square):
     assert geo.contains_many(unit_square, [(0.5, 0.5)])[0]
     assert not geo.contains_many(unit_square, [(1.5, 0.5)])[0]
@@ -357,11 +371,13 @@ def test_tiled_distances_at_tile_edges(unit_square):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 50])
 def test_tiled_distances_with_uneven_groups(koch3, monkeypatch, m):
-    """Tiles of 7 pairs: one point takes the 192 edges in 27 groups of 7 and
-    one of 3; 50 points go 7 at a time, the last alone."""
-    monkeypatch.setattr(geo, "BLOCK", 7)
+    """Tiles of 7 pairs (BLOCK = 56): one point takes the 192 edges in 27
+    groups of 7 and one of 3; 50 points go 7 at a time, the last alone. At
+    BLOCK = 7 a tile is one pair."""
     pts = np.random.default_rng(m).uniform(-0.1, 1.1, size=(m, 2))
-    assert_distances_match_dense(koch3, pts)
+    for block in (56, 7):
+        monkeypatch.setattr(geo, "BLOCK", block)
+        assert_distances_match_dense(koch3, pts)
 
 
 def test_slab_lists_are_the_parity_condition(koch2):
@@ -376,6 +392,8 @@ def test_slab_lists_are_the_parity_condition(koch2):
 
 
 def test_slab_chunks_cover_every_pair(koch3, monkeypatch):
+    """At BLOCK = 50 a chunk holds a pair tile, 6 pairs, unless one point
+    alone has more."""
     monkeypatch.setattr(geo, "BLOCK", 50)
     ys = np.random.default_rng(2).uniform(-0.1, 1.0, 300)
     index = koch3._parity_slabs
@@ -383,7 +401,7 @@ def test_slab_chunks_cover_every_pair(koch3, monkeypatch):
     stops, total = [0], 0
     for start, stop, owner, e in index.chunks(ys):
         assert start == stops[-1] and len(owner) == len(e) == counts[start:stop].sum()
-        assert len(e) <= 50 or stop == start + 1
+        assert len(e) <= 6 or stop == start + 1
         stops.append(stop)
         total += len(e)
     assert stops[-1] == len(ys) and total == counts.sum()
@@ -512,9 +530,10 @@ def test_boxes_inside_domain_matches_dense_oracle_on_presets(preset, kw):
     ("koch_prefractal", {"level": 3}),
 ])
 def test_boxes_inside_domain_in_tiles_of_7_pairs(monkeypatch, preset, kw):
-    """Tiles of 7 (edge, box) pairs. One, two or three boxes take the edges
-    in groups of 7, 3 or 2 (the slit square's 7 edges as 3 + 3 + 1, Koch 3's
-    192 as 27 x 7 + 3); about 100 boxes go 7 at a time against one edge."""
+    """Tiles of 7 (edge, box) pairs (BLOCK = 56). One, two or three boxes
+    take the edges in groups of 7, 3 or 2 (the slit square's 7 edges as 3 +
+    3 + 1, Koch 3's 192 as 27 x 7 + 3); about 100 boxes go 7 at a time
+    against one edge. At BLOCK = 7 a tile is one pair."""
     dom = geo.make_domain(preset, **kw)
     los, his = probe_boxes(dom, 0)
     want = dense_boxes_inside(dom, los, his)
@@ -522,9 +541,10 @@ def test_boxes_inside_domain_in_tiles_of_7_pairs(monkeypatch, preset, kw):
     inside, cut = odd[want[odd]], odd[~want[odd]]
     picks = [inside[:1], np.r_[inside[:1], cut[:1]], np.r_[cut[:1], inside[:2]],
              odd[:: len(odd) // 100]]
-    monkeypatch.setattr(geo, "BLOCK", 7)
-    for sel in picks:
-        assert np.array_equal(geo.boxes_inside_domain(dom, los[sel], his[sel]), want[sel])
+    for block in (56, 7):
+        monkeypatch.setattr(geo, "BLOCK", block)
+        for sel in picks:
+            assert np.array_equal(geo.boxes_inside_domain(dom, los[sel], his[sel]), want[sel])
 
 
 def test_no_module_binds_the_block_budget_by_value():

@@ -421,6 +421,32 @@ def test_beta_sweep_rows_match_per_beta_a_tree_min(unit_square):
     assert [(r.beta, r.theta, r.level, r.a_tree, r.argmax_node) for r in rows] == want
 
 
+def test_beta_sweep_makes_one_whitney_build(unit_square, monkeypatch):
+    """One build at the deepest level serves every level, and the rows are
+    bitwise those of a build per level."""
+    betas, levels = [-0.9, -0.3, 0.0, 0.4], [4, 6, 7]
+    builds = []
+
+    def per_level(dec, level):
+        return wt.whitney_decompose(dec.domain, level)
+
+    def counted(dom, level):
+        builds.append(level)
+        return wt.whitney_decompose(dom, level)
+
+    monkeypatch.setattr(hd, "whitney_decompose", counted)
+    rows, classes = hd.beta_sweep(unit_square, 2.0, betas, levels)
+    assert builds == [7]
+    monkeypatch.setattr(wt.WhitneyDecomposition, "truncate", per_level)
+    want_rows, want_classes = hd.beta_sweep(unit_square, 2.0, betas, levels)
+
+    def bits(rs):
+        return [(r.beta, r.theta, r.level, r.a_tree.hex(), r.argmax_node, r.classification)
+                for r in rs]
+
+    assert bits(rows) == bits(want_rows) and classes == want_classes
+
+
 def test_kahan_add_rows_fold_per_column():
     rng = np.random.default_rng(3)
     n, k = 50, 7

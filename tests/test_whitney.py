@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -361,6 +362,47 @@ def test_truncations_are_prefixes_of_a_deeper_build(preset, kw):
     assert_truncations_are_prefixes(geo.make_domain(preset, **kw), range(4, 9), 9)
 
 
+@pytest.mark.parametrize("preset,kw", [
+    ("unit_square", {}),
+    ("l_shape", {}),
+    ("slit_square", {}),
+    ("koch_prefractal", {"level": 2}),
+])
+def test_truncate_equals_the_build_at_its_level(preset, kw):
+    dom = geo.make_domain(preset, **kw)
+    full = wt.whitney_decompose(dom, 8)
+    for L in range(4, 9):
+        try:
+            want = wt.whitney_decompose(dom, L)
+        except EmptyDecompositionError as exc:  # Koch 2 at L4
+            with pytest.raises(EmptyDecompositionError, match=re.escape(str(exc))):
+                full.truncate(L)
+            continue
+        got = full.truncate(L)
+        assert got.max_level == want.max_level == L and got.frame == want.frame
+        for name in ("levels", "indices", "keys", "dist", "dist_sq"):
+            ref = getattr(want, name)
+            assert getattr(got, name).dtype == ref.dtype, name
+            assert getattr(got, name).tobytes() == ref.tobytes(), (L, name)
+        for name in ("neighbors", "face_neighbors"):
+            assert csr_lists(getattr(got, name)) == csr_lists(getattr(want, name)), (L, name)
+        assert got.finest_level == want.finest_level
+
+
+def test_truncate_raises_what_the_build_would(unit_square):
+    full = wt.whitney_decompose(unit_square, 6)
+    with pytest.raises(ParameterError, match="max_level must be >= 2"):
+        full.truncate(1)
+    with pytest.raises(ParameterError, match="exceeds the decomposition's max_level 6"):
+        full.truncate(7)
+    # the unit square's first cubes lie at level 4
+    for L in (2, 3):
+        with pytest.raises(EmptyDecompositionError) as built:
+            wt.whitney_decompose(unit_square, L)
+        with pytest.raises(EmptyDecompositionError, match=re.escape(str(built.value))):
+            full.truncate(L)
+
+
 @settings(max_examples=30, deadline=None)
 @given(star_polygons())
 def test_truncations_are_prefixes_on_star_polygons(dom):
@@ -395,14 +437,16 @@ def test_culled_construction_matches_dense_oracle_on_star_polygons(dom):
 
 @pytest.mark.parametrize("preset,kw", [("koch_prefractal", {"level": 3}), ("slit_square", {})])
 def test_construction_in_chunks_of_7_pairs(monkeypatch, preset, kw):
-    """Chunks of 7 (cube, edge) pairs split the candidate lists of most
-    cubes, the frame's list of every edge among them."""
+    """Chunks of 7 (cube, edge) pairs (BLOCK = 56) split the candidate lists
+    of most cubes, the frame's list of every edge among them; at BLOCK = 7
+    a chunk is one pair."""
     dom = geo.make_domain(preset, **kw)
     want = wt.whitney_decompose(dom, 7)
-    monkeypatch.setattr(geo, "BLOCK", 7)
-    got = wt.whitney_decompose(dom, 7)
-    for name in ("levels", "indices", "dist_sq"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    for block in (56, 7):
+        monkeypatch.setattr(geo, "BLOCK", block)
+        got = wt.whitney_decompose(dom, 7)
+        for name in ("levels", "indices", "dist_sq"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_decomposition_at_the_coordinate_limit():
@@ -498,9 +542,10 @@ def test_pruned_stage_at_the_coordinate_limit():
 def test_pruned_stage_in_chunks_of_7_pairs(monkeypatch, koch2):
     lo, hi = cornered_boxes(points_on_edges(koch2, [0.0, 0.3]), SIDES[::3])
     want = assert_pruned_stage_exact(koch2, lo, hi, rng=np.random.default_rng(10))[0]
-    monkeypatch.setattr(geo, "BLOCK", 7)
-    got = assert_pruned_stage_exact(koch2, lo, hi, rng=np.random.default_rng(10))[0]
-    assert got.tobytes() == want.tobytes()
+    for block in (56, 7):  # chunks of 7 pairs, then of one
+        monkeypatch.setattr(geo, "BLOCK", block)
+        got = assert_pruned_stage_exact(koch2, lo, hi, rng=np.random.default_rng(10))[0]
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=30)
