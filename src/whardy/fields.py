@@ -96,8 +96,9 @@ def make_grid(dom: PolygonalDomain, h: float, origin=None) -> GridFunction:
         origin = (float(lo[0]), float(lo[1]))
     dims = grid_dims(dom, h, origin)
     pts = _all_cell_centers(h, origin, dims).reshape(-1, 2)
-    dist = geometry.boundary_distances(dom, pts)
-    mask = geometry.contains_many(dom, pts, dist=dist)
+    dist, edge = geometry.nearest_edges(dom, pts)
+    mask = geometry.side_of_edges(dom, pts[:, 0], pts[:, 1], edge)
+    mask &= dist > geometry.BOUNDARY_EPS
     return GridFunction(
         h=float(h),
         origin=(float(origin[0]), float(origin[1])),

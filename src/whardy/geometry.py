@@ -29,11 +29,11 @@ COORD_LIMIT = 1e150
 # every pass; temporaries of this many floats stay in cache (2^18-pair
 # tiles ran about 1.5x slower).
 BLOCK = 1 << 16
-# 3 * 4^9 = 786,432 vertices, built in about 6 s: about 1 s for the
-# vertices and 3.5-4.5 s for PolygonalDomain's checks and slab index, most of
-# it _is_simple, at a 200 MB peak RSS (the slab index holds 57 MB and peaks
-# at 81 MB while built; _is_simple peaks at 53 MB). Each level beyond
-# multiplies the vertices by four.
+# 3 * 4^9 = 786,432 vertices, built in about 3 s on 2 cores: 0.7 s for the
+# vertices and 2.3 s for PolygonalDomain's checks, most of it _is_simple, at
+# a 200 MB peak RSS, set by the vertex loop's Python complexes. The domain
+# holds 24 MiB of edges and peaks at 75 MiB under tracemalloc while built
+# (_is_simple: 53 MB). Each level beyond multiplies the vertices by four.
 MAX_KOCH_LEVEL = 9
 
 
@@ -44,9 +44,6 @@ class PolygonalDomain:
     vertices: np.ndarray
     name: str = "polygon"
     _edges: np.ndarray = field(init=False, repr=False, compare=False)
-    # Edges per y-slab over each edge's half-open range [ylo, yhi): exactly
-    # the edges a rightward ray from a point of that y can cross.
-    _parity_slabs: SlabIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=float)
@@ -69,8 +66,6 @@ class PolygonalDomain:
             raise ParameterError("polygon must be counter-clockwise (signed area > 0)")
         if not _is_simple(edges):
             raise ParameterError("polygon edges may intersect only at shared endpoints")
-        ylo, yhi = edges[:, :, 1].min(axis=1), edges[:, :, 1].max(axis=1)
-        object.__setattr__(self, "_parity_slabs", SlabIndex.build(ylo, yhi))
 
     @property
     def edges(self) -> np.ndarray:
@@ -120,10 +115,10 @@ def index_ranges(starts, counts) -> np.ndarray:
 
 def _pair_tile() -> int:
     """(query, edge) pairs per call of every per-pair kernel (distances, box
-    contact, parity crossings): its about 7 tile-sized temporaries then hold
-    about BLOCK floats. Passes that list pairs (``_is_simple``,
-    ``SlabIndex.build``, ``divergence._patch_systems``) keep runs of BLOCK,
-    as pair-tile runs slowed ``_is_simple`` on Koch 8 from 0.44 to 0.62 s."""
+    contact), and points per call of the side rule: its about 7 tile-sized
+    temporaries then hold about BLOCK floats. Passes that list pairs
+    (``_is_simple``, ``divergence._patch_systems``) keep runs of BLOCK, as
+    pair-tile runs slowed ``_is_simple`` on Koch 8 from 0.44 to 0.62 s."""
     return max(1, BLOCK // 8)
 
 
@@ -292,134 +287,119 @@ def segment_parts(a, b):
     return ax, ay, dx, dy, np.where(ab2 == 0, 1.0, ab2)
 
 
-def _fold_edge_tiles(out, n_edges, tile, fold):
-    """Fill ``out[m]`` with the ``fold`` of query m's values over every edge.
+def _fold_edge_tiles(n_queries, n_edges, tile, fold):
+    """Call ``fold(rows, e, vals)`` on every tile of the queries against the
+    edges, edge groups in order for each run of queries.
 
     ``tile(rows, edges)`` takes a slice of queries and a slice of edges and
-    returns their (edges, queries) values. A tile spans at most a pair tile
-    (``_pair_tile``): a run of queries along the contiguous axis, as long
-    as the tile allows, against a group of edges. ``fold`` is a ufunc that
-    reduces each tile over its edges and merges the groups; it must be
-    exact (a minimum, a logical or), so the tiling does not change a bit.
+    returns their (edges, queries) values ``vals``; ``e`` is the first edge
+    of the group. A tile spans at most a pair tile (``_pair_tile``): a run
+    of queries along the contiguous axis, as long as the tile allows,
+    against a group of edges. ``fold`` merges each tile into the caller's
+    running result for ``rows``; an exact fold (a minimum, a logical or, the
+    first minimum's edge) makes the result independent of the tiling.
     """
     pairs = _pair_tile()
-    width = max(1, min(len(out), pairs))
+    width = max(1, min(n_queries, pairs))
     group = max(1, pairs // width)
-    for i in range(0, len(out), width):
+    for i in range(0, n_queries, width):
         rows = slice(i, i + width)
-        acc = fold.reduce(tile(rows, slice(0, group)), axis=0)
-        for e in range(group, n_edges, group):
+        for e in range(0, n_edges, group):
             # bound to a name, the previous tile is freed only after this
             # one is built, so the allocator keeps its pages instead of
             # faulting in new ones (1.5x faster on 4,736 points of Koch 3)
             vals = tile(rows, slice(e, e + group))
-            fold(acc, fold.reduce(vals, axis=0), out=acc)
-        out[rows] = acc
-    return out
+            fold(rows, e, vals)
+
+
+def _distance_tile(dom: PolygonalDomain, points):
+    """The point count and the ``_fold_edge_tiles`` tile of the squared
+    distances of an (M, 2) array of points, edges as (G, 1) columns."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    px, py = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
+    cols = [v[:, None] for v in segment_parts(dom.edges[:, 0], dom.edges[:, 1])]
+    return len(pts), lambda rows, edges: point_segment_dist_sq(px[rows], py[rows],
+                                                               *(c[edges] for c in cols))
 
 
 def boundary_distances(dom: PolygonalDomain, points) -> np.ndarray:
     """Distance to the polygon boundary for an (M, 2) array of points.
 
-    Every (edge, point) pair goes through ``point_segment_dist_sq``, tiled
-    by ``_fold_edge_tiles`` with the edges as (G, 1) columns and a running
-    minimum over the edge groups: 2.1 MiB traced on 65,536 points, where
-    tiles of BLOCK pairs took 6.0.
+    A running minimum over the edge groups of ``_fold_edge_tiles``: 2.1 MiB
+    traced on 65,536 points, where tiles of BLOCK pairs took 6.0.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    px, py = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
-    cols = [v[:, None] for v in segment_parts(dom.edges[:, 0], dom.edges[:, 1])]
+    m, tile = _distance_tile(dom, points)
+    out = np.full(m, np.inf)
 
-    def tile(rows, edges):
-        return point_segment_dist_sq(px[rows], py[rows], *(c[edges] for c in cols))
+    def fold(rows, e, vals):
+        np.minimum(out[rows], vals.min(axis=0), out=out[rows])
 
-    out = _fold_edge_tiles(np.empty(len(pts)), dom.n_edges, tile, np.minimum)
+    _fold_edge_tiles(m, dom.n_edges, tile, fold)
     return np.sqrt(out, out=out)
 
 
-@dataclass(frozen=True)
-class SlabIndex:
-    """Edges by horizontal slab, for queries that only need nearby edges.
+def nearest_edges(dom: PolygonalDomain, points) -> tuple[np.ndarray, np.ndarray]:
+    """``boundary_distances`` of an (M, 2) array of points, bit for bit, and
+    the index of each point's nearest edge, the first one on ties."""
+    m, tile = _distance_tile(dom, points)
+    dist_sq, edge = np.full(m, np.inf), np.zeros(m, dtype=np.int64)
 
-    ``breaks`` holds the sorted distinct ends of the edges' y-ranges; slab
-    k >= 1 is [breaks[k - 1], breaks[k]), slab 0 lies below and slab
-    len(breaks) above every range, and both are empty. ``edges[ptr[k]:ptr[k
-    + 1]]`` are, in increasing order, the edges whose half-open range
-    [ylo, yhi) covers slab k, so a y lies in an edge's range iff the edge is
-    listed for the slab of y.
+    def fold(rows, e, vals):
+        if len(vals) == 1:  # one edge a group, as for more than 4,096 points
+            least, first = vals[0], e
+        else:  # the first row at the minimum: argmin along rows is ~20x slower
+            least = vals.min(axis=0)
+            rank = np.arange(len(vals))[:, None]
+            first = np.where(vals == least, rank, len(vals)).min(axis=0) + e
+        better = least < dist_sq[rows]  # strictly: an earlier group keeps a tie
+        np.minimum(dist_sq[rows], least, out=dist_sq[rows])
+        np.copyto(edge[rows], first, where=better)
+
+    _fold_edge_tiles(m, dom.n_edges, tile, fold)
+    return np.sqrt(dist_sq, out=dist_sq), edge
+
+
+def side_of_edges(dom: PolygonalDomain, px, py, edge) -> np.ndarray:
+    """Whether each point (px, py) lies on the inner side of the boundary,
+    given its nearest edge ``edge`` and a distance above BOUNDARY_EPS.
+
+    Where the foot of the perpendicular from the point lies inside its edge,
+    the inner side is the left of the edge. Where it clamps to a vertex, the
+    inner side is the vertex's angle: left of both edges at the vertex if it
+    is convex, of either if it is reflex or straight.
+
+    Why this is exact: take a nearest boundary point Q of the point P. The
+    open segment PQ misses the boundary, so P lies on the side that the
+    boundary presents at Q. At distances above 1e-12 on coordinates of
+    order one, the orientation signs are far from rounding. A computed
+    nearest edge that is not a true one lies within rounding of the
+    minimum: on a simple polygon that is another nearest point, which gives
+    the same side, or the other edge at the same vertex, which the vertex
+    rule covers. Points go a pair tile at a time, since the rule keeps
+    about 20 temporaries of their length.
     """
-
-    breaks: np.ndarray
-    ptr: np.ndarray
-    edges: np.ndarray
-
-    @classmethod
-    def build(cls, ylo, yhi) -> SlabIndex:
-        """The index of the edges with y-ranges [ylo, yhi). ``ptr`` comes
-        from the slab counts; ``edges`` is then filled for runs of edges
-        with at most BLOCK (slab, edge) pairs each, unless one edge alone
-        has more, each run after the earlier runs' edges of its slabs."""
-        breaks = np.unique(np.concatenate([ylo, yhi]))
-        first = np.searchsorted(breaks, ylo) + 1  # slab starting at ylo
-        counts = np.searchsorted(breaks, yhi) + 1 - first
-        # edge e lists for slabs first[e] to first[e] + counts[e] - 1
-        n = len(breaks) + 2
-        starts = np.bincount(first, minlength=n) - np.bincount(first + counts, minlength=n)
-        ptr = np.append(0, np.cumsum(np.cumsum(starts)[:-1]))
-        edges = np.empty(int(ptr[-1]), dtype=np.int64)
-        free = ptr[:-1].copy()  # next place of each slab
-        for start, stop in _block_runs(counts, BLOCK):
-            c = counts[start:stop]
-            if not c.any():  # horizontal edges only: no pairs
-                continue
-            slab = index_ranges(first[start:stop], c)
-            order = np.argsort(slab, kind="stable")
-            slab = slab[order]
-            # a pair's place: its slab's next place, plus its rank in the
-            # run among that slab's pairs
-            at = free[slab] + np.arange(len(slab)) - np.searchsorted(slab, slab)
-            edges[at] = np.repeat(np.arange(start, stop), c)[order]
-            last = np.append(slab[1:] != slab[:-1], True)  # each slab's last pair
-            free[slab[last]] = at[last] + 1
-        return cls(breaks, ptr, edges)
-
-    def chunks(self, ys):
-        """Yield ``(start, stop, owner, edge)`` over consecutive runs of
-        ``ys``: the (point, edge) pairs of the run's slabs, at most a
-        pair tile of them unless one point alone has more, with ``owner``
-        counted from ``start``."""
-        slab = np.searchsorted(self.breaks, ys, side="right")
-        first, counts = self.ptr[slab], np.diff(self.ptr)[slab]
-        for start, stop in _block_runs(counts, _pair_tile()):
-            c = counts[start:stop]
-            yield (start, stop, np.repeat(np.arange(stop - start), c),
-                   self.edges[index_ranges(first[start:stop], c)])
-
-
-def _ray_parity(dom: PolygonalDomain, px, py) -> np.ndarray:
-    """Whether a rightward ray from each point crosses the boundary an odd
-    number of times; visits only the edges of the point's slab."""
-    v = dom.vertices
-    w = np.roll(v, -1, axis=0)
-    crossings = np.zeros(len(px), dtype=np.int64)
-    for start, stop, owner, e in dom._parity_slabs.chunks(py):
-        o = owner + start
-        xin = (w[e, 0] - v[e, 0]) * (py[o] - v[e, 1]) / (w[e, 1] - v[e, 1]) + v[e, 0]
-        crossings[start:stop] = np.bincount(owner[px[o] < xin], minlength=stop - start)
-    return crossings % 2 == 1
-
-
-def contains_many(dom: PolygonalDomain, points, dist=None) -> np.ndarray:
-    """Open containment by ray-casting parity; near-boundary points excluded.
-
-    A point is inside when a rightward ray crosses the boundary an odd
-    number of times and its distance ``dist`` (``boundary_distances`` when
-    not given) exceeds BOUNDARY_EPS.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if dist is None:
-        dist = boundary_distances(dom, pts)
-    return _ray_parity(dom, pts[:, 0], pts[:, 1]) & (np.asarray(dist) > BOUNDARY_EPS)
+    v, n = dom.vertices, dom.n_edges
+    vx, vy = v[:, 0], v[:, 1]
+    out = np.empty(len(edge), dtype=bool)
+    block = _pair_tile()
+    for s in range(0, len(edge), block):
+        x, y, e = px[s:s + block], py[s:s + block], edge[s:s + block]
+        f = (e + 1) % n
+        ax, ay = vx[e], vy[e]
+        dx, dy, rx, ry = vx[f] - ax, vy[f] - ay, x - ax, y - ay
+        inside = dx * ry - dy * rx > 0.0
+        dot = rx * dx + ry * dy
+        k = np.flatnonzero((dot <= 0.0) | (dot >= dx * dx + dy * dy))  # feet at a vertex
+        # the vertex and its other edge: the start of e and e - 1, or the end
+        # of e and e + 1
+        start = dot[k] <= 0.0
+        w = np.where(start, e[k], f[k])
+        o = np.where(start, e[k] - 1, f[k]) % n
+        left = _orient(v[o], v[(o + 1) % n], np.stack([x[k], y[k]], axis=-1)) > 0.0
+        convex = _orient(v[w - 1], v[w], v[(w + 1) % n]) > 0.0
+        inside[k] = np.where(convex, inside[k] & left, inside[k] | left)
+        out[s:s + block] = inside
+    return out
 
 
 def sample_boundary(dom: PolygonalDomain, count: int) -> np.ndarray:
@@ -437,54 +417,52 @@ def sample_boundary(dom: PolygonalDomain, count: int) -> np.ndarray:
     return e[idx, 0] + t[:, None] * seg[idx]
 
 
-def boxes_inside_domain(dom: PolygonalDomain, los, his) -> np.ndarray:
+def boxes_inside_domain(dom: PolygonalDomain, los, his, inside) -> np.ndarray:
     """Whether each closed axis-aligned box [los[m], his[m]] of the (M, 2)
-    corner arrays lies inside the open domain.
+    corner arrays lies inside the open domain, given ``inside``: whether a
+    point of the box more than BOUNDARY_EPS from the boundary is inside.
 
-    True iff no edge meets the box widened by BOUNDARY_EPS on every side and
-    the box centre has odd ray parity. An edge-free box lies wholly on one
-    side of the boundary, so its centre decides; boxes touching the boundary
-    are excluded. Boxes whose centre has odd parity are tested against every
-    edge, tiled by ``_fold_edge_tiles`` with the edges as (G, 1, 2) columns
-    and a logical or over the edge groups.
+    True iff ``inside`` holds and no edge meets the box widened by
+    BOUNDARY_EPS on every side. An edge-free box lies wholly on one side of
+    the boundary, so any of its points decides; boxes touching the boundary
+    are excluded. Only boxes with ``inside`` are tested against every edge,
+    tiled by ``_fold_edge_tiles`` with the edges as (G, 1, 2) columns and a
+    logical or over the edge groups.
     """
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
-    mid = (los + his) / 2.0
-    out = _ray_parity(dom, mid[:, 0], mid[:, 1])
+    out = np.array(inside, dtype=bool)
     idx = np.flatnonzero(out)
     lo, hi = los[idx] - BOUNDARY_EPS, his[idx] + BOUNDARY_EPS
     p, q = dom.edges[:, None, 0], dom.edges[:, None, 1]
+    meets = np.zeros(len(idx), dtype=bool)
 
     def tile(rows, edges):
         return segments_meet_boxes(p[edges], q[edges], lo[rows], hi[rows])
 
-    meets = _fold_edge_tiles(np.empty(len(idx), dtype=bool), dom.n_edges, tile, np.logical_or)
+    def fold(rows, e, vals):
+        np.logical_or(meets[rows], vals.any(axis=0), out=meets[rows])
+
+    _fold_edge_tiles(len(idx), dom.n_edges, tile, fold)
     out[idx] = ~meets
     return out
 
 
 def segments_meet_boxes(p, q, lo, hi) -> np.ndarray:
     """Whether segments [p, q] meet closed boxes [lo, hi], by Liang-Barsky
-    clipping; the (..., 2) arguments broadcast against each other."""
+    clipping; the (..., 2) arguments broadcast against each other. Where
+    d = 0 the parameters are NaN, which ``fmax`` and ``fmin`` skip."""
     d = q - p
-    shape = np.broadcast_shapes(p.shape, q.shape, lo.shape, hi.shape)[:-1]
-    t0 = np.zeros(shape)
-    t1 = np.ones(shape)
-    alive = np.ones(shape, dtype=bool)
+    t0, t1, alive = 0.0, 1.0, True
     for axis in range(2):
-        p0, dd = p[..., axis], d[..., axis]
-        for sign, bound in ((-1.0, lo[..., axis]), (1.0, hi[..., axis])):
-            num = sign * (bound - p0)
-            den = sign * dd
-            par = den == 0
-            alive &= ~(par & (num < 0))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(par, 0.0, num / den)
-            ent = ~par & (den < 0)
-            ext = ~par & (den > 0)
-            t0 = np.where(ent, np.maximum(t0, t), t0)
-            t1 = np.where(ext, np.minimum(t1, t), t1)
+        p0, dd, a, b = p[..., axis], d[..., axis], lo[..., axis], hi[..., axis]
+        par = dd == 0.0
+        alive = alive & (~par | ((a <= p0) & (p0 <= b)))
+        den = np.where(par, np.nan, dd)
+        ta, tb = (a - p0) / den, (b - p0) / den
+        neg = den < 0.0
+        t0 = np.fmax(t0, np.where(neg, tb, ta))
+        t1 = np.fmin(t1, np.where(neg, ta, tb))
     return alive & (t0 <= t1)
 
 

@@ -298,6 +298,10 @@ def sharp_maximal(f: GridFunction, sigma: float = 1.0,
     |f - f_Q| over cubes of the family that contain the cell and satisfy
     sigma Q inside the open domain; zero if no cube qualifies. The result is
     extended by zero outside the domain mask.
+
+    ``f.mask`` must be the grid's inside mask: a cube whose widened sigma Q
+    meets no edge lies on one side, and its first cell's centre lies in Q,
+    so that cell's mask bit is the cube's side.
     """
     if not 1.0 <= sigma < math.inf:
         raise ParameterError(f"sigma must be finite and >= 1, got {sigma!r}")
@@ -334,7 +338,7 @@ def _accumulate_oscillation(f, vals, out, w, sx, sy, sigma):
     )
     centers = np.stack([CX.ravel(), CY.ravel()], axis=1)
     admissible = geometry.boxes_inside_domain(
-        f.domain, centers - half, centers + half
+        f.domain, centers - half, centers + half, f.mask[np.ix_(x0s, y0s)].ravel()
     ).reshape(len(x0s), len(y0s))
     if not admissible.any():
         return

@@ -87,7 +87,8 @@ class WhitneyDecomposition:
         level``: its cubes are those at levels <= ``level``, a prefix of
         the ids, since a cube's acceptance depends only on its ancestors.
         Raises what that build would for ``level`` below 2 or without cubes,
-        and ParameterError above ``max_level``."""
+        and ParameterError above ``max_level``. At ``max_level`` it is the
+        decomposition itself, adjacency included."""
         if level < 2:
             raise ParameterError("max_level must be >= 2")
         if level > self.max_level:
@@ -97,6 +98,8 @@ class WhitneyDecomposition:
         if n == 0:
             raise EmptyDecompositionError(
                 f"no Whitney cube fits inside {self.domain.name} at max_level={level}")
+        if level == self.max_level:
+            return self
         return WhitneyDecomposition(self.domain, self.frame, level, self.levels[:n],
                                     self.indices[:n], self.dist[:n], self.dist_sq[:n])
 
@@ -203,9 +206,10 @@ def boxes_boundary_dist_sq(dom: PolygonalDomain, lo, hi, ptr, cand):
 
     Box m is measured against the edges ``cand[ptr[m]:ptr[m + 1]]``; every
     list must be non-empty.
-    Returns the exact per-box minimum and, per pair in candidate order, a
+    Returns the exact per-box minimum; per pair in candidate order, a
     value no larger than the pair's exact distance: zero where the edge
-    meets the box, else ``_box_segment_gap_sq``.
+    meets the box, else ``_box_segment_gap_sq``; and per box the candidate
+    edge nearest its centre, the first in the list on ties.
 
     Bounds prune the exact kernels. Every point of a box lies within r of
     its centre (r: its distance to the farthest corner), so an edge at
@@ -241,19 +245,22 @@ def boxes_boundary_dist_sq(dom: PolygonalDomain, lo, hi, ptr, cand):
     for s in range(0, len(cand), block):
         o, e = owner[s : s + block], cand[s : s + block]
         c[s : s + block] = point_segment_dist_sq(mid[o, 0], mid[o, 1], *(v[e] for v in seg))
+    least = np.minimum.reduceat(c, ptr[:-1])
+    first = np.flatnonzero(c == least[owner])
+    near = cand[first[np.searchsorted(owner[first], np.arange(len(r)))]]
     np.sqrt(c, out=c)
     lower = c - (r + slack)[owner]  # d(Q, e) >= lower
     meets = fill(np.zeros(len(cand), dtype=bool), np.flatnonzero(lower <= 0.0),
                  geometry.segments_meet_boxes)
     touched = np.zeros(len(r), dtype=bool)
     touched[owner[meets]] = True
-    upper = np.minimum.reduceat(c, ptr[:-1]) + slack  # d(Q) <= upper
+    upper = np.sqrt(least) + slack  # d(Q) <= upper; sqrt is monotone, so exact
     exact = np.flatnonzero(~touched[owner] & (lower <= upper[owner]))
     pair = np.maximum(lower, 0.0, out=c)
     pair *= pair
     pair[meets] = 0.0
     fill(pair, exact, _box_segment_gap_sq)
-    return np.minimum.reduceat(pair, ptr[:-1]), pair
+    return np.minimum.reduceat(pair, ptr[:-1]), pair, near
 
 
 def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposition:
@@ -274,8 +281,10 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
 
     A cube that meets the boundary is split whatever its centre says. One
     that misses it lies on one side, with its centre more than side / 2 >
-    BOUNDARY_EPS from the boundary, so the centre's ray parity decides; a
-    parent that misses the boundary and is split lies inside, so its
+    BOUNDARY_EPS from the boundary, so the side of the centre's nearest
+    edge decides (``geometry.side_of_edges``). That edge e_c is always a
+    candidate, since d(A, e_c) <= d(c) <= d(A) + diam(A) for every ancestor
+    A. A parent that misses the boundary and is split lies inside, so its
     children skip that test.
     """
     if max_level < 2:
@@ -306,10 +315,10 @@ def whitney_decompose(dom: PolygonalDomain, max_level: int) -> WhitneyDecomposit
         lo = origin + active * side
         hi = lo + side
         centers = lo + side / 2.0
-        d2, pair_d2 = boxes_boundary_dist_sq(dom, lo, hi, ptr, cand)
+        d2, pair_d2, near = boxes_boundary_dist_sq(dom, lo, hi, ptr, cand)
         inside = np.ones(len(active), dtype=bool)
-        ray = np.flatnonzero(parent_meets & (d2 > 0.0))
-        inside[ray] = geometry._ray_parity(dom, centers[ray, 0], centers[ray, 1])
+        test = np.flatnonzero(parent_meets & (d2 > 0.0))
+        inside[test] = geometry.side_of_edges(dom, centers[test, 0], centers[test, 1], near[test])
         accept = inside & (d2 >= 2.0 * side * side)
         if accept.any():
             acc_levels.append(np.full(accept.sum(), level))

@@ -66,6 +66,59 @@ def csr_lists(csr) -> list:
     return [flat[a:b] for a, b in itertools.pairwise(ptr.tolist())]
 
 
+def dense_point_edge_dist_sq(points, edges):
+    """(M, E) squared distances of every point to every edge."""
+    a = edges[:, 0]
+    ab = edges[:, 1] - edges[:, 0]
+    ap = points[:, None, :] - a[None, :, :]
+    denom = (ab * ab).sum(axis=1)
+    denom = np.where(denom == 0, 1.0, denom)
+    t = np.clip((ap * ab[None, :, :]).sum(axis=2) / denom, 0.0, 1.0)
+    diff = ap - t[:, :, None] * ab[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
+def dense_parity(dom, points):
+    """Ray-casting parity of (M, 2) points over every edge: whether a
+    rightward ray from each point crosses the boundary an odd number of
+    times. The oracle of every inside test."""
+    v = dom.vertices
+    w = np.roll(v, -1, axis=0)
+    px, py = points[:, 0:1], points[:, 1:2]
+    cond = (v[:, 1] > py) != (w[:, 1] > py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xin = (w[:, 0] - v[:, 0]) * (py - v[:, 1]) / (w[:, 1] - v[:, 1]) + v[:, 0]
+    return (cond & (px < xin)).sum(axis=1) % 2 == 1
+
+
+def clip_by_side(p, q, lo, hi):
+    """Liang-Barsky clipping one box side at a time, as a sign-scaled
+    parameter against each bound: the contact kernel's oracle."""
+    d = q - p
+    shape = np.broadcast_shapes(p.shape, q.shape, lo.shape, hi.shape)[:-1]
+    t0, t1 = np.zeros(shape), np.ones(shape)
+    alive = np.ones(shape, dtype=bool)
+    for axis in range(2):
+        p0, dd = p[..., axis], d[..., axis]
+        for sign, bound in ((-1.0, lo[..., axis]), (1.0, hi[..., axis])):
+            num, den = sign * (bound - p0), sign * dd
+            par = den == 0
+            alive &= ~(par & (num < 0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.where(par, 0.0, num / den)
+            t0 = np.where(~par & (den < 0), np.maximum(t0, t), t0)
+            t1 = np.where(~par & (den > 0), np.minimum(t1, t), t1)
+    return alive & (t0 <= t1)
+
+
+def local_inside(dom, points):
+    """Open containment by the local rule, as ``fields.make_grid`` masks
+    cells: the side of the nearest edge, more than BOUNDARY_EPS away."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dist, edge = geometry.nearest_edges(dom, pts)
+    return geometry.side_of_edges(dom, pts[:, 0], pts[:, 1], edge) & (dist > geometry.BOUNDARY_EPS)
+
+
 def expanded_boxes(dec, factor=17 / 16):
     """(N, 2, 2) world boxes [lo, hi] of the cubes scaled by ``factor``
     about their centers."""

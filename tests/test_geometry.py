@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import star_polygons
+from conftest import (clip_by_side, dense_parity, dense_point_edge_dist_sq, local_inside,
+                      star_polygons)
 from whardy import fields
 from whardy import geometry as geo
 from whardy import inequalities as iq
@@ -186,9 +187,10 @@ def test_contact_tiles_bound_their_working_set(koch3):
     random 0.02-wide boxes on Koch 3, where tiles of BLOCK pairs took 3.2."""
     lo, hi = koch3.bounding_box()
     los = np.random.default_rng(0).uniform(lo, hi, size=(2000, 2))
+    inside = dense_parity(koch3, los + 0.01)
     tracemalloc.start()
     try:
-        geo.boxes_inside_domain(koch3, los, los + 0.02)
+        geo.boxes_inside_domain(koch3, los, los + 0.02, inside)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -196,16 +198,16 @@ def test_contact_tiles_bound_their_working_set(koch3):
 
 
 def test_contains(unit_square):
-    assert geo.contains_many(unit_square, [(0.5, 0.5)])[0]
-    assert not geo.contains_many(unit_square, [(1.5, 0.5)])[0]
-    assert not geo.contains_many(unit_square, [(1.0, 0.5)])[0]  # boundary excluded
-    assert not geo.contains_many(unit_square, [(1.0 - 1e-13, 0.5)])[0]
+    assert local_inside(unit_square, [(0.5, 0.5)])[0]
+    assert not local_inside(unit_square, [(1.5, 0.5)])[0]
+    assert not local_inside(unit_square, [(1.0, 0.5)])[0]  # boundary excluded
+    assert not local_inside(unit_square, [(1.0 - 1e-13, 0.5)])[0]
 
 
 def test_contains_implies_positive_distance(koch2):
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.2, 1.2, size=(500, 2))
-    inside = geo.contains_many(koch2, pts)
+    inside = local_inside(koch2, pts)
     d = geo.boundary_distances(koch2, pts)
     assert np.all(d[inside] > 0)
 
@@ -259,51 +261,35 @@ def test_json_roundtrip(koch2):
 
 
 def test_box_inside_domain(unit_square, slit_square):
-    assert geo.boxes_inside_domain(unit_square, [(0.2, 0.2)], [(0.8, 0.8)])[0]
-    assert not geo.boxes_inside_domain(unit_square, [(-0.1, 0.2)], [(0.5, 0.5)])[0]
+    def inside(dom, lo, hi):
+        lo, hi = np.array([lo], dtype=float), np.array([hi], dtype=float)
+        return geo.boxes_inside_domain(dom, lo, hi, dense_parity(dom, (lo + hi) / 2))[0]
+
+    assert inside(unit_square, (0.2, 0.2), (0.8, 0.8))
+    assert not inside(unit_square, (-0.1, 0.2), (0.5, 0.5))
     # touching the boundary does not count (open domain)
-    assert not geo.boxes_inside_domain(unit_square, [(0.0, 0.2)], [(0.5, 0.5)])[0]
-    assert not geo.boxes_inside_domain(unit_square, [(0.2, 0.2)], [(1.0 - 1e-13, 0.8)])[0]
+    assert not inside(unit_square, (0.0, 0.2), (0.5, 0.5))
+    assert not inside(unit_square, (0.2, 0.2), (1.0 - 1e-13, 0.8))
     # the slit notch pierces boxes spanning the vertical midline near the top
-    assert not geo.boxes_inside_domain(slit_square, [(0.4, 0.8)], [(0.6, 0.95)])[0]
-    assert geo.boxes_inside_domain(slit_square, [(0.1, 0.1)], [(0.45, 0.45)])[0]
+    assert not inside(slit_square, (0.4, 0.8), (0.6, 0.95))
+    assert inside(slit_square, (0.1, 0.1), (0.45, 0.45))
     # a closed box whose top side passes through the slit tip (0.5, 0.5)
-    assert not geo.boxes_inside_domain(slit_square, [(0.4, 0.3)], [(0.6, 0.5)])[0]
-    assert geo.boxes_inside_domain(slit_square, [(0.4, 0.3)], [(0.6, 0.5 - 1e-9)])[0]
+    assert not inside(slit_square, (0.4, 0.3), (0.6, 0.5))
+    assert inside(slit_square, (0.4, 0.3), (0.6, 0.5 - 1e-9))
+    # an outside point's side excludes the box without a contact test
+    assert not geo.boxes_inside_domain(unit_square, [(0.2, 0.2)], [(0.8, 0.8)], [False])[0]
 
 
 # ---------------------------------------------------------------------------
 # dense oracles: every point against every edge
 
 
-def dense_point_edge_dist_sq(points, edges):
-    a = edges[:, 0]
-    ab = edges[:, 1] - edges[:, 0]
-    ap = points[:, None, :] - a[None, :, :]
-    denom = (ab * ab).sum(axis=1)
-    denom = np.where(denom == 0, 1.0, denom)
-    t = np.clip((ap * ab[None, :, :]).sum(axis=2) / denom, 0.0, 1.0)
-    diff = ap - t[:, :, None] * ab[None, :, :]
-    return (diff * diff).sum(axis=2)
-
-
 def dense_boundary_distances(dom, points):
     return np.sqrt(dense_point_edge_dist_sq(points, dom.edges).min(axis=1))
 
 
-def dense_parity(dom, points):
-    v = dom.vertices
-    w = np.roll(v, -1, axis=0)
-    px, py = points[:, 0:1], points[:, 1:2]
-    cond = (v[:, 1] > py) != (w[:, 1] > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xin = (w[:, 0] - v[:, 0]) * (py - v[:, 1]) / (w[:, 1] - v[:, 1]) + v[:, 0]
-    return (cond & (px < xin)).sum(axis=1) % 2 == 1
-
-
-def dense_contains_many(dom, points, dist=None):
-    d = dense_boundary_distances(dom, points) if dist is None else dist
-    return dense_parity(dom, points) & (d > geo.BOUNDARY_EPS)
+def dense_contains(dom, points):
+    return dense_parity(dom, points) & (dense_boundary_distances(dom, points) > geo.BOUNDARY_EPS)
 
 
 def probe_points(dom, seed):
@@ -327,12 +313,16 @@ def probe_points(dom, seed):
 
 
 def assert_predicates_match_dense(dom, seed=0):
+    """Distances bit for bit, the first nearest edge, and the local inside
+    rule against ray parity."""
     pts = probe_points(dom, seed)
     dist = geo.boundary_distances(dom, pts)
-    assert dist.tobytes() == dense_boundary_distances(dom, pts).tobytes()
-    want = dense_contains_many(dom, pts)
-    assert np.array_equal(geo.contains_many(dom, pts), want)
-    assert np.array_equal(geo.contains_many(dom, pts, dist=dist), want)
+    want = dense_boundary_distances(dom, pts)
+    assert dist.tobytes() == want.tobytes()
+    near, edge = geo.nearest_edges(dom, pts)
+    assert near.tobytes() == want.tobytes()
+    assert np.array_equal(edge, dense_point_edge_dist_sq(pts, dom.edges).argmin(axis=1))
+    assert np.array_equal(local_inside(dom, pts), dense_contains(dom, pts))
 
 
 @pytest.mark.parametrize("preset,kw", [
@@ -354,9 +344,84 @@ def test_predicates_match_dense_oracle_on_star_polygons(dom, seed):
     assert_predicates_match_dense(dom, seed)
 
 
+def around(points, radii, n_dirs=16):
+    """Points on circles of each radius about each point."""
+    ang = np.arange(n_dirs) * (2 * np.pi / n_dirs)
+    ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    return (np.asarray(points, dtype=float)[:, None, None]
+            + np.asarray(radii)[None, :, None, None] * ring[None, None]).reshape(-1, 2)
+
+
+def test_side_rule_beyond_convex_and_reflex_vertices(unit_square, l_shape):
+    """On the extension of an edge beyond its end vertex the foot clamps to
+    the vertex: outside beyond the square's convex corner, inside beyond
+    the L's reflex one. Points equidistant from the two edges at a vertex
+    have both feet at it, or inside both edges."""
+    square = {(1.1, 0.0): False, (1.0, -0.1): False, (1.1, -0.1): False, (0.9, 0.1): True}
+    ell = {(0.4, 0.5): True, (0.5, 0.4): True, (0.4, 0.4): True, (0.6, 0.6): False,
+           (0.5 - 1e-9, 0.5 - 1e-9): True, (0.5 + 1e-9, 0.5 + 1e-9): False}
+    for dom, cases in ((unit_square, square), (l_shape, ell)):
+        pts = np.array(list(cases))
+        assert local_inside(dom, pts).tolist() == list(cases.values())
+        assert np.array_equal(local_inside(dom, pts), dense_contains(dom, pts))
+
+
+@pytest.mark.parametrize("preset,kw", [
+    ("koch_prefractal", {"level": 1}),
+    ("koch_prefractal", {"level": 2}),
+    ("slit_square", {}),
+    ("slit_square", {"aperture": 1e-12}),
+])
+def test_side_rule_at_sharp_tips(preset, kw):
+    """Around every vertex, the Koch 60-degree tips and the slit's notch tip
+    among them, at radii from just above BOUNDARY_EPS to a hundredth, and
+    along each vertex's bisector on both sides."""
+    dom = geo.make_domain(preset, **kw)
+    v = dom.vertices
+    bisector = (np.roll(v, 1, axis=0) + np.roll(v, -1, axis=0)) / 2 - v
+    pts = np.concatenate([around(v, [2e-12, 1e-9, 1e-6, 1e-3, 0.01], 64),
+                          *(v + t * bisector for t in (-0.5, -1e-6, 1e-9, 1e-6, 0.5))])
+    assert np.array_equal(local_inside(dom, pts), dense_contains(dom, pts))
+
+
+def test_side_rule_at_the_slit_tip(slit_square):
+    """Below the tip inside, in the notch above it outside, beside the notch
+    inside."""
+    pts = [(0.5, 0.4), (0.5, 0.5 + 1e-6), (0.5, 0.9), (0.49, 0.55), (0.5 - 1e-9, 0.5)]
+    assert local_inside(slit_square, pts).tolist() == [True, False, False, True, True]
+
+
+@pytest.mark.parametrize("verts,inner,outer", [
+    ([(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)], (0.5, 0.1), (0.5, -0.1)),
+    ([(0, 0), (1, 0), (1, 1), (0.5, 0.75), (0, 0.5)], (0.5, 0.65), (0.5, 0.85)),
+], ids=["axis", "slanted"])
+def test_side_rule_at_a_collinear_vertex(verts, inner, outer):
+    """A vertex between two edges on one line: the feet of points around it
+    clamp to it from both edges."""
+    dom = geo.PolygonalDomain(verts)
+    mid = next(p for k, p in enumerate(dom.vertices)
+               if geo._orient(dom.vertices[k - 1], p, dom.vertices[(k + 1) % len(verts)]) == 0)
+    pts = np.concatenate([around([mid], [2e-12, 1e-9, 1e-3, 0.1], 32), dom.vertices])
+    assert np.array_equal(local_inside(dom, pts), dense_contains(dom, pts))
+    assert local_inside(dom, [inner, outer]).tolist() == [True, False]
+
+
 def assert_distances_match_dense(dom, pts):
     got = geo.boundary_distances(dom, pts)
     assert got.tobytes() == dense_boundary_distances(dom, pts).tobytes()
+
+
+@pytest.mark.parametrize("block", [None, 56, 7])
+def test_nearest_edge_is_the_first_on_ties(monkeypatch, unit_square, block):
+    """Points equidistant from two or four edges of the square take the
+    first, within one edge group (default BLOCK) and across groups of one
+    edge (BLOCK = 56 and 7)."""
+    if block is not None:
+        monkeypatch.setattr(geo, "BLOCK", block)
+    pts = [(0.5, 0.5), (0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75), (1.5, 1.5)]
+    dist, edge = geo.nearest_edges(unit_square, pts)
+    assert edge.tolist() == [0, 0, 0, 1, 2, 1]
+    assert dist.tobytes() == geo.boundary_distances(unit_square, pts).tobytes()
 
 
 def test_tiled_distances_at_tile_edges(unit_square):
@@ -378,81 +443,6 @@ def test_tiled_distances_with_uneven_groups(koch3, monkeypatch, m):
     for block in (56, 7):
         monkeypatch.setattr(geo, "BLOCK", block)
         assert_distances_match_dense(koch3, pts)
-
-
-def test_slab_lists_are_the_parity_condition(koch2):
-    """A slab lists exactly the edges with ylo <= y < yhi, in edge order."""
-    ys = np.concatenate([koch2.vertices[:, 1], np.linspace(-0.1, 1.0, 101)])
-    ylo, yhi = koch2.edges[:, :, 1].min(axis=1), koch2.edges[:, :, 1].max(axis=1)
-    index = koch2._parity_slabs
-    slab = np.searchsorted(index.breaks, ys, side="right")
-    for y, k in zip(ys, slab):
-        listed = index.edges[index.ptr[k]:index.ptr[k + 1]]
-        assert listed.tolist() == np.flatnonzero((ylo <= y) & (y < yhi)).tolist()
-
-
-def test_slab_chunks_cover_every_pair(koch3, monkeypatch):
-    """At BLOCK = 50 a chunk holds a pair tile, 6 pairs, unless one point
-    alone has more."""
-    monkeypatch.setattr(geo, "BLOCK", 50)
-    ys = np.random.default_rng(2).uniform(-0.1, 1.0, 300)
-    index = koch3._parity_slabs
-    counts = np.diff(index.ptr)[np.searchsorted(index.breaks, ys, side="right")]
-    stops, total = [0], 0
-    for start, stop, owner, e in index.chunks(ys):
-        assert start == stops[-1] and len(owner) == len(e) == counts[start:stop].sum()
-        assert len(e) <= 6 or stop == start + 1
-        stops.append(stop)
-        total += len(e)
-    assert stops[-1] == len(ys) and total == counts.sum()
-
-
-def slab_index_at_once(ylo, yhi):
-    """(breaks, ptr, edges) from every (slab, edge) pair listed at once and
-    stably sorted by slab."""
-    breaks = np.unique(np.concatenate([ylo, yhi]))
-    first = np.searchsorted(breaks, ylo) + 1
-    counts = np.searchsorted(breaks, yhi) + 1 - first
-    slab = geo.index_ranges(first, counts)
-    order = np.argsort(slab, kind="stable")
-    ptr = np.searchsorted(slab[order], np.arange(len(breaks) + 2))
-    return breaks, ptr, np.repeat(np.arange(len(ylo)), counts)[order]
-
-
-def assert_slab_index_in_runs(dom):
-    """The index filled in runs of BLOCK pairs, at the default and at 7 (so
-    about one edge a run), equals the one listed at once, dtypes included."""
-    ylo, yhi = dom.edges[:, :, 1].min(axis=1), dom.edges[:, :, 1].max(axis=1)
-    want = slab_index_at_once(ylo, yhi)
-    for block in (geo.BLOCK, 7):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geo, "BLOCK", block)
-            index = geo.SlabIndex.build(ylo, yhi)
-        for got, ref in zip((index.breaks, index.ptr, index.edges), want):
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
-
-
-def test_slab_index_in_runs_on_koch4():
-    assert_slab_index_in_runs(geo.make_domain("koch_prefractal", level=4))
-
-
-@given(st.booleans().flatmap(lambda snap: star_polygons(snap=snap)))
-def test_slab_index_in_runs_on_star_polygons(dom):
-    assert_slab_index_in_runs(dom)
-
-
-# a zigzag left side puts a break at every integer y, so at BLOCK = 7 an
-# edge spanning 8 or 9 slabs is a run alone, and a horizontal edge next to
-# one is a run with no pairs
-ZIGZAG = [(0, 9), (1, 8), (0, 7), (1, 6), (0, 5), (1, 4), (0, 3), (1, 2), (0, 1)]
-
-
-@pytest.mark.parametrize("verts", [
-    [(0, 0), (10, 0), (10, 9), *ZIGZAG],  # edge 0 horizontal, edge 1 9 slabs
-    [(0, 0), (10, 0), (10, 9), (9, 9), (9, 1), (2, 1), (2, 9), *ZIGZAG],
-], ids=["leading", "between"])
-def test_slab_index_in_runs_with_pair_free_runs(verts):
-    assert_slab_index_in_runs(geo.PolygonalDomain(verts))
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +467,30 @@ def dense_boxes_inside(dom, los, his):
 
 
 def sharp_maximal_boxes(dom, h, sigma):
-    """The (los, his) of every box family ``sharp_maximal`` tests."""
+    """The (los, his, inside) of every box family ``sharp_maximal`` tests."""
     seen, real = [], geo.boxes_inside_domain
 
-    def record(d, los, his):
-        seen.append((los, his))
-        return real(d, los, his)
+    def record(d, los, his, inside):
+        seen.append((los, his, inside))
+        return real(d, los, his, inside)
 
     with mock.patch.object(iq.geometry, "boxes_inside_domain", record):
         iq.sharp_maximal(fields.make_grid(dom, h), sigma)
     return seen
+
+
+@pytest.mark.parametrize("sigma", [1.0, 3.0])
+def test_sharp_maximal_boxes_touching_an_edge_are_not_admitted(unit_square, sigma):
+    """On the unit square at h = 1/16 the sigma-scaled boxes are grid-aligned,
+    so those reaching x or y = 0 or 1 touch an edge exactly: their first
+    cell's mask says inside, and the contact test rejects them."""
+    touching = 0
+    for los, his, inside in sharp_maximal_boxes(unit_square, 1 / 16, sigma):
+        got = geo.boxes_inside_domain(unit_square, los, his, inside)
+        within = ((los > 0) & (his < 1)).all(axis=1)
+        assert np.array_equal(got, within)
+        touching += (inside & ~within & ((los >= 0) & (his <= 1)).all(axis=1)).sum()
+    assert touching > 0
 
 
 def probe_boxes(dom, seed):
@@ -508,9 +512,12 @@ def probe_boxes(dom, seed):
 
 
 def assert_boxes_match_dense(dom, h, seed=0):
+    """Each sharp maximal family with the grid mask's sides, and the probe
+    boxes with the local rule's side of their centres."""
     families = [boxes for sigma in (1.0, 2.0, 4.0) for boxes in sharp_maximal_boxes(dom, h, sigma)]
-    for los, his in [*families, probe_boxes(dom, seed)]:
-        got = geo.boxes_inside_domain(dom, los, his)
+    los, his = probe_boxes(dom, seed)
+    for los, his, inside in [*families, (los, his, local_inside(dom, (los + his) / 2.0))]:
+        got = geo.boxes_inside_domain(dom, los, his, inside)
         assert np.array_equal(got, dense_boxes_inside(dom, los, his))
 
 
@@ -520,6 +527,7 @@ def assert_boxes_match_dense(dom, h, seed=0):
     ("l_shape", {}),
     ("koch_prefractal", {"level": 2}),
     ("koch_prefractal", {"level": 3}),
+    ("unit_square", {}),
 ])
 def test_boxes_inside_domain_matches_dense_oracle_on_presets(preset, kw):
     assert_boxes_match_dense(geo.make_domain(preset, **kw), 1 / 64)
@@ -544,7 +552,33 @@ def test_boxes_inside_domain_in_tiles_of_7_pairs(monkeypatch, preset, kw):
     for block in (56, 7):
         monkeypatch.setattr(geo, "BLOCK", block)
         for sel in picks:
-            assert np.array_equal(geo.boxes_inside_domain(dom, los[sel], his[sel]), want[sel])
+            got = geo.boxes_inside_domain(dom, los[sel], his[sel], np.ones(len(sel), dtype=bool))
+            assert np.array_equal(got, want[sel])
+
+
+def test_contact_kernel_matches_clipping_by_side():
+    """Random segments and boxes, with axis-parallel and zero-length
+    segments, zero-width and inverted boxes and 1/8-lattice ties, flat and
+    in the callers' (G, 1, 2) x (W, 2) broadcast."""
+    rng = np.random.default_rng(13)
+    n = 200_000
+    p, q = rng.uniform(-1, 1, (n, 2)), rng.uniform(-1, 1, (n, 2))
+    lo = rng.uniform(-1, 1, (n, 2))
+    hi = lo + rng.uniform(-0.3, 1, (n, 2))  # inverted where the width is negative
+    k = rng.integers(0, 6, n)
+    q[k == 0, 0] = p[k == 0, 0]  # vertical
+    q[k == 1, 1] = p[k == 1, 1]  # horizontal
+    q[k == 2] = p[k == 2]  # a point
+    hi[k == 3] = lo[k == 3]  # a point box
+    snap = rng.random(n) < 0.5
+    for a in (p, q, lo, hi):
+        a[snap] = np.round(a[snap] * 8) / 8
+    got = geo.segments_meet_boxes(p, q, lo, hi)
+    assert np.array_equal(got, clip_by_side(p, q, lo, hi))
+    assert 0.05 < got.mean() < 0.95
+    a, b = p[:60, None], q[:60, None]
+    assert np.array_equal(geo.segments_meet_boxes(a, b, lo[:500], hi[:500]),
+                          clip_by_side(a, b, lo[:500], hi[:500]))
 
 
 def test_no_module_binds_the_block_budget_by_value():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import csr_lists, expanded_boxes, star_polygons
+from conftest import (clip_by_side, csr_lists, dense_parity, dense_point_edge_dist_sq,
+                      expanded_boxes, star_polygons)
 from whardy import geometry as geo
 from whardy import whitney as wt
 from whardy.errors import EmptyDecompositionError, ParameterError, StructureError
@@ -45,7 +46,8 @@ def test_cube_count_matches_enumeration_oracle(unit_square, square_dec6):
         center = lo + side / 2.0
         d2 = wt.boxes_boundary_dist_sq(unit_square, lo[None, :], hi[None, :],
                                        every_edge_ptr, every_edge)[0][0]
-        inside = bool(geo.contains_many(unit_square, center[None, :])[0])
+        inside = bool(dense_parity(unit_square, center[None, :])[0])
+        inside &= bool(geo.boundary_distances(unit_square, center[None, :])[0] > geo.BOUNDARY_EPS)
         return inside and d2 >= 2.0 * side * side
 
     expected = set()
@@ -243,32 +245,10 @@ def test_json_roundtrip(square_dec6, unit_square, slit_square, koch2):
 # with the construction's per-pair arithmetic and no edge culling
 
 
-def dense_clip(edges, los, his):
-    p, q = edges[:, 0], edges[:, 1]
-    d = q - p
-    M, E = len(los), len(edges)
-    t0, t1 = np.zeros((M, E)), np.ones((M, E))
-    alive = np.ones((M, E), dtype=bool)
-    for axis in range(2):
-        p0 = p[None, :, axis]
-        dd = np.broadcast_to(d[None, :, axis], (M, E))
-        for sign, bound in ((-1.0, los[:, axis][:, None]), (1.0, his[:, axis][:, None])):
-            num = sign * (bound - p0)
-            den = sign * dd
-            par = den == 0
-            alive &= ~(par & (num < 0))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(par, 0.0, num / den)
-            t0 = np.where(~par & (den < 0), np.maximum(t0, t), t0)
-            t1 = np.where(~par & (den > 0), np.minimum(t1, t), t1)
-    return alive, t0, t1
-
-
 def dense_box_dist_sq(lo, hi, edges):
     """(M, E) squared distances of every box to every edge."""
     a, b = edges[:, 0], edges[:, 1]
     d = b - a
-    alive, t0, t1 = dense_clip(edges, lo, hi)
     corners = np.stack([np.stack([lo[:, 0], lo[:, 1]], axis=1),
                         np.stack([hi[:, 0], lo[:, 1]], axis=1),
                         np.stack([hi[:, 0], hi[:, 1]], axis=1),
@@ -283,17 +263,11 @@ def dense_box_dist_sq(lo, hi, edges):
         dx = np.maximum(np.maximum(lo[:, None, 0] - pt[None, :, 0], 0.0), pt[None, :, 0] - hi[:, None, 0])
         dy = np.maximum(np.maximum(lo[:, None, 1] - pt[None, :, 1], 0.0), pt[None, :, 1] - hi[:, None, 1])
         d2 = np.minimum(d2, dx * dx + dy * dy)
-    return np.where(alive & (t0 <= t1), 0.0, d2)
+    return np.where(clip_by_side(a[None], b[None], lo[:, None], hi[:, None]), 0.0, d2)
 
 
 def dense_center_dist(points, edges):
-    a, ab = edges[:, 0], edges[:, 1] - edges[:, 0]
-    ap = points[:, None, :] - a[None]
-    denom = (ab * ab).sum(axis=1)
-    denom = np.where(denom == 0, 1.0, denom)
-    t = np.clip((ap * ab[None]).sum(axis=2) / denom, 0.0, 1.0)
-    diff = ap - t[:, :, None] * ab[None]
-    return np.sqrt((diff * diff).sum(axis=2).min(axis=1))
+    return np.sqrt(dense_point_edge_dist_sq(points, edges).min(axis=1))
 
 
 def dense_whitney(dom, max_level):
@@ -313,7 +287,7 @@ def dense_whitney(dom, max_level):
             d2[i:i + chunk] = dense_box_dist_sq(lo[i:i + chunk], hi[i:i + chunk],
                                                 dom.edges).min(axis=1)
             cdist[i:i + chunk] = dense_center_dist(centers[i:i + chunk], dom.edges)
-        inside = geo.contains_many(dom, centers, dist=cdist)
+        inside = dense_parity(dom, centers) & (cdist > geo.BOUNDARY_EPS)
         accept = inside & (d2 >= 2.0 * side * side)
         acc += [(level, ij, v) for ij, v in zip(active[accept].tolist(), d2[accept])]
         split = ~accept & ~(~inside & (d2 > 0.0))
@@ -379,6 +353,7 @@ def test_truncate_equals_the_build_at_its_level(preset, kw):
                 full.truncate(L)
             continue
         got = full.truncate(L)
+        assert (got is full) == (L == full.max_level)
         assert got.max_level == want.max_level == L and got.frame == want.frame
         for name in ("levels", "indices", "keys", "dist", "dist_sq"):
             ref = getattr(want, name)
@@ -467,7 +442,9 @@ def assert_pruned_stage_exact(dom, lo, hi, rng=None):
     oracle: each per-box minimum bitwise, and no per-pair value above the
     exact one, so the Whitney candidate lists may only grow. With ``rng``
     each box gets a random non-empty subset of the edges, as candidate
-    lists do. Returns the per-pair values and the exact ones."""
+    lists do. The edge nearest each centre is the list's first one at the
+    least squared centre distance. Returns the per-pair values and the
+    exact ones."""
     exact = dense_box_dist_sq(lo, hi, dom.edges)
     keep = np.ones(exact.shape, dtype=bool)
     if rng is not None:
@@ -475,10 +452,12 @@ def assert_pruned_stage_exact(dom, lo, hi, rng=None):
         keep[np.arange(len(lo)), rng.integers(0, dom.n_edges, len(lo))] = True
     owner, cand = np.nonzero(keep)
     ptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    d2, pair = wt.boxes_boundary_dist_sq(dom, lo, hi, ptr, cand)
+    d2, pair, near = wt.boxes_boundary_dist_sq(dom, lo, hi, ptr, cand)
     want = exact[owner, cand]
     assert d2.tobytes() == np.minimum.reduceat(want, ptr[:-1]).tobytes()
     assert (pair <= want).all()
+    centre = dense_point_edge_dist_sq((lo + hi) / 2.0, dom.edges)
+    assert np.array_equal(near, np.where(keep, centre, np.inf).argmin(axis=1))
     return pair, want
 
 
@@ -578,7 +557,7 @@ def assert_lists_keep_raised_pairs(monkeypatch, dom, max_level):
 
     def raised(dom, lo, hi, ptr, cand):
         nonlocal required, level
-        d2, _ = stage(dom, lo, hi, ptr, cand)
+        d2, _, near = stage(dom, lo, hi, ptr, cand)
         side = frame.cube_side(level)
         ij = np.rint((lo - origin) / side).astype(np.int64)
         owner = np.repeat(np.arange(len(lo)), np.diff(ptr))
@@ -599,7 +578,7 @@ def assert_lists_keep_raised_pairs(monkeypatch, dom, max_level):
         required = np.column_stack([ij[owner[keep]], cand[keep]])
         slack = side * math.sqrt(0.5) * wt.CENTRE_SLACK
         level += 1
-        return d2, (np.sqrt(exact) + 0.9 * slack) ** 2
+        return d2, (np.sqrt(exact) + 0.9 * slack) ** 2, near
 
     monkeypatch.setattr(wt, "boxes_boundary_dist_sq", raised)
     got = wt.whitney_decompose(dom, max_level)
