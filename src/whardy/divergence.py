@@ -403,31 +403,19 @@ def solve_divergence(tree: TreeCovering, f: GridFunction, q: float,
     resid = math.sqrt(_exact_sum((mac.divergence() - f.values)[covered] ** 2))
     rel_resid = resid / fnorm if fnorm > 0 else resid
 
-    lhs, rhs = _apriori_norms(mac.cell_centered(), f, q, beta)
-    degenerate = "zero data" if rhs == 0.0 else None
-    report = InequalityReport(
-        inequality="divergence",
-        domain=tree.decomposition.domain.name,
-        params={"q": q, "beta": beta, "max_level": tree.decomposition.max_level,
-                "energy_norm": "q=2 surrogate"},
-        lhs=lhs,
-        rhs=rhs,
-        ratio=lhs / rhs if rhs > 0 else math.nan,
-        h=f.h,
-        degenerate=degenerate,
-        extra={
-            "div_residual_rel": rel_resid,
-            "local_energies_sum": float(np.sum(energy)),
-            "uncovered_cells": dec.uncovered_count,
-            "nodes": len(tree),
-        },
-    )
-    if not rel_resid <= 1e-8:
+    if not rel_resid <= 1e-8:  # before the report, which rejects a NaN side
         raise ConvergenceError(
             f"global divergence residual {rel_resid:.2e} exceeds 1e-8",
             residual=rel_resid,
         )
-    return mac, report
+
+    lhs, rhs = _apriori_norms(mac.cell_centered(), f, q, beta)
+    params = {"q": q, "beta": beta, "max_level": tree.decomposition.max_level,
+              "energy_norm": "q=2 surrogate"}
+    return mac, InequalityReport(
+        "divergence", f, params, lhs, rhs, degenerate="zero data" if rhs == 0.0 else None,
+        extra={"div_residual_rel": rel_resid, "local_energies_sum": float(np.sum(energy)),
+               "uncovered_cells": dec.uncovered_count, "nodes": len(tree)})
 
 
 def _apriori_norms(vec: tuple[GridFunction, GridFunction], f: GridFunction,

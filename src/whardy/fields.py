@@ -111,10 +111,16 @@ def make_grid(dom: PolygonalDomain, h: float, origin=None) -> GridFunction:
 
 
 def sample_function(grid: GridFunction, fn) -> GridFunction:
-    """Fill values with fn(X, Y) evaluated at cell centers."""
+    """Fill values with fn(X, Y) evaluated at cell centers. A sample inside
+    the domain that is not finite raises ParameterError."""
     c = grid.cell_centers()
-    vals = np.asarray(fn(c[..., 0], c[..., 1]), dtype=float)
+    with np.errstate(all="ignore"):  # a non-finite sample is rejected below
+        vals = np.asarray(fn(c[..., 0], c[..., 1]), dtype=float)
     vals = np.where(grid.mask, vals, 0.0)
+    if not np.isfinite(vals).all():
+        x, y = c[~np.isfinite(vals)][0].tolist()
+        raise ParameterError(f"the sampled function is not finite at the cell centre "
+                             f"({x!r}, {y!r})")
     return grid.with_values(vals)
 
 
@@ -248,8 +254,12 @@ def weighted_lp_norm(f: GridFunction, p: float, power: float = 0.0) -> float:
     sel = f.quad_mask
     if not sel.any():
         raise ParameterError("empty quadrature mask")
-    total = _weighted_sum(_abs_power(f.values[sel], p), f.dist[sel], power) * f.h * f.h
-    return total ** (1.0 / p)
+    total = _weighted_sum(_abs_power(f.values[sel], p), f.dist[sel], power)
+    scaled = total * f.h * f.h
+    if math.isinf(scaled) and math.isfinite(total):
+        raise ParameterError(f"the L^{p!r} norm with weight d^({power!r}) leaves the float "
+                             f"range: its sum times h^2 = {f.h!r}^2 is not finite")
+    return scaled ** (1.0 / p)
 
 
 def weighted_integral(f: GridFunction, power: float = 0.0) -> float:

@@ -92,14 +92,17 @@ def perimeter(dom: PolygonalDomain) -> float:
 
 
 def centroid(dom: PolygonalDomain) -> np.ndarray:
-    """Area centroid of the polygon."""
-    v = dom.vertices
+    """Area centroid of the polygon. Its sums of cubes overflow from |v| of
+    about 3e102, so they are taken on the vertices scaled by a power of two
+    into [0.5, 1): exact, so the bits are those of the unscaled sums."""
+    k = int(np.frexp(np.abs(dom.vertices).max())[1])
+    v = np.ldexp(dom.vertices, -k)
     w = np.roll(v, -1, axis=0)
     cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
     area = cross.sum() / 2.0
     cx = ((v[:, 0] + w[:, 0]) * cross).sum() / (6.0 * area)
     cy = ((v[:, 1] + w[:, 1]) * cross).sum() / (6.0 * area)
-    return np.array([cx, cy])
+    return np.ldexp(np.array([cx, cy]), k)
 
 
 def _orient(a, b, c):

@@ -3,14 +3,15 @@
 Every operation returns the two sides of an inequality and their ratio;
 verification means watching the ratio stay bounded under grid refinement
 (and under the parameter scalings the statements predict), not asserting a
-universal constant.
+universal constant. ``InequalityReport`` forms every report, the divergence
+estimate's too, by one rule.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import InitVar, dataclass, field as dc_field
 
 import numpy as np
 
@@ -37,16 +38,35 @@ MAX_MC_SAMPLES = 10**8
 
 @dataclass
 class InequalityReport:
+    """The two sides of ``inequality`` measured on ``grid``, by one rule:
+    ``domain`` and ``h`` are the grid's, ``ratio`` is lhs / rhs where rhs > 0
+    and NaN otherwise, a side or ratio that is not finite raises
+    ParameterError, and a report with rhs = 0 names why it is ``degenerate``.
+    So every non-degenerate ratio is finite."""
+
     inequality: str
-    domain: str
+    grid: InitVar[GridFunction]
     params: dict
     lhs: float
     rhs: float
-    ratio: float
-    h: float
     test_function: str = ""
     degenerate: str | None = None
     extra: dict = dc_field(default_factory=dict)
+    domain: str = dc_field(init=False)
+    h: float = dc_field(init=False)
+    ratio: float = dc_field(init=False)
+
+    def __post_init__(self, grid: GridFunction):
+        if self.rhs == 0.0 and self.degenerate is None:
+            raise ValueError(f"{self.inequality}: a report with rhs = 0 must name why it "
+                             "is degenerate")
+        self.domain = grid.domain.name
+        self.h = grid.h
+        self.ratio = self.lhs / self.rhs if self.rhs > 0 else math.nan
+        if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)
+                and not math.isinf(self.ratio)):
+            raise ParameterError(f"{self.inequality}: lhs = {self.lhs!r}, rhs = {self.rhs!r}: "
+                                 "the measured sides and their ratio must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -59,18 +79,8 @@ def improved_poincare_ratio(f: GridFunction, p: float, beta: float,
     f0 = weighted_mean_zero(f, p, beta)
     lhs = weighted_lp_norm(f0, p, beta * p)
     rhs = weighted_lp_norm(gradient_norm(f0), p, (beta + 1.0) * p)
-    degenerate = "constant input (0/0)" if rhs == 0.0 else None
-    return InequalityReport(
-        inequality="improved_poincare",
-        domain=f.domain.name,
-        params={"p": p, "beta": beta},
-        lhs=lhs,
-        rhs=rhs,
-        ratio=lhs / rhs if rhs > 0 else math.nan,
-        h=f.h,
-        test_function=label,
-        degenerate=degenerate,
-    )
+    return InequalityReport("improved_poincare", f, {"p": p, "beta": beta}, lhs, rhs, label,
+                            degenerate="constant input (0/0)" if rhs == 0.0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -151,26 +161,12 @@ def fractional_poincare_ratio(u: GridFunction, p: float, beta: float, s: float,
         degenerate = "constant input"
     elif est == 0.0:
         degenerate = "resolution insufficient: sampled fractional seminorm vanished"
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.nan)
-    return InequalityReport(
-        inequality="fractional_poincare",
-        domain=u.domain.name,
-        params={"p": p, "beta": beta, "s": s, "tau": tau,
-                "mc_samples": mc_samples, "seed": seed},
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        h=u.h,
-        test_function=label,
-        degenerate=degenerate,
-        extra={
-            "normalized_ratio": ratio * tau ** (n - s) if math.isfinite(ratio) else math.nan,
-            "rhs_power_estimate": est,
-            "rhs_power_se": se,
-            "rhs_relative_se": rel_se,
-            "dropped_samples": dropped,
-        },
-    )
+    params = {"p": p, "beta": beta, "s": s, "tau": tau, "mc_samples": mc_samples, "seed": seed}
+    rep = InequalityReport("fractional_poincare", u, params, lhs, rhs, label, degenerate,
+                           extra={"rhs_power_estimate": est, "rhs_power_se": se,
+                                  "rhs_relative_se": rel_se, "dropped_samples": dropped})
+    rep.extra["normalized_ratio"] = rep.ratio * tau ** (n - s)
+    return rep
 
 
 def _mean_and_std(x: np.ndarray) -> tuple[float, float]:
@@ -259,25 +255,17 @@ def korn_ratio(u: tuple[GridFunction, GridFunction], p: float, beta: float,
     a = _weighted_mean(base.with_values(eta), beta * p)
     eta0 = eta - a  # u - A x shifts only the antisymmetric part
 
-    eps_sq = G[0][0] ** 2 + G[1][1] ** 2 + 2.0 * (0.5 * (G[0][1] + G[1][0])) ** 2
-    du_sq = eps_sq + 2.0 * eta0**2
+    # squares that overflow give infinite sides, which the report rejects
+    with np.errstate(over="ignore"):
+        eps_sq = G[0][0] ** 2 + G[1][1] ** 2 + 2.0 * (0.5 * (G[0][1] + G[1][0])) ** 2
+        du_sq = eps_sq + 2.0 * eta0**2
     eps_mag = base.with_values(np.where(mask, np.sqrt(eps_sq), 0.0))
     du_mag = base.with_values(np.where(mask, np.sqrt(du_sq), 0.0))
     rhs = weighted_lp_norm(eps_mag, p, beta * p)
     lhs = weighted_lp_norm(du_mag, p, beta * p)
-    degenerate = "infinitesimal rigid motion" if rhs == 0.0 else None
-    return InequalityReport(
-        inequality="korn",
-        domain=ux.domain.name,
-        params={"p": p, "beta": beta},
-        lhs=lhs,
-        rhs=rhs,
-        ratio=lhs / rhs if rhs > 0 else math.nan,
-        h=ux.h,
-        test_function=label,
-        degenerate=degenerate,
-        extra={"eta_mean_removed": a},
-    )
+    return InequalityReport("korn", ux, {"p": p, "beta": beta}, lhs, rhs, label,
+                            degenerate="infinitesimal rigid motion" if rhs == 0.0 else None,
+                            extra={"eta_mean_removed": a})
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +354,8 @@ def fefferman_stein_ratio(f: GridFunction, p: float, beta: float, sigma: float,
         degenerate = "zero input"
     elif rhs == 0.0:
         degenerate = "resolution insufficient: sharp maximal vanished"
-    ratio = lhs / rhs if rhs > 0 else math.nan
-    return InequalityReport(
-        inequality="fefferman_stein",
-        domain=f.domain.name,
-        params={"p": p, "beta": beta, "sigma": sigma, "scales": scales},
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        h=f.h,
-        test_function=label,
-        degenerate=degenerate,
-        extra={"ratio_over_sigma_n": ratio / sigma**n if math.isfinite(ratio) else math.nan},
-    )
+    rep = InequalityReport("fefferman_stein", f,
+                           {"p": p, "beta": beta, "sigma": sigma, "scales": scales},
+                           lhs, rhs, label, degenerate)
+    rep.extra["ratio_over_sigma_n"] = rep.ratio / sigma**n
+    return rep

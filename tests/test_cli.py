@@ -355,6 +355,75 @@ def test_every_preset_with_every_grid_subcommand(tmp_path, capsys, preset, comma
     assert capsys.readouterr().err == ""
 
 
+# the largest power-of-two side within geometry.COORD_LIMIT
+BIG_SIDE = 2.0**497
+SCALED_FLAGS = ("--h", "--r-min", "--r-max")
+# the two commands whose measured sides leave the float range at BIG_SIDE:
+# Korn's cubic test fields, and the fractional left side's sum times h^2
+OUT_OF_RANGE_AT_BIG_SIDE = {
+    "korn": "the sampled function is not finite at the cell centre",
+    "frac-poincare": "the L^2.0 norm with weight d^(0.0) leaves the float range",
+}
+
+
+def scaled_lengths(argv, factor):
+    """argv with the values of every length flag multiplied by ``factor``."""
+    return [repr(float(v) * factor) if k and argv[k - 1] in SCALED_FLAGS else v
+            for k, v in enumerate(argv)]
+
+
+def non_finite_paths(obj, path=()) -> set:
+    """The key and index paths of the non-finite floats in a JSON object."""
+    if isinstance(obj, dict):
+        return set().union(*(non_finite_paths(v, (*path, k)) for k, v in obj.items()))
+    if isinstance(obj, list):
+        return set().union(*(non_finite_paths(v, (*path, k)) for k, v in enumerate(obj)))
+    return {path} if isinstance(obj, float) and not math.isfinite(obj) else set()
+
+
+@pytest.mark.parametrize("command", [*TREE_COMMANDS, *GRID_COMMANDS])
+@pytest.mark.parametrize("preset", ["unit-square", "koch"])
+def test_every_compute_command_at_the_largest_side(tmp_path, capsys, preset, command):
+    """At side 2^497, lengths scaled alike, a command exits 0 with a summary
+    as finite as at side 1 (the Assouad fit's r_squared and residual_max
+    are NaN at every side), or 1 with one error line; it raises no
+    traceback and, as RuntimeWarnings fail the suite, issues no warning."""
+    argv = ([*TREE_COMMANDS[command], "--max-level", "5"] if command in TREE_COMMANDS
+            else GRID_COMMANDS[command])
+    argv = [*argv, "--domain", *PRESETS[preset]]
+    code = run([*scaled_lengths(argv, BIG_SIDE), "--side", repr(BIG_SIDE),
+                "--out", str(tmp_path / "big")])
+    err = capsys.readouterr().err.splitlines()
+    if command in OUT_OF_RANGE_AT_BIG_SIDE:
+        assert code == 1 and len(err) == 1
+        assert err[0].startswith("error: ") and OUT_OF_RANGE_AT_BIG_SIDE[command] in err[0]
+        return
+    assert code == 0 and all(line.startswith("note: ") for line in err)
+    assert run([*argv, "--out", str(tmp_path / "unit")]) == 0
+    (big,) = (tmp_path / "big").glob("*_summary.json")
+    unit = tmp_path / "unit" / big.name
+    assert (non_finite_paths(json.loads(big.read_text()))
+            == non_finite_paths(json.loads(unit.read_text())))
+
+
+@pytest.mark.parametrize("preset", [("unit-square",), ("koch", "--koch-level", "2"),
+                                    ("slit-square",)])
+def test_tree_at_the_largest_side_equals_the_unit_side(tmp_path, preset):
+    """The root centre comes from the centroid, whose sums of cubes are taken
+    scaled: at side 2^497 the tree, K and the shadow statistics are those
+    at side 1."""
+    runs = []
+    for side in (1.0, BIG_SIDE):
+        out = tmp_path / repr(side)
+        assert run(["tree", "--domain", *preset, "--max-level", "6", "--side", repr(side),
+                    "--out", str(out)]) == 0
+        tree = json.loads((out / "tree.json").read_text())
+        summary = json.loads((out / "tree_summary.json").read_text())
+        runs.append((tree["parent"], tree["root"], tree["K"], summary["C_emp"],
+                     summary["U_over_B"]))
+    assert runs[0] == runs[1]
+
+
 def test_underflowing_weights_are_kept(tmp_path, capsys):
     """At beta = 400 the weights d^800 underflow to 0 near the boundary:
     that is a valid quadrature, not an error."""
@@ -444,6 +513,14 @@ def test_bad_number_exits_1_with_one_error_line(tmp_path, capsys, argv):
     (["whitney", "--side", "1e-200", "--max-level", "4"], "polygon area is 0"),
     *[(argv, "weight exponent -145.6 overflows: a term or sum weighted by d^(-145.6) leaves "
              "the float range") for argv in WEIGHTED_SUM_OVERFLOWS],
+    # Korn's squared differences overflow; the report rejects the infinite sides
+    (["korn", "--side", "1e100", "--h", "7.8125e97", "--count", "1"],
+     "korn: lhs = inf, rhs = inf: the measured sides and their ratio must be finite"),
+    (["korn", "--side", "1e140", "--h", "7.8125e137", "--count", "1"],
+     "the sampled function is not finite at the cell centre"),
+    (["frac-poincare", "--side", "1e100", "--h", "1.5625e98", "--samples", "10000"],
+     "the L^2.0 norm with weight d^(0.0) leaves the float range: its sum times "
+     "h^2 = 1.5625e+98^2 is not finite"),
 ])
 def test_out_of_range_value_exits_1_naming_it(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 1

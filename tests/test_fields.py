@@ -180,6 +180,35 @@ def test_pth_power_out_of_range_raises_naming_p(grid128):
     assert F.weighted_lp_norm(fx, 200.0) > 0
 
 
+def test_non_finite_samples_inside_the_domain_raise(l_shape):
+    grid = F.make_grid(l_shape, 1 / 32)
+    # exp(1000 x) overflows from x = 0.7098, inside the L, first at the centres
+    # of column 23; no warning is issued
+    with pytest.raises(ParameterError, match="sampled function is not finite at the cell "
+                                             r"centre \(0.734375, 0.015625\)"):
+        F.sample_function(grid, lambda x, y: np.exp(1000.0 * x))
+    with pytest.raises(ParameterError, match="not finite"):
+        F.sample_function(grid, lambda x, y: np.log(x - 0.5))
+    # NaN outside the domain (the L's missing quarter) is masked away
+    f = F.sample_function(grid, lambda x, y: np.where((x > 0.5) & (y > 0.5), np.nan, x))
+    assert np.isfinite(f.values).all() and f.values[~grid.mask].max() == 0.0
+
+
+def test_norm_leaving_the_float_range_at_h_squared_names_p_and_the_exponent():
+    """sum |f|^2 is finite, that sum times h^2 is not."""
+    side = 2.0**497
+    grid = F.make_grid(geometry.make_domain("unit_square", side=side), side / 32)
+    f = grid.with_values(np.where(grid.mask, 1e100, 0.0))
+    with pytest.raises(ParameterError, match=re.escape(
+            f"the L^2.0 norm with weight d^(0.0) leaves the float range: its sum times "
+            f"h^2 = {side / 32!r}^2 is not finite")):
+        F.weighted_lp_norm(f, 2.0)
+    with pytest.raises(ParameterError, match=re.escape("L^3.0 norm with weight d^(-0.5)")):
+        F.weighted_lp_norm(f.with_values(f.values * 1e-10), 3.0, -0.5)
+    assert F.weighted_lp_norm(f.with_values(f.values * 1e-100), 2.0) == pytest.approx(
+        side * math.sqrt(float(grid.quad_mask.sum()) / 32**2), rel=1e-15)
+
+
 def test_dump_load_roundtrip(grid128, unit_square):
     rng = np.random.default_rng(3)
     f = grid128.with_values(np.where(grid128.mask, rng.standard_normal(grid128.dims), 0))

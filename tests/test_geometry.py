@@ -155,6 +155,34 @@ def test_is_simple_lists_at_most_a_block_of_pairs(monkeypatch):
     assert peak < 30e6
 
 
+def unscaled_centroid(dom):
+    v = dom.vertices
+    w = np.roll(v, -1, axis=0)
+    cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
+    area = cross.sum() / 2.0
+    return np.array([((v[:, 0] + w[:, 0]) * cross).sum() / (6.0 * area),
+                     ((v[:, 1] + w[:, 1]) * cross).sum() / (6.0 * area)])
+
+
+@pytest.mark.parametrize("preset, kw", [("unit_square", {}), ("l_shape", {}),
+                                        ("slit_square", {}), ("koch_prefractal", {"level": 2}),
+                                        ("koch_prefractal", {"level": 4})])
+def test_centroid_is_exact_up_to_the_coordinate_limit(preset, kw):
+    """Scaling by powers of two is exact: the centroid keeps the unscaled
+    formula's bits where that one is in range, and scales with the side up
+    to COORD_LIMIT, where the unscaled sums of cubes overflow."""
+    base = geo.centroid(geo.make_domain(preset, **kw))
+    assert base.tobytes() == unscaled_centroid(geo.make_domain(preset, **kw)).tobytes()
+    for k in (-300, -7, 3, 100, 497):
+        dom = geo.make_domain(preset, side=2.0**k, **kw)
+        if k <= 100:
+            assert geo.centroid(dom).tobytes() == unscaled_centroid(dom).tobytes()
+        assert geo.centroid(dom).tobytes() == (base * 2.0**k).tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(unscaled_centroid(geo.make_domain(preset, side=2.0**400, **kw))
+                               ).all()
+
+
 def test_distance_square(unit_square):
     assert geo.boundary_distances(unit_square, [(0.5, 0.5)])[0] == pytest.approx(0.5)
     assert geo.boundary_distances(unit_square, [(0.25, 0.5)])[0] == pytest.approx(0.25)

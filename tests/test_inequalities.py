@@ -1,12 +1,15 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from whardy import decomp as dc
+from whardy import divergence as dv
 from whardy import fields as F
 from whardy import geometry as geo
 from whardy import inequalities as iq
@@ -115,7 +118,7 @@ def test_fractional_constant(grid64):
         2.0, 0.0, 0.5, 0.5, 20_000,
     )
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
-    assert rep.ratio == 0.0
+    assert math.isnan(rep.ratio) and rep.degenerate == "constant input"
 
 
 def test_fractional_sample_floor(grid64):
@@ -191,9 +194,9 @@ def single_pass_fractional(u, p, beta, s, tau, mc_samples, seed):
     est = area * float(weights.mean())
     se = area * float(weights.std(ddof=1)) / math.sqrt(mc_samples)
     rhs = est ** (1.0 / p) if est > 0 else 0.0
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else math.nan)
+    ratio = lhs / rhs if rhs > 0 else math.nan
     extra = {
-        "normalized_ratio": ratio * tau ** (n - s) if math.isfinite(ratio) else math.nan,
+        "normalized_ratio": ratio * tau ** (n - s),
         "rhs_power_estimate": est,
         "rhs_power_se": se,
         "rhs_relative_se": se / (p * est) if est > 0 else math.inf,
@@ -601,3 +604,99 @@ def test_report_serialization(tmp_path):
     obj = json.loads((tmp_path / "improved_poincare.jsonl").read_text().splitlines()[0])
     assert obj["inequality"] == "improved_poincare"
     assert (tmp_path / "improved_poincare.csv").read_text().startswith("inequality,domain")
+
+
+# ---------------------------------------------------------------------------
+# the one report rule
+
+
+def _poincare(grid, fn):
+    return iq.improved_poincare_ratio(F.sample_function(grid, fn), 2.0, -0.2)
+
+
+def _fractional(grid, fn):
+    return iq.fractional_poincare_ratio(F.sample_function(grid, fn), 2.0, 0.0, 0.5, 0.5, 10_000)
+
+
+def _korn(grid, fn):
+    u = (F.sample_function(grid, fn), F.sample_function(grid, lambda x, y: -fn(y, x)))
+    return iq.korn_ratio(u, 2.0, 0.0)
+
+
+def _fefferman_stein(grid, fn):
+    return iq.fefferman_stein_ratio(F.sample_function(grid, fn), 2.0, 0.0, 2.0, scales=4)
+
+
+# each producer on a field it measures and on one whose rhs is 0: a
+# constant, or for Korn the rotation (y, -x)
+PRODUCERS = {
+    "improved_poincare": (_poincare, lambda x, y: np.sin(3 * x) + y, lambda x, y: 0 * x + 2.0),
+    "fractional_poincare": (_fractional, lambda x, y: x, lambda x, y: 0 * x + 1.0),
+    "korn": (_korn, lambda x, y: x * y, lambda x, y: y),
+    "fefferman_stein": (_fefferman_stein, lambda x, y: np.sign(np.sin(8 * x)),
+                        lambda x, y: 0 * x),
+}
+
+
+def assert_report_rule(rep, grid, degenerate: bool):
+    assert rep.domain == grid.domain.name and same_bits(rep.h, grid.h)
+    assert (rep.rhs == 0.0) == degenerate
+    if degenerate:
+        assert math.isnan(rep.ratio) and rep.degenerate
+    else:
+        assert rep.rhs > 0 and same_bits(rep.ratio, rep.lhs / rep.rhs)
+        assert math.isfinite(rep.ratio)
+
+
+@pytest.mark.parametrize("name", PRODUCERS)
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_every_inequality_report_takes_the_one_rule(l_shape, name, degenerate):
+    make, fn, zero_rhs = PRODUCERS[name]
+    grid = F.make_grid(l_shape, 1 / 32)
+    rep = make(grid, zero_rhs if degenerate else fn)
+    assert rep.inequality == name
+    assert_report_rule(rep, grid, degenerate)
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_divergence_report_takes_the_one_rule(square_trees, degenerate):
+    tree = square_trees[5]
+    grid = dc.decomposition_grid(tree)
+    f = grid if degenerate else dc.covered_mean_zero(
+        grid, np.random.default_rng(2).standard_normal(grid.dims))
+    _, rep = dv.solve_divergence(tree, f, 2.0, 0.0)
+    assert rep.inequality == "divergence"
+    assert_report_rule(rep, grid, degenerate)
+    assert rep.degenerate == ("zero data" if degenerate else None)
+
+
+def test_fractional_resolution_degenerate_takes_the_one_rule(slit_square):
+    """A positive left side over a vanished sampled seminorm: NaN, with the
+    producer's reason."""
+    grid = F.make_grid(slit_square, 0.5)
+    rep = iq.fractional_poincare_ratio(F.sample_function(grid, lambda x, y: x),
+                                       2.0, 0.0, 0.5, 0.5, 10_000)
+    assert rep.lhs > 0 and rep.degenerate.startswith("resolution insufficient")
+    assert_report_rule(rep, grid, True)
+    assert math.isnan(rep.extra["normalized_ratio"])
+
+
+@pytest.mark.parametrize("lhs, rhs", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+                                      (1.0, math.nan), (-math.inf, 0.0), (1e300, 1e-300)])
+def test_report_with_a_non_finite_side_or_ratio_raises(grid64, lhs, rhs):
+    with pytest.raises(ParameterError, match="korn: .* must be finite"):
+        iq.InequalityReport("korn", grid64, {}, lhs, rhs, degenerate="named")
+
+
+def test_report_with_zero_rhs_must_name_a_reason(grid64):
+    with pytest.raises(ValueError, match="must name why"):
+        iq.InequalityReport("korn", grid64, {}, 1.0, 0.0)
+    rep = iq.InequalityReport("korn", grid64, {}, 0.0, 0.0, degenerate="0/0")
+    assert math.isnan(rep.ratio)
+
+
+def test_report_fields_are_those_the_writers_read(grid64):
+    rep = iq.InequalityReport("korn", grid64, {"p": 2.0}, 3.0, 2.0, test_function="t")
+    assert sorted(asdict(rep)) == ["degenerate", "domain", "extra", "h", "inequality", "lhs",
+                                   "params", "ratio", "rhs", "test_function"]
+    assert (rep.domain, rep.h, rep.ratio) == ("unit_square", grid64.h, 1.5)
