@@ -59,8 +59,19 @@ def _write_csv(args, name: str, header, rows) -> None:
 
 
 def _json(obj) -> str:
-    """The one rule for the JSON text of every artifact: sorted keys."""
-    return json.dumps(obj, sort_keys=True)
+    """The one rule for the JSON text of every artifact: sorted keys, and
+    null for every float that is not finite, as JSON has no NaN or
+    infinity (``allow_nan=False`` raises on any left over)."""
+    def finite(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return v
+
+    return json.dumps(finite(obj), sort_keys=True, allow_nan=False)
 
 
 def _finish(args, name: str, payload: dict, status: str, failure: str = "") -> int:

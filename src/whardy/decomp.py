@@ -1,13 +1,13 @@
 """C-orthogonal decomposition of a mean-zero grid function over a tree covering.
 
 The working grid is aligned to the Whitney frame with cell size one quarter
-of the finest cube side, so every cube is a union of cells and every
-transfer box snaps to whole cells. Transfer mass moves through a block of
-cells astride the middle half of the shared face whose area scales with the
-cube (the snapped version of the analytic box, keeping |U_t|/|B_t|
-uniformly bounded); the block touches the face, so each piece g_t is
-supported on cells whose closed squares meet the expanded cube U_t (exact
-box arithmetic), and all integrals below are exact cell sums.
+of the finest cube side, so every cube is a union of cells. Transfer mass
+moves through the tree's box B_t rounded outward to whole cells: a block
+astride the middle half of the shared face that contains the analytic box,
+so |U_t| over its area is at most the tree's reported |U_t|/|B_t|. The
+block touches the face, so each piece g_t is supported on cells whose
+closed squares meet the expanded cube U_t (exact box arithmetic), and all
+integrals below are exact cell sums.
 """
 
 from __future__ import annotations
@@ -119,41 +119,31 @@ def _snap_b_cells(tree: TreeCovering, grid: GridFunction) -> tuple[np.ndarray, n
     Returns a CSR pair (ptr, cells): the cells of B_t, ascending, are
     ``cells[ptr[t]:ptr[t + 1]]``; the root's row is empty.
 
-    One grid cell is 8 units of the (finest side)/32 lattice. The face axis
-    is the box's shorter extent. Along the face the box is the middle half
-    of the face (a quarter face-length clear of each endpoint, so distinct
-    boxes stay disjoint), which snaps exactly. Across: max(1, half-width
-    // 8) cells into each cube, the cell version of the analytic l_min/32
-    reach, which keeps |U_t| / |B_t| uniformly bounded and the block inside
-    both expanded cubes up to one-cell slack (support is checked
-    cell-square against U_t).
+    One grid cell is 8 units of the (finest side)/32 lattice, and each box
+    rounds outward to whole cells, so the snapped B_t contains the analytic
+    one. Face lengths are powers of two, so across the face this is
+    max(1, half-width // 8) cells into each cube; along it the middle half
+    of the face is whole cells already. Distinct boxes stay disjoint, and
+    the block sits inside both expanded cubes up to one-cell slack
+    (support is checked cell-square against U_t).
     """
     n = len(tree)
     kids = np.flatnonzero(tree.parent >= 0)
-    lo, hi = tree.boxes32[kids, 0], tree.boxes32[kids, 1]
-    f = np.argmin(hi - lo, axis=1)  # face axis, the first on a tie
-    r = np.arange(len(kids))
-    lo_f, hi_f, lo_o, hi_o = lo[r, f], hi[r, f], lo[r, 1 - f], hi[r, 1 - f]
-    face_cell = (lo_f + hi_f) // 16
-    per_side = np.maximum(1, (hi_f - lo_f) // 16)  # half-width // 8
-    # the block is [face_cell -+ per_side) across and [lo // 8, hi // 8) along
-    across = np.stack([face_cell - per_side, face_cell + per_side], axis=1)
-    along = np.stack([lo_o // 8, hi_o // 8], axis=1)
-    i0, j0 = _frame_offset(tree, grid)
-    x = np.where(f[:, None] == 0, across, along) - i0
-    y = np.where(f[:, None] == 0, along, across) - j0
+    offset = np.array(_frame_offset(tree, grid))
+    lo = tree.boxes32[kids, 0] // 8 - offset
+    hi = -(-tree.boxes32[kids, 1] // 8) - offset
     nx, ny = grid.dims
-    if (x[:, 0] < 0).any() or (x[:, 1] > nx).any() or (y[:, 0] < 0).any() or (y[:, 1] > ny).any():
+    if (lo < 0).any() or (hi > (nx, ny)).any():
         raise ParameterError("snapped transfer box escapes the grid")
     # each rectangle row-major, so its flat ids i * ny + j ascend
-    wy = y[:, 1] - y[:, 0]
+    wy = hi[:, 1] - lo[:, 1]
     count = np.zeros(n, dtype=np.int64)
-    count[kids] = (x[:, 1] - x[:, 0]) * wy
+    count[kids] = (hi[:, 0] - lo[:, 0]) * wy
     ptr = np.concatenate([[0], np.cumsum(count)])
     box = np.repeat(np.arange(len(kids)), count[kids])
     k = np.arange(ptr[-1]) - ptr[kids][box]
     di, dj = np.divmod(k, wy[box])
-    return ptr, (x[box, 0] + di) * ny + y[box, 0] + dj
+    return ptr, (lo[box, 0] + di) * ny + lo[box, 1] + dj
 
 
 def c_decompose(tree: TreeCovering, g: GridFunction) -> Decomposition:

@@ -286,25 +286,19 @@ def gradient(f: GridFunction) -> tuple[GridFunction, GridFunction]:
     Central differences where both axis neighbors are masked, one-sided
     where one is; output cells keep the mask only if every axis has at least
     one masked neighbor."""
+    def neighbors(a, axis):
+        """(a one cell back, a one cell ahead) along ``axis``, 0 past the grid."""
+        prev, nxt = np.zeros_like(a), np.zeros_like(a)
+        p, q, s = (np.moveaxis(b, axis, 0) for b in (prev, nxt, a))
+        p[1:], q[:-1] = s[:-1], s[1:]
+        return prev, nxt
+
     out_mask = f.mask.copy()
     comps = []
     v = np.where(f.mask, f.values, 0.0)
     for axis in range(2):
-        m = f.mask
-        prev_m = np.zeros_like(m)
-        next_m = np.zeros_like(m)
-        prev_v = np.zeros_like(v)
-        next_v = np.zeros_like(v)
-        if axis == 0:
-            prev_m[1:, :] = m[:-1, :]
-            next_m[:-1, :] = m[1:, :]
-            prev_v[1:, :] = v[:-1, :]
-            next_v[:-1, :] = v[1:, :]
-        else:
-            prev_m[:, 1:] = m[:, :-1]
-            next_m[:, :-1] = m[:, 1:]
-            prev_v[:, 1:] = v[:, :-1]
-            next_v[:, :-1] = v[:, 1:]
+        prev_m, next_m = neighbors(f.mask, axis)
+        prev_v, next_v = neighbors(v, axis)
         central = prev_m & next_m
         fwd = next_m & ~prev_m
         bwd = prev_m & ~next_m

@@ -214,7 +214,9 @@ def build_tree(dec: WhitneyDecomposition, center=None) -> TreeCovering:
 
     Without a center the root is ``root_center(dec, centroid(dec.domain))``.
     Parents are BFS predecessors, tie-broken by larger cube first and then
-    lexicographic (level, index).
+    lexicographic (level, index). A disconnected graph raises
+    ConnectivityError with the component sizes, largest first, which the
+    same BFS finds.
     """
     if center is None:
         center = root_center(dec, centroid(dec.domain))
@@ -225,15 +227,25 @@ def build_tree(dec: WhitneyDecomposition, center=None) -> TreeCovering:
     ptr, nbr = dec.face_neighbors
     counts = np.diff(ptr)
     depth = np.full(n, -1, dtype=np.int64)
-    depth[root] = 0
-    frontier, d = np.array([root]), 0
-    while len(frontier):
-        d += 1
-        reached = nbr[index_ranges(ptr[frontier], counts[frontier])]
-        frontier = np.unique(reached[depth[reached] < 0])
-        depth[frontier] = d
-    if (depth < 0).any():
-        sizes = _component_sizes(dec)
+
+    def reach(start) -> int:
+        """BFS depths from ``start`` over its unreached component; its size."""
+        depth[start] = 0
+        frontier, d, size = np.array([start]), 0, 1
+        while len(frontier):
+            d += 1
+            reached = nbr[index_ranges(ptr[frontier], counts[frontier])]
+            frontier = np.unique(reached[depth[reached] < 0])
+            depth[frontier] = d
+            size += len(frontier)
+        return size
+
+    sizes = [reach(root)]
+    for t in np.flatnonzero(depth < 0).tolist():  # each other component from its first cube
+        if depth[t] < 0:
+            sizes.append(reach(t))
+    if len(sizes) > 1:
+        sizes.sort(reverse=True)
         raise ConnectivityError(
             f"face-neighbor graph disconnected; component sizes {sizes}",
             component_sizes=sizes,
@@ -257,18 +269,6 @@ def build_tree(dec: WhitneyDecomposition, center=None) -> TreeCovering:
         spans32=spans32,
         boxes32=_transfer_boxes(parent, spans32),
     )
-
-
-def _component_sizes(dec: WhitneyDecomposition):
-    """Sizes of the face-neighbor graph's components, largest first."""
-    from scipy.sparse import csr_matrix  # only the disconnected case needs scipy here
-    from scipy.sparse.csgraph import connected_components
-
-    n = len(dec)
-    ptr, idx = dec.face_neighbors
-    graph = csr_matrix((np.ones(len(idx)), idx, ptr), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
-    return sorted(np.bincount(labels).tolist(), reverse=True)
 
 
 def _transfer_boxes(parent, spans32):

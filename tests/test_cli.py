@@ -333,6 +333,7 @@ TREE_COMMANDS = {
 def test_every_preset_with_every_tree_subcommand(tmp_path, preset, command):
     argv = [*TREE_COMMANDS[command], "--domain", *PRESETS[preset], "--max-level", "5"]
     assert run([*argv, "--out", str(tmp_path)]) == 0
+    strict_json_artifacts(tmp_path)
 
 
 GRID_COMMANDS = {
@@ -353,6 +354,7 @@ def test_every_preset_with_every_grid_subcommand(tmp_path, capsys, preset, comma
     argv = [*GRID_COMMANDS[command], "--domain", *PRESETS[preset]]
     assert run([*argv, "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""
+    strict_json_artifacts(tmp_path)
 
 
 # the largest power-of-two side within geometry.COORD_LIMIT
@@ -372,13 +374,32 @@ def scaled_lengths(argv, factor):
             for k, v in enumerate(argv)]
 
 
-def non_finite_paths(obj, path=()) -> set:
-    """The key and index paths of the non-finite floats in a JSON object."""
+def strict_json(path) -> list:
+    """The values of a .json file, or of each line of a .jsonl file, read
+    as standard JSON: NaN, Infinity and -Infinity raise."""
+    def reject(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    text = path.read_text()
+    return [json.loads(line, parse_constant=reject)
+            for line in (text.splitlines() if path.suffix == ".jsonl" else [text])]
+
+
+def strict_json_artifacts(out) -> None:
+    """Every .json and .jsonl artifact under ``out`` parses as standard JSON."""
+    paths = sorted(p for p in Path(out).rglob("*") if p.suffix in (".json", ".jsonl"))
+    assert paths
+    for path in paths:
+        strict_json(path)
+
+
+def null_paths(obj, path=()) -> set:
+    """The key and index paths of the nulls and non-finite floats in a JSON object."""
     if isinstance(obj, dict):
-        return set().union(*(non_finite_paths(v, (*path, k)) for k, v in obj.items()))
+        return set().union(*(null_paths(v, (*path, k)) for k, v in obj.items()))
     if isinstance(obj, list):
-        return set().union(*(non_finite_paths(v, (*path, k)) for k, v in enumerate(obj)))
-    return {path} if isinstance(obj, float) and not math.isfinite(obj) else set()
+        return set().union(*(null_paths(v, (*path, k)) for k, v in enumerate(obj)))
+    return {path} if obj is None or isinstance(obj, float) and not math.isfinite(obj) else set()
 
 
 @pytest.mark.parametrize("command", [*TREE_COMMANDS, *GRID_COMMANDS])
@@ -386,24 +407,25 @@ def non_finite_paths(obj, path=()) -> set:
 def test_every_compute_command_at_the_largest_side(tmp_path, capsys, preset, command):
     """At side 2^497, lengths scaled alike, a command exits 0 with a summary
     as finite as at side 1 (the Assouad fit's r_squared and residual_max
-    are NaN at every side), or 1 with one error line; it raises no
-    traceback and, as RuntimeWarnings fail the suite, issues no warning."""
+    are null at every side), or 1 with one error line; it raises no
+    traceback and, as RuntimeWarnings fail the suite, issues no warning.
+    Every JSON artifact at either side is standard JSON."""
     argv = ([*TREE_COMMANDS[command], "--max-level", "5"] if command in TREE_COMMANDS
             else GRID_COMMANDS[command])
     argv = [*argv, "--domain", *PRESETS[preset]]
     code = run([*scaled_lengths(argv, BIG_SIDE), "--side", repr(BIG_SIDE),
                 "--out", str(tmp_path / "big")])
     err = capsys.readouterr().err.splitlines()
+    assert run([*argv, "--out", str(tmp_path / "unit")]) == 0
+    strict_json_artifacts(tmp_path)
     if command in OUT_OF_RANGE_AT_BIG_SIDE:
         assert code == 1 and len(err) == 1
         assert err[0].startswith("error: ") and OUT_OF_RANGE_AT_BIG_SIDE[command] in err[0]
         return
     assert code == 0 and all(line.startswith("note: ") for line in err)
-    assert run([*argv, "--out", str(tmp_path / "unit")]) == 0
     (big,) = (tmp_path / "big").glob("*_summary.json")
     unit = tmp_path / "unit" / big.name
-    assert (non_finite_paths(json.loads(big.read_text()))
-            == non_finite_paths(json.loads(unit.read_text())))
+    assert null_paths(strict_json(big)[0]) == null_paths(strict_json(unit)[0])
 
 
 @pytest.mark.parametrize("preset", [("unit-square",), ("koch", "--koch-level", "2"),
@@ -564,7 +586,7 @@ def test_frac_poincare_with_unresolved_pairs_is_degenerate(tmp_path, argv):
     seminorm is 0 while the left side is not."""
     assert run(["frac-poincare", *argv, "--out", str(tmp_path)]) == 0
     rep = json.loads((tmp_path / "fractional_poincare.jsonl").read_text())
-    assert rep["lhs"] > 0 and rep["rhs"] == 0.0 and math.isnan(rep["ratio"])
+    assert rep["lhs"] > 0 and rep["rhs"] == 0.0 and rep["ratio"] is None
     assert rep["degenerate"] == "resolution insufficient: sampled fractional seminorm vanished"
     summary = json.loads((tmp_path / "fractional_poincare_summary.json").read_text())
     assert summary["degenerate"] == 1 and summary["max_ratio"] is None
@@ -631,6 +653,9 @@ runs = [
 ]
 for k, argv in enumerate(runs):
     assert cli.main([*argv, "--out", f"{out}/{k}"]) == 0, argv
+# at level 4 the slit square's cubes are disconnected: the error sizes them
+assert cli.main(["tree", "--domain", "slit-square", "--max-level", "4",
+                 "--out", f"{out}/split"]) == 1
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, f"scipy loaded before any divergence solve: {loaded[:5]}"
 assert cli.main(["divergence", "--max-level", "4", "--out", f"{out}/div"]) == 0

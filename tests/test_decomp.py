@@ -9,9 +9,10 @@ from conftest import collar_probe, expanded_boxes, random_mean_zero, star_polygo
 from whardy import decomp as dc
 from whardy import divergence as dv
 from whardy import fields as F
+from whardy import geometry
 from whardy import treecover as tc
 from whardy import whitney as wt
-from whardy.errors import ParameterError
+from whardy.errors import ConnectivityError, EmptyDecompositionError, ParameterError
 
 
 @pytest.fixture(scope="module")
@@ -378,10 +379,43 @@ def test_csr_matches_per_node_reference_bitwise(request, which, data):
     for c, v in zip(cells, values):
         np.add.at(flat, c, v)
     assert d.reconstruct().tobytes() == flat.reshape(grid.dims).tobytes()
+
+
+def assert_snap_is_the_face_rule(tree):
+    """_snap_b_cells (outward rounding) against the per-node face rule; the
+    snapped boxes are disjoint."""
+    grid = dc.decomposition_grid(tree)
     ptr, boxes = dc._snap_b_cells(tree, grid)
-    for t in range(len(tree)):
-        want = reference_snap_b_cells(tree, grid, t) if tree.parent[t] >= 0 else []
-        assert np.array_equal(boxes[ptr[t]:ptr[t + 1]], np.sort(want))
+    assert ptr[tree.root] == ptr[tree.root + 1]
+    assert len(boxes) == len(np.unique(boxes))
+    for t in np.flatnonzero(tree.parent >= 0):
+        want = np.sort(reference_snap_b_cells(tree, grid, t))
+        assert np.array_equal(boxes[ptr[t]:ptr[t + 1]], want)
+
+
+SNAP_PRESETS = {"unit_square": {}, "l_shape": {}, "slit_square": {},
+                "koch2": {"level": 2}, "koch3": {"level": 3}}
+# at level 4 the slit square's two cubes do not touch and no Koch cube fits
+UNBUILT_AT_4 = {"slit_square": ConnectivityError, "koch2": EmptyDecompositionError,
+                "koch3": EmptyDecompositionError}
+
+
+@pytest.mark.parametrize("level", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("preset", SNAP_PRESETS)
+def test_snapped_boxes_are_the_face_rule_on_every_preset(preset, level):
+    kw = SNAP_PRESETS[preset]
+    dom = geometry.make_domain("koch_prefractal" if kw else preset, **kw)
+    if level == 4 and preset in UNBUILT_AT_4:
+        with pytest.raises(UNBUILT_AT_4[preset]):
+            tc.build_tree(wt.whitney_decompose(dom, level))
+        return
+    assert_snap_is_the_face_rule(tc.build_tree(wt.whitney_decompose(dom, level)))
+
+
+@settings(max_examples=20)
+@given(star_polygons())
+def test_snapped_boxes_are_the_face_rule_on_star_polygons(dom):
+    assert_snap_is_the_face_rule(star_tree(dom))
 
 
 @pytest.mark.parametrize("which", ["tree5", "koch2_tree6"])

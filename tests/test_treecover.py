@@ -153,9 +153,10 @@ def test_center_outside_error(square_dec6):
 
 def test_disconnected_error(unit_square):
     # two far cubes; then a face-joined pair, a cube touching it only at a
-    # corner, and a far cube
+    # corner, and a far cube; then the root cube alone and a far L of three
     for indices, sizes in (([[4, 4], [10, 10]], [1, 1]),
-                           ([[4, 4], [4, 5], [5, 6], [10, 10]], [2, 1, 1])):
+                           ([[4, 4], [4, 5], [5, 6], [10, 10]], [2, 1, 1]),
+                           ([[4, 4], [10, 10], [10, 11], [11, 11]], [3, 1])):
         n = len(indices)
         dec = wt.WhitneyDecomposition(
             domain=unit_square,
