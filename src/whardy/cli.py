@@ -129,9 +129,8 @@ def cmd_whitney(args) -> int:
     sides = dec.sides
     ok_lower = bool(np.all(dec.dist_sq >= 2.0 * sides * sides))
     ok_upper = bool(np.all(dec.dist <= 4.0 * sides * math.sqrt(2.0) + 1e-12))
-    ptr, idx = dec.neighbors
-    ratio = sides[idx] / np.repeat(sides, np.diff(ptr))
-    ratios_ok = bool(np.all((0.25 - 1e-15 <= ratio) & (ratio <= 4.0 + 1e-15)))
+    ptr, idx = dec.neighbors  # sides are powers of two: a ratio in [1/4, 4] is a level gap <= 2
+    ratios_ok = bool(np.all(np.abs(dec.levels[idx] - np.repeat(dec.levels, np.diff(ptr))) <= 2))
     _artifact(args, "whitney.json").write_text(whitney.decomposition_to_json(dec))
     return _finish(
         args,
@@ -432,6 +431,19 @@ def _read_config(path) -> dict:
     return cfg
 
 
+def _command_index(argv_list):
+    """The index of the subcommand in argv, or None: the first token that
+    is neither an option nor the value of ``--config`` (or of an
+    abbreviation of it, which argparse accepts), as argparse reads them."""
+    i = 0
+    while i < len(argv_list):
+        tok = argv_list[i]
+        if not tok.startswith("-"):
+            return i
+        i += 2 if len(tok) > 2 and "--config".startswith(tok) else 1
+    return None
+
+
 def _with_config(ap, args, argv_list):
     """Re-parse argv with the config file's entries as ``--key=value`` flags
     right after the subcommand: argparse checks them like flags, and the
@@ -447,9 +459,7 @@ def _with_config(ap, args, argv_list):
         except (_UsageError, ParameterError) as exc:
             raise ParameterError(f"config {key} = {val!r}: {exc}") from None
         flags.append(flag)
-    # the subcommand is the first token that is not --config's value
-    k = next(i for i, tok in enumerate(argv_list) if tok == args.command
-             and not (i and argv_list[i - 1].startswith("--") and "=" not in argv_list[i - 1]))
+    k = _command_index(argv_list)
     return ap.parse_known_args([*argv_list[:k + 1], *flags, *argv_list[k + 1:]])[0]
 
 
@@ -467,15 +477,64 @@ class _Seed(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
-def _add_common(sp, max_level=True):
-    sp.add_argument("--domain", type=_domain_name, choices=DOMAIN_CHOICES,
-                    default="unit-square")
-    sp.add_argument("--koch-level", type=int, default=2)
-    sp.add_argument("--side", type=float, default=1.0)
-    sp.add_argument("--out", default="whardy_out")
-    sp.add_argument("--seed", type=int, default=0, action=_Seed)
-    if max_level:
-        sp.add_argument("--max-level", type=int, default=6)
+# the options more than one subcommand takes, each declared once
+_SHARED = {
+    "--domain": dict(type=_domain_name, choices=DOMAIN_CHOICES, default="unit-square"),
+    "--koch-level": dict(type=int, default=2),
+    "--side": dict(type=float, default=1.0),
+    "--out": dict(default="whardy_out"),
+    "--seed": dict(type=int, default=0, action=_Seed),
+    "--max-level": dict(type=int, default=6),
+    "--p": dict(type=float, default=2.0),
+    "--beta": dict(type=float, default=0.0),
+    "--q": dict(type=float, default=2.0),
+    "--h": dict(type=float, default=1 / 128),
+    "--count": dict(type=int, default=10),
+}
+_COMMON = ("--domain", "--koch-level", "--side", "--out", "--seed")
+
+# subcommand -> (help line, options in help order); an option is a flag of
+# _SHARED or a (flag, argparse keywords) pair of the subcommand's own. The
+# handler is cmd_<name>, looked up when the parser is built, so a rebound
+# module name (a tracing wrapper) is the one that runs.
+COMMANDS = {
+    "whitney": ("Whitney decomposition + invariants", (*_COMMON, "--max-level")),
+    "tree": ("tree covering, K, shadow-lemma constant",
+             (*_COMMON, "--max-level", ("--lam", dict(type=float, default=1.37)))),
+    "dimension": ("box/Assouad dimension of the boundary",
+                  (*_COMMON,
+                   ("--r-min", dict(type=float, default=4e-3)),
+                   ("--r-max", dict(type=float, default=6.4e-2)),
+                   ("--num-scales", dict(type=int, default=6)),
+                   ("--num-ratios", dict(type=int, default=4)),
+                   ("--centers", dict(type=int, default=12)))),
+    "hardy": ("A_tree beta sweep with classification",
+              (*_COMMON, "--p",
+               ("--beta-grid", dict(default="-0.9:0.3:0.1", help="start:stop:step")),
+               ("--levels", dict(default="4,5,6")))),
+    "decompose": ("C-orthogonal decomposition of a random g",
+                  (*_COMMON, "--max-level", "--q", "--beta")),
+    "poincare": ("improved Poincare ratios, trig family",
+                 (*_COMMON, "--p", "--beta", "--h", "--count")),
+    "frac-poincare": ("fractional Poincare Monte Carlo",
+                      (*_COMMON, "--p", "--beta",
+                       ("--s", dict(type=float, default=0.5)),
+                       ("--tau", dict(type=float, default=0.5)),
+                       ("--samples", dict(type=int, default=100_000)),
+                       ("--h", dict(_SHARED["--h"], default=1 / 64)))),
+    "korn": ("Korn ratios on random polynomial fields",
+             (*_COMMON, "--p", "--beta", "--h", "--count")),
+    "fefferman-stein": ("local Fefferman-Stein ratios",
+                        (*_COMMON, "--p", "--beta",
+                         ("--sigmas", dict(default="1,2,4")),
+                         ("--scales", dict(type=int, default=8)),
+                         "--h",
+                         ("--checker-frequency", dict(type=int, default=8)))),
+    "divergence": ("solve div u = f and measure the ratio",
+                   (*_COMMON, "--max-level", "--q", "--beta",
+                    ("--data", dict(choices=("dipole", "collar"), default="dipole")))),
+    "report": ("aggregate prior outputs into one table", ("--out",)),
+}
 
 
 class _UsageError(Exception):
@@ -488,89 +547,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command) -> argparse.ArgumentParser:
+    """The parser with every subcommand, so help, usage and invalid-choice
+    errors name them all, and with options and a handler for ``command``'s
+    subparser only (none when it is None or not a subcommand)."""
     ap = _Parser(prog="whardy", description=__doc__)
     ap.add_argument("--config", help="flat key = value file; flags override it")
     sub = ap.add_subparsers(dest="command")
-
-    sp = sub.add_parser("whitney", help="Whitney decomposition + invariants")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_whitney)
-
-    sp = sub.add_parser("tree", help="tree covering, K, shadow-lemma constant")
-    _add_common(sp)
-    sp.add_argument("--lam", type=float, default=1.37)
-    sp.set_defaults(func=cmd_tree)
-
-    sp = sub.add_parser("dimension", help="box/Assouad dimension of the boundary")
-    _add_common(sp, max_level=False)
-    sp.add_argument("--r-min", type=float, default=4e-3)
-    sp.add_argument("--r-max", type=float, default=6.4e-2)
-    sp.add_argument("--num-scales", type=int, default=6)
-    sp.add_argument("--num-ratios", type=int, default=4)
-    sp.add_argument("--centers", type=int, default=12)
-    sp.set_defaults(func=cmd_dimension)
-
-    sp = sub.add_parser("hardy", help="A_tree beta sweep with classification")
-    _add_common(sp, max_level=False)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--beta-grid", default="-0.9:0.3:0.1",
-                    help="start:stop:step")
-    sp.add_argument("--levels", default="4,5,6")
-    sp.set_defaults(func=cmd_hardy)
-
-    sp = sub.add_parser("decompose", help="C-orthogonal decomposition of a random g")
-    _add_common(sp)
-    sp.add_argument("--q", type=float, default=2.0)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.set_defaults(func=cmd_decompose)
-
-    sp = sub.add_parser("poincare", help="improved Poincare ratios, trig family")
-    _add_common(sp, max_level=False)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--h", type=float, default=1 / 128)
-    sp.add_argument("--count", type=int, default=10)
-    sp.set_defaults(func=cmd_poincare)
-
-    sp = sub.add_parser("frac-poincare", help="fractional Poincare Monte Carlo")
-    _add_common(sp, max_level=False)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--s", type=float, default=0.5)
-    sp.add_argument("--tau", type=float, default=0.5)
-    sp.add_argument("--samples", type=int, default=100_000)
-    sp.add_argument("--h", type=float, default=1 / 64)
-    sp.set_defaults(func=cmd_frac_poincare)
-
-    sp = sub.add_parser("korn", help="Korn ratios on random polynomial fields")
-    _add_common(sp, max_level=False)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--h", type=float, default=1 / 128)
-    sp.add_argument("--count", type=int, default=10)
-    sp.set_defaults(func=cmd_korn)
-
-    sp = sub.add_parser("fefferman-stein", help="local Fefferman-Stein ratios")
-    _add_common(sp, max_level=False)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--sigmas", default="1,2,4")
-    sp.add_argument("--scales", type=int, default=8)
-    sp.add_argument("--h", type=float, default=1 / 128)
-    sp.add_argument("--checker-frequency", type=int, default=8)
-    sp.set_defaults(func=cmd_fefferman_stein)
-
-    sp = sub.add_parser("divergence", help="solve div u = f and measure the ratio")
-    _add_common(sp)
-    sp.add_argument("--q", type=float, default=2.0)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--data", choices=("dipole", "collar"), default="dipole")
-    sp.set_defaults(func=cmd_divergence)
-
-    sp = sub.add_parser("report", help="aggregate prior outputs into one table")
-    sp.add_argument("--out", default="whardy_out")
-    sp.set_defaults(func=cmd_report)
+    for name, (help_line, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        if name != command:
+            continue
+        for opt in options:
+            flag, kwargs = (opt, _SHARED[opt]) if isinstance(opt, str) else opt
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=globals()[f"cmd_{name.replace('-', '_')}"])
     return ap
 
 
@@ -591,8 +582,9 @@ def _merge_grid_flags(argv_list):
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     argv_list = _merge_grid_flags(list(sys.argv[1:] if argv is None else argv))
+    k = _command_index(argv_list)
+    ap = build_parser(None if k is None else argv_list[k])
     try:
         args, remaining = ap.parse_known_args(argv_list)
         if remaining:

@@ -27,7 +27,7 @@ from .whitney import EXPANSION, WhitneyDecomposition
 class TreeCovering:
     """Rooted tree over cube indices plus the geometric covering data.
 
-    The root, depths, children and the sweep schedule are derived from
+    The root, depths and the sweep schedule are derived from
     ``parent``; K is derived from ``spans32`` when the tree has integer
     geometry (NaN otherwise). A parent array with no single root, an index
     out of range or a cycle raises StructureError.
@@ -45,8 +45,6 @@ class TreeCovering:
     boxes32: np.ndarray | None = field(default=None, repr=False)
     root: int = field(init=False)
     depth: np.ndarray = field(init=False, repr=False)
-    # CSR pair (ptr, idx): the children of p are idx[ptr[p]:ptr[p + 1]], ascending
-    children: tuple = field(init=False, repr=False)
     # (kids, parents) index arrays, deepest layer first; see accumulate_up
     schedule: list = field(init=False, repr=False)
     K_frac: Fraction = field(init=False)
@@ -61,7 +59,7 @@ class TreeCovering:
             raise StructureError("parent index out of range")
         self.root = int(roots[0])
         self.depth = _depths(parent, self.root)
-        self.children, self.schedule = _sweep_schedule(parent, self.depth)
+        self.schedule = _sweep_schedule(parent, self.depth)
         if self.spans32 is None:
             self.K_frac, self.K = Fraction(0), math.nan
         else:
@@ -73,7 +71,7 @@ class TreeCovering:
 
     @property
     def is_chain(self) -> bool:
-        return bool((np.diff(self.children[0]) <= 1).all())
+        return bool((np.bincount(self.parent[self.parent >= 0]) <= 1).all())
 
     def ratio_u_over_b(self) -> float:
         """Reported C2 bound: max over nodes of |U_t| / |B_t|.
@@ -103,7 +101,6 @@ class ShadowStats:
     W: np.ndarray  # (N, L) shadow counts per size class
     P: np.ndarray  # (N, L) root-to-node chain counts, root excluded
     levels: np.ndarray
-    shadow_size: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -130,26 +127,23 @@ def _depths(parent: np.ndarray, root: int) -> np.ndarray:
 
 
 def _sweep_schedule(parent: np.ndarray, depth: np.ndarray):
-    """Children CSR pair and the layered sweep schedule of a parent array.
+    """The layered sweep schedule of a parent array.
 
-    The children of p are idx[ptr[p]:ptr[p + 1]], by increasing index. The
-    schedule is a list of (kids, parents) steps, deepest layer first; step
+    The schedule is a list of (kids, parents) steps, deepest layer first; step
     r of a layer holds the r-th child from the end of every parent there,
     so no parent repeats inside a step and the children of p fold in
-    reverse order. That order fixes the last bits of every float sum.
+    decreasing index order. That order fixes the last bits of every float sum.
     """
     n = len(parent)
     kids = np.flatnonzero(parent >= 0)
     kids = kids[np.argsort(parent[kids], kind="stable")]
     ends = np.cumsum(np.bincount(parent[kids], minlength=n))
-    children = (np.concatenate([[0], ends]), kids)
     rank = ends[parent[kids]] - 1 - np.arange(len(kids))  # 0 = last child
     step = np.lexsort((rank, -depth[kids]))
     kids, rank = kids[step], rank[step]
     d = depth[kids]
     cuts = np.flatnonzero((d[1:] != d[:-1]) | (rank[1:] != rank[:-1])) + 1
-    schedule = [(k, parent[k]) for k in np.split(kids, cuts) if len(k)]
-    return children, schedule
+    return [(k, parent[k]) for k in np.split(kids, cuts) if len(k)]
 
 
 def accumulate_up(tree: TreeCovering, x, op=np.add) -> np.ndarray:
@@ -422,12 +416,7 @@ def shadow_stats(tree: TreeCovering) -> ShadowStats:
     W = accumulate_up(tree, one)
     one[tree.root] = 0  # chain counts exclude the root
     P = accumulate_down(tree, one)
-    return ShadowStats(
-        W=W,
-        P=P,
-        levels=tree.level.copy(),
-        shadow_size=W.sum(axis=1),
-    )
+    return ShadowStats(W=W, P=P, levels=tree.level.copy())
 
 
 def verify_shadow_lemma(stats: ShadowStats, lam: float) -> float:

@@ -372,22 +372,33 @@ def _adjacency(dec: WhitneyDecomposition):
     a size ratio <= 4). A cube finds each touching cube of its own size or
     larger as a lattice cell in the 3 x 3 block around its ancestor cell
     zero, one or two levels up; pairs found one or two levels up are
-    mirrored to give the smaller neighbors. The touch test is integer
-    arithmetic on the finest-level spans.
+    mirrored to give the smaller neighbors. Up there, only cells on the
+    cube's own side of its ancestor can touch it: per axis d = -1 where the
+    cube starts its ancestor, +1 where it ends it, 0 otherwise, and a query
+    at a zero d would land on the ancestor (never a cube) or repeat another.
+    The touch test is integer arithmetic on the finest-level spans.
     """
     n = len(dec)
     lev = dec.levels.astype(np.int64)
     idx = dec.indices.astype(np.int64)
     found = []
-    for up in (0, 1, 2):
-        l2, base = lev - up, idx >> up
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if up == 0 and di == dj == 0:
-                    continue
-                s = dec.find(l2, base[:, 0] + di, base[:, 1] + dj)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                s = dec.find(lev, idx[:, 0] + di, idx[:, 1] + dj)
                 t = np.flatnonzero(s >= 0)
-                found += [(t, s[t]), (s[t], t)] if up else [(t, s[t])]
+                found.append((t, s[t]))
+    for up in (1, 2):
+        rem = idx & ((1 << up) - 1)
+        d = (rem == (1 << up) - 1).astype(np.int64) - (rem == 0)
+        for axes in ((1, 0), (0, 1), (1, 1)):
+            off = d * axes
+            c = np.flatnonzero(np.all(off != 0, axis=1, where=np.array(axes, dtype=bool)))
+            s = dec.find(lev[c] - up, (idx[c, 0] >> up) + off[c, 0],
+                         (idx[c, 1] >> up) + off[c, 1])
+            hit = s >= 0
+            t, s = c[hit], s[hit]
+            found += [(t, s), (s, t)]
     t = np.concatenate([f[0] for f in found])
     s = np.concatenate([f[1] for f in found])
     lo, hi = dec.spans()

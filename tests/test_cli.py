@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_tracing import load_tracing
 from whardy import cli, decomp, fields, geometry, treecover, whitney
 
 
@@ -702,3 +704,46 @@ def test_trig_family_on_axes_matches_the_per_cell_formula(preset, h):
         want = _trig_family_oracle(grid, 10, seed)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+
+# whardy --help and each subcommand's --help at 80 columns, as argparse prints them
+HELP = json.loads(Path(__file__).with_name("cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(HELP))
+def test_help_texts_are_unchanged(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run(argv.split())
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP[argv]
+
+
+def test_main_builds_options_for_the_invoked_subcommand_only(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(build(*a)) or built[-1])
+    assert run(["tree", "--max-level", "4", "--out", str(tmp_path)]) == 0
+    (ap,) = built
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    assert len(sub.choices) == 11
+    tree_flags = {"--domain", "--koch-level", "--side", "--out", "--seed", "--max-level", "--lam"}
+    for name, sp in sub.choices.items():
+        flags = {flag for action in sp._actions for flag in action.option_strings}
+        assert flags == {"-h", "--help"} | (tree_flags if name == "tree" else set()), name
+
+
+def test_traced_run_records_the_handler_span(tmp_path):
+    # the tracer rebinds cli.cmd_tree; main must run the rebound name
+    with load_tracing().Tracer() as tracer:
+        assert cli.main(["tree", "--max-level", "4", "--out", str(tmp_path)]) == 0
+    assert "cli.cmd_tree" in {span[0] for span in tracer.spans}
+
+
+@pytest.mark.parametrize("flag", [["--config", "tree"], ["--config=tree"], ["--conf", "tree"]])
+def test_config_file_named_like_the_subcommand_applies(tmp_path, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    Path("tree").write_text("max_level = 4\nlam = 1.5\n")
+    assert run([*flag, "tree", "--out", "out"]) == 0
+    obj = json.loads(Path("out/tree_summary.json").read_text())
+    assert obj["config"]["max_level"] == 4 and obj["lambda"] == 1.5

@@ -342,7 +342,7 @@ def reference_c_decompose(tree, g):
     b_cells = [None if tree.parent[t] < 0 else reference_snap_b_cells(tree, g, t)
                for t in range(n)]
     kids = [[] for _ in range(n)]
-    for t in range(n):  # ascending, the order of tree.children
+    for t in range(n):  # children by increasing index
         if tree.parent[t] >= 0:
             kids[tree.parent[t]].append(t)
     cells, values = [], []

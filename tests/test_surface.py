@@ -1,7 +1,8 @@
 """Every public top-level function or class of the package is in use: some
 other definition of ``src/whardy`` refers to it in code (a docstring does
 not count), or ``bench/*.py`` does, by identifier or by a traced
-``"module.name"`` string. The library entries kept for studies are named
+``"module.name"`` string, or it is the ``cli.cmd_<name>`` handler of a row
+of ``cli.COMMANDS``. The library entries kept for studies are named
 below, each with its reason, so helpers that only tests call do not grow
 back."""
 
@@ -88,9 +89,16 @@ def bench_references():
     return out
 
 
+def dispatched_handlers():
+    """The handlers ``cli.build_parser`` looks up by name: cmd_<name> for
+    each subcommand <name> of ``cli.COMMANDS``, ``-`` read as ``_``."""
+    from whardy import cli
+    return {f"cmd_{name.replace('-', '_')}" for name in cli.COMMANDS}
+
+
 def test_every_public_definition_is_used():
     defs, uses = package_surface()
-    used = uses | bench_references()
+    used = uses | bench_references() | dispatched_handlers()
     unused = sorted(key for key in defs if key.split(".")[1] not in used)
     assert unused == sorted(KEPT_FOR_STUDIES), sorted(set(unused) ^ set(KEPT_FOR_STUDIES))
 

@@ -43,3 +43,15 @@ def test_traced_names_resolve_to_public_functions():
     for prefix, suffix in re.findall(r'name\.startswith\("([\w.]+)"\) and '
                                      r'name\.endswith\("(\w+)"\)', hook):
         assert any(n.startswith(prefix) and n.endswith(suffix) for n in traced), (prefix, suffix)
+
+
+def test_every_subcommand_has_a_traced_handler():
+    """cli runs subcommand <name> through the public cli.cmd_<name>, and the
+    benchmark reports cli.<name>_s for each but report: a subcommand added
+    without a traced handler would read 0."""
+    from whardy import cli
+    names = {name.replace("-", "_") for name in cli.COMMANDS}
+    assert names - {"report"} == set(load_tracing().SUBCOMMANDS)
+    for name in names:
+        fn = getattr(cli, f"cmd_{name}", None)
+        assert inspect.isfunction(fn) and fn.__module__ == cli.__name__, name

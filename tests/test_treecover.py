@@ -280,7 +280,7 @@ def test_shadow_stats_subtree_oracle(square_tree6):
     rng = np.random.default_rng(1)
     for t in rng.choice(len(tree), size=25, replace=False):
         sub = explicit_subtree(tree, int(t))
-        assert stats.shadow_size[t] == len(sub)
+        assert stats.W.sum(axis=1)[t] == len(sub)
         for i in range(stats.W.shape[1]):
             assert stats.W[t, i] == sum(1 for s in sub if tree.level[s] == i)
 
@@ -454,7 +454,6 @@ def test_sweeps_match_per_node_loops(square_tree6):
     for tree in sweep_trees(square_tree6):
         parent = tree.parent.tolist()
         kids = [[c for c in range(len(parent)) if parent[c] == p] for p in range(len(parent))]
-        assert csr_lists(tree.children) == kids
         assert tree.is_chain == all(len(k) <= 1 for k in kids)
         for name, x, op, row_op in sweep_cases(len(tree), rng):
             up = tc.accumulate_up(tree, x, op)
